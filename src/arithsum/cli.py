@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -93,8 +95,8 @@ def parse_t(spec: str) -> list[float]:
         vals = [float(p) for p in spec.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse t list {spec!r}") from None
-    if any(not v > 0 for v in vals):
-        raise ConfigError("all t values must be positive")
+    if any(not (v > 0 and math.isfinite(v)) for v in vals):
+        raise ConfigError("all t values must be positive and finite")
     return vals
 
 
@@ -207,8 +209,16 @@ def _work_sigma(item) -> dict:
 def _work_rh(item) -> dict:
     N, t, mode, timing = item
     started = time.perf_counter()
-    rec_obj = sigma_rh.rh_check(N, t, mode)
-    sigma_fail = mode == "analytic" and abs(rec_obj.sigma_analytic - rec_obj.sigma_exact) >= 0.25
+    try:
+        rec_obj = sigma_rh.rh_check(N, t, mode)
+    except indicators.AmbiguousClassification as exc:
+        # a series value that rounds to no integer is a failed record, not bad input
+        exact = sigma_rh.rh_check(N, t, "exact")
+        rec_obj = dataclasses.replace(
+            exact, sigma_analytic=exc.value, margin=exact.lagarias_rhs - exc.value
+        )
+    # written so that a non-finite series value fails too
+    sigma_fail = mode == "analytic" and not abs(rec_obj.sigma_analytic - rec_obj.sigma_exact) < 0.25
     rec = {
         "inputs": {"N": N, "t": t, "mode": mode},
         "value": rec_obj.sigma_analytic,
@@ -469,9 +479,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

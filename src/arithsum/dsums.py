@@ -12,6 +12,8 @@ because the block equals q_k(N -+ d a^2)/(N -+ d a^2)^2, which is
 family therefore terminates (shifts with d a^2 >= N contribute exactly
 zero by the vanishing identity), while the difference family has a
 Pell-type infinite solution set and carries a rigorous b^-4 tail bound.
+All blocks of one base are evaluated by the one block engine,
+``indicators.BlockTables``.
 
 The unit-weight forms are additionally evaluated through a second,
 independent organization in which the a-sums are closed in the lattice
@@ -28,16 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .indicators import BlockTables, CoefficientTable, _exp_series_terms, block_value
-from .integrals import (
-    cosh_over_sinh2_values,
-    coth,
-    csch_values,
-    sech,
-    sech_values,
-)
+from .indicators import BlockTables, _closed_heads, _default_r_len, _p_weights
+from .integrals import sech, sech_values
 from .kernels import g_values, kernel_g, t_values
-from .series import Evaluation, TruncationPolicy
+from .series import Evaluation
 
 __all__ = [
     "WeightSpec",
@@ -191,20 +187,17 @@ def _aggregate_blocks(
     """sum of w * block(N, c) over (w, c), sharing one table set."""
     if not shifts:
         return Evaluation(0.0, extra_tail, {"blocks": 0}, False)
-    r_needed = max(_r_len_for(N, c, t) for _, c in shifts)
+    r_lens = [_default_r_len(N, c, t) for _, c in shifts]
+    r_needed = max(r_lens)
     q_needed = r_needed + max(abs(c) for _, c in shifts) + 1
     tables = BlockTables(N, k, t, r_needed, q_needed)
+    head, exp_part = _closed_heads(N + np.array([c for _, c in shifts]), k, t)
     total = 0.0
     est = extra_tail
-    for w, c in shifts:
-        r_len = _r_len_for(N, c, t)
-        total += w * block_value(tables, c, r_len)
+    for (w, c), r_len, h in zip(shifts, r_lens, head + exp_part):
+        total += w * (float(h) + tables.gpart(c, r_len))
         est += abs(w) * _block_tail(r_len)
     return Evaluation(total, est, {"blocks": len(shifts), "r_terms": r_needed}, True)
-
-
-def _r_len_for(N: int, c: int, t: float) -> int:
-    return abs(c) + N + max(1500, int(900 / t))
 
 
 def weighted_finite_analytic(
@@ -212,7 +205,6 @@ def weighted_finite_analytic(
     k: int,
     N: int,
     t: float = 1.0,
-    policy: TruncationPolicy | None = None,
 ) -> Evaluation:
     """Series value of sum_{a=1}^{N-1} h(a) q_k(N-a)/(N-a)^2.
 
@@ -233,7 +225,6 @@ def weighted_infinite_analytic(
     k: int,
     N: int,
     t: float = 1.0,
-    policy: TruncationPolicy | None = None,
     a_horizon: int = 400,
 ) -> Evaluation:
     """Series value of sum_{a>=1} h(a) q_k(N+a)/(N+a)^2.
@@ -253,7 +244,6 @@ def sum_squares_analytic(
     g: WeightSpec,
     inst: DiophantineInstance,
     t: float = 1.0,
-    policy: TruncationPolicy | None = None,
 ) -> Evaluation:
     """Series value of (1/k^2) sum_{d a^2 + k b^2 = N} g(a)/b^4.
 
@@ -276,7 +266,6 @@ def sum_diff_analytic(
     g: WeightSpec,
     inst: DiophantineInstance,
     t: float = 1.0,
-    policy: TruncationPolicy | None = None,
     a_horizon: int = 80,
 ) -> Evaluation:
     """Series value of (1/k^2) sum_{k b^2 - d a^2 = N} g(a)/b^4 over the
@@ -297,7 +286,6 @@ def divisor_pair_sum_analytic(
     g: WeightSpec,
     N: int,
     t: float = 1.0,
-    policy: TruncationPolicy | None = None,
 ) -> Evaluation:
     """Series value of sum over divisors d|N with N/d > d of
     g(N/d - d)/(N/d + d)^4, through b^2 - a^2 = 4N.
@@ -326,50 +314,10 @@ def _divisor_pair_bruteforce(g: WeightSpec, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _p_weight_grid(t: float) -> tuple[np.ndarray, np.ndarray]:
-    # weights below e^-32 contribute under 1e-13 to any O(1) closed sum
-    m_max = max(2, int(math.ceil(32.0 / (pi * t))))
-    m = np.arange(0, m_max + 1)
-    n = 2.0 * m + 1.0
-    with np.errstate(under="ignore"):
-        c = n * np.exp(-pi * t * n)
-    c[1::2] *= -1.0
-    return n, c
-
-
 def _quartic_series(z: float, d: int, a_max: int = 400) -> float:
     """sum_{a>=1} 1/(z^2 + d^2 a^4), truncated at its a^-4 tail."""
     a = np.arange(1.0, a_max + 1.0)
     return float(np.sum(1.0 / (z * z + d * d * a**4))) + 1.0 / (3.0 * d * d * a_max**3)
-
-
-def _unit_head_and_exp(y: np.ndarray, k: int, t: float) -> tuple[float, float]:
-    """Vectorized closed head U(y) (starred: y = 0 skipped) plus the three
-    exponential r-series (unstarred) over an integer argument grid."""
-    cth = coth(pi * t)
-    live = y != 0
-    yf = y.astype(float)
-    ys = np.where(live, yf, 1.0)
-    sy = np.where(np.abs(y) % 2 == 1, -1.0, 1.0)  # (-1)^y
-    x = pi * ys / (2.0 * t)
-    csch_x = np.sign(ys) * csch_values(np.abs(x))  # odd
-    chsh2 = cosh_over_sinh2_values(np.abs(x))  # even
-    head_terms = (
-        pi * pi / (3.0 * k * ys * math.expm1(2.0 * pi * t))
-        + (1.0 - cth) / (2.0 * ys * ys)
-        - sy * pi**3 * cth / (12.0 * k * t) * csch_x
-        + sy * pi * pi * cth / (8.0 * t * t) * chsh2
-    )
-    head = float(np.sum(np.where(live, head_terms, 0.0)))
-    r, w = _exp_series_terms(t)
-    dmat = 4.0 * t * t * r[:, None] ** 2 + yf[None, :] ** 2
-    s1 = (w[:, None] / dmat).sum(axis=0)
-    s2 = (w[:, None] * r[:, None] / dmat).sum(axis=0)
-    s3 = (w[:, None] * (4.0 * t * t * r[:, None] ** 2 - yf[None, :] ** 2) / dmat**2).sum(axis=0)
-    exp_part = float(
-        np.sum(-yf * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3)
-    )
-    return head, exp_part
 
 
 def _unit_cosh_group(N: int, d: int, k: int, t: float, plus: bool) -> tuple[float, float]:
@@ -438,7 +386,7 @@ def _unit_p_group(N: int, d: int, k: int, t: float, plus: bool) -> tuple[float, 
     """The one-signed double G sums with their a-sums closed in the
     lattice kernel T:  sum_a 1/(z^2 + (r -+ d a^2)^2)
     = (pi/(4 d^2)) T(-+ r/d, z/d) - 1/(2 (r^2 + z^2))."""
-    n, cm = _p_weight_grid(t)
+    n, cm = _p_weights(t)
     z = t * n
     g0 = kernel_g(-N, t, k).value
     total = g0 * float(np.sum(cm * np.array([_quartic_series(zi, d) for zi in z])))
@@ -482,23 +430,16 @@ def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> 
     plus = inst.kind == "difference"
     a = np.arange(1, a_grid_len + 1, dtype=np.int64)
     y = N + d * a * a if plus else N - d * a * a
-    head, exp_part = _unit_head_and_exp(y, k, t)
-    eps = 0.0
-    if not plus:
-        m = isqrt(N // d)
-        if m >= 1 and d * m * m == N:
-            eps = CoefficientTable(k, t).U(0)
+    head, exp_part = _closed_heads(y, k, t)
     cosh_val, cosh_tail = _unit_cosh_group(N, d, k, t, plus)
     p_val, p_tail = _unit_p_group(N, d, k, t, plus)
     head_tail = 1.0 / (2.0 * d * d * a_grid_len**3)
-    value = eps + head + exp_part + cosh_val + p_val
+    value = float(np.sum(head)) + float(np.sum(exp_part)) + cosh_val + p_val
     est = cosh_tail + p_tail + head_tail + 1e-12
     return Evaluation(value, est, {"a_terms": a_grid_len}, True)
 
 
-def unit_sum_squares(
-    inst: DiophantineInstance, t: float = 1.0, policy: TruncationPolicy | None = None
-) -> Evaluation:
+def unit_sum_squares(inst: DiophantineInstance, t: float = 1.0) -> Evaluation:
     """Unit-weight (1/k^2) sum of 1/b^4 over d a^2 + k b^2 = N, evaluated
     in the closed-a-sum organization (independent of the block path)."""
     if inst.kind != "sum":
@@ -506,9 +447,7 @@ def unit_sum_squares(
     return _unit_value(inst, t)
 
 
-def unit_sum_diff(
-    inst: DiophantineInstance, t: float = 1.0, policy: TruncationPolicy | None = None
-) -> Evaluation:
+def unit_sum_diff(inst: DiophantineInstance, t: float = 1.0) -> Evaluation:
     """Unit-weight (1/k^2) sum of 1/b^4 over k b^2 - d a^2 = N, evaluated
     in the closed-a-sum organization (independent of the block path)."""
     if inst.kind != "difference":

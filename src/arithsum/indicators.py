@@ -18,8 +18,15 @@ and the G-part is the bilateral jump-kernel series
         + sum_{r>=1} (-1)^r ( G(r-N) J(|r+c|) + G(-r-N) J(|r-c|) ) ].
 
 The whole expression equals q_k(N+c)/(N+c)^2 for N+c >= 1 and 0 for
-N+c <= 0, for every t > 0.  ``BlockTables`` caches the G and J grids so
-drivers that aggregate many shifts of one base pay for them once.
+N+c <= 0, for every t > 0.
+
+``BlockTables`` is the one block engine: it holds the G and J grids of a
+base, contracts them for any shift (``gpart``), and ``_closed_heads``
+gives the head and r-series for a whole array of arguments at once.
+``q_analytic``, the vanishing identities, the Diophantine and divisor-pair
+sums of ``dsums`` and ``sigma_analytic`` all evaluate their blocks
+through it; only the oracles (``q_shifted_analytic``, the general-s
+form) keep organizations of their own.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ from math import pi
 import numpy as np
 
 from .integrals import (
-    cosh_over_sinh2,
+    cosh_over_sinh2_values,
     coth,
-    csch,
+    csch_values,
     integral_i,
     integral_k,
     j_values,
@@ -59,7 +66,12 @@ __all__ = [
 
 
 class AmbiguousClassification(ValueError):
-    """A series value was too far from both 0 and 1 to classify."""
+    """A series value was too far from its rounding targets to classify;
+    ``value`` is that series value."""
+
+    def __init__(self, message: str, value: float = math.nan):
+        super().__init__(message)
+        self.value = value
 
 
 def integer_root(x: int, e: int) -> int:
@@ -132,17 +144,7 @@ class CoefficientTable:
         return _parity_face(R, self.k, self.t)
 
     def U(self, R: int) -> float:
-        t, k = self.t, self.k
-        cth = coth(pi * t)
-        if R == 0:
-            return self.mu(0) + pi * pi * cth / (48.0 * t * t)
-        x = pi * R / (2.0 * t)
-        return (
-            pi * pi / (3.0 * k * R * (math.expm1(2.0 * pi * t)))
-            + (1.0 - cth) / (2.0 * R * R)
-            - _sign(R) * pi**3 * cth / (12.0 * k * t) * csch(x)
-            + _sign(R) * pi * pi * cth / (8.0 * t * t) * cosh_over_sinh2(x)
-        )
+        return float(_closed_heads(np.array([R]), self.k, self.t)[0][0])
 
 
 def _exp_series_terms(t: float, tol: float = 1e-18) -> tuple[np.ndarray, np.ndarray]:
@@ -156,16 +158,30 @@ def _exp_series_terms(t: float, tol: float = 1e-18) -> tuple[np.ndarray, np.ndar
     return r, w
 
 
-def _exp_series_part(y: int, k: int, t: float) -> float:
-    """The three exponential r-series of the expanded representation,
-    combined, at argument y = N + c."""
+def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U(y), three exponential r-series at y), elementwise over an integer
+    array y; together they are the part of a block that depends only on
+    the argument y = N + c."""
     cth = coth(pi * t)
+    yf = y.astype(float)
+    ys = np.where(y != 0, yf, 1.0)
+    sy = np.where(np.abs(y) % 2 == 1, -1.0, 1.0)  # (-1)^y
+    x = pi * ys / (2.0 * t)
+    head = (
+        pi * pi / (3.0 * k * ys * math.expm1(2.0 * pi * t))
+        + (1.0 - cth) / (2.0 * ys * ys)
+        - sy * pi**3 * cth / (12.0 * k * t) * np.sign(ys) * csch_values(np.abs(x))
+        + sy * pi * pi * cth / (8.0 * t * t) * cosh_over_sinh2_values(np.abs(x))
+    )
+    u0 = CoefficientTable(k, t).mu(0) + pi * pi * cth / (48.0 * t * t)
+    head = np.where(y == 0, u0, head)
     r, w = _exp_series_terms(t)
-    d = 4.0 * t * t * r * r + float(y) * y
-    s1 = float(np.sum(w / d))
-    s2 = float(np.sum(w * r / d))
-    s3 = float(np.sum(w * (4.0 * t * t * r * r - float(y) * y) / (d * d)))
-    return -y * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3
+    r2 = 4.0 * t * t * r[:, None] ** 2
+    dmat = r2 + yf[None, :] ** 2
+    s1 = (w[:, None] / dmat).sum(axis=0)
+    s2 = (w[:, None] * r[:, None] / dmat).sum(axis=0)
+    s3 = (w[:, None] * (r2 - yf[None, :] ** 2) / dmat**2).sum(axis=0)
+    return head, -yf * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3
 
 
 def _alternating_signs(n: int) -> np.ndarray:
@@ -176,7 +192,8 @@ def _alternating_signs(n: int) -> np.ndarray:
 
 
 class BlockTables:
-    """Jump-kernel and integral grids for one base (N, k, t).
+    """Jump-kernel and integral grids for one base (N, k, t): the one
+    block engine every analytic driver evaluates its blocks through.
 
     g_pos[r-1] = G(r - N), g_neg[r-1] = G(-r - N) for r = 1..r_len, and
     J[q] for q = 0..q_len.  Grids grow on demand and are reused across
@@ -189,7 +206,9 @@ class BlockTables:
         self.N = int(N)
         self.k = int(k)
         self.t = float(t)
-        self.g0 = kernel_g(-self.N, t, k).value
+        g0 = kernel_g(-self.N, t, k)
+        self.g0 = g0.value
+        self.g0_guarded = g0.overflow_guarded
         self.coeffs = CoefficientTable(self.k, self.t)
         self.g_pos = np.empty(0)
         self.g_neg = np.empty(0)
@@ -242,12 +261,44 @@ def block_value(tables: BlockTables, c: int, r_len: int | None = None) -> float:
     for N+c >= 1, and 0 for N+c <= 0."""
     if r_len is None:
         r_len = _default_r_len(tables.N, c, tables.t)
-    y = tables.N + c
-    return (
-        tables.coeffs.U(y)
-        + _exp_series_part(y, tables.k, tables.t)
-        + tables.gpart(c, r_len)
+    head, exp_part = _closed_heads(np.array([tables.N + c]), tables.k, tables.t)
+    return float(head[0] + exp_part[0]) + tables.gpart(c, r_len)
+
+
+def _integral_form(
+    k: int, N: int, t: float, policy: TruncationPolicy | None
+) -> tuple[float, float, float, int, bool]:
+    """The organization with the parity head mu(N), the I and K integrals,
+    the arctan(tanh)-weighted jump kernel at -N, and the J-weighted
+    bilateral jump-kernel series, at any integer N; it equals q_k(N)/N^2
+    for N >= 1 and 0 for N <= 0.  Returns (face, series, tail, r_len,
+    guarded), the tail modelling the omitted series terms."""
+    r_len = _default_r_len(N, 0, t)
+    if policy is not None:
+        r_len = min(r_len, policy.max_terms)
+    tables = BlockTables(N, k, t, r_len, r_len)
+    cth = coth(pi * t)
+    face = (
+        tables.coeffs.mu(N)
+        + _sign(N) * pi**3 * cth / (3.0 * k) * integral_i(N, t).value
+        + _sign(N) * pi * pi * cth * integral_k(N, t).value
     )
+    face += (
+        math.sinh(pi * t)
+        * math.atan(math.tanh(pi * t / 2.0))
+        / (2.0 * pi * t * math.sqrt(k))
+        * tables.g0
+    )
+    # the two sides are paired before the product: contracted separately,
+    # as gpart(0) would, the sum loses enough accuracy at t ~ 7-10 to fail
+    # more classifications
+    terms = (tables.sg_pos[:r_len] + tables.sg_neg[:r_len]) * tables.J[1 : r_len + 1]
+    coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
+    series = coeff * float(np.sum(terms))
+    # Tail model: past r_len the summand decays at least like r^(-7/2) on
+    # the positive side and r^(-4) through the J factor on the negative.
+    tail = coeff * float(np.max(np.abs(terms[-64:]))) * r_len / 2.5
+    return face, series, tail, r_len, tables.g0_guarded
 
 
 def q_analytic(
@@ -256,12 +307,8 @@ def q_analytic(
     t: float = 1.0,
     policy: TruncationPolicy | None = None,
 ) -> Evaluation:
-    """Convergent-series value of q_k(N)/N^2 for N >= 1.
-
-    Uses the organization with the parity head, the I and K integrals,
-    the arctan(tanh)-weighted jump kernel at -N, and the J-weighted
-    bilateral jump-kernel series.
-    """
+    """Convergent-series value of q_k(N)/N^2 for N >= 1, in the
+    organization of ``_integral_form``."""
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
     if not t > 0:
@@ -269,34 +316,9 @@ def q_analytic(
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     tol = policy.abs_tol if policy is not None else 1e-12
-    cth = coth(pi * t)
-    face = (
-        _parity_face(N, k, t)
-        + _sign(N) * pi**3 * cth / (3.0 * k) * integral_i(N, t).value
-        + _sign(N) * pi * pi * cth * integral_k(N, t).value
-    )
-    g0 = kernel_g(-N, t, k)
-    face += (
-        math.sinh(pi * t)
-        * math.atan(math.tanh(pi * t / 2.0))
-        / (2.0 * pi * t * math.sqrt(k))
-        * g0.value
-    )
-    r_len = N + max(1500, int(900 / t))
-    if policy is not None:
-        r_len = min(r_len, policy.max_terms)
-    r = np.arange(1, r_len + 1, dtype=float)
-    gp = g_values(r - N, t, k)
-    gn = g_values(-r - N, t, k)
-    J = j_values(r_len, t)
-    terms = _alternating_signs(r_len) * (gp + gn) * J[1:]
-    coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
-    series = coeff * float(np.sum(terms))
-    # Tail model: past r_len the summand decays at least like r^(-7/2) on
-    # the positive side and r^(-4) through the J factor on the negative.
-    tail = coeff * float(np.max(np.abs(terms[-64:]))) * r_len / 2.5
+    face, series, tail, r_len, guarded = _integral_form(k, N, t, policy)
     est = tail + max(tol, 1e-15) + abs(face) * 1e-15
-    return Evaluation(face + series, est, {"r_terms": r_len}, g0.overflow_guarded)
+    return Evaluation(face + series, est, {"r_terms": r_len}, guarded)
 
 
 def classify_unit(value: float, residual_tol: float = 0.25) -> tuple[int, float]:
@@ -307,7 +329,7 @@ def classify_unit(value: float, residual_tol: float = 0.25) -> tuple[int, float]
     residual = abs(value - bit)
     if residual >= residual_tol:
         raise AmbiguousClassification(
-            f"value {value} is {residual:.3f} away from both 0 and 1"
+            f"value {value} is {residual:.3f} away from both 0 and 1", value
         )
     return bit, residual
 
@@ -330,33 +352,16 @@ def zero_identity_residual(
         raise ValueError(f"N must be <= 0, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    cth = coth(pi * t)
-    table = CoefficientTable(k, t)
-    face = table.mu(N)
-    face += _sign(N) * pi**3 * cth / (3.0 * k) * integral_i(N, t).value
-    face += _sign(N) * pi * pi * cth * integral_k(N, t).value
-    face += (
-        math.sinh(pi * t)
-        * math.atan(math.tanh(pi * t / 2.0))
-        / (2.0 * pi * t * math.sqrt(k))
-        * kernel_g(-N, t, k).value
-    )
-    r_len = abs(N) + max(1500, int(900 / t))
-    if policy is not None:
-        r_len = min(r_len, policy.max_terms)
-    r = np.arange(1, r_len + 1, dtype=float)
-    gp = g_values(r - N, t, k)
-    gn = g_values(-r - N, t, k)
-    J = j_values(r_len, t)
-    series = math.sinh(pi * t) / (4.0 * math.sqrt(k)) * float(
-        np.sum(_alternating_signs(r_len) * (gp + gn) * J[1:])
-    )
+    face, series, *_ = _integral_form(k, N, t, policy)
     return abs(face + series)
 
 
 def _p_weights(t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(n, c_n) with n = 2m+1 and c_n = (-1)^m n e^(-pi t n)."""
-    m_max = max(2, int(math.ceil(42.0 / (pi * t))))
+    """(n, c_n) with n = 2m+1 and c_n = (-1)^m n e^(-pi t n).
+
+    The last weight kept has pi t n >= 64, about 1e-30 at t = 1, so the
+    omitted ones are far below the rounding of any O(1) sum over them."""
+    m_max = max(2, int(math.ceil(32.0 / (pi * t))))
     m = np.arange(0, m_max + 1)
     n = 2.0 * m + 1.0
     with np.errstate(under="ignore"):
@@ -391,8 +396,8 @@ def q_shifted_analytic(
         raise ValueError(f"t must be positive, got {t}")
     tol = policy.abs_tol if policy is not None else 1e-12
     y = N + c
-    table = CoefficientTable(k, t)
-    head = table.U(y) + _exp_series_part(y, k, t)
+    heads, exp_part = _closed_heads(np.array([y]), k, t)
+    head = float(heads[0] + exp_part[0])
 
     grid = _p_weights(t)
     g0 = kernel_g(-N, t, k)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -186,11 +185,6 @@ def integral_j(q: int, t: float, tol: float = DEFAULT_TOL) -> IntegralValue:
     n1 = 2 * r + 3
     est = abs(pref) * n1 * math.exp(-math.pi * t * n1) / (t * t * n1 * n1 + q2)
     return IntegralValue(head + pref * total, r + 1, est)
-
-
-@lru_cache(maxsize=None)
-def _j_cached(q: int, t: float) -> float:
-    return integral_j(q, t).value
 
 
 def j_values(q_max: int, t: float) -> np.ndarray:

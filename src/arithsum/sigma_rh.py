@@ -8,10 +8,11 @@ sigma(N) decomposes over divisor pairs as
 an exact integer identity (b^2 - a^2 = 4N pairs off the divisors d < N/d
 as b = N/d + d, a = N/d - d).  Substituting the shifted series for
 q_1(4N+a^2)/(4N+a^2)^2 and weighting by (4N+a^2)^(5/2) gives a
-convergent-series representation of sigma(N) valid for every t > 0,
-assembled here from the same closed heads, exponential r-series and
-jump-kernel tables as the indicator blocks, with all hyperbolic weights
-evaluated in guarded/log form.
+convergent-series representation of sigma(N) valid for every t > 0:
+the (4N+a^2)^(5/2)-weighted sum of the blocks at base 4N and shifts a^2,
+each evaluated by the one block engine ``indicators.BlockTables`` (its
+closed heads and r-series for all shifts at once, and its G-part per
+shift), with all hyperbolic weights in guarded form.
 
 The Lagarias criterion compares sigma(N) against H_N + e^(H_N) log H_N;
 Robin's compares against e^gamma N log log N for N >= 5041.
@@ -21,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt, pi
+from math import isqrt
 
 import numpy as np
 
-from .indicators import AmbiguousClassification, BlockTables, _exp_series_terms
-from .integrals import cosh_over_sinh2_values, coth, csch_values
+from .indicators import AmbiguousClassification, BlockTables, _closed_heads
 from .series import Evaluation, TruncationPolicy
 
 __all__ = [
@@ -97,78 +97,32 @@ def sigma_analytic(
     """Convergent-series value of sigma(N), N >= 2, for any t > 0.
 
     Assembled as q_1(N) sqrt(N) plus the (4N+a^2)^(5/2)-weighted shifted
-    indicator series at base 4N and shifts a^2: the closed hyperbolic
-    a-sums, the three exponential r-series with their finite a-sums, and
-    the jump-kernel series contracted against the J table.
+    indicator blocks at base 4N and shifts a^2, a = 1..N-1.
     """
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    cth = coth(pi * t)
-    a = np.arange(1, N, dtype=np.int64)
-    sgn_a = np.where(a % 2 == 1, -1.0, 1.0)  # (-1)^a = (-1)^(4N+a^2)
-    M = (4 * N + a * a).astype(float)
-    sqrtM = np.sqrt(M)
-    M32 = M * sqrtM
-    M52 = M * M * sqrtM
+    M = 4 * N + np.arange(1, N, dtype=np.int64) ** 2
+    Mf = M.astype(float)
+    M52 = Mf * Mf * np.sqrt(Mf)
 
     m = isqrt(N)
     lead = math.sqrt(N) if m * m == N else 0.0
 
-    # closed hyperbolic heads, weighted by M^(5/2)
-    x = pi * M / (2.0 * t)
-    csch_x = csch_values(x)
-    chsh2_x = cosh_over_sinh2_values(x)
-    head = (
-        pi * pi / (3.0 * math.expm1(2.0 * pi * t)) * M32
-        + (1.0 - cth) / 2.0 * sqrtM
-        - pi**3 * cth / (12.0 * t) * sgn_a * M52 * csch_x
-        + pi * pi * cth / (8.0 * t * t) * sgn_a * M52 * chsh2_x
-    )
-    total = lead + float(np.sum(head))
-
-    # exponential r-series with their finite a-sums
-    M72 = M52 * M
-    r, w = _exp_series_terms(t)
-    dmat = 4.0 * t * t * r[:, None] ** 2 + M[None, :] ** 2
-    s1 = float(np.sum(w[:, None] * M72[None, :] / dmat))
-    s2 = float(np.sum((w * r)[:, None] * M52[None, :] / dmat))
-    s3 = float(
-        np.sum(
-            w[:, None]
-            * M52[None, :]
-            * (4.0 * t * t * r[:, None] ** 2 - M[None, :] ** 2)
-            / dmat**2
-        )
-    )
-    total += -pi * pi * cth / 3.0 * s1 - 2.0 * pi * t * cth * s2 - cth * s3
-
-    # jump-kernel series against the J table, shift a^2 per divisor pair
+    # the blocks at base 4N and shifts a^2, weighted by M^(5/2)
     r_len = _sigma_r_len(N, t)
     if policy is not None:
         r_len = min(r_len, policy.max_terms)
-    q_max = r_len + (N - 1) ** 2 + 1
-    tables = BlockTables(4 * N, 1, t, r_len, q_max)
-    J = tables.J
-    gp = tables.sg_pos[:r_len]
-    gn = tables.sg_neg[:r_len]
-    gsum = 0.0
-    for i in range(len(a)):
-        c = int(a[i]) * int(a[i])
-        s = tables.g0 * J[c]
-        s += float(np.dot(gp, J[c + 1 : c + r_len + 1]))
-        head_n = min(c, r_len)
-        s += float(np.dot(gn[:head_n], J[c - 1 :: -1][:head_n]))
-        if r_len > head_n:
-            s += float(np.dot(gn[head_n:r_len], J[1 : r_len - c + 1]))
-        gsum += sgn_a[i] * M52[i] * s
-    total += math.sinh(pi * t) / 4.0 * gsum
+    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2 + 1)
+    head, exp_part = _closed_heads(M, 1, t)
+    gpart = np.array([tables.gpart(c * c, r_len) for c in range(1, N)])
+    total = lead + float(np.sum(M52 * (head + exp_part + gpart)))
 
     # error model: guarded hyperbolics underflow to true zeros; the r
     # truncation sits past the last resonance with a polynomial margin
     margin = r_len - (N - 1) ** 2
-    est = 1e-12 * float(np.sum(np.abs(head))) + 0.05 * N * N / margin**1.5 + 1e-9
+    est = 1e-12 * float(np.sum(np.abs(M52 * head))) + 0.05 * N * N / margin**1.5 + 1e-9
     return Evaluation(float(total), float(est), {"a_terms": N - 1, "r_terms": r_len}, True)
 
 
@@ -223,9 +177,9 @@ def rh_check(
     if mode == "analytic":
         ev = sigma_analytic(N, t, policy)
         value = ev.value
-        if abs(value - round(value)) >= 0.25:
+        if not math.isfinite(value) or abs(value - round(value)) >= 0.25:
             raise AmbiguousClassification(
-                f"sigma series value {value} too far from an integer at N={N}"
+                f"sigma series value {value} too far from an integer at N={N}", value
             )
     else:
         value = float(exact)

@@ -28,6 +28,8 @@ def test_parse_t():
     assert parse_t("0.8,1.0,1.5") == [0.8, 1.0, 1.5]
     with pytest.raises(ConfigError):
         parse_t("-1.0")
+    with pytest.raises(ConfigError):
+        parse_t("inf")
 
 
 def test_eval_q_json_schema(capsys):
@@ -130,6 +132,19 @@ def test_rh_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(r["diff"] > 0 for r in doc["records"])
+
+
+def test_rh_analytic_ambiguous_sigma_is_failed_record(capsys):
+    # at t = 16 the sigma series rounds to no integer at N = 4: a failed
+    # record and exit 1, not a usage error
+    code, out = run_cli(
+        ["rh", "--mode", "analytic", "--from", "2", "--to", "4", "--t", "16", "--format", "json"],
+        capsys,
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert len(doc["records"]) == 3
+    assert all(r["failed"] for r in doc["records"])
 
 
 def test_rh_bad_range(capsys):

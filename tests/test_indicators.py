@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from arithsum.indicators import (
     AmbiguousClassification,
     BlockTables,
     CoefficientTable,
+    _closed_heads,
     block_value,
     classify_unit,
     integer_root,
@@ -98,6 +100,44 @@ def test_coefficient_table_relation():
             table = CoefficientTable(k, t)
             want = math.pi**2 / (48.0 * t * t) / math.tanh(math.pi * t)
             assert table.U(0) - table.mu(0) == pytest.approx(want, rel=1e-12)
+
+
+def _scalar_head_and_exp(y, k, t):
+    """U(y) and the three exponential r-series, term by term in scalars."""
+    cth = 1.0 / math.tanh(math.pi * t)
+    if y == 0:
+        head = CoefficientTable(k, t).mu(0) + math.pi**2 * cth / (48.0 * t * t)
+    else:
+        x = math.pi * y / (2.0 * t)
+        sgn = -1.0 if y % 2 else 1.0
+        head = (
+            math.pi**2 / (3.0 * k * y * math.expm1(2.0 * math.pi * t))
+            + (1.0 - cth) / (2.0 * y * y)
+            - sgn * math.pi**3 * cth / (12.0 * k * t) / math.sinh(x)
+            + sgn * math.pi**2 * cth / (8.0 * t * t) * math.cosh(x) / math.sinh(x) ** 2
+        )
+    exp_part = 0.0
+    for r in range(1, 40):
+        w = (-1) ** (r - 1) * math.exp(-2.0 * math.pi * t * r)
+        d = 4.0 * t * t * r * r + y * y
+        exp_part += w * (
+            -y * math.pi**2 * cth / (3.0 * k * d)
+            - 2.0 * math.pi * t * cth * r / d
+            - cth * (4.0 * t * t * r * r - y * y) / (d * d)
+        )
+    return head, exp_part
+
+
+@pytest.mark.parametrize("k,t", [(1, 0.7), (2, 1.0), (3, 1.6)])
+def test_closed_heads_match_scalar_terms(k, t):
+    ys = [-9, -2, -1, 0, 1, 2, 5, 12, 40]
+    heads, exps = _closed_heads(np.array(ys), k, t)
+    for y, head, exp_part in zip(ys, heads, exps):
+        want_head, want_exp = _scalar_head_and_exp(y, k, t)
+        assert head == pytest.approx(want_head, rel=1e-13, abs=1e-300)
+        assert exp_part == pytest.approx(want_exp, rel=1e-13, abs=1e-18)
+        if y != 0:
+            assert CoefficientTable(k, t).U(y) == head
 
 
 def test_q_shifted_examples():

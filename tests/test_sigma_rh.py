@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from arithsum.indicators import AmbiguousClassification
+from arithsum.indicators import AmbiguousClassification, BlockTables, block_value
 from arithsum.sigma_rh import (
+    _sigma_r_len,
     EULER_GAMMA,
     harmonic,
     lagarias_rhs,
@@ -46,6 +47,19 @@ def test_sigma_analytic_rounds_exactly():
         exact = sigma_bruteforce(N)
         assert abs(ev.value - exact) < 0.25
         assert round(ev.value) == exact
+
+
+@pytest.mark.parametrize("t", [0.7, 1.5])
+@pytest.mark.parametrize("N", [6, 30, 97])
+def test_sigma_is_weighted_sum_of_blocks(N, t):
+    # sigma(N) = q_1(N) sqrt(N) + sum_a (4N+a^2)^(5/2) block(4N, a^2)
+    tables = BlockTables(4 * N, 1, t)
+    r_len = _sigma_r_len(N, t)
+    want = math.sqrt(N) if math.isqrt(N) ** 2 == N else 0.0
+    want += math.fsum(
+        (4 * N + a * a) ** 2.5 * block_value(tables, a * a, r_len) for a in range(1, N)
+    )
+    assert sigma_analytic(N, t).value == pytest.approx(want, rel=1e-10)
 
 
 def test_sigma_t_independence():
