@@ -424,19 +424,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--t", default="1.0", help="t value or comma list (default 1.0)")
-        p.add_argument("--tol", type=float, default=1e-8, help="comparison tolerance")
-        p.add_argument("--max-terms", type=int, default=10**6, help="series term cap")
+    flags = {
+        "t": dict(default="1.0", help="t value or comma list (default 1.0)"),
+        "tol": dict(type=float, default=1e-8, help="comparison tolerance"),
+        "max-terms": dict(type=int, default=10**6, help="series term cap"),
+        "timing": dict(action="store_true", help="record real per-item wall time"),
+    }
+
+    def common(p, *names):
+        # --format, --jobs and the named flags; no prefix matching, by which
+        # verify would read --t as --tol
+        p.allow_abbrev = False
+        for name in names:
+            p.add_argument(f"--{name}", **flags[name])
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers (or ARITH_JOBS)")
-        p.add_argument("--timing", action="store_true", help="record real per-item wall time")
 
     p = sub.add_parser("eval-q", help="indicator classification vs integer definition")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--N", required=True, help="range: 7, 2..30, or 1,4,9")
-    common(p)
+    common(p, "t", "tol", "max-terms", "timing")
     p.set_defaults(func=cmd_eval_q)
 
     p = sub.add_parser("sum", help="Diophantine / divisor-pair sums vs enumeration")
@@ -446,25 +454,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--weight", default="unit", choices=tuple(_WEIGHTS))
     p.add_argument("--horizon", type=int, default=10000, help="enumeration b horizon (difference kind)")
-    common(p)
+    common(p, "t", "tol", "timing")
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("sigma", help="divisor-sum series vs exact")
     p.add_argument("--N", required=True)
-    common(p)
+    common(p, "t", "timing")
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("rh", help="Lagarias/Robin margins over a range")
     p.add_argument("--from", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--mode", default="exact", choices=("exact", "analytic"))
-    common(p)
+    common(p, "t", "timing")
     p.set_defaults(func=cmd_rh)
 
     p = sub.add_parser("verify", help="identity suites with per-check residuals")
     p.add_argument("--suite", required=True)
     p.add_argument("--fast", action="store_true", help="thinner grids for smoke runs")
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=cmd_verify)
 
     return parser

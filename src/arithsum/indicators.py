@@ -44,9 +44,9 @@ from .integrals import (
     integral_i,
     integral_k,
     j_values,
-    sech,
+    sech_values,
 )
-from .kernels import g_values, kernel_g
+from .kernels import _g, g_values, kernel_g
 from .series import Evaluation, TruncationPolicy
 
 __all__ = [
@@ -170,8 +170,8 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
     head = (
         pi * pi / (3.0 * k * ys * math.expm1(2.0 * pi * t))
         + (1.0 - cth) / (2.0 * ys * ys)
-        - sy * pi**3 * cth / (12.0 * k * t) * np.sign(ys) * csch_values(np.abs(x))
-        + sy * pi * pi * cth / (8.0 * t * t) * cosh_over_sinh2_values(np.abs(x))
+        - sy * pi**3 * cth / (12.0 * k * t) * csch_values(x)
+        + sy * pi * pi * cth / (8.0 * t * t) * cosh_over_sinh2_values(x)
     )
     u0 = CoefficientTable(k, t).mu(0) + pi * pi * cth / (48.0 * t * t)
     head = np.where(y == 0, u0, head)
@@ -196,8 +196,8 @@ class BlockTables:
     block engine every analytic driver evaluates its blocks through.
 
     g_pos[r-1] = G(r - N), g_neg[r-1] = G(-r - N) for r = 1..r_len, and
-    J[q] for q = 0..q_len.  Grids grow on demand and are reused across
-    every shift c evaluated against the same base.
+    J[q] for q = 0..q_len.  Grids grow on demand, at least doubling, and
+    are reused across every shift c evaluated against the same base.
     """
 
     def __init__(self, N: int, k: int, t: float, r_len: int = 0, q_len: int = 0):
@@ -216,7 +216,10 @@ class BlockTables:
         self.ensure(max(r_len, 8), max(q_len, 8))
 
     def ensure(self, r_len: int, q_len: int) -> None:
+        # the grids are elementwise and read through slices, so growing them
+        # at least twofold changes no value and rebuilds them O(log) times
         if r_len > len(self.g_pos):
+            r_len = max(r_len, 2 * len(self.g_pos))
             r = np.arange(1, r_len + 1, dtype=float)
             self.g_pos = g_values(r - self.N, self.t, self.k)
             self.g_neg = g_values(-r - self.N, self.t, self.k)
@@ -224,7 +227,7 @@ class BlockTables:
             self.sg_pos = self.sgn * self.g_pos
             self.sg_neg = self.sgn * self.g_neg
         if q_len >= len(self.J):
-            self.J = j_values(q_len, self.t)
+            self.J = j_values(max(q_len, 2 * len(self.J)), self.t)
 
     def gpart(self, c: int, r_len: int) -> float:
         """The bilateral G-series at shift c, truncated at r_len."""
@@ -340,19 +343,14 @@ def q_classify(k: int, N: int, t: float = 1.0) -> tuple[int, float]:
     return classify_unit(N * N * ev.value)
 
 
-def zero_identity_residual(
-    k: int,
-    N: int,
-    t: float = 1.0,
-    policy: TruncationPolicy | None = None,
-) -> float:
+def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
     """|series representation at a nonpositive argument|, which the
     vanishing identity says is 0.  Requires N <= 0."""
     if N > 0:
         raise ValueError(f"N must be <= 0, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    face, series, *_ = _integral_form(k, N, t, policy)
+    face, series, *_ = _integral_form(k, N, t, None)
     return abs(face + series)
 
 
@@ -370,60 +368,40 @@ def _p_weights(t: float) -> tuple[np.ndarray, np.ndarray]:
     return n, c
 
 
-def _p_series(q: float, t: float, grid: tuple[np.ndarray, np.ndarray]) -> float:
-    """sum_m (-1)^m (2m+1) e^(-pi t(2m+1)) / (t^2 (2m+1)^2 + q^2)."""
-    n, c = grid
-    return float(np.sum(c / (t * t * n * n + q * q)))
-
-
-def q_shifted_analytic(
-    k: int,
-    N: int,
-    c: int,
-    t: float = 1.0,
-    policy: TruncationPolicy | None = None,
-) -> Evaluation:
+def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     """Fully expanded shifted representation at base N and shift c.
 
     All integrals are expanded: the closed head U(N+c), the three
     exponential r-series, the sech-weighted bilateral G sums, and the
     one-signed double G sums.  Returns ~q_k(N+c)/(N+c)^2 when N+c >= 1
     and ~0 when N+c <= 0 (the vanishing branch).
+
+    The bilateral sums run over r = -r_len..r_len in one pass: the
+    negative side G(-r-N) w(r-c) is the r -> -r image of G(r-N) w(r+c),
+    since both weights w are even.
     """
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    tol = policy.abs_tol if policy is not None else 1e-12
     y = N + c
     heads, exp_part = _closed_heads(np.array([y]), k, t)
     head = float(heads[0] + exp_part[0])
 
-    grid = _p_weights(t)
-    g0 = kernel_g(-N, t, k)
-    sech_block = g0.value * sech(pi * c / (2.0 * t))
-    p_block = g0.value * _p_series(float(c), t, grid)
     r_len = abs(c) + N + max(1200, int(700 / t))
-    if policy is not None:
-        r_len = min(r_len, policy.max_terms)
-    guarded = g0.overflow_guarded
-    for r in range(1, r_len + 1):
-        gp = kernel_g(r - N, t, k)
-        gn = kernel_g(-r - N, t, k)
-        guarded = guarded or gp.overflow_guarded or gn.overflow_guarded
-        s = _sign(r)
-        sech_block += s * (
-            gp.value * sech(pi * (r + c) / (2.0 * t))
-            + gn.value * sech(pi * (r - c) / (2.0 * t))
-        )
-        p_block += gp.value * _p_series(float(r + c), t, grid) + gn.value * _p_series(
-            float(r - c), t, grid
-        )
+    r = np.arange(-r_len, r_len + 1)
+    g, guarded = _g(r - N, t, k)
+    sech_block = float(np.sum(np.where(r % 2, -g, g) * sech_values(pi * (r + c) / (2.0 * t))))
+    # P(q) = sum_m (-1)^m n e^(-pi t n) / (t^2 n^2 + q^2), n = 2m+1, summed
+    # one weight at a time so that memory stays O(r_len) at small t
+    q2 = (r + c).astype(float) ** 2
+    p = sum(wm / (t * t * nm * nm + q2) for nm, wm in zip(*_p_weights(t)))
+    p_block = float(np.sum(g * p))
     sh = math.sinh(pi * t)
     gpart = _sign(c) * sh / (8.0 * math.sqrt(k) * t) * sech_block
     gpart -= t * sh / (2.0 * math.sqrt(k) * pi) * p_block
-    est = max(tol, 1e-14) + (abs(head) + abs(gpart)) * 1e-14 + 3.0 / r_len**2.5
-    return Evaluation(head + gpart, est, {"r_terms": r_len}, guarded)
+    est = 1e-12 + (abs(head) + abs(gpart)) * 1e-14 + 3.0 / r_len**2.5
+    return Evaluation(head + gpart, est, {"r_terms": r_len}, bool(guarded.any()))
 
 
 def _h_power_series(z: float, k: int, s: int, t: float) -> float:

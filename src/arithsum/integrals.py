@@ -10,6 +10,11 @@ convergent series; the series stop once the first-omitted-term bound
 drops below ``tol / 10``.  ``quadrature_oracle`` integrates the defining
 integrands directly with adaptive quadrature so the closed forms are
 machine-checkable.
+
+The hyperbolic heads csch, sech and cosh/sinh^2 each have one guarded
+implementation, elementwise over arrays (``csch_values``, ``sech_values``,
+``cosh_over_sinh2_values``); the scalar forms call it on a one-element
+array.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernels import GUARD_THRESHOLD
 
@@ -37,31 +41,17 @@ class IntegralValue:
 
 def csch(x: float) -> float:
     """1/sinh(x), decaying gracefully to 0 instead of overflowing."""
-    ax = abs(x)
-    if ax <= GUARD_THRESHOLD:
-        return 1.0 / math.sinh(x)
-    e = math.exp(-ax)
-    val = 2.0 * e / (1.0 - e * e)
-    return val if x > 0 else -val
+    return float(csch_values([x])[0])
 
 
 def sech(x: float) -> float:
     """1/cosh(x), decaying gracefully to 0 instead of overflowing."""
-    ax = abs(x)
-    if ax <= GUARD_THRESHOLD:
-        return 1.0 / math.cosh(x)
-    e = math.exp(-ax)
-    return 2.0 * e / (1.0 + e * e)
+    return float(sech_values([x])[0])
 
 
 def cosh_over_sinh2(x: float) -> float:
     """cosh(x)/sinh(x)^2, stable for large |x|."""
-    ax = abs(x)
-    if ax <= GUARD_THRESHOLD:
-        s = math.sinh(x)
-        return math.cosh(x) / (s * s)
-    e = math.exp(-ax)
-    return 2.0 * e * (1.0 + e * e) / (1.0 - e * e) ** 2
+    return float(cosh_over_sinh2_values([x])[0])
 
 
 def coth(x: float) -> float:
@@ -73,18 +63,19 @@ def coth(x: float) -> float:
 
 
 def csch_values(x: np.ndarray) -> np.ndarray:
-    """Vectorized 1/sinh over nonnegative arguments, underflowing to 0."""
+    """1/sinh elementwise (odd in x), decaying to 0 instead of overflowing."""
     x = np.asarray(x, dtype=float)
-    big = x > GUARD_THRESHOLD
+    ax = np.abs(x)
+    big = ax > GUARD_THRESHOLD
     with np.errstate(under="ignore"):
-        e = np.exp(-np.where(big, x, GUARD_THRESHOLD))
-        guarded = 2.0 * e / (1.0 - e * e)
+        e = np.exp(-np.where(big, ax, GUARD_THRESHOLD))
+        guarded = np.copysign(2.0 * e / (1.0 - e * e), x)
         direct = 1.0 / np.sinh(np.where(big, 1.0, x))
     return np.where(big, guarded, direct)
 
 
 def sech_values(x: np.ndarray) -> np.ndarray:
-    """Vectorized 1/cosh, underflowing to 0 for large |x|."""
+    """1/cosh elementwise, underflowing to 0 for large |x|."""
     x = np.abs(np.asarray(x, dtype=float))
     with np.errstate(under="ignore"):
         e = np.exp(-x)
@@ -92,8 +83,8 @@ def sech_values(x: np.ndarray) -> np.ndarray:
 
 
 def cosh_over_sinh2_values(x: np.ndarray) -> np.ndarray:
-    """Vectorized cosh/sinh^2 over nonnegative arguments, underflowing to 0."""
-    x = np.asarray(x, dtype=float)
+    """cosh/sinh^2 elementwise (even in x), underflowing to 0 for large |x|."""
+    x = np.abs(np.asarray(x, dtype=float))
     big = x > GUARD_THRESHOLD
     with np.errstate(under="ignore"):
         e = np.exp(-np.where(big, x, GUARD_THRESHOLD))
@@ -218,7 +209,7 @@ def j_values(q_max: int, t: float) -> np.ndarray:
 _INTEGRANDS = {
     "I": lambda b, q, t: math.sin(math.pi * q * b) / (math.exp(2.0 * math.pi * b * t) + 1.0),
     "K": lambda b, q, t: b * math.cos(math.pi * q * b) / (math.exp(2.0 * math.pi * b * t) + 1.0),
-    "J": lambda b, q, t: math.cos(math.pi * q * b) * sech(math.pi * b * t),
+    "J": lambda b, q, t: math.cos(math.pi * q * b) / math.cosh(math.pi * b * t),
 }
 
 
@@ -239,6 +230,8 @@ def quadrature_oracle(kind: str, q: int, t: float, tol: float = 1e-12) -> float:
         raise ValueError(f"tol must be at least 1e-12, got {tol}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    from scipy.integrate import quad  # the only scipy user; imported lazily for CLI start-up
+
     f = _INTEGRANDS[kind]
     value, abserr, info, *rest = quad(
         f, 0.0, 1.0, args=(int(q), t), epsabs=tol, epsrel=0.0, limit=500, full_output=1

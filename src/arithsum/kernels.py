@@ -15,6 +15,11 @@ Direct sinh/cosh evaluation overflows binary64 once the argument passes
 ~709; every kernel therefore switches to an exponential rewrite when the
 argument exceeds ``GUARD_THRESHOLD``, and reports that the rewrite fired
 via ``KernelValue.overflow_guarded``.
+
+G and T have one implementation each, elementwise over arrays of M
+(``g_values``, ``t_values``); the scalar forms ``kernel_g``, ``kernel_t``
+and ``half_plane_root`` call it on a one-element array, so that they
+return the same bits.  (numpy's 0-d paths can round differently.)
 """
 
 from __future__ import annotations
@@ -53,55 +58,80 @@ class KernelValue:
     overflow_guarded: bool = False
 
 
-def half_plane_root(M: float, t: float) -> HalfPlaneRoot:
-    """Split sqrt(M + it) into (u, v) with u^2 - v^2 = M and 2uv = t.
+def _roots(M: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|M+it|, u, v) elementwise, with u + iv the first-quadrant square
+    root of M + it.
 
     The smaller coordinate is recovered from 2uv = t rather than by
     subtractive cancellation, so the invariants hold to ~1e-15 relative
     even for |M| ~ 1e12.
-
-    Raises ValueError for t <= 0.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    M = float(M)
-    t = float(t)
-    h = math.hypot(M, t)
-    if M >= 0:
-        u = math.sqrt((h + M) / 2.0)
-        v = t / (2.0 * u)
-    else:
-        v = math.sqrt((h - M) / 2.0)
-        u = t / (2.0 * v)
-    return HalfPlaneRoot(M=M, t=t, u=u, v=v)
+    h = np.hypot(M, t)
+    big = np.sqrt((h + np.abs(M)) / 2.0)
+    small = t / (2.0 * big)
+    return h, np.where(M >= 0, big, small), np.where(M >= 0, small, big)
 
 
-def _ratio_t(u: float, v: float, scale: float) -> tuple[float, bool]:
-    """[v sinh(2su) + u sin(2sv)] / (sinh^2(su) + sin^2(sv)) for s = scale,
-    rewritten in exponentials once s*u crosses the guard."""
-    a = scale * u
-    b = scale * v
-    sb = math.sin(b)
-    if a <= GUARD_THRESHOLD:
-        den = math.sinh(a) ** 2 + sb * sb
-        num = v * math.sinh(2.0 * a) + u * math.sin(2.0 * b)
-        return num / den, False
+def _guarded_ratio(
+    p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerator and denominator of [p sinh(2a) + q sin(2b)] / (sinh^2(a) +
+    sin^2(b)), and the mask where a > GUARD_THRESHOLD and both were rewritten
+    in exponentials.  The denominator is bounded below by sinh^2(a) > 0 for
+    a > 0, so no special-casing is needed near sin resonances."""
+    sb = np.sin(b)
+    s2b = np.sin(2.0 * b)
+    guarded = a > GUARD_THRESHOLD
+    a_safe = np.where(guarded, 1.0, a)
+    num_direct = p * np.sinh(2.0 * a_safe) + q * s2b
+    den_direct = np.sinh(a_safe) ** 2 + sb * sb
     # sinh(2a) = e^{2a}(1 - x^2)/2 and sinh^2(a) = e^{2a}(1 - x)^2/4
     # with x = e^{-2a}; dividing through by e^{2a}/4 keeps everything finite.
-    x = math.exp(-2.0 * a)
-    num = 2.0 * v * (1.0 - x * x) + 4.0 * u * math.sin(2.0 * b) * x
-    den = (1.0 - x) ** 2 + 4.0 * sb * sb * x
-    return num / den, True
+    with np.errstate(under="ignore"):
+        x = np.exp(-2.0 * np.where(guarded, a, GUARD_THRESHOLD))
+    num_guard = 2.0 * p * (1.0 - x * x) + 4.0 * q * s2b * x
+    den_guard = (1.0 - x) ** 2 + 4.0 * sb * sb * x
+    return np.where(guarded, num_guard, num_direct), np.where(guarded, den_guard, den_direct), guarded
+
+
+def _g(M, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G(M), guarded mask) elementwise; see ``kernel_g``."""
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    M = np.asarray(M, dtype=float)
+    h, u, v = _roots(M, t)
+    rk = math.sqrt(k)
+    mm = M * M - t * t
+    n1 = mm * u - 2.0 * M * t * v
+    n2 = 2.0 * M * t * u + mm * v
+    num, den, guarded = _guarded_ratio(n2, n1, math.pi * u / rk, math.pi * v / rk)
+    return num / (den * h**5), guarded
+
+
+def _t(M, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(T(M), guarded mask) elementwise; see ``kernel_t``."""
+    M = np.asarray(M, dtype=float)
+    h, u, v = _roots(M, t)
+    num, den, guarded = _guarded_ratio(v, u, math.pi * u, math.pi * v)
+    return num / (den * t * h), guarded
+
+
+def half_plane_root(M: float, t: float) -> HalfPlaneRoot:
+    """Split sqrt(M + it) into (u, v) with u^2 - v^2 = M and 2uv = t.
+
+    Raises ValueError for t <= 0.
+    """
+    _, u, v = _roots(np.array([float(M)]), t)
+    return HalfPlaneRoot(M=float(M), t=float(t), u=float(u[0]), v=float(v[0]))
 
 
 def kernel_t(M: float, t: float) -> KernelValue:
     """Closed form whose value T satisfies
     sum_{n>=1} 1/(t^2 + (n^2 + M)^2) = (pi/4) T - 1/(2(M^2 + t^2))."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    root = half_plane_root(M, t)
-    ratio, guarded = _ratio_t(root.u, root.v, math.pi)
-    return KernelValue(ratio / (t * math.hypot(M, t)), guarded)
+    value, guarded = _t([M], t)
+    return KernelValue(float(value[0]), bool(guarded[0]))
 
 
 def kernel_v(M: float, t: float) -> KernelValue:
@@ -132,96 +162,20 @@ def kernel_g(M: float, t: float, k: int = 1) -> KernelValue:
     """Jump kernel G of the square-indicator generating function.
 
     Equals -2 Im[coth(pi sqrt(M+it)/sqrt(k)) (M+it)^(-5/2)] with the
-    principal square root.  The denominator sinh^2(pi u/sqrt(k)) +
-    sin^2(pi v/sqrt(k)) is bounded below by sinh^2(pi u/sqrt(k)) > 0 for
-    t > 0, so no special-casing is needed near sin resonances.
+    principal square root.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    root = half_plane_root(M, t)
-    u, v = root.u, root.v
-    rk = math.sqrt(k)
-    a = math.pi * u / rk
-    b = math.pi * v / rk
-    sb = math.sin(b)
-    mm = M * M - t * t
-    n1 = mm * u - 2.0 * M * t * v
-    n2 = 2.0 * M * t * u + mm * v
-    if a <= GUARD_THRESHOLD:
-        den = math.sinh(a) ** 2 + sb * sb
-        assert den > 0.0, "kernel denominator must be positive for t > 0"
-        num = n1 * math.sin(2.0 * b) + n2 * math.sinh(2.0 * a)
-        guarded = False
-    else:
-        x = math.exp(-2.0 * a)
-        num = 4.0 * n1 * math.sin(2.0 * b) * x + 2.0 * n2 * (1.0 - x * x)
-        den = (1.0 - x) ** 2 + 4.0 * sb * sb * x
-        guarded = True
-    scale = math.hypot(M, t) ** 5
-    return KernelValue(num / (den * scale), guarded)
+    value, guarded = _g([M], t, k)
+    return KernelValue(float(value[0]), bool(guarded[0]))
 
 
 def g_values(M: np.ndarray, t: float, k: int = 1) -> np.ndarray:
-    """Vectorized ``kernel_g`` over an array of real arguments M.
-
-    Used by the series drivers, which need G on long integer grids; the
-    guard logic matches the scalar version branch for branch.
-    """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    M = np.asarray(M, dtype=float)
-    h = np.hypot(M, t)
-    u = np.sqrt((h + np.abs(M)) / 2.0)
-    small = t / (2.0 * u)
-    v = np.where(M >= 0, small, u)
-    u = np.where(M >= 0, u, small)
-    rk = math.sqrt(k)
-    a = math.pi * u / rk
-    b = math.pi * v / rk
-    sb = np.sin(b)
-    mm = M * M - t * t
-    n1 = mm * u - 2.0 * M * t * v
-    n2 = 2.0 * M * t * u + mm * v
-    guarded = a > GUARD_THRESHOLD
-    a_safe = np.where(guarded, 1.0, a)
-    num_direct = n1 * np.sin(2.0 * b) + n2 * np.sinh(2.0 * a_safe)
-    den_direct = np.sinh(a_safe) ** 2 + sb * sb
-    x = np.exp(-2.0 * np.where(guarded, a, GUARD_THRESHOLD))
-    num_guard = 4.0 * n1 * np.sin(2.0 * b) * x + 2.0 * n2 * (1.0 - x * x)
-    den_guard = (1.0 - x) ** 2 + 4.0 * sb * sb * x
-    num = np.where(guarded, num_guard, num_direct)
-    den = np.where(guarded, den_guard, den_direct)
-    return num / (den * h**5)
+    """``kernel_g`` elementwise over an array of real arguments M."""
+    return _g(M, t, k)[0]
 
 
 def t_values(M: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized ``kernel_t`` over an array of real arguments M."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    M = np.asarray(M, dtype=float)
-    h = np.hypot(M, t)
-    u = np.sqrt((h + np.abs(M)) / 2.0)
-    small = t / (2.0 * u)
-    v = np.where(M >= 0, small, u)
-    u = np.where(M >= 0, u, small)
-    a = math.pi * u
-    b = math.pi * v
-    sb = np.sin(b)
-    guarded = a > GUARD_THRESHOLD
-    a_safe = np.where(guarded, 1.0, a)
-    num_direct = v * np.sinh(2.0 * a_safe) + u * np.sin(2.0 * b)
-    den_direct = np.sinh(a_safe) ** 2 + sb * sb
-    with np.errstate(under="ignore"):
-        x = np.exp(-2.0 * np.where(guarded, a, GUARD_THRESHOLD))
-    num_guard = 2.0 * v * (1.0 - x * x) + 4.0 * u * np.sin(2.0 * b) * x
-    den_guard = (1.0 - x) ** 2 + 4.0 * sb * sb * x
-    num = np.where(guarded, num_guard, num_direct)
-    den = np.where(guarded, den_guard, den_direct)
-    return num / (den * t * h)
+    """``kernel_t`` elementwise over an array of real arguments M."""
+    return _t(M, t)[0]
 
 
 def mittag_leffler_residual(theta: float, x: float, n_terms: int) -> float:

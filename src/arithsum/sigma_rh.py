@@ -27,7 +27,7 @@ from math import isqrt
 import numpy as np
 
 from .indicators import AmbiguousClassification, BlockTables, _closed_heads
-from .series import Evaluation, TruncationPolicy
+from .series import Evaluation
 
 __all__ = [
     "RHRecord",
@@ -89,11 +89,7 @@ def _sigma_r_len(N: int, t: float) -> int:
     return (N - 1) * (N - 1) + max(4000, 40 * N, int(3000 / t))
 
 
-def sigma_analytic(
-    N: int,
-    t: float = 1.0,
-    policy: TruncationPolicy | None = None,
-) -> Evaluation:
+def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
     """Convergent-series value of sigma(N), N >= 2, for any t > 0.
 
     Assembled as q_1(N) sqrt(N) plus the (4N+a^2)^(5/2)-weighted shifted
@@ -112,8 +108,6 @@ def sigma_analytic(
 
     # the blocks at base 4N and shifts a^2, weighted by M^(5/2)
     r_len = _sigma_r_len(N, t)
-    if policy is not None:
-        r_len = min(r_len, policy.max_terms)
     tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2 + 1)
     head, exp_part = _closed_heads(M, 1, t)
     gpart = np.array([tables.gpart(c * c, r_len) for c in range(1, N)])
@@ -161,12 +155,7 @@ class RHRecord:
     harmonic: float
 
 
-def rh_check(
-    N: int,
-    t: float = 1.0,
-    mode: str = "exact",
-    policy: TruncationPolicy | None = None,
-) -> RHRecord:
+def rh_check(N: int, t: float = 1.0, mode: str = "exact") -> RHRecord:
     """Check sigma(N) < H_N + e^(H_N) log H_N with sigma taken exactly
     ("exact") or from the series representation ("analytic")."""
     if N < 2:
@@ -175,7 +164,7 @@ def rh_check(
         raise ValueError(f"mode must be 'exact' or 'analytic', got {mode!r}")
     exact = sigma_bruteforce(N)
     if mode == "analytic":
-        ev = sigma_analytic(N, t, policy)
+        ev = sigma_analytic(N, t)
         value = ev.value
         if not math.isfinite(value) or abs(value - round(value)) >= 0.25:
             raise AmbiguousClassification(

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +204,28 @@ def test_t_sweep_first_class(capsys):
     assert len(doc["records"]) == 3
     vals = [r["value"] for r in doc["records"]]
     assert max(vals) - min(vals) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--N", "6", "--tol", "1e-3"],
+        ["rh", "--from", "2", "--to", "3", "--tol", "1e-3"],
+        ["sum", "--kind", "squares", "--N", "5", "--max-terms", "2000"],
+        ["verify", "--suite", "kernels", "--t", "2"],
+        ["verify", "--suite", "kernels", "--timing"],
+    ],
+)
+def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
+    assert main(argv) == 2
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # scipy.integrate serves only the quadrature oracle; loading it at
+    # import would dominate the start-up of every command
+    code = "import sys, arithsum.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from arithsum.indicators import (
     BlockTables,
     CoefficientTable,
     _closed_heads,
+    _p_weights,
     block_value,
     classify_unit,
     integer_root,
@@ -20,6 +21,8 @@ from arithsum.indicators import (
     q_shifted_analytic,
     zero_identity_residual,
 )
+from arithsum.integrals import sech
+from arithsum.kernels import kernel_g
 
 
 def test_integer_root():
@@ -147,6 +150,29 @@ def test_q_shifted_examples():
     assert abs(ev.value) < 1e-6
     ev = q_shifted_analytic(1, 10, 7, 1.0)
     assert abs(ev.value) < 1e-6
+
+
+@pytest.mark.parametrize("k,N,c,t", [(1, 10, 6, 1.0), (2, 5, -3, 0.7), (3, 25, 11, 2.0)])
+def test_q_shifted_matches_scalar_loop(k, N, c, t):
+    # the per-r loop over the scalar kernels that the one-pass form
+    # replaced, kept as the reference; only the summation order differs
+    ev = q_shifted_analytic(k, N, c, t)
+    n, w = _p_weights(t)
+    p_series = lambda q: float(np.sum(w / (t * t * n * n + q * q)))
+    g0 = kernel_g(-N, t, k).value
+    sech_block = g0 * sech(math.pi * c / (2.0 * t))
+    p_block = g0 * p_series(c)
+    for r in range(1, ev.terms_used["r_terms"] + 1):
+        gp, gn = kernel_g(r - N, t, k).value, kernel_g(-r - N, t, k).value
+        sech_block += (-1) ** r * (
+            gp * sech(math.pi * (r + c) / (2.0 * t)) + gn * sech(math.pi * (r - c) / (2.0 * t))
+        )
+        p_block += gp * p_series(r + c) + gn * p_series(r - c)
+    sh = math.sinh(math.pi * t)
+    head, exp_part = _closed_heads(np.array([N + c]), k, t)
+    want = float(head[0] + exp_part[0]) + (-1) ** c * sh / (8.0 * math.sqrt(k) * t) * sech_block
+    want -= t * sh / (2.0 * math.sqrt(k) * math.pi) * p_block
+    assert ev.value == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("c", [-13, -5, -4, 0, 3, 6])

@@ -1,11 +1,20 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithsum.integrals import (
+    cosh_over_sinh2,
+    cosh_over_sinh2_values,
+    csch,
+    csch_values,
+    sech,
+    sech_values,
+)
 from arithsum.kernels import (
     GUARD_THRESHOLD,
     g_values,
@@ -135,6 +144,64 @@ def test_vectorized_kernels_match_scalar():
     for m, g, tval in zip(Ms, gv, tv):
         assert g == pytest.approx(kernel_g(float(m), 1.3, 2).value, rel=1e-13, abs=1e-300)
         assert tval == pytest.approx(kernel_t(float(m), 1.3).value, rel=1e-13, abs=1e-300)
+
+
+ORACLE_MS = [50.0, 100.0, 400.0, 1e3, 5e3, 4e4, 1e6]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.5, 1.0, 8.0])
+def test_guarded_kernels_match_mpmath(k, t):
+    # from M = 100 on, pi u/sqrt(k) passes GUARD_THRESHOLD for some k, so
+    # the exponential rewrite is checked as well as the direct branch
+    with mpmath.workdps(30):
+        want_g = []
+        for M in ORACLE_MS:
+            z = mpmath.mpc(M, t)
+            want_g.append(-2 * (mpmath.coth(mpmath.pi * mpmath.sqrt(z) / mpmath.sqrt(k)) * z**-2.5).imag)
+        ms_t = ORACLE_MS + [-50.0, -1e4]
+        want_t = []
+        for M in ms_t:
+            w = mpmath.sqrt(mpmath.mpc(M, t))
+            u, v = w.real, w.imag
+            a, b = mpmath.pi * u, mpmath.pi * v
+            num = v * mpmath.sinh(2 * a) + u * mpmath.sin(2 * b)
+            den = (mpmath.sinh(a) ** 2 + mpmath.sin(b) ** 2) * t * mpmath.hypot(M, t)
+            want_t.append(num / den)
+    got_g = g_values(np.array(ORACLE_MS), t, k)
+    for M, got, want in zip(ORACLE_MS, got_g, want_g):
+        assert abs(got - float(want)) <= 1e-13 * abs(float(want)), (M, t, k)
+    got_t = t_values(np.array(ms_t), t)
+    for M, got, want in zip(ms_t, got_t, want_t):
+        assert abs(got - float(want)) <= 1e-13 * abs(float(want)), (M, t)
+
+
+def test_hyperbolic_heads_match_mpmath():
+    xs = [s * x for x in (0.5, 29.9, 30.1, 80.0, 400.0, 700.0) for s in (1.0, -1.0)]
+    cases = [
+        (csch, csch_values, lambda x: 1 / mpmath.sinh(x)),
+        (sech, sech_values, lambda x: 1 / mpmath.cosh(x)),
+        (cosh_over_sinh2, cosh_over_sinh2_values, lambda x: mpmath.cosh(x) / mpmath.sinh(x) ** 2),
+    ]
+    for scalar, vector, exact in cases:
+        with mpmath.workdps(30):
+            want = [float(exact(mpmath.mpf(x))) for x in xs]
+        for x, got_v, w in zip(xs, vector(np.array(xs)), want):
+            assert abs(got_v - w) <= 1e-14 * abs(w), (vector.__name__, x)
+            assert abs(scalar(x) - w) <= 1e-14 * abs(w), (scalar.__name__, x)
+
+
+def test_scalar_forms_return_the_elementwise_bits():
+    # the scalar kernels are one-element calls of the elementwise ones;
+    # numpy's 0-d paths would round some of them differently
+    Ms = np.linspace(-5000.0, 5000.0, 201)
+    for t in (0.5, 1.3, 8.0):
+        for k in (1, 2, 3):
+            assert [kernel_g(float(m), t, k).value for m in Ms] == list(g_values(Ms, t, k))
+        assert [kernel_t(float(m), t).value for m in Ms] == list(t_values(Ms, t))
+    xs = np.array([-400.0, -30.1, -0.5, 0.5, 29.9, 80.0])
+    for scalar, vector in ((csch, csch_values), (sech, sech_values), (cosh_over_sinh2, cosh_over_sinh2_values)):
+        assert [scalar(float(x)) for x in xs] == list(vector(xs))
 
 
 def test_kernel_domain_errors():

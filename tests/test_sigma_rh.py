@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from arithsum import indicators
 from arithsum.indicators import AmbiguousClassification, BlockTables, block_value
 from arithsum.sigma_rh import (
     _sigma_r_len,
@@ -60,6 +61,21 @@ def test_sigma_is_weighted_sum_of_blocks(N, t):
         (4 * N + a * a) ** 2.5 * block_value(tables, a * a, r_len) for a in range(1, N)
     )
     assert sigma_analytic(N, t).value == pytest.approx(want, rel=1e-10)
+
+
+def test_growing_tables_are_not_rebuilt_per_shift(monkeypatch):
+    # the walk of test_sigma_is_weighted_sum_of_blocks at N = 97: a table
+    # at its default size asked for shifts a^2 in increasing order must grow
+    # geometrically, not rebuild J for every shift
+    built = []
+    real = indicators.j_values
+    monkeypatch.setattr(indicators, "j_values", lambda q, t: built.append(q) or real(q, t))
+    N, t = 97, 1.0
+    tables = BlockTables(4 * N, 1, t)
+    r_len = _sigma_r_len(N, t)
+    for a in range(1, N):
+        block_value(tables, a * a, r_len)
+    assert len(built) <= 4, built
 
 
 def test_sigma_t_independence():
