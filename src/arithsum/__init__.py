@@ -5,7 +5,6 @@ the Robin-Lagarias inequality."""
 from .indicators import (
     AmbiguousClassification,
     BlockTables,
-    CoefficientTable,
     block_value,
     q_analytic,
     q_bruteforce,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -417,7 +418,10 @@ def cmd_verify(args) -> int:
     return 1 if any(r["failed"] for r in records) else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it
+    unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="arithsum",
         description="Self-verifying series evaluations for arithmetic sums.",

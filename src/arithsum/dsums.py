@@ -189,13 +189,12 @@ def _aggregate_blocks(
         return Evaluation(0.0, extra_tail, {"blocks": 0}, False)
     r_lens = [_default_r_len(N, c, t) for _, c in shifts]
     r_needed = max(r_lens)
-    q_needed = r_needed + max(abs(c) for _, c in shifts) + 1
-    tables = BlockTables(N, k, t, r_needed, q_needed)
-    head, exp_part = _closed_heads(N + np.array([c for _, c in shifts]), k, t)
+    tables = BlockTables(N, k, t, r_needed, r_needed + max(abs(c) for _, c in shifts))
+    values = tables.blocks([c for _, c in shifts], r_lens)[0]
     total = 0.0
     est = extra_tail
-    for (w, c), r_len, h in zip(shifts, r_lens, head + exp_part):
-        total += w * (float(h) + tables.gpart(c, r_len))
+    for (w, _), r_len, v in zip(shifts, r_lens, values.tolist()):
+        total += w * v
         est += abs(w) * _block_tail(r_len)
     return Evaluation(total, est, {"blocks": len(shifts), "r_terms": r_needed}, True)
 

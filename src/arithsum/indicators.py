@@ -14,44 +14,36 @@ The series representation at base N and shift c is assembled as
 where head and the three exponential r-series depend only on y = N+c,
 and the G-part is the bilateral jump-kernel series
 
-    sinh(pi t)/(4 sqrt(k)) * (-1)^c * [ G(-N) J(|c|)
-        + sum_{r>=1} (-1)^r ( G(r-N) J(|r+c|) + G(-r-N) J(|r-c|) ) ].
+    sinh(pi t)/(4 sqrt(k)) * (-1)^c * sum_{r in Z} (-1)^r G(r-N) J(|r+c|).
 
 The whole expression equals q_k(N+c)/(N+c)^2 for N+c >= 1 and 0 for
 N+c <= 0, for every t > 0.
 
-``BlockTables`` is the one block engine: it holds the G and J grids of a
-base, contracts them for any shift (``gpart``), and ``_closed_heads``
-gives the head and r-series for a whole array of arguments at once.
-``q_analytic``, the vanishing identities, the Diophantine and divisor-pair
-sums of ``dsums`` and ``sigma_analytic`` all evaluate their blocks
-through it; only the oracles (``q_shifted_analytic``, the general-s
-form) keep organizations of their own.
+``BlockTables`` is the one block engine.  It holds the signed two-sided
+grid sg[R+r] = (-1)^r G(r-N) and Js[Q+m] = J(|m|) of a base, so the
+G-part at any shift is one dot product (``gpart``), and ``blocks``
+assembles head + exp-series + G-part for an array of shifts; no other
+code assembles a block.  The Diophantine and divisor-pair sums of
+``dsums`` and ``sigma_analytic`` evaluate their blocks through it.
+``q_analytic`` and the vanishing identities are its shift-0 block, with
+the two sides folded, (sg[R+r] + sg[R-r]) J(r), before the products are
+summed.  Only the oracles (``q_shifted_analytic``, the general-s form)
+keep organizations of their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from .integrals import (
-    cosh_over_sinh2_values,
-    coth,
-    csch_values,
-    integral_i,
-    integral_k,
-    j_values,
-    sech_values,
-)
-from .kernels import _g, g_values, kernel_g
+from .integrals import cosh_over_sinh2_values, coth, csch_values, j_values, sech_values
+from .kernels import _g
 from .series import Evaluation, TruncationPolicy
 
 __all__ = [
     "AmbiguousClassification",
-    "CoefficientTable",
     "BlockTables",
     "integer_root",
     "q_bruteforce",
@@ -107,46 +99,6 @@ def _sign(n: int) -> float:
     return -1.0 if n % 2 else 1.0
 
 
-def _parity_face(y: int, k: int, t: float) -> float:
-    """Closed rational head of the series representation at argument y != 0."""
-    cth = coth(pi * t)
-    gate = 1.0 + _sign(y - 1)
-    return (
-        -pi * pi / (6.0 * k * y)
-        + gate * (pi * pi * cth / (6.0 * k * y) - cth / (2.0 * y * y))
-        + 0.5 / (y * y)
-    )
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """The constant blocks mu(R) and U(R) of the vanishing identities.
-
-    mu(R) belongs to the organization whose exponential content is kept
-    inside the I/K integrals; U(R) to the fully expanded one, so that
-    U(R) = mu-face(R) with the I/K heads absorbed.  U(0) - mu(0)
-    = pi^2 coth(pi t)/(48 t^2) exactly (the head of the K integral at 0).
-    """
-
-    k: int
-    t: float
-
-    def mu(self, R: int) -> float:
-        if R == 0:
-            sh = math.sinh(pi * self.t)
-            return (
-                pi**4 / (90.0 * self.k * self.k)
-                + pi * pi / 12.0
-                + pi * pi / 4.0
-                + pi * pi / (2.0 * sh * sh)
-                - pi * pi * coth(pi * self.t) / 4.0
-            )
-        return _parity_face(R, self.k, self.t)
-
-    def U(self, R: int) -> float:
-        return float(_closed_heads(np.array([R]), self.k, self.t)[0][0])
-
-
 def _exp_series_terms(t: float, tol: float = 1e-18) -> tuple[np.ndarray, np.ndarray]:
     """(r, w_r) grid with w_r = (-1)^(r-1) e^(-2 pi t r), long enough that
     the omitted weight is below tol."""
@@ -173,7 +125,15 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
         - sy * pi**3 * cth / (12.0 * k * t) * csch_values(x)
         + sy * pi * pi * cth / (8.0 * t * t) * cosh_over_sinh2_values(x)
     )
-    u0 = CoefficientTable(k, t).mu(0) + pi * pi * cth / (48.0 * t * t)
+    sh = math.sinh(pi * t)
+    u0 = (
+        pi**4 / (90.0 * k * k)
+        + pi * pi / 12.0
+        + pi * pi / 4.0
+        + pi * pi / (2.0 * sh * sh)
+        - pi * pi * cth / 4.0
+        + pi * pi * cth / (48.0 * t * t)
+    )
     head = np.where(y == 0, u0, head)
     r, w = _exp_series_terms(t)
     r2 = 4.0 * t * t * r[:, None] ** 2
@@ -184,20 +144,13 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
     return head, -yf * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3
 
 
-def _alternating_signs(n: int) -> np.ndarray:
-    """(-1)^r for r = 1..n."""
-    s = np.ones(n)
-    s[::2] = -1.0
-    return s
-
-
 class BlockTables:
     """Jump-kernel and integral grids for one base (N, k, t): the one
     block engine every analytic driver evaluates its blocks through.
 
-    g_pos[r-1] = G(r - N), g_neg[r-1] = G(-r - N) for r = 1..r_len, and
-    J[q] for q = 0..q_len.  Grids grow on demand, at least doubling, and
-    are reused across every shift c evaluated against the same base.
+    sg[R + r] = (-1)^r G(r - N) for r = -R..R and Js[Q + m] = J(|m|) for
+    m = -Q..Q.  Grids grow on demand, at least doubling, and are reused
+    across every shift c evaluated against the same base.
     """
 
     def __init__(self, N: int, k: int, t: float, r_len: int = 0, q_len: int = 0):
@@ -206,53 +159,54 @@ class BlockTables:
         self.N = int(N)
         self.k = int(k)
         self.t = float(t)
-        g0 = kernel_g(-self.N, t, k)
-        self.g0 = g0.value
-        self.g0_guarded = g0.overflow_guarded
-        self.coeffs = CoefficientTable(self.k, self.t)
-        self.g_pos = np.empty(0)
-        self.g_neg = np.empty(0)
-        self.J = np.empty(0)
-        self.ensure(max(r_len, 8), max(q_len, 8))
+        self.R = self.Q = 0
+        self.ensure(max(r_len, 8), max(q_len, 8))  # _g rejects k < 1
+        self.coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
 
     def ensure(self, r_len: int, q_len: int) -> None:
         # the grids are elementwise and read through slices, so growing them
-        # at least twofold changes no value and rebuilds them O(log) times
-        if r_len > len(self.g_pos):
-            r_len = max(r_len, 2 * len(self.g_pos))
-            r = np.arange(1, r_len + 1, dtype=float)
-            self.g_pos = g_values(r - self.N, self.t, self.k)
-            self.g_neg = g_values(-r - self.N, self.t, self.k)
-            self.sgn = _alternating_signs(r_len)
-            self.sg_pos = self.sgn * self.g_pos
-            self.sg_neg = self.sgn * self.g_neg
-        if q_len >= len(self.J):
-            self.J = j_values(max(q_len, 2 * len(self.J)), self.t)
+        # at least twofold changes no value and rebuilds them O(log) times;
+        # each side of sg is its own _g call, which halves the temporaries
+        if r_len > self.R:
+            R = self.R = max(r_len, 2 * self.R)
+            r = np.arange(R + 1, dtype=float)
+            self.sg = sg = np.empty(2 * R + 1)
+            sg[R:], guarded = _g(r - self.N, self.t, self.k)
+            sg[:R] = _g(-r[:0:-1] - self.N, self.t, self.k)[0]
+            sg[(R + 1) % 2 :: 2] *= -1.0
+            self.g0_guarded = bool(guarded[0])
+        if q_len > self.Q:
+            Q = self.Q = max(q_len, 2 * self.Q)
+            self.Js = Js = np.empty(2 * Q + 1)
+            Js[Q:] = j_values(Q, self.t)
+            Js[:Q] = Js[:Q:-1]
 
     def gpart(self, c: int, r_len: int) -> float:
-        """The bilateral G-series at shift c, truncated at r_len."""
-        self.ensure(r_len, r_len + abs(c) + 1)
-        J = self.J
-        c = int(c)
-        ac = abs(c)
-        total = self.g0 * float(J[ac])
-        # sum_r sgn_r g_pos[r] J[|r+c|]
-        if c >= 0:
-            total += float(np.dot(self.sg_pos[:r_len], J[c + 1 : c + r_len + 1]))
-        else:
-            head = min(ac, r_len)
-            total += float(np.dot(self.sg_pos[:head], J[ac - 1 :: -1][:head]))
-            if r_len > head:
-                total += float(np.dot(self.sg_pos[head:r_len], J[1 : r_len - ac + 1]))
-        # sum_r sgn_r g_neg[r] J[|r-c|]
-        if c <= 0:
-            total += float(np.dot(self.sg_neg[:r_len], J[ac + 1 : ac + r_len + 1]))
-        else:
-            head = min(ac, r_len)
-            total += float(np.dot(self.sg_neg[:head], J[ac - 1 :: -1][:head]))
-            if r_len > head:
-                total += float(np.dot(self.sg_neg[head:r_len], J[1 : r_len - ac + 1]))
-        return math.sinh(pi * self.t) / (4.0 * math.sqrt(self.k)) * _sign(c) * total
+        """The bilateral G-series at shift c, truncated at |r| <= r_len."""
+        self.ensure(r_len, r_len + abs(c))
+        R, q = self.R, self.Q + c  # the centres of r = 0 and of J(|r + c|)
+        dot = np.dot(self.sg[R - r_len : R + r_len + 1], self.Js[q - r_len : q + r_len + 1])
+        return self.coeff * _sign(c) * float(dot)
+
+    def blocks(self, shifts, r_lens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(value, head, scale) of the block at each shift, its G-part
+        truncated at the matching entry of r_lens (or at r_lens for all).
+
+        value = head + exp-series + G-part; head is the closed head U(N+c);
+        scale = |head| + |exp-series| + coeff * ||sg window||_1 * J(0), which
+        bounds the magnitude of every term summed, so eps * scale bounds
+        the block's rounding.
+        """
+        c = np.asarray(shifts, dtype=np.int64)
+        L = np.broadcast_to(np.asarray(r_lens, dtype=np.int64), c.shape)
+        m = int(L.max())
+        self.ensure(m, m + int(np.abs(c).max()))
+        head, exp_part = _closed_heads(self.N + c, self.k, self.t)
+        g = np.array([self.gpart(ci, li) for ci, li in zip(c.tolist(), L.tolist())])
+        cum = np.concatenate(([0.0], np.cumsum(np.abs(self.sg[self.R - m : self.R + m + 1]))))
+        g_norm = cum[m + L + 1] - cum[m - L]
+        scale = np.abs(head) + np.abs(exp_part) + self.coeff * g_norm * self.Js[self.Q]
+        return head + exp_part + g, head, scale
 
 
 def _default_r_len(N: int, c: int, t: float) -> int:
@@ -264,43 +218,32 @@ def block_value(tables: BlockTables, c: int, r_len: int | None = None) -> float:
     for N+c >= 1, and 0 for N+c <= 0."""
     if r_len is None:
         r_len = _default_r_len(tables.N, c, tables.t)
-    head, exp_part = _closed_heads(np.array([tables.N + c]), tables.k, tables.t)
-    return float(head[0] + exp_part[0]) + tables.gpart(c, r_len)
+    return float(tables.blocks([c], r_len)[0][0])
 
 
-def _integral_form(
+def _shift0_block(
     k: int, N: int, t: float, policy: TruncationPolicy | None
 ) -> tuple[float, float, float, int, bool]:
-    """The organization with the parity head mu(N), the I and K integrals,
-    the arctan(tanh)-weighted jump kernel at -N, and the J-weighted
-    bilateral jump-kernel series, at any integer N; it equals q_k(N)/N^2
-    for N >= 1 and 0 for N <= 0.  Returns (face, series, tail, r_len,
-    guarded), the tail modelling the omitted series terms."""
+    """The block at base N and shift 0, at any integer N; it equals
+    q_k(N)/N^2 for N >= 1 and 0 for N <= 0.  Returns (face, series, tail,
+    r_len, guarded): face is the head, the exp-series and the r = 0 term
+    coeff G(-N) J(0); series the r != 0 terms; tail models the omitted
+    ones."""
     r_len = _default_r_len(N, 0, t)
     if policy is not None:
         r_len = min(r_len, policy.max_terms)
     tables = BlockTables(N, k, t, r_len, r_len)
-    cth = coth(pi * t)
-    face = (
-        tables.coeffs.mu(N)
-        + _sign(N) * pi**3 * cth / (3.0 * k) * integral_i(N, t).value
-        + _sign(N) * pi * pi * cth * integral_k(N, t).value
-    )
-    face += (
-        math.sinh(pi * t)
-        * math.atan(math.tanh(pi * t / 2.0))
-        / (2.0 * pi * t * math.sqrt(k))
-        * tables.g0
-    )
-    # the two sides are paired before the product: contracted separately,
-    # as gpart(0) would, the sum loses enough accuracy at t ~ 7-10 to fail
-    # more classifications
-    terms = (tables.sg_pos[:r_len] + tables.sg_neg[:r_len]) * tables.J[1 : r_len + 1]
-    coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
-    series = coeff * float(np.sum(terms))
+    R, sg, J = tables.R, tables.sg, tables.Js[tables.Q :]
+    head, exp_part = _closed_heads(np.array([N]), k, t)
+    face = float(head[0] + exp_part[0]) + tables.coeff * float(sg[R] * J[0])
+    # the two sides are folded before the product: one unfolded dot, as
+    # gpart(0) would take, loses enough accuracy at t ~ 7-10 to fail more
+    # classifications
+    terms = (sg[R + 1 : R + r_len + 1] + sg[R - r_len : R][::-1]) * J[1 : r_len + 1]
+    series = tables.coeff * float(np.sum(terms))
     # Tail model: past r_len the summand decays at least like r^(-7/2) on
     # the positive side and r^(-4) through the J factor on the negative.
-    tail = coeff * float(np.max(np.abs(terms[-64:]))) * r_len / 2.5
+    tail = tables.coeff * float(np.max(np.abs(terms[-64:]))) * r_len / 2.5
     return face, series, tail, r_len, tables.g0_guarded
 
 
@@ -310,8 +253,8 @@ def q_analytic(
     t: float = 1.0,
     policy: TruncationPolicy | None = None,
 ) -> Evaluation:
-    """Convergent-series value of q_k(N)/N^2 for N >= 1, in the
-    organization of ``_integral_form``."""
+    """Convergent-series value of q_k(N)/N^2 for N >= 1: the shift-0
+    block of ``BlockTables`` at base N, its two sides folded."""
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
     if not t > 0:
@@ -319,7 +262,7 @@ def q_analytic(
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     tol = policy.abs_tol if policy is not None else 1e-12
-    face, series, tail, r_len, guarded = _integral_form(k, N, t, policy)
+    face, series, tail, r_len, guarded = _shift0_block(k, N, t, policy)
     est = tail + max(tol, 1e-15) + abs(face) * 1e-15
     return Evaluation(face + series, est, {"r_terms": r_len}, guarded)
 
@@ -350,7 +293,7 @@ def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
         raise ValueError(f"N must be <= 0, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    face, series, *_ = _integral_form(k, N, t, None)
+    face, series, *_ = _shift0_block(k, N, t, None)
     return abs(face + series)
 
 

@@ -191,7 +191,9 @@ def invert_series(
     N = int(N)
     block = 256
     r_max = min(policy.max_terms, 2 * 10**5)
-    J = j_values(r_max, t)
+    # J grows with the series, at least doubling, instead of being built
+    # to r_max up front; the series usually settles within a few thousand
+    J = j_values(min(r_max, 16 * block), t)
     acc = _Accumulator()
     acc.add(F.evaluate(complex(-N, t)).imag * J[0])
     quiet = 0
@@ -199,6 +201,8 @@ def invert_series(
     last = 0.0
     while r < r_max:
         hi = min(r + block, r_max)
+        if hi >= len(J):
+            J = j_values(min(r_max, 2 * hi), t)
         for rr in range(r + 1, hi + 1):
             term = F.evaluate(complex(rr - N, t)).imag + F.evaluate(complex(-rr - N, t)).imag
             term *= J[rr] * (1.0 if rr % 2 == 0 else -1.0)
@@ -285,29 +289,11 @@ def self_consistency_residual(
 ) -> float:
     """Residual of the N = 0 case of the inversion: for any admissible
     evaluator the J-weighted sample series must reproduce the value at
-    +-it exactly.
+    +-it exactly, so the recovered coefficient f(0) must vanish.  Returns
+    |the bracket| = pi/sinh(pi t) |f(0)|.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if policy is None:
-        policy = TruncationPolicy(abs_tol=1e-14, tail_kind="polynomial", tail_param=4.0)
-    r_max = min(policy.max_terms, 10**5)
-    J = j_values(r_max, t)
-    lhs = 2.0 * math.atan(math.tanh(math.pi * t / 2.0)) / (math.pi * t) * F.evaluate(complex(0.0, t)).imag
-    acc = _Accumulator()
-    quiet = 0
-    r = 0
-    while r < r_max:
-        r += 1
-        term = F.evaluate(complex(r, t)).imag + F.evaluate(complex(-r, t)).imag
-        term *= J[r] * (1.0 if r % 2 == 0 else -1.0)
-        acc.add(term)
-        quiet = quiet + 1 if abs(term) < policy.abs_tol else 0
-        if quiet >= policy.quiet_run and r > 32:
-            break
-    else:
-        raise TruncationError(f"consistency series not converged after {r_max} terms")
-    return abs(lhs + acc.total)
+    f0 = invert_series(F, 0, t, policy).value
+    return math.pi / math.sinh(math.pi * t) * abs(f0)
 
 
 def indicator_series_evaluator(k: int = 1) -> SeriesEvaluator:

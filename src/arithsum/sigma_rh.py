@@ -10,9 +10,8 @@ as b = N/d + d, a = N/d - d).  Substituting the shifted series for
 q_1(4N+a^2)/(4N+a^2)^2 and weighting by (4N+a^2)^(5/2) gives a
 convergent-series representation of sigma(N) valid for every t > 0:
 the (4N+a^2)^(5/2)-weighted sum of the blocks at base 4N and shifts a^2,
-each evaluated by the one block engine ``indicators.BlockTables`` (its
-closed heads and r-series for all shifts at once, and its G-part per
-shift), with all hyperbolic weights in guarded form.
+all assembled by one ``blocks`` call of the block engine
+``indicators.BlockTables``, with all hyperbolic weights in guarded form.
 
 The Lagarias criterion compares sigma(N) against H_N + e^(H_N) log H_N;
 Robin's compares against e^gamma N log log N for N >= 5041.
@@ -26,7 +25,7 @@ from math import isqrt
 
 import numpy as np
 
-from .indicators import AmbiguousClassification, BlockTables, _closed_heads
+from .indicators import AmbiguousClassification, BlockTables
 from .series import Evaluation
 
 __all__ = [
@@ -43,6 +42,8 @@ __all__ = [
 
 # Euler's constant, fixed to 17 digits; the Robin bound only needs the value.
 EULER_GAMMA = 0.5772156649015329
+
+_EPS = np.finfo(float).eps
 
 
 def sigma_bruteforce(N: int) -> int:
@@ -99,7 +100,8 @@ def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
         raise ValueError(f"N must be at least 2, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    M = 4 * N + np.arange(1, N, dtype=np.int64) ** 2
+    a2 = np.arange(1, N, dtype=np.int64) ** 2
+    M = 4 * N + a2
     Mf = M.astype(float)
     M52 = Mf * Mf * np.sqrt(Mf)
 
@@ -108,15 +110,17 @@ def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
 
     # the blocks at base 4N and shifts a^2, weighted by M^(5/2)
     r_len = _sigma_r_len(N, t)
-    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2 + 1)
-    head, exp_part = _closed_heads(M, 1, t)
-    gpart = np.array([tables.gpart(c * c, r_len) for c in range(1, N)])
-    total = lead + float(np.sum(M52 * (head + exp_part + gpart)))
+    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
+    blocks, head, scale = tables.blocks(a2, r_len)
+    total = lead + float(np.sum(M52 * blocks))
 
     # error model: guarded hyperbolics underflow to true zeros; the r
-    # truncation sits past the last resonance with a polynomial margin
+    # truncation sits past the last resonance with a polynomial margin;
+    # the rounding of each block, eps * scale, is amplified by M^(5/2),
+    # and scale carries the sinh(pi t) of the G-part
     margin = r_len - (N - 1) ** 2
     est = 1e-12 * float(np.sum(np.abs(M52 * head))) + 0.05 * N * N / margin**1.5 + 1e-9
+    est += _EPS * float(np.sum(M52 * scale))
     return Evaluation(float(total), float(est), {"a_terms": N - 1, "r_terms": r_len}, True)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arithsum.cli import main, parse_range, parse_t, ConfigError
+from arithsum.cli import build_parser, main, parse_range, parse_t, ConfigError
 
 
 def run_cli(argv, capsys):
@@ -175,6 +175,25 @@ def test_reports_are_deterministic(capsys):
     _, out1 = run_cli(args, capsys)
     _, out2 = run_cli(args, capsys)
     assert out1 == out2
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main builds its parser once per process; calls with different
+    # subcommands and flags in one process must report as separate calls do
+    argvs = [
+        ["eval-q", "--k", "2", "--N", "1..5", "--t", "0.8", "--format", "json"],
+        ["sum", "--kind", "squares", "--N", "5..9", "--weight", "alternating", "--format", "json"],
+        ["eval-q", "--k", "2", "--N", "1..5", "--format", "json"],
+        ["sigma", "--N", "6", "--format", "csv"],
+    ]
+    separate = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        separate.append(run_cli(argv, capsys))
+    build_parser.cache_clear()
+    shared = [run_cli(argv, capsys) for argv in argvs + argvs[::-1]]
+    assert build_parser.cache_info().misses == 1
+    assert shared == separate + separate[::-1]
 
 
 def test_parallel_jobs_match_sequential(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from arithsum.indicators import (
     AmbiguousClassification,
     BlockTables,
-    CoefficientTable,
     _closed_heads,
     _p_weights,
     block_value,
@@ -21,7 +20,7 @@ from arithsum.indicators import (
     q_shifted_analytic,
     zero_identity_residual,
 )
-from arithsum.integrals import sech
+from arithsum.integrals import integral_i, integral_j, integral_k, sech
 from arithsum.kernels import kernel_g
 
 
@@ -96,20 +95,51 @@ def test_zero_identity_examples():
         zero_identity_residual(1, 3, 1.0)
 
 
-def test_coefficient_table_relation():
-    # U(0) - mu(0) is the constant head of the K integral at q = 0
-    for k in (1, 2):
-        for t in (0.7, 1.0, 1.6):
-            table = CoefficientTable(k, t)
-            want = math.pi**2 / (48.0 * t * t) / math.tanh(math.pi * t)
-            assert table.U(0) - table.mu(0) == pytest.approx(want, rel=1e-12)
+def _mu(y, k, t):
+    """The parity head mu(y) of the organization that keeps the exponential
+    content inside the I and K integrals."""
+    cth = 1.0 / math.tanh(math.pi * t)
+    if y == 0:
+        sh = math.sinh(math.pi * t)
+        return (
+            math.pi**4 / (90.0 * k * k)
+            + math.pi**2 / 12.0
+            + math.pi**2 / 4.0
+            + math.pi**2 / (2.0 * sh * sh)
+            - math.pi**2 * cth / 4.0
+        )
+    gate = 2.0 if y % 2 else 0.0  # 1 + (-1)^(y-1)
+    return (
+        -math.pi**2 / (6.0 * k * y)
+        + gate * (math.pi**2 * cth / (6.0 * k * y) - cth / (2.0 * y * y))
+        + 0.5 / (y * y)
+    )
+
+
+def test_integral_organization_matches_closed_heads():
+    # the paper's organization of the N-dependent part of a block,
+    # mu(N) + (-1)^N pi^3 coth/(3k) I(N) + (-1)^N pi^2 coth K(N), against
+    # the closed head and exponential r-series that every driver uses
+    ys = np.arange(-20, 101)
+    for k in (1, 2, 3):
+        for t in (0.1, 1.0, 3.0, 8.0):
+            cth = 1.0 / math.tanh(math.pi * t)
+            heads, exps = _closed_heads(ys, k, t)
+            for y, head, exp_part in zip(ys.tolist(), heads, exps):
+                sy = -1.0 if y % 2 else 1.0
+                face = (
+                    _mu(y, k, t)
+                    + sy * math.pi**3 * cth / (3.0 * k) * integral_i(y, t).value
+                    + sy * math.pi**2 * cth * integral_k(y, t).value
+                )
+                assert abs(head + exp_part - face) <= 1e-11 * max(1.0, abs(face)), (k, t, y)
 
 
 def _scalar_head_and_exp(y, k, t):
     """U(y) and the three exponential r-series, term by term in scalars."""
     cth = 1.0 / math.tanh(math.pi * t)
     if y == 0:
-        head = CoefficientTable(k, t).mu(0) + math.pi**2 * cth / (48.0 * t * t)
+        head = _mu(0, k, t) + math.pi**2 * cth / (48.0 * t * t)
     else:
         x = math.pi * y / (2.0 * t)
         sgn = -1.0 if y % 2 else 1.0
@@ -139,8 +169,6 @@ def test_closed_heads_match_scalar_terms(k, t):
         want_head, want_exp = _scalar_head_and_exp(y, k, t)
         assert head == pytest.approx(want_head, rel=1e-13, abs=1e-300)
         assert exp_part == pytest.approx(want_exp, rel=1e-13, abs=1e-18)
-        if y != 0:
-            assert CoefficientTable(k, t).U(y) == head
 
 
 def test_q_shifted_examples():
@@ -188,6 +216,25 @@ def test_q_shifted_consistency_with_direct(c):
         assert abs(ev.value - direct.value) < tol
     else:
         assert abs(ev.value) < 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gpart_is_the_two_sided_series(k):
+    # the bilateral G-series summed term by term from the scalar kernel and
+    # the closed-form J, against gpart on a table that starts at its
+    # minimum size and grows between calls
+    N, t, r_len = 9, 1.0, 50
+    tables = BlockTables(N, k, t)
+    sizes = [(tables.R, tables.Q)]
+    coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
+    for c in (0, 5, -7, 33, -40):
+        want = coeff * (-1) ** c * math.fsum(
+            (-1) ** r * kernel_g(r - N, t, k).value * integral_j(abs(r + c), t).value
+            for r in range(-r_len, r_len + 1)
+        )
+        assert tables.gpart(c, r_len) == pytest.approx(want, rel=1e-11)
+        sizes.append((tables.R, tables.Q))
+    assert len(set(sizes)) >= 3, sizes
 
 
 def test_block_tables_match_shifted():

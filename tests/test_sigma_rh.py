@@ -78,6 +78,14 @@ def test_growing_tables_are_not_rebuilt_per_shift(monkeypatch):
     assert len(built) <= 4, built
 
 
+@pytest.mark.parametrize("t", [10.0, 16.0, 20.0])
+@pytest.mark.parametrize("N", [2, 4, 30])
+def test_sigma_error_estimate_covers_sinh_amplification(N, t):
+    # at large t the G-part is multiplied by sinh(pi t), and so is its rounding
+    ev = sigma_analytic(N, t)
+    assert abs(ev.value - sigma_bruteforce(N)) <= ev.error_estimate
+
+
 def test_sigma_t_independence():
     for N in (6, 10, 30):
         evs = [sigma_analytic(N, t) for t in (0.8, 1.0, 1.25)]
