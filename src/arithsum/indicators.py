@@ -20,8 +20,8 @@ The whole expression equals q_k(N+c)/(N+c)^2 for N+c >= 1 and 0 for
 N+c <= 0, for every t > 0.
 
 ``BlockTables`` is the one block engine.  It holds the signed two-sided
-grid sg[R+r] = (-1)^r G(r-N) and Js[Q+m] = J(|m|) of a base, so the
-G-part at any shift is one dot product (``gpart``), and ``blocks``
+grid sg[R+r] = (-1)^r G(r-N) and Js[Q+m] = J(|m|) of a base, contracts
+them tile by tile into the G-parts of many shifts, and ``blocks``
 assembles head + exp-series + G-part for an array of shifts; no other
 code assembles a block.  The Diophantine and divisor-pair sums of
 ``dsums`` and ``sigma_analytic`` evaluate their blocks through it.
@@ -41,6 +41,10 @@ import numpy as np
 from .integrals import cosh_over_sinh2_values, coth, csch_values, j_values, sech_values
 from .kernels import _g
 from .series import Evaluation, TruncationPolicy
+
+# doubles of sg per tile of the G-part contraction (512 KiB); a tile and
+# the Js range it meets, ~3 MB at sigma(600), fit a 4 MiB L2 cache
+_TILE = 1 << 16
 
 __all__ = [
     "AmbiguousClassification",
@@ -150,7 +154,9 @@ class BlockTables:
 
     sg[R + r] = (-1)^r G(r - N) for r = -R..R and Js[Q + m] = J(|m|) for
     m = -Q..Q.  Grids grow on demand, at least doubling, and are reused
-    across every shift c evaluated against the same base.
+    across every shift c evaluated against the same base.  The G-parts
+    are contracted tile by tile: each tile of sg is read once and serves
+    every shift.
     """
 
     def __init__(self, N: int, k: int, t: float, r_len: int = 0, q_len: int = 0):
@@ -183,14 +189,29 @@ class BlockTables:
 
     def gpart(self, c: int, r_len: int) -> float:
         """The bilateral G-series at shift c, truncated at |r| <= r_len."""
-        self.ensure(r_len, r_len + abs(c))
-        R, q = self.R, self.Q + c  # the centres of r = 0 and of J(|r + c|)
-        dot = np.dot(self.sg[R - r_len : R + r_len + 1], self.Js[q - r_len : q + r_len + 1])
-        return self.coeff * _sign(c) * float(dot)
+        return float(self._gparts(np.array([c]), np.array([r_len]))[0])
+
+    def _gparts(self, c: np.ndarray, L: np.ndarray) -> np.ndarray:
+        # tile by tile over r, and within a tile shift by shift, so the sg
+        # tile and the Js range it meets stay in cache for every shift; the
+        # tiles [jT - T/2, jT + T/2) are centred on r = 0, so a window of at
+        # most one tile is still one dot and keeps its bits
+        m = int(L.max())
+        self.ensure(m, m + int(np.abs(c).max()))
+        R, Q, sg, Js = self.R, self.Q, self.sg, self.Js
+        windows = list(enumerate(zip(c.tolist(), L.tolist())))
+        acc = [0.0] * len(windows)
+        for lo in range((_TILE // 2 - m) // _TILE * _TILE - _TILE // 2, m + 1, _TILE):
+            for i, (ci, li) in windows:
+                a, b = max(lo, -li), min(lo + _TILE, li + 1)
+                if a < b:
+                    acc[i] += np.dot(sg[R + a : R + b], Js[Q + ci + a : Q + ci + b])
+        return self.coeff * np.where(c % 2, -1.0, 1.0) * np.array(acc)
 
     def blocks(self, shifts, r_lens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(value, head, scale) of the block at each shift, its G-part
-        truncated at the matching entry of r_lens (or at r_lens for all).
+        truncated at the matching entry of r_lens (or at r_lens for all)
+        and contracted tile by tile.
 
         value = head + exp-series + G-part; head is the closed head U(N+c);
         scale = |head| + |exp-series| + coeff * ||sg window||_1 * J(0), which
@@ -199,10 +220,9 @@ class BlockTables:
         """
         c = np.asarray(shifts, dtype=np.int64)
         L = np.broadcast_to(np.asarray(r_lens, dtype=np.int64), c.shape)
+        g = self._gparts(c, L)
         m = int(L.max())
-        self.ensure(m, m + int(np.abs(c).max()))
         head, exp_part = _closed_heads(self.N + c, self.k, self.t)
-        g = np.array([self.gpart(ci, li) for ci, li in zip(c.tolist(), L.tolist())])
         cum = np.concatenate(([0.0], np.cumsum(np.abs(self.sg[self.R - m : self.R + m + 1]))))
         g_norm = cum[m + L + 1] - cum[m - L]
         scale = np.abs(head) + np.abs(exp_part) + self.coeff * g_norm * self.Js[self.Q]

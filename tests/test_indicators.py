@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithsum import indicators
 from arithsum.indicators import (
     AmbiguousClassification,
     BlockTables,
@@ -235,6 +236,47 @@ def test_gpart_is_the_two_sided_series(k):
         assert tables.gpart(c, r_len) == pytest.approx(want, rel=1e-11)
         sizes.append((tables.R, tables.Q))
     assert len(set(sizes)) >= 3, sizes
+
+
+@pytest.mark.parametrize("k,t", [(1, 1.0), (2, 0.5)])
+def test_tiled_gparts_match_fsum(k, t):
+    # windows over 3-5 tiles (ending mid-tile or on a tile's last index)
+    # and one shorter than a tile, at unsorted and negative shifts, in one
+    # contraction.  At N = T/2 the G peak is r = T/2, a tile's first index;
+    # the J peak r = -c lies on it for c = -T/2, on the index before it for
+    # c = 1 - T/2, and next to the central tile's first index for
+    # c = T/2 - 1.  The largest term carries 40-96% of sum |terms|, so an
+    # off-by-one at a tile edge breaks the bound below
+    T = indicators._TILE
+    shifts = [-T // 2, 400, -T // 2 + 1, -3000, -1, T // 2 - 1]
+    r_lens = [110000, 3 * T // 2 - 1, 70000, 100000, T // 4, 140000]
+    tables = BlockTables(T // 2, k, t)
+    g = tables._gparts(np.array(shifts), np.array(r_lens))
+    R, Q, eps = tables.R, tables.Q, np.finfo(float).eps
+    for gi, c, L in zip(g, shifts, r_lens):
+        terms = tables.sg[R - L : R + L + 1] * tables.Js[Q + c - L : Q + c + L + 1]
+        want = tables.coeff * (-1) ** c * math.fsum(terms)
+        scale = tables.coeff * math.fsum(np.abs(terms))
+        # a BLAS dot accumulates each lane in sequence, so its rounding
+        # grows like sqrt(n) eps sum |terms| (0.13 sqrt(n) at most here,
+        # 56 eps at n ~ 2e5 where the sum cancels to 1e-11 of sum |terms|)
+        assert abs(gi - want) <= eps * math.sqrt(2 * L + 1) * scale, (c, L)
+        assert gi == tables.gpart(c, L)  # one window alone, same bits
+
+
+def test_window_of_one_tile_is_one_dot():
+    # a window of at most one tile is one np.dot over the whole window, so
+    # the blocks of the Diophantine sums keep the bits of a plain dot
+    T = indicators._TILE
+    tables = BlockTables(40, 2, 1.3)
+    shifts = [7, -3, 0, -40, 1500, -2]
+    r_lens = [0, 1, 40, 2000, T // 2 - 1, 9000]
+    g = tables._gparts(np.array(shifts), np.array(r_lens))
+    R, Q = tables.R, tables.Q
+    for gi, c, L in zip(g, shifts, r_lens):
+        dot = np.dot(tables.sg[R - L : R + L + 1], tables.Js[Q + c - L : Q + c + L + 1])
+        want = tables.coeff * (-1) ** c * float(dot)
+        assert gi == want and tables.gpart(c, L) == want, (c, L)
 
 
 def test_block_tables_match_shifted():

@@ -50,6 +50,16 @@ def test_sigma_analytic_rounds_exactly():
         assert round(ev.value) == exact
 
 
+@pytest.mark.parametrize("N", [450, 600])
+def test_sigma_analytic_top_of_benchmark_range(N):
+    # windows of 2 r_len + 1 ~ 4.4e5 and 7.7e5 terms, 7 and 13 tiles of
+    # the G-part contraction
+    ev = sigma_analytic(N, 1.0)
+    exact = sigma_bruteforce(N)
+    assert round(ev.value) == exact
+    assert abs(ev.value - exact) <= ev.error_estimate
+
+
 @pytest.mark.parametrize("t", [0.7, 1.5])
 @pytest.mark.parametrize("N", [6, 30, 97])
 def test_sigma_is_weighted_sum_of_blocks(N, t):
