@@ -16,9 +16,13 @@ All blocks of one base are evaluated by the one block engine,
 ``indicators.BlockTables``.
 
 The unit-weight forms are additionally evaluated through a second,
-independent organization in which the a-sums are closed in the lattice
-kernel T and everything is grouped by series type; agreement of the two
-organizations (and of both with enumeration) is part of the test suite.
+independent organization: the expanded representation of
+``q_shifted_analytic`` at the shifts -s d a^2 (s = 1 for the sum kind,
+-1 for the difference kind), over one signed grid sg[R+r] = (-1)^r G(r-N).
+Its sech sums are the ``_sech_parts`` windows at the centres s d a^2; its
+P sums close the a-sums in the lattice kernel T, one T call per weight.
+Neither uses J or ``BlockTables``; agreement of the two organizations
+(and of both with enumeration) is part of the test suite.
 """
 
 from __future__ import annotations
@@ -30,9 +34,16 @@ from typing import Callable
 
 import numpy as np
 
-from .indicators import BlockTables, _closed_heads, _default_r_len, _p_weights
-from .integrals import sech, sech_values
-from .kernels import g_values, kernel_g, t_values
+from .indicators import (
+    BlockTables,
+    _closed_heads,
+    _default_r_len,
+    _p_weights,
+    _sech_half_width,
+    _sech_parts,
+    _signed_g,
+)
+from .kernels import t_values
 from .series import Evaluation
 
 __all__ = [
@@ -312,130 +323,49 @@ def _divisor_pair_bruteforce(g: WeightSpec, N: int) -> float:
 # block aggregation above).
 # ---------------------------------------------------------------------------
 
-
-def _quartic_series(z: float, d: int, a_max: int = 400) -> float:
-    """sum_{a>=1} 1/(z^2 + d^2 a^4), truncated at its a^-4 tail."""
-    a = np.arange(1.0, a_max + 1.0)
-    return float(np.sum(1.0 / (z * z + d * d * a**4))) + 1.0 / (3.0 * d * d * a_max**3)
-
-
-def _unit_cosh_group(N: int, d: int, k: int, t: float, plus: bool) -> tuple[float, float]:
-    """The sech-weighted bilateral G sums of the unit-weight forms.
-
-    plus=False pairs G(r-N) with (r - d a^2) [sum kind]; plus=True pairs
-    G(r-N) with (r + d a^2) [difference kind].  Windowed: only arguments
-    with |r -+ d a^2| <~ 27t survive the sech factor.  Returns
-    (value, tail bound).
-    """
-    W = int(math.ceil(27.0 * t)) + 3
-    # cutoff in a: the kernel magnitude at the resonance r ~ d a^2 decays
-    # like (d a^2 - N)^(-7/2) on the positive side and (d a^2 + N)^(-2)
-    # (worst case, at resonances) on the negative side.
-    if plus:
-        a_cut = max(4, isqrt((44000 + 4 * N) // d) + 1)
-    else:
-        a_cut = max(4, isqrt((N + 3700) // d) + 1)
-    r_max = d * a_cut * a_cut + W + 1
-    rr = np.arange(1, r_max + 1, dtype=float)
-    gp = g_values(rr - N, t, k)
-    gn = g_values(-rr - N, t, k)
-    sgn_r = np.ones(r_max)
-    sgn_r[::2] = -1.0
-    g0 = kernel_g(-N, t, k).value
-    total = 0.0
-    for a in range(1, a_cut + 1):
-        da2 = d * a * a
-        delta = -1.0 if (d * a) % 2 else 1.0
-        contrib = g0 * sech(pi * da2 / (2.0 * t))
-        # window where the sech factor survives
-        lo = max(1, da2 - W)
-        hi = min(r_max, da2 + W)
-        if lo <= hi:
-            rs = np.arange(lo, hi + 1)
-            sl = slice(lo - 1, hi)
-            if plus:
-                contrib += float(
-                    np.sum(sgn_r[sl] * gn[sl] * sech_values(pi * (rs - da2) / (2.0 * t)))
-                )
-            else:
-                contrib += float(
-                    np.sum(sgn_r[sl] * gp[sl] * sech_values(pi * (rs - da2) / (2.0 * t)))
-                )
-        if da2 <= W:
-            rs = np.arange(1, min(r_max, W - da2 + 1) + 1)
-            sl = slice(0, len(rs))
-            if plus:
-                contrib += float(
-                    np.sum(sgn_r[sl] * gp[sl] * sech_values(pi * (rs + da2) / (2.0 * t)))
-                )
-            else:
-                contrib += float(
-                    np.sum(sgn_r[sl] * gn[sl] * sech_values(pi * (rs + da2) / (2.0 * t)))
-                )
-        total += delta * contrib
-    coeff = math.sinh(pi * t) / (8.0 * math.sqrt(k) * t)
-    if plus:
-        tail = abs(coeff) * 4.0 * 1.27 / (d * d * a_cut**3)
-    else:
-        tail = abs(coeff) * 4.0 * 5.0 / (d * a_cut) ** 3.5
-    return coeff * total, tail
-
-
-def _unit_p_group(N: int, d: int, k: int, t: float, plus: bool) -> tuple[float, float]:
-    """The one-signed double G sums with their a-sums closed in the
-    lattice kernel T:  sum_a 1/(z^2 + (r -+ d a^2)^2)
-    = (pi/(4 d^2)) T(-+ r/d, z/d) - 1/(2 (r^2 + z^2))."""
-    n, cm = _p_weights(t)
-    z = t * n
-    g0 = kernel_g(-N, t, k).value
-    total = g0 * float(np.sum(cm * np.array([_quartic_series(zi, d) for zi in z])))
-    # The negative-side kernel resonances at r ~ d a^2 decay like
-    # (r+N)^-2 against T peaks of height ~1/z^2, so the difference kind
-    # must sweep r well past 10^4/t; the sum kind pairs those resonances
-    # with the (r-N)^(-7/2) branch and settles by r ~ N + 3 10^3.
-    if plus:
-        r_max = N + max(3000, int(12000 / t))
-    else:
-        r_max = N + max(2500, int(1200 / t))
-    rr = np.arange(1, r_max + 1, dtype=float)
-    gp = g_values(rr - N, t, k)
-    gn = g_values(-rr - N, t, k)
-    acc_p = np.zeros(r_max)
-    acc_m = np.zeros(r_max)
-    for zi, ci in zip(z, cm):
-        t_neg = t_values(-rr / d, zi / d)  # closes sum_a 1/((zi)^2 + (r - d a^2)^2)
-        t_pos = t_values(rr / d, zi / d)
-        base = -0.5 / (rr * rr + zi * zi)
-        a_minus = pi / (4.0 * d * d) * t_neg + base
-        a_plus = pi / (4.0 * d * d) * t_pos + base
-        if plus:
-            acc_p += ci * a_plus
-            acc_m += ci * a_minus
-        else:
-            acc_p += ci * a_minus
-            acc_m += ci * a_plus
-    total += float(np.dot(gp, acc_p) + np.dot(gn, acc_m))
-    coeff = -t * math.sinh(pi * t) / (2.0 * math.sqrt(k) * pi)
-    # models calibrated against reference runs with r_max = 1.4e5
-    if plus:
-        tail = 5e-4 / (t * math.sqrt(d) * (r_max + 40.0 * N))
-    else:
-        tail = 2e-9 / t
-    return coeff * total, tail
+# r-values per T call of the P sums: shorter calls keep the temporaries of
+# the guarded ratio in cache
+_T_CHUNK = 1 << 12
 
 
 def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> Evaluation:
     N, d, k = inst.N, inst.d, inst.k
-    plus = inst.kind == "difference"
+    sech_coeff = math.sinh(pi * t) / (8.0 * math.sqrt(k) * t)
+    # Cutoffs and tail models per kind.  At the resonances r ~ d a^2 the
+    # kernel decays like (d a^2 - N)^(-7/2) for r > 0 and (d a^2 + N)^(-2)
+    # for r < 0, against T peaks of height ~1/z^2; so the difference kind
+    # sweeps r past 10^4/t, and the sum kind settles by r ~ N + 3 10^3.
+    # The P tail models were calibrated against runs with r_p = 1.4e5.
+    if inst.kind == "sum":
+        s = 1
+        a_cut = max(4, isqrt((N + 3700) // d) + 1)
+        r_p = N + max(2500, int(1200 / t))
+        tail = sech_coeff * 4.0 * 5.0 / (d * a_cut) ** 3.5 + 2e-9 / t
+    else:
+        s = -1
+        a_cut = max(4, isqrt((44000 + 4 * N) // d) + 1)
+        r_p = N + max(3000, int(12000 / t))
+        tail = sech_coeff * 4.0 * 1.27 / (d * d * a_cut**3)
+        tail += 5e-4 / (t * math.sqrt(d) * (r_p + 40.0 * N))
     a = np.arange(1, a_grid_len + 1, dtype=np.int64)
-    y = N + d * a * a if plus else N - d * a * a
-    head, exp_part = _closed_heads(y, k, t)
-    cosh_val, cosh_tail = _unit_cosh_group(N, d, k, t, plus)
-    p_val, p_tail = _unit_p_group(N, d, k, t, plus)
-    head_tail = 1.0 / (2.0 * d * d * a_grid_len**3)
-    value = float(np.sum(head)) + float(np.sum(exp_part)) + cosh_val + p_val
-    est = cosh_tail + p_tail + head_tail + 1e-12
-    return Evaluation(value, est, {"a_terms": a_grid_len}, True)
+    head, exp_part = _closed_heads(N - s * d * a * a, k, t)
+    R = max(d * a_cut * a_cut + _sech_half_width(t) + 1, r_p)
+    sg, guarded = _signed_g(N, t, k, R)
+    sech_val = sech_coeff * float(np.sum(_sech_parts(sg, R, s * d * a[:a_cut] ** 2, t)))
+    # sum_a 1/(z^2 + (r - s d a^2)^2) = (pi/(4 d^2)) T(-s r/d, z/d) - 1/(2 (r^2 + z^2))
+    # closes the a-sums, r = 0 included, one T call per weight and chunk
+    n, cm = _p_weights(t)
+    p_sum = 0.0
+    for lo in range(-r_p, r_p + 1, _T_CHUNK):
+        r = np.arange(lo, min(lo + _T_CHUNK, r_p + 1), dtype=float)
+        M, r2, acc = -s * r / d, r * r, np.zeros(len(r))
+        for zi, ci in zip(t * n, cm):
+            acc += ci * (pi / (4.0 * d * d) * t_values(M, zi / d) - 0.5 / (r2 + zi * zi))
+        p_sum += float(np.dot(sg[R + lo : R + lo + len(r)], np.where(r % 2, -acc, acc)))
+    p_val = -t * math.sinh(pi * t) / (2.0 * math.sqrt(k) * pi) * p_sum
+    value = float(np.sum(head)) + float(np.sum(exp_part)) + sech_val + p_val
+    est = tail + 1.0 / (2.0 * d * d * a_grid_len**3) + 1e-12  # + the head's a-tail
+    return Evaluation(value, est, {"a_terms": a_grid_len}, bool(guarded.any()))
 
 
 def unit_sum_squares(inst: DiophantineInstance, t: float = 1.0) -> Evaluation:

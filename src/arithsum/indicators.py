@@ -28,7 +28,9 @@ code assembles a block.  The Diophantine and divisor-pair sums of
 ``q_analytic`` and the vanishing identities are its shift-0 block, with
 the two sides folded, (sg[R+r] + sg[R-r]) J(r), before the products are
 summed.  Only the oracles (``q_shifted_analytic``, the general-s form)
-keep organizations of their own.
+keep organizations of their own.  ``q_shifted_analytic`` and the
+unit-weight forms of ``dsums`` read the same signed grid (``_signed_g``)
+and take their sech sums from one windowed contraction (``_sech_parts``).
 """
 
 from __future__ import annotations
@@ -148,6 +150,39 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
     return head, -yf * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3
 
 
+def _signed_g(N: int, t: float, k: int, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sg, guarded): the signed two-sided grid sg[R + r] = (-1)^r G(r - N)
+    for r = -R..R, and the overflow-guard mask of each entry.  Each side is
+    its own _g call, which halves the temporaries."""
+    r = np.arange(R + 1, dtype=float)
+    sg = np.empty(2 * R + 1)
+    guarded = np.empty(2 * R + 1, dtype=bool)
+    sg[R:], guarded[R:] = _g(r - N, t, k)
+    sg[:R], guarded[:R] = _g(-r[:0:-1] - N, t, k)
+    sg[(R + 1) % 2 :: 2] *= -1.0
+    return sg, guarded
+
+
+def _sech_half_width(t: float) -> int:
+    """Half-width W of the sech windows: sech(pi W/(2t)) < 1e-18."""
+    return math.ceil(27.0 * t) + 3
+
+
+def _sech_parts(sg: np.ndarray, R: int, centres, t: float) -> np.ndarray:
+    """sum over |r - c| <= W of (-1)^(r-c) G(r-N) sech(pi (r-c)/(2t)) for
+    each centre c, from the signed grid sg[R + r] = (-1)^r G(r - N); each
+    window is one row of sg against one sech vector and must lie inside
+    the grid."""
+    W = _sech_half_width(t)
+    c = np.asarray(centres, dtype=np.int64)
+    lo = R + c - W
+    if lo.min() < 0 or lo.max() + 2 * W > 2 * R:
+        raise ValueError(f"a sech window of half-width {W} leaves the grid r = -{R}..{R}")
+    s = sech_values(pi * np.arange(-W, W + 1) / (2.0 * t))
+    rows = np.lib.stride_tricks.sliding_window_view(sg, 2 * W + 1)[lo]
+    return np.where(c % 2, -1.0, 1.0) * (rows @ s)
+
+
 class BlockTables:
     """Jump-kernel and integral grids for one base (N, k, t): the one
     block engine every analytic driver evaluates its blocks through.
@@ -171,16 +206,11 @@ class BlockTables:
 
     def ensure(self, r_len: int, q_len: int) -> None:
         # the grids are elementwise and read through slices, so growing them
-        # at least twofold changes no value and rebuilds them O(log) times;
-        # each side of sg is its own _g call, which halves the temporaries
+        # at least twofold changes no value and rebuilds them O(log) times
         if r_len > self.R:
             R = self.R = max(r_len, 2 * self.R)
-            r = np.arange(R + 1, dtype=float)
-            self.sg = sg = np.empty(2 * R + 1)
-            sg[R:], guarded = _g(r - self.N, self.t, self.k)
-            sg[:R] = _g(-r[:0:-1] - self.N, self.t, self.k)[0]
-            sg[(R + 1) % 2 :: 2] *= -1.0
-            self.g0_guarded = bool(guarded[0])
+            self.sg, guarded = _signed_g(self.N, self.t, self.k, R)
+            self.g0_guarded = bool(guarded[R])
         if q_len > self.Q:
             Q = self.Q = max(q_len, 2 * self.Q)
             self.Js = Js = np.empty(2 * Q + 1)
@@ -339,31 +369,36 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     one-signed double G sums.  Returns ~q_k(N+c)/(N+c)^2 when N+c >= 1
     and ~0 when N+c <= 0 (the vanishing branch).
 
-    The bilateral sums run over r = -r_len..r_len in one pass: the
+    The bilateral sums run over r = -r_len..r_len of the signed grid: the
     negative side G(-r-N) w(r-c) is the r -> -r image of G(r-N) w(r+c),
-    since both weights w are even.
+    since both weights w are even.  The sech sum is ``_sech_parts`` at the
+    centre -c.  The estimate adds the sinh(pi t)-amplified rounding of both
+    sums: eps sum |terms| times the dot's length or ceil(log2 n) + 1.
     """
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    y = N + c
-    heads, exp_part = _closed_heads(np.array([y]), k, t)
+    heads, exp_part = _closed_heads(np.array([N + c]), k, t)
     head = float(heads[0] + exp_part[0])
-
-    r_len = abs(c) + N + max(1200, int(700 / t))
+    W = _sech_half_width(t)
+    r_len = abs(c) + max(N + max(1200, int(700 / t)), W)
+    sg, guarded = _signed_g(N, t, k, r_len)
     r = np.arange(-r_len, r_len + 1)
-    g, guarded = _g(r - N, t, k)
-    sech_block = float(np.sum(np.where(r % 2, -g, g) * sech_values(pi * (r + c) / (2.0 * t))))
     # P(q) = sum_m (-1)^m n e^(-pi t n) / (t^2 n^2 + q^2), n = 2m+1, summed
     # one weight at a time so that memory stays O(r_len) at small t
     q2 = (r + c).astype(float) ** 2
     p = sum(wm / (t * t * nm * nm + q2) for nm, wm in zip(*_p_weights(t)))
-    p_block = float(np.sum(g * p))
+    p_terms = np.where(r % 2, -sg, sg) * p
     sh = math.sinh(pi * t)
-    gpart = _sign(c) * sh / (8.0 * math.sqrt(k) * t) * sech_block
-    gpart -= t * sh / (2.0 * math.sqrt(k) * pi) * p_block
+    sech_coeff = sh / (8.0 * math.sqrt(k) * t)
+    p_coeff = t * sh / (2.0 * math.sqrt(k) * pi)
+    gpart = sech_coeff * _sech_parts(sg, r_len, [-c], t)[0] - p_coeff * float(np.sum(p_terms))
+    sech_abs = sech_coeff * abs(_sech_parts(np.abs(sg), r_len, [-c], t)[0])
+    p_abs = p_coeff * float(np.sum(np.abs(p_terms)))
     est = 1e-12 + (abs(head) + abs(gpart)) * 1e-14 + 3.0 / r_len**2.5
+    # n = r.size is odd, so ceil(log2 n) = n.bit_length()
+    est += np.finfo(float).eps * ((2 * W + 1) * sech_abs + (r.size.bit_length() + 1) * p_abs)
     return Evaluation(head + gpart, est, {"r_terms": r_len}, bool(guarded.any()))
 
 

@@ -201,16 +201,8 @@ def mittag_leffler_residual(theta: float, x: float, n_terms: int) -> float:
         ratio = -ratio
     lhs = 1.0 / (2.0 * x * x) - math.pi * ratio / (2.0 * x)
     x2 = x * x
-    partial = 0.0
-    comp = 0.0
-    for j in range(1, n_terms + 1):
-        term = math.cos(j * theta) / (j * j + x2)
-        if j % 2 == 0:
-            term = -term
-        y = partial + term
-        if abs(partial) >= abs(term):
-            comp += (partial - y) + term
-        else:
-            comp += (term - y) + partial
-        partial = y
-    return abs(lhs - (partial + comp))
+    partial = math.fsum(
+        (math.cos(j * theta) if j % 2 else -math.cos(j * theta)) / (j * j + x2)
+        for j in range(1, n_terms + 1)
+    )
+    return abs(lhs - partial)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from arithsum import dsums, indicators, integrals, series, sigma_rh
 from arithsum.dsums import (
     DiophantineInstance,
     WeightSpec,
@@ -147,18 +148,43 @@ def test_starred_boundary_rule():
             m += 1
 
 
-def test_unit_forms_match_block_forms():
+@pytest.mark.parametrize("t", [0.3, 1.0, 3.0, 8.0])
+def test_unit_forms_match_block_forms(t):
     # two independent series organizations of the same quantity
     for (N, d, k) in [(25, 1, 1), (25, 2, 1), (45, 1, 2), (100, 3, 2), (9, 1, 1)]:
         inst = DiophantineInstance(N, d, k, "sum")
-        a = unit_sum_squares(inst, 1.0)
-        b = sum_squares_analytic(unit_weight(), inst, 1.0)
+        a = unit_sum_squares(inst, t)
+        b = sum_squares_analytic(unit_weight(), inst, t)
         assert abs(a.value - b.value) < a.error_estimate + b.error_estimate
     for (N, d, k) in [(3, 1, 1), (1, 2, 1), (7, 3, 2), (23, 1, 3)]:
         inst = DiophantineInstance(N, d, k, "difference")
-        a = unit_sum_diff(inst, 1.0)
-        b = sum_diff_analytic(unit_weight(), inst, 1.0)
+        a = unit_sum_diff(inst, t)
+        b = sum_diff_analytic(unit_weight(), inst, t)
         assert abs(a.value - b.value) < a.error_estimate + b.error_estimate
+
+
+def test_unit_forms_do_not_use_the_block_engine(monkeypatch):
+    # the unit forms and q_shifted_analytic are oracles for the block path:
+    # they must evaluate with BlockTables and the J table unavailable
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the block engine was called")
+
+    for module in (dsums, indicators, sigma_rh):
+        monkeypatch.setattr(module, "BlockTables", unavailable)
+    for module in (integrals, indicators, series):
+        monkeypatch.setattr(module, "j_values", unavailable)
+    with pytest.raises(AssertionError):
+        sum_squares_analytic(unit_weight(), DiophantineInstance(25, 1, 1, "sum"))
+    for t in (0.5, 2.0):
+        assert unit_sum_squares(DiophantineInstance(25, 1, 1, "sum"), t).value == pytest.approx(
+            1.0 / 4**4 + 1.0 / 3**4, abs=1e-6
+        )
+        assert unit_sum_diff(DiophantineInstance(3, 1, 1, "difference"), t).value == pytest.approx(
+            1.0 / 16.0, abs=1e-6
+        )
+        assert indicators.q_shifted_analytic(1, 10, 6, t).value == pytest.approx(
+            1.0 / 256.0, abs=1e-8
+        )
 
 
 def test_unit_sum_examples():

@@ -21,8 +21,8 @@ from arithsum.indicators import (
     q_shifted_analytic,
     zero_identity_residual,
 )
-from arithsum.integrals import integral_i, integral_j, integral_k, sech
-from arithsum.kernels import kernel_g
+from arithsum.integrals import integral_i, integral_j, integral_k, sech, sech_values
+from arithsum.kernels import g_values, kernel_g
 
 
 def test_integer_root():
@@ -219,6 +219,19 @@ def test_q_shifted_consistency_with_direct(c):
         assert abs(ev.value) < 1e-6
 
 
+@pytest.mark.parametrize("t", [8.0, 10.0, 16.0, 20.0])
+def test_q_shifted_within_estimate_at_large_t(t):
+    # sinh(pi t) amplifies the rounding of the sech and P sums to ~1e7 at
+    # t = 20; the estimate must cover it
+    for k in (1, 2):
+        for N in (1, 5, 10, 25):
+            for c in (-13, -1, 0, 3, 11):
+                y = N + c
+                want = q_bruteforce(k, 1, y) / (y * y) if y >= 1 else 0.0
+                ev = q_shifted_analytic(k, N, c, t)
+                assert abs(ev.value - want) <= ev.error_estimate, (k, N, c)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gpart_is_the_two_sided_series(k):
     # the bilateral G-series summed term by term from the scalar kernel and
@@ -277,6 +290,33 @@ def test_window_of_one_tile_is_one_dot():
         dot = np.dot(tables.sg[R - L : R + L + 1], tables.Js[Q + c - L : Q + c + L + 1])
         want = tables.coeff * (-1) ** c * float(dot)
         assert gi == want and tables.gpart(c, L) == want, (c, L)
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+def test_sech_parts_match_unwindowed_sum(t):
+    # every window against the sum over the whole grid, with windows that
+    # start on the grid's first index and end on its last
+    N, k, R = 7, 2, 400
+    W = indicators._sech_half_width(t)
+    sg, _ = indicators._signed_g(N, t, k, R)
+    r = np.arange(-R, R + 1)
+    g = g_values(r - N, t, k)
+    centres = [W - R, W - R + 1, -N, 0, 5, 33, R - W - 1, R - W]
+    got = indicators._sech_parts(sg, R, centres, t)
+    for gi, c in zip(got, centres):
+        terms = np.where((r - c) % 2, -g, g) * sech_values(math.pi * (r - c) / (2.0 * t))
+        assert abs(gi - math.fsum(terms)) <= 1e-13 * math.fsum(np.abs(terms)), c
+
+
+def test_sech_parts_reject_windows_off_the_grid():
+    # numpy would wrap a negative start silently
+    t, R = 1.0, 100
+    W = indicators._sech_half_width(t)
+    sg, _ = indicators._signed_g(3, t, 1, R)
+    indicators._sech_parts(sg, R, [W - R, R - W], t)
+    for c in (W - R - 1, R - W + 1):
+        with pytest.raises(ValueError):
+            indicators._sech_parts(sg, R, [0, c], t)
 
 
 def test_block_tables_match_shifted():
