@@ -10,6 +10,7 @@ from .indicators import (
     q_bruteforce,
     q_classify,
     q_general_analytic,
+    power_series_evaluator,
     q_shifted_analytic,
     zero_identity_residual,
 )
@@ -51,14 +52,11 @@ from .dsums import (
 from .series import (
     Evaluation,
     SeriesEvaluator,
-    TruncationPolicy,
-    TruncationError,
     geometric_series_evaluator,
     indicator_series_evaluator,
     invert_series,
     lemma4_residual,
     self_consistency_residual,
-    sum_series,
 )
 from .sigma_rh import (
     EULER_GAMMA,

@@ -119,16 +119,13 @@ def _finish(record: dict, started: float, timing: bool) -> dict:
 
 
 def _work_eval_q(item) -> dict:
-    k, s, N, t, tol, max_terms, timing = item
+    k, s, N, t, tol, timing = item
     started = time.perf_counter()
-    from .series import TruncationPolicy
-
-    policy = TruncationPolicy(abs_tol=1e-12, max_terms=max_terms)
     oracle = float(indicators.q_bruteforce(k, s, N))
     if s == 1:
-        ev = indicators.q_analytic(k, N, t, policy)
+        ev = indicators.q_analytic(k, N, t)
     else:
-        ev = indicators.q_general_analytic(k, s, N, t, policy)
+        ev = indicators.q_general_analytic(k, s, N, t)
     value = N * N * ev.value
     est = N * N * ev.error_estimate
     diff = abs(value - oracle)
@@ -311,10 +308,8 @@ def cmd_eval_q(args) -> int:
         raise ConfigError("eval-q requires N >= 1")
     if args.k < 1 or args.s < 1:
         raise ConfigError("k and s must be positive")
-    if args.max_terms < 1000:
-        raise ConfigError("max-terms must be at least 1000")
     items = [
-        (args.k, args.s, n, t, args.tol, args.max_terms, args.timing)
+        (args.k, args.s, n, t, args.tol, args.timing)
         for n in ns
         for t in parse_t(args.t)
     ]
@@ -431,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "t": dict(default="1.0", help="t value or comma list (default 1.0)"),
         "tol": dict(type=float, default=1e-8, help="comparison tolerance"),
-        "max-terms": dict(type=int, default=10**6, help="series term cap"),
         "timing": dict(action="store_true", help="record real per-item wall time"),
     }
 
@@ -448,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--N", required=True, help="range: 7, 2..30, or 1,4,9")
-    common(p, "t", "tol", "max-terms", "timing")
+    common(p, "t", "tol", "timing")
     p.set_defaults(func=cmd_eval_q)
 
     p = sub.add_parser("sum", help="Diophantine / divisor-pair sums vs enumeration")

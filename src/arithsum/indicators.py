@@ -27,10 +27,12 @@ code assembles a block.  The Diophantine and divisor-pair sums of
 ``dsums`` and ``sigma_analytic`` evaluate their blocks through it.
 ``q_analytic`` and the vanishing identities are its shift-0 block, with
 the two sides folded, (sg[R+r] + sg[R-r]) J(r), before the products are
-summed.  Only the oracles (``q_shifted_analytic``, the general-s form)
-keep organizations of their own.  ``q_shifted_analytic`` and the
-unit-weight forms of ``dsums`` read the same signed grid (``_signed_g``)
-and take their sech sums from one windowed contraction (``_sech_parts``).
+summed.  Only the oracles keep organizations of their own:
+``q_shifted_analytic``, and the general-s form ``q_general_analytic``,
+which is ``series.invert_series`` of ``power_series_evaluator``.
+``q_shifted_analytic`` and the unit-weight forms of ``dsums`` read the
+same signed grid (``_signed_g``) and take their sech sums from one
+windowed contraction (``_sech_parts``).
 """
 
 from __future__ import annotations
@@ -42,11 +44,14 @@ import numpy as np
 
 from .integrals import cosh_over_sinh2_values, coth, csch_values, j_values, sech_values
 from .kernels import _g
-from .series import Evaluation, TruncationPolicy
+from .series import Evaluation, SeriesEvaluator, invert_series
 
 # doubles of sg per tile of the G-part contraction (512 KiB); a tile and
 # the Js range it meets, ~3 MB at sigma(600), fit a 4 MiB L2 cache
 _TILE = 1 << 16
+# points and terms per block of power_series_evaluator: 32k doubles
+_R_CHUNK = 256
+_M_CHUNK = 128
 
 __all__ = [
     "AmbiguousClassification",
@@ -59,6 +64,7 @@ __all__ = [
     "zero_identity_residual",
     "q_shifted_analytic",
     "q_general_analytic",
+    "power_series_evaluator",
     "block_value",
 ]
 
@@ -99,10 +105,6 @@ def q_bruteforce(k: int, s: int, N: int) -> int:
         return 0
     m = integer_root(N // k, 2 * s)
     return 1 if m >= 1 and m ** (2 * s) == N // k else 0
-
-
-def _sign(n: int) -> float:
-    return -1.0 if n % 2 else 1.0
 
 
 def _exp_series_terms(t: float, tol: float = 1e-18) -> tuple[np.ndarray, np.ndarray]:
@@ -271,17 +273,13 @@ def block_value(tables: BlockTables, c: int, r_len: int | None = None) -> float:
     return float(tables.blocks([c], r_len)[0][0])
 
 
-def _shift0_block(
-    k: int, N: int, t: float, policy: TruncationPolicy | None
-) -> tuple[float, float, float, int, bool]:
+def _shift0_block(k: int, N: int, t: float) -> tuple[float, float, float, int, bool]:
     """The block at base N and shift 0, at any integer N; it equals
     q_k(N)/N^2 for N >= 1 and 0 for N <= 0.  Returns (face, series, tail,
     r_len, guarded): face is the head, the exp-series and the r = 0 term
     coeff G(-N) J(0); series the r != 0 terms; tail models the omitted
     ones."""
     r_len = _default_r_len(N, 0, t)
-    if policy is not None:
-        r_len = min(r_len, policy.max_terms)
     tables = BlockTables(N, k, t, r_len, r_len)
     R, sg, J = tables.R, tables.sg, tables.Js[tables.Q :]
     head, exp_part = _closed_heads(np.array([N]), k, t)
@@ -297,12 +295,7 @@ def _shift0_block(
     return face, series, tail, r_len, tables.g0_guarded
 
 
-def q_analytic(
-    k: int,
-    N: int,
-    t: float = 1.0,
-    policy: TruncationPolicy | None = None,
-) -> Evaluation:
+def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:
     """Convergent-series value of q_k(N)/N^2 for N >= 1: the shift-0
     block of ``BlockTables`` at base N, its two sides folded."""
     if N < 1:
@@ -311,9 +304,8 @@ def q_analytic(
         raise ValueError(f"t must be positive, got {t}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    tol = policy.abs_tol if policy is not None else 1e-12
-    face, series, tail, r_len, guarded = _shift0_block(k, N, t, policy)
-    est = tail + max(tol, 1e-15) + abs(face) * 1e-15
+    face, series, tail, r_len, guarded = _shift0_block(k, N, t)
+    est = tail + 1e-12 + abs(face) * 1e-15
     return Evaluation(face + series, est, {"r_terms": r_len}, guarded)
 
 
@@ -343,7 +335,7 @@ def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
         raise ValueError(f"N must be <= 0, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    face, series, *_ = _shift0_block(k, N, t, None)
+    face, series, *_ = _shift0_block(k, N, t)
     return abs(face + series)
 
 
@@ -402,49 +394,58 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     return Evaluation(head + gpart, est, {"r_terms": r_len}, bool(guarded.any()))
 
 
-def _h_power_series(z: float, k: int, s: int, t: float) -> float:
-    """sum_n 1/(k^2 n^(4s) ((k n^(2s) + z)^2 + t^2)), the bracket series
-    of the general-power generating function."""
-    total = 0.0
-    n = 0
-    k2 = k * k
-    while True:
-        n += 1
-        kn = k * float(n) ** (2 * s)
-        term = 1.0 / (k2 * float(n) ** (4 * s) * ((kn + z) ** 2 + t * t))
-        total += term
-        if kn > abs(z) + 1.0 and term < 1e-18 * max(total, 1e-300):
-            break
-        if n > 10**6:
-            break
-    return total
+def power_series_evaluator(k: int, s: int) -> SeriesEvaluator:
+    """Direct-summation evaluator of F(z) = sum_m 1/(k^2 m^(4s) (k m^(2s) + z)),
+    the generating series of q_{k,s}(n)/n^2.
+
+    Points are taken in chunks of _R_CHUNK and terms in chunks of _M_CHUNK,
+    so no (m x point) temporary grows with the input.  A chunk with
+    |Re z| <= X and |Im z| <= Y keeps the terms m <= M, with M past the
+    resonance, k M^(2s) >= 2X, and M^(8s) >= 4e18 ((k+X)^2 + Y^2)/k^2.
+    Past the resonance |k m^(2s) + z| >= k m^(2s)/2, so each omitted term of
+    Im F is below 1e-18 of the m = 1 term, whose sign all terms of Im F
+    share.
+    """
+    if k < 1 or s < 1:
+        raise ValueError("k and s must be positive integers")
+
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        for lo in range(0, flat.size, _R_CHUNK):
+            x, y = flat.real[lo : lo + _R_CHUNK], flat.imag[lo : lo + _R_CHUNK]
+            X, Y = float(np.abs(x).max()), float(np.abs(y).max())
+            m_max = math.ceil(
+                max(
+                    (2.0 * X / k) ** (1.0 / (2 * s)),
+                    (4e18 * ((k + X) ** 2 + Y * Y) / (k * k)) ** (1.0 / (8 * s)),
+                )
+            )
+            y2 = y * y
+            re = np.zeros(x.size)
+            im = np.zeros(x.size)
+            for m0 in range(1, m_max + 1, _M_CHUNK):
+                m = np.arange(m0, min(m0 + _M_CHUNK, m_max + 1), dtype=float)
+                u = k * m[:, None] ** (2 * s) + x
+                inv = 1.0 / (u * u + y2)
+                w = 1.0 / (k * k * m ** (4 * s))
+                im += np.einsum("m,mr->r", w, inv)
+                re += np.einsum("m,mr->r", w, u * inv)
+            out.real[lo : lo + _R_CHUNK] = re
+            out.imag[lo : lo + _R_CHUNK] = -y * im
+        return out.reshape(z.shape)
+
+    def coefficient(n: int) -> float:
+        return q_bruteforce(k, s, n) / (n * n) if n >= 1 else 0.0
+
+    return SeriesEvaluator(evaluate, f"power k={k} s={s}", coefficient)
 
 
-def q_general_analytic(
-    k: int,
-    s: int,
-    N: int,
-    t: float = 1.0,
-    policy: TruncationPolicy | None = None,
-) -> Evaluation:
-    """Series value of q_{k,s}(N)/N^2 via the general-power generating
-    series, for N >= 1, s >= 1."""
+def q_general_analytic(k: int, s: int, N: int, t: float = 1.0) -> Evaluation:
+    """Series value of q_{k,s}(N)/N^2 for N >= 1, s >= 1: the inversion of
+    ``power_series_evaluator(k, s)`` at N.  It shares no code with the block
+    engine, so at s = 1 it is an oracle for ``q_analytic``."""
     if N < 1 or s < 1 or k < 1:
         raise ValueError("need N >= 1, s >= 1, k >= 1")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    r_len = N + max(2500, int(1200 / t))
-    if policy is not None:
-        r_len = min(r_len, policy.max_terms)
-    J = j_values(r_len, t)
-    total = 0.0
-    for r in range(1, r_len + 1):
-        h = _h_power_series(float(r - N), k, s, t) + _h_power_series(float(-r - N), k, s, t)
-        total += _sign(r) * h * J[r]
-    sh = math.sinh(pi * t)
-    value = t * sh / pi * total
-    value += 2.0 * _h_power_series(float(-N), k, s, t) * sh * math.atan(
-        math.tanh(pi * t / 2.0)
-    ) / (pi * pi)
-    est = (policy.abs_tol if policy is not None else 1e-9) + 20.0 / r_len**2
-    return Evaluation(value, est, {"r_terms": r_len})
+    return invert_series(power_series_evaluator(k, s), N, t)

@@ -136,7 +136,11 @@ def kernel_t(M: float, t: float) -> KernelValue:
 
 def kernel_v(M: float, t: float) -> KernelValue:
     """Closed form whose value V satisfies
-    sum_{n>=1} (-1)^n/(t^2 + (n^2 + M)^2) = (pi/2) V - 1/(2(M^2 + t^2))."""
+    sum_{n>=1} (-1)^n/(t^2 + (n^2 + M)^2) = (pi/2) V - 1/(2(M^2 + t^2)).
+
+    V keeps its own scalar guard rather than an elementwise form through
+    ``_guarded_ratio``: its numerator grows like e^a, not e^(2a), so that
+    rewrite does not apply, and no caller evaluates V on arrays."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     root = half_plane_root(M, t)

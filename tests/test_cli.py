@@ -233,6 +233,7 @@ def test_t_sweep_first_class(capsys):
         ["sum", "--kind", "squares", "--N", "5", "--max-terms", "2000"],
         ["verify", "--suite", "kernels", "--t", "2"],
         ["verify", "--suite", "kernels", "--timing"],
+        ["eval-q", "--k", "1", "--N", "4", "--max-terms", "2000"],
     ],
 )
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):

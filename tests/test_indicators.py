@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from arithsum.indicators import (
     q_classify,
     q_general_analytic,
     q_shifted_analytic,
+    power_series_evaluator,
     zero_identity_residual,
 )
 from arithsum.integrals import integral_i, integral_j, integral_k, sech, sech_values
@@ -338,6 +340,80 @@ def test_q_general_s1_agrees_with_direct():
         a = q_general_analytic(1, 1, N, 1.0)
         b = q_analytic(1, N, 1.0)
         assert abs(a.value - b.value) < a.error_estimate + b.error_estimate
+
+
+def _q_general_loop(k, s, N, t):
+    """The former scalar organization of q_general_analytic, kept as a
+    reference: (value, its estimate 1e-9 + 20/r_len^2).  The r-series is
+    summed with math.fsum, so its own rounding does not count against the
+    vectorized path."""
+
+    def h(z):
+        # sum_n 1/(k^2 n^(4s) ((k n^(2s) + z)^2 + t^2))
+        total = 0.0
+        n = 0
+        while True:
+            n += 1
+            kn = k * float(n) ** (2 * s)
+            term = 1.0 / (k * k * float(n) ** (4 * s) * ((kn + z) ** 2 + t * t))
+            total += term
+            if kn > abs(z) + 1.0 and term < 1e-18 * max(total, 1e-300):
+                return total
+
+    r_len = N + max(2500, int(1200 / t))
+    J = indicators.j_values(r_len, t)
+    terms = [(-1.0) ** r * (h(r - N) + h(-r - N)) * J[r] for r in range(1, r_len + 1)]
+    sh = math.sinh(math.pi * t)
+    value = t * sh / math.pi * math.fsum(terms)
+    value += 2.0 * h(-N) * sh * math.atan(math.tanh(math.pi * t / 2.0)) / math.pi**2
+    return value, 1e-9 + 20.0 / r_len**2
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 3.0, 8.0])
+def test_q_general_matches_loop_reference(t):
+    for k in (1, 2, 3):
+        for s in (2, 3):
+            for N in (1, k * 2 ** (2 * s)):
+                ev = q_general_analytic(k, s, N, t)
+                want, est = _q_general_loop(k, s, N, t)
+                assert abs(ev.value - want) <= 0.2 * est, (k, s, N)
+                truth = q_bruteforce(k, s, N) / N**2
+                assert abs(ev.value - truth) <= ev.error_estimate, (k, s, N)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_evaluator_matches_closed_form(k):
+    # s = 1 is the square-indicator series; its closed form, evaluated at
+    # 40 digits, is free of the cancellation the binary64 form has at small |z|
+    x = np.concatenate((np.arange(-3000, 3001, 7), -k * np.arange(1, 32) ** 2, [0.5]))
+    F = power_series_evaluator(k, 1)
+    for t in (0.1, 1.0, 10.0):
+        got = F.evaluate(x + 1j * t).imag
+        with mpmath.workdps(40):
+            pi, rk = mpmath.pi, mpmath.sqrt(k)
+            for xi, gi in zip(x, got):
+                z = mpmath.mpc(xi, t)
+                w = mpmath.sqrt(z)
+                closed = (
+                    pi**4 / (90 * k * k * z)
+                    - pi**2 / (6 * k * z * z)
+                    - 0.5 / z**3
+                    + pi * mpmath.coth(pi * w / rk) / (2 * rk * z * z * w)
+                ).imag
+                assert abs(gi - closed) <= 1e-13 * abs(closed), (xi, t)
+
+
+def test_q_general_does_not_use_the_block_engine(monkeypatch):
+    # q_general_analytic is an oracle for q_analytic: it must evaluate with
+    # the block engine unavailable
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the block engine was called")
+
+    monkeypatch.setattr(indicators, "BlockTables", unavailable)
+    with pytest.raises(AssertionError):
+        q_analytic(1, 16, 1.0)
+    assert q_general_analytic(1, 2, 16, 1.0).value == pytest.approx(1.0 / 256.0, abs=1e-7)
+    assert q_general_analytic(1, 1, 9, 1.0).value == pytest.approx(1.0 / 81.0, abs=1e-7)
 
 
 def test_t_independence_spot():

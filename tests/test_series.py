@@ -1,72 +1,13 @@
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from arithsum.indicators import power_series_evaluator
 from arithsum.series import (
-    TruncationError,
-    TruncationPolicy,
     geometric_series_evaluator,
     indicator_series_evaluator,
     invert_series,
     lemma4_residual,
     self_consistency_residual,
-    sum_series,
 )
-
-
-def test_sum_series_geometric():
-    policy = TruncationPolicy(abs_tol=1e-15, tail_kind="exponential", tail_param=0.5)
-    ev = sum_series((0.5**r for r in range(1, 10**6)), policy)
-    assert ev.value == pytest.approx(1.0, abs=1e-12)
-    assert ev.error_estimate >= 0.0
-
-
-def test_sum_series_alternating_zeta():
-    policy = TruncationPolicy(abs_tol=1e-8, tail_kind="alternating", quiet_run=2)
-    ev = sum_series(((-1) ** (r - 1) / r**2 for r in range(1, 10**6)), policy)
-    assert abs(ev.value - math.pi**2 / 12.0) < 1e-8 + ev.error_estimate
-
-
-def test_sum_series_zero_generator():
-    policy = TruncationPolicy(abs_tol=1e-10, quiet_run=5)
-    ev = sum_series((0.0 for _ in range(10**6)), policy)
-    assert ev.value == 0.0
-    assert ev.terms_used["terms"] == policy.quiet_run
-
-
-def test_sum_series_exhaustion():
-    policy = TruncationPolicy(abs_tol=1e-30, max_terms=50)
-    with pytest.raises(TruncationError):
-        sum_series((1.0 / r for r in range(1, 10**6)), policy)
-
-
-def test_sum_series_finite_stream_is_exact():
-    ev = sum_series(iter([1.0, 2.0, 3.0]), TruncationPolicy(abs_tol=1e-30, max_terms=10))
-    assert ev.value == 6.0
-    assert ev.error_estimate == 0.0
-
-
-@given(st.floats(min_value=0.05, max_value=0.9))
-@settings(max_examples=50, deadline=None)
-def test_sum_series_error_bound_geometric(rho):
-    # the reported estimate must bound |partial - limit| for geometric tails
-    policy = TruncationPolicy(abs_tol=1e-10, tail_kind="exponential", tail_param=rho)
-    ev = sum_series((rho**r for r in range(1, 10**6)), policy)
-    limit = rho / (1.0 - rho)
-    assert abs(ev.value - limit) <= ev.error_estimate + 1e-15
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(tail_kind="polynomial", tail_param=1.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(tail_kind="nosuch")
-    with pytest.raises(ValueError):
-        TruncationPolicy(quiet_run=0)
 
 
 def test_invert_geometric():
@@ -89,6 +30,21 @@ def test_invert_recovery_range():
             want = F.coefficient(N) if N >= 1 else 0.0
             got = invert_series(F, N, 1.0).value
             assert abs(got - want) < 1e-6, (F.label, N)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.3, 1.0, 3.0, 8.0, 10.0])
+def test_invert_series_within_estimate(t):
+    # the estimate covers the tail and the sinh(pi t)/pi-amplified rounding
+    evaluators = (
+        geometric_series_evaluator(),
+        indicator_series_evaluator(1),
+        indicator_series_evaluator(2),
+    )
+    for F in evaluators:
+        for N in range(-5, 31):
+            want = F.coefficient(N) if N >= 1 else 0.0
+            ev = invert_series(F, N, t)
+            assert abs(ev.value - want) <= ev.error_estimate, (F.label, N)
 
 
 def test_invert_determinism():
@@ -118,7 +74,12 @@ def test_self_consistency_examples():
 
 
 def test_evaluator_conjugate_symmetry():
-    for F in (geometric_series_evaluator(), indicator_series_evaluator(2)):
+    evaluators = (
+        geometric_series_evaluator(),
+        indicator_series_evaluator(2),
+        power_series_evaluator(2, 2),
+    )
+    for F in evaluators:
         z = complex(3.7, 1.3)
         assert F.evaluate(z.conjugate()) == pytest.approx(
             F.evaluate(z).conjugate(), rel=1e-12
