@@ -286,15 +286,16 @@ def _emit(config: dict, records: list[dict], fmt: str, out) -> None:
 
 
 def _jobs_from(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("ARITH_JOBS")
-    if env:
+    source, jobs = "--jobs", args.jobs
+    if jobs is None:
+        source, env = "ARITH_JOBS", os.environ.get("ARITH_JOBS") or "1"
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
             raise ConfigError(f"ARITH_JOBS must be an integer, got {env!r}") from None
-    return 1
+    if jobs < 1:
+        raise ConfigError(f"{source} must be at least 1, got {jobs}")
+    return jobs
 
 
 # ---------------------------------------------------------------------------

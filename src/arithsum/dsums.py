@@ -38,11 +38,11 @@ from .indicators import (
     BlockTables,
     _closed_heads,
     _default_r_len,
-    _p_weights,
     _sech_half_width,
     _sech_parts,
     _signed_g,
 )
+from .integrals import _p_weights, p_values
 from .kernels import t_values
 from .series import Evaluation
 
@@ -353,14 +353,15 @@ def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> 
     sg, guarded = _signed_g(N, t, k, R)
     sech_val = sech_coeff * float(np.sum(_sech_parts(sg, R, s * d * a[:a_cut] ** 2, t)))
     # sum_a 1/(z^2 + (r - s d a^2)^2) = (pi/(4 d^2)) T(-s r/d, z/d) - 1/(2 (r^2 + z^2))
-    # closes the a-sums, r = 0 included, one T call per weight and chunk
+    # closes the a-sums, r = 0 included, one T call per weight and chunk;
+    # over the weights c_n at z = t n, the second part sums to -P(r)/2
     n, cm = _p_weights(t)
     p_sum = 0.0
     for lo in range(-r_p, r_p + 1, _T_CHUNK):
         r = np.arange(lo, min(lo + _T_CHUNK, r_p + 1), dtype=float)
-        M, r2, acc = -s * r / d, r * r, np.zeros(len(r))
+        M, acc = -s * r / d, -0.5 * p_values(r, t)
         for zi, ci in zip(t * n, cm):
-            acc += ci * (pi / (4.0 * d * d) * t_values(M, zi / d) - 0.5 / (r2 + zi * zi))
+            acc += ci * pi / (4.0 * d * d) * t_values(M, zi / d)
         p_sum += float(np.dot(sg[R + lo : R + lo + len(r)], np.where(r % 2, -acc, acc)))
     p_val = -t * math.sinh(pi * t) / (2.0 * math.sqrt(k) * pi) * p_sum
     value = float(np.sum(head)) + float(np.sum(exp_part)) + sech_val + p_val

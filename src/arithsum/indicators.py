@@ -42,7 +42,9 @@ from math import pi
 
 import numpy as np
 
-from .integrals import cosh_over_sinh2_values, coth, csch_values, j_values, sech_values
+from .integrals import _exp_series_terms, _p_weights  # noqa: F401 (re-exported)
+from .integrals import cosh_over_sinh2_values, coth, csch_values, exp_series_sums
+from .integrals import j_values, p_values, sech_values
 from .kernels import _g
 from .series import Evaluation, SeriesEvaluator, invert_series
 
@@ -107,17 +109,6 @@ def q_bruteforce(k: int, s: int, N: int) -> int:
     return 1 if m >= 1 and m ** (2 * s) == N // k else 0
 
 
-def _exp_series_terms(t: float, tol: float = 1e-18) -> tuple[np.ndarray, np.ndarray]:
-    """(r, w_r) grid with w_r = (-1)^(r-1) e^(-2 pi t r), long enough that
-    the omitted weight is below tol."""
-    r_max = max(4, int(math.ceil(-math.log(tol) / (2.0 * pi * t))) + 2)
-    r = np.arange(1, r_max + 1, dtype=float)
-    with np.errstate(under="ignore"):
-        w = np.exp(-2.0 * pi * t * r)
-    w[1::2] *= -1.0
-    return r, w
-
-
 def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(U(y), three exponential r-series at y), elementwise over an integer
     array y; together they are the part of a block that depends only on
@@ -143,12 +134,7 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
         + pi * pi * cth / (48.0 * t * t)
     )
     head = np.where(y == 0, u0, head)
-    r, w = _exp_series_terms(t)
-    r2 = 4.0 * t * t * r[:, None] ** 2
-    dmat = r2 + yf[None, :] ** 2
-    s1 = (w[:, None] / dmat).sum(axis=0)
-    s2 = (w[:, None] * r[:, None] / dmat).sum(axis=0)
-    s3 = (w[:, None] * (r2 - yf[None, :] ** 2) / dmat**2).sum(axis=0)
+    s1, s2, s3 = exp_series_sums(yf, t)
     return head, -yf * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3
 
 
@@ -339,20 +325,6 @@ def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
     return abs(face + series)
 
 
-def _p_weights(t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(n, c_n) with n = 2m+1 and c_n = (-1)^m n e^(-pi t n).
-
-    The last weight kept has pi t n >= 64, about 1e-30 at t = 1, so the
-    omitted ones are far below the rounding of any O(1) sum over them."""
-    m_max = max(2, int(math.ceil(32.0 / (pi * t))))
-    m = np.arange(0, m_max + 1)
-    n = 2.0 * m + 1.0
-    with np.errstate(under="ignore"):
-        c = n * np.exp(-pi * t * n)
-    c[1::2] *= -1.0
-    return n, c
-
-
 def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     """Fully expanded shifted representation at base N and shift c.
 
@@ -377,11 +349,7 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     r_len = abs(c) + max(N + max(1200, int(700 / t)), W)
     sg, guarded = _signed_g(N, t, k, r_len)
     r = np.arange(-r_len, r_len + 1)
-    # P(q) = sum_m (-1)^m n e^(-pi t n) / (t^2 n^2 + q^2), n = 2m+1, summed
-    # one weight at a time so that memory stays O(r_len) at small t
-    q2 = (r + c).astype(float) ** 2
-    p = sum(wm / (t * t * nm * nm + q2) for nm, wm in zip(*_p_weights(t)))
-    p_terms = np.where(r % 2, -sg, sg) * p
+    p_terms = np.where(r % 2, -sg, sg) * p_values(r + c, t)
     sh = math.sinh(pi * t)
     sech_coeff = sh / (8.0 * math.sqrt(k) * t)
     p_coeff = t * sh / (2.0 * math.sqrt(k) * pi)

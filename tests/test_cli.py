@@ -213,6 +213,23 @@ def test_arith_jobs_env(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags,env", [(["--jobs", "0"], None), (["--jobs", "-4"], None), ([], "-2"), ([], "0")]
+)
+def test_jobs_below_one_are_rejected(capsys, monkeypatch, flags, env):
+    # a worker count below 1 is a configuration error, from the flag or
+    # from the environment, not a silent single worker
+    if env is None:
+        monkeypatch.delenv("ARITH_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("ARITH_JOBS", env)
+    code = main(["sigma", "--N", "2..6", "--format", "json", *flags])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
+
+
 def test_t_sweep_first_class(capsys):
     code, out = run_cli(
         ["eval-q", "--k", "1", "--N", "25", "--t", "0.8,1.0,1.5", "--format", "json"],
