@@ -10,21 +10,27 @@ sigma    series value of the divisor sum vs exact trial division
 rh       Lagarias (and Robin where applicable) inequality margins
 verify   identity suites with per-check residuals
 
+Every command runs one item pipeline.  A ``cmd_*`` function only checks
+its arguments and turns them into (worker, items); ``main`` then calls
+the worker on each item through ``_timed``, in process or in a pool of
+``--jobs``/ARITH_JOBS workers, writes the report with ``_emit`` and
+exits 1 if any record failed.  Every worker builds its record with
+``_record``; ``_timed`` appends its wall time ``ms``, measured only under
+``--timing`` (0.0 otherwise, so that default reports are byte-identical
+across runs).  The report config is the flags the command read.
+
 Reports carry one record per item with a fixed schema
 {inputs, value, oracle, diff, error_estimate, terms, guards, ms} and a
 summary {count, failures, max_abs_diff}.  JSON serializes numbers with
 17 significant digits; CSV uses RFC-4180 quoting with the documented
 column order.  Exit codes: 0 success, 1 verification failure, 2 usage
-or configuration error.  ``--jobs``/ARITH_JOBS parallelizes across
-items only; per-record wall time is reported only under ``--timing`` so
-that default reports are byte-identical across runs.
-"""
+or configuration error, including a t outside (0, ln(DBL_MAX)/(2 pi)]
+and an item too large to allocate."""
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -91,13 +97,28 @@ def parse_range(spec: str) -> list[int]:
         raise ConfigError(f"cannot parse integer range {spec!r}") from None
 
 
+# the closed heads divide by e^(2 pi t) - 1, which must be a finite number
+_LN_DBL_MAX = math.log(sys.float_info.max)
+# the longest r grid is sigma's, about 3000/t terms past (N-1)^2; its length
+# must be a finite number too
+_GRID_PER_T = 3000.0
+
+
 def parse_t(spec: str) -> list[float]:
     try:
         vals = [float(p) for p in spec.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse t list {spec!r}") from None
-    if any(not (v > 0 and math.isfinite(v)) for v in vals):
-        raise ConfigError("all t values must be positive and finite")
+    for v in vals:
+        if not (v > 0 and math.isfinite(v)):
+            raise ConfigError("all t values must be positive and finite")
+        if 2.0 * math.pi * v > _LN_DBL_MAX:
+            raise ConfigError(
+                f"t = {v} exceeds ln(DBL_MAX)/(2 pi) = {_LN_DBL_MAX / (2.0 * math.pi):.6g}, "
+                "where e^(2 pi t) overflows"
+            )
+        if not math.isfinite(_GRID_PER_T / v):
+            raise ConfigError(f"t = {v} is too small: an r grid of {_GRID_PER_T:g}/t terms is not finite")
     return vals
 
 
@@ -113,14 +134,21 @@ _WEIGHTS = {
 # ---------------------------------------------------------------------------
 
 
-def _finish(record: dict, started: float, timing: bool) -> dict:
-    record["ms"] = (time.perf_counter() - started) * 1000.0 if timing else 0.0
-    return record
+def _record(inputs, value, oracle, diff, error_estimate, terms, guards, failed) -> dict:
+    """The eight fields of every record; ``_timed`` appends ``ms``."""
+    return {
+        "inputs": inputs,
+        "value": value,
+        "oracle": oracle,
+        "diff": diff,
+        "error_estimate": error_estimate,
+        "terms": terms,
+        "guards": guards,
+        "failed": failed,
+    }
 
 
-def _work_eval_q(item) -> dict:
-    k, s, N, t, tol, timing = item
-    started = time.perf_counter()
+def _work_eval_q(k, s, N, t, tol) -> dict:
     oracle = float(indicators.q_bruteforce(k, s, N))
     if s == 1:
         ev = indicators.q_analytic(k, N, t)
@@ -129,128 +157,77 @@ def _work_eval_q(item) -> dict:
     value = N * N * ev.value
     est = N * N * ev.error_estimate
     diff = abs(value - oracle)
-    rec = {
-        "inputs": {"k": k, "s": s, "N": N, "t": t},
-        "value": value,
-        "oracle": oracle,
-        "diff": diff,
-        "error_estimate": est,
-        "terms": ev.terms_used,
-        "guards": ev.guards_engaged,
-        "failed": diff > tol + est or round(value) != oracle,
-    }
-    return _finish(rec, started, timing)
+    failed = diff > tol + est or round(value) != oracle
+    return _record({"k": k, "s": s, "N": N, "t": t}, value, oracle, diff, est,
+                   ev.terms_used, ev.guards_engaged, failed)
 
 
-def _work_sum(item) -> dict:
-    kind, N, d, k, weight, t, tol, horizon, timing = item
-    started = time.perf_counter()
+def _work_sum(kind, N, d, k, weight, t, tol, horizon) -> dict:
     g = _WEIGHTS[weight]()
     tail = 0.0
+    inputs = {"kind": kind, "N": N, "d": d, "k": k, "weight": weight, "t": t, "horizon": horizon}
     if kind == "divisor-pairs":
         ev = dsums.divisor_pair_sum_analytic(g, N, t)
         oracle = dsums._divisor_pair_bruteforce(g, N)
-        inputs = {"kind": kind, "N": N, "weight": weight, "t": t}
+        del inputs["d"], inputs["k"], inputs["horizon"]
     elif kind == "squares":
         inst = dsums.DiophantineInstance(N, d, k, "sum")
         ev = dsums.sum_squares_analytic(g, inst, t)
         oracle = dsums.sum_squares_bruteforce(inst, g) / (k * k)
-        inputs = {"kind": kind, "N": N, "d": d, "k": k, "weight": weight, "t": t}
+        del inputs["horizon"]
     else:
         inst = dsums.DiophantineInstance(N, d, k, "difference")
         raw, tail = dsums.sum_diff_bruteforce(inst, g, horizon)
         oracle = raw / (k * k)
         tail /= k * k
         ev = dsums.sum_diff_analytic(g, inst, t)
-        inputs = {
-            "kind": kind,
-            "N": N,
-            "d": d,
-            "k": k,
-            "weight": weight,
-            "t": t,
-            "horizon": horizon,
-        }
     diff = abs(ev.value - oracle)
-    rec = {
-        "inputs": inputs,
-        "value": ev.value,
-        "oracle": oracle,
-        "diff": diff,
-        "error_estimate": ev.error_estimate + tail,
-        "terms": ev.terms_used,
-        "guards": ev.guards_engaged,
-        "failed": diff > tol + ev.error_estimate + tail,
-    }
-    return _finish(rec, started, timing)
+    return _record(inputs, ev.value, oracle, diff, ev.error_estimate + tail, ev.terms_used,
+                   ev.guards_engaged, diff > tol + ev.error_estimate + tail)
 
 
-def _work_sigma(item) -> dict:
-    N, t, timing = item
-    started = time.perf_counter()
+def _work_sigma(N, t) -> dict:
     ev = sigma_rh.sigma_analytic(N, t)
     oracle = float(sigma_rh.sigma_bruteforce(N))
     diff = abs(ev.value - oracle)
-    rec = {
-        "inputs": {"N": N, "t": t},
-        "value": ev.value,
-        "oracle": oracle,
-        "diff": diff,
-        "error_estimate": ev.error_estimate,
-        "terms": ev.terms_used,
-        "guards": ev.guards_engaged,
-        "failed": diff >= 0.25 or round(ev.value) != oracle,
-    }
-    return _finish(rec, started, timing)
+    return _record({"N": N, "t": t}, ev.value, oracle, diff, ev.error_estimate, ev.terms_used,
+                   ev.guards_engaged, diff >= 0.25 or round(ev.value) != oracle)
 
 
-def _work_rh(item) -> dict:
-    N, t, mode, timing = item
-    started = time.perf_counter()
-    try:
-        rec_obj = sigma_rh.rh_check(N, t, mode)
-    except indicators.AmbiguousClassification as exc:
-        # a series value that rounds to no integer is a failed record, not bad input
-        exact = sigma_rh.rh_check(N, t, "exact")
-        rec_obj = dataclasses.replace(
-            exact, sigma_analytic=exc.value, margin=exact.lagarias_rhs - exc.value
-        )
+def _work_rh(N, t, mode) -> dict:
+    rec = sigma_rh.rh_check(N, t, mode)
+    robin = rec.robin_rhs if rec.robin_rhs is not None else 0.0
     # written so that a non-finite series value fails too
-    sigma_fail = mode == "analytic" and not abs(rec_obj.sigma_analytic - rec_obj.sigma_exact) < 0.25
-    rec = {
-        "inputs": {"N": N, "t": t, "mode": mode},
-        "value": rec_obj.sigma_analytic,
-        "oracle": rec_obj.lagarias_rhs,
-        "diff": rec_obj.margin,
-        "error_estimate": 0.0,
-        "terms": {"robin_rhs": rec_obj.robin_rhs if rec_obj.robin_rhs is not None else 0.0,
-                  "harmonic": rec_obj.harmonic},
-        "guards": False,
-        "failed": rec_obj.margin <= 0.0 or sigma_fail,
-    }
-    return _finish(rec, started, timing)
+    sigma_fail = not abs(rec.sigma_analytic - rec.sigma_exact) < 0.25
+    return _record({"N": N, "t": t, "mode": mode}, rec.sigma_analytic, rec.lagarias_rhs,
+                   rec.margin, rec.error_estimate, {"robin_rhs": robin, "harmonic": rec.harmonic},
+                   False, rec.margin <= 0.0 or sigma_fail)
 
 
-# ---------------------------------------------------------------------------
-# report assembly
-# ---------------------------------------------------------------------------
+def _work_check(suite, label, residual, allowance, tol) -> dict:
+    return _record({"suite": suite, "check": label}, residual, 0.0, residual, allowance, {},
+                   False, residual > allowance + tol)
 
 
-def _run_items(worker, items, jobs: int) -> list[dict]:
+def _timed(worker, timing: bool, item: tuple) -> dict:
+    started = time.perf_counter()
+    record = worker(*item)
+    record["ms"] = (time.perf_counter() - started) * 1000.0 if timing else 0.0
+    return record
+
+
+def _run_items(worker, items: list[tuple], jobs: int, timing: bool) -> list[dict]:
+    call = functools.partial(_timed, worker, timing)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items, chunksize=max(1, len(items) // (4 * jobs) or 1)))
-    return [worker(it) for it in items]
-
-
-def _summarize(records: list[dict]) -> dict:
-    failures = sum(1 for r in records if r.get("failed"))
-    max_diff = max((abs(r["diff"]) for r in records), default=0.0)
-    return {"count": len(records), "failures": failures, "max_abs_diff": max_diff}
+            return list(pool.map(call, items, chunksize=max(1, len(items) // (4 * jobs) or 1)))
+    return [call(it) for it in items]
 
 
 def _emit(config: dict, records: list[dict], fmt: str, out) -> None:
-    summary = _summarize(records)
+    failures = sum(1 for r in records if r["failed"])
+    max_diff = max((abs(r["diff"]) for r in records), default=0.0)
+    summary = {"count": len(records), "failures": failures, "max_abs_diff": max_diff}
     if fmt == "json":
         out.write(_dumps({"config": config, "records": records, "summary": summary}))
         out.write("\n")
@@ -273,7 +250,7 @@ def _emit(config: dict, records: list[dict], fmt: str, out) -> None:
             )
         return
     for r in records:
-        flag = "FAIL" if r.get("failed") else "ok"
+        flag = "FAIL" if r["failed"] else "ok"
         ins = " ".join(f"{k}={v}" for k, v in r["inputs"].items())
         out.write(
             f"[{flag}] {ins}: value={r['value']:.12g} oracle={r['oracle']:.12g} "
@@ -299,119 +276,50 @@ def _jobs_from(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each turns its arguments into (worker, items)
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval_q(args) -> int:
+def _n_t_items(args, n_min: int) -> list[tuple[int, float]]:
+    """(N, t) for every N of --N and t of --t, N-major."""
     ns = parse_range(args.N)
-    if any(n < 1 for n in ns):
-        raise ConfigError("eval-q requires N >= 1")
+    if any(n < n_min for n in ns):
+        raise ConfigError(f"{args.command} requires N >= {n_min}")
+    ts = parse_t(args.t)
+    return [(n, t) for n in ns for t in ts]
+
+
+def cmd_eval_q(args):
     if args.k < 1 or args.s < 1:
         raise ConfigError("k and s must be positive")
-    items = [
-        (args.k, args.s, n, t, args.tol, args.timing)
-        for n in ns
-        for t in parse_t(args.t)
+    return _work_eval_q, [(args.k, args.s, n, t, args.tol) for n, t in _n_t_items(args, 1)]
+
+
+def cmd_sum(args):
+    return _work_sum, [
+        (args.kind, n, args.d, args.k, args.weight, t, args.tol, args.horizon)
+        for n, t in _n_t_items(args, 1)
     ]
-    records = _run_items(_work_eval_q, items, _jobs_from(args))
-    config = {
-        "command": "eval-q",
-        "k": args.k,
-        "s": args.s,
-        "N": args.N,
-        "t": args.t,
-        "tol": args.tol,
-    }
-    _emit(config, records, args.format, sys.stdout)
-    return 1 if any(r["failed"] for r in records) else 0
 
 
-def cmd_sum(args) -> int:
-    ns = parse_range(args.N)
-    if any(n < 1 for n in ns):
-        raise ConfigError("sum requires N >= 1")
-    if args.weight not in _WEIGHTS:
-        raise ConfigError(f"unknown weight {args.weight!r}")
-    if args.kind not in ("squares", "difference", "divisor-pairs"):
-        raise ConfigError(f"unknown kind {args.kind!r}")
-    items = [
-        (args.kind, n, args.d, args.k, args.weight, t, args.tol, args.horizon, args.timing)
-        for n in ns
-        for t in parse_t(args.t)
-    ]
-    records = _run_items(_work_sum, items, _jobs_from(args))
-    config = {
-        "command": "sum",
-        "kind": args.kind,
-        "N": args.N,
-        "d": args.d,
-        "k": args.k,
-        "weight": args.weight,
-        "t": args.t,
-        "tol": args.tol,
-        "horizon": args.horizon,
-    }
-    _emit(config, records, args.format, sys.stdout)
-    return 1 if any(r["failed"] for r in records) else 0
+def cmd_sigma(args):
+    return _work_sigma, _n_t_items(args, 2)
 
 
-def cmd_sigma(args) -> int:
-    ns = parse_range(args.N)
-    if any(n < 2 for n in ns):
-        raise ConfigError("sigma requires N >= 2")
-    items = [(n, t, args.timing) for n in ns for t in parse_t(args.t)]
-    records = _run_items(_work_sigma, items, _jobs_from(args))
-    config = {"command": "sigma", "N": args.N, "t": args.t}
-    _emit(config, records, args.format, sys.stdout)
-    return 1 if any(r["failed"] for r in records) else 0
-
-
-def cmd_rh(args) -> int:
-    if args.to < args.__dict__["from"] or args.__dict__["from"] < 2:
+def cmd_rh(args):
+    lo = getattr(args, "from")
+    if args.to < lo or lo < 2:
         raise ConfigError("rh requires 2 <= from <= to")
-    if args.mode not in ("exact", "analytic"):
-        raise ConfigError(f"unknown mode {args.mode!r}")
-    items = [
-        (n, t, args.mode, args.timing)
-        for n in range(args.__dict__["from"], args.to + 1)
-        for t in parse_t(args.t)
-    ]
-    records = _run_items(_work_rh, items, _jobs_from(args))
-    config = {
-        "command": "rh",
-        "from": args.__dict__["from"],
-        "to": args.to,
-        "mode": args.mode,
-        "t": args.t,
-    }
-    _emit(config, records, args.format, sys.stdout)
-    return 1 if any(r["failed"] for r in records) else 0
+    ts = parse_t(args.t)
+    return _work_rh, [(n, t, args.mode) for n in range(lo, args.to + 1) for t in ts]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     try:
         checks = suites.run_suite(args.suite, fast=args.fast)
     except KeyError as exc:
         raise ConfigError(str(exc)) from None
-    records = []
-    for label, residual, allowance in checks:
-        records.append(
-            {
-                "inputs": {"suite": args.suite, "check": label},
-                "value": residual,
-                "oracle": 0.0,
-                "diff": residual,
-                "error_estimate": allowance,
-                "terms": {},
-                "guards": False,
-                "ms": 0.0,
-                "failed": residual > allowance + args.tol,
-            }
-        )
-    config = {"command": "verify", "suite": args.suite, "tol": args.tol}
-    _emit(config, records, args.format, sys.stdout)
-    return 1 if any(r["failed"] for r in records) else 0
+    return _work_check, [(args.suite, *check, args.tol) for check in checks]
 
 
 @functools.cache
@@ -452,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--weight", default="unit", choices=tuple(_WEIGHTS))
-    p.add_argument("--horizon", type=int, default=10000, help="enumeration b horizon (difference kind)")
     common(p, "t", "tol", "timing")
+    p.add_argument("--horizon", type=int, default=10000, help="enumeration b horizon (difference kind)")
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("sigma", help="divisor-sum series vs exact")
@@ -478,17 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        worker, items = args.func(args)
+        records = _run_items(worker, items, _jobs_from(args), vars(args).get("timing", False))
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the config is the flags the subcommand read, led by the command
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "format", "jobs", "timing")}
+    _emit(config, records, args.format, sys.stdout)
+    return 1 if any(r["failed"] for r in records) else 0
 
 
 if __name__ == "__main__":

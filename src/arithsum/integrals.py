@@ -31,12 +31,13 @@ import numpy as np
 from .kernels import GUARD_THRESHOLD
 
 WEIGHT_TOL = 1e-18
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class IntegralValue:
-    """Closed-form integral value with the series length used and a
-    first-omitted-term bound on the truncation error."""
+    """Closed-form integral value with the series length used and an
+    error estimate: the first omitted term plus the rounding (``_rounding``)."""
 
     value: float
     series_terms_used: int
@@ -176,18 +177,30 @@ def _check_t(t: float) -> None:
         raise ValueError(f"t must be positive, got {t}")
 
 
+def _rounding(parts: list, exponents: list, terms: np.ndarray, term_exponents: np.ndarray) -> float:
+    """eps * sum |x| (1 + a) over the head parts and the series terms x:
+    the rounding of their sum, where an x proportional to e^(-a) also
+    carries the rounding of a, which exp amplifies to a relative a eps."""
+    heads = sum(abs(p) * (1.0 + abs(a)) for p, a in zip(parts, exponents))
+    return _EPS * (heads + float(np.dot(np.abs(terms), 1.0 + term_exponents)))
+
+
 def integral_i(q: int, t: float) -> IntegralValue:
     """Closed form of int_0^1 sin(pi q b)/(e^{2 pi b t}+1) db; odd in q."""
     _check_t(t)
     q = int(q)
     if q == 0:
         return IntegralValue(0.0, 0, 0.0)
-    head = 1.0 / (2.0 * math.pi * q) - 0.25 / t * csch(math.pi * q / (2.0 * t))
+    x = math.pi * q / (2.0 * t)
+    h0, h1 = 1.0 / (2.0 * math.pi * q), 0.25 / t * csch(x)
     s1 = float(exp_series_sums(np.array([q]), t)[0][0])
     pref = (-1.0 if q % 2 == 0 else 1.0) * q / math.pi
-    n1 = _exp_series_terms(t)[0].size + 1
+    r, w = _exp_series_terms(t)
+    n1 = r.size + 1
     est = abs(pref) * math.exp(-2.0 * math.pi * t * n1) / (4.0 * t * t * n1 * n1 + float(q) * q)
-    return IntegralValue(head + pref * s1, n1 - 1, est)
+    terms = pref * w / (4.0 * t * t * r * r + float(q) * q)
+    est += _rounding([h0, h1], [0.0, x], terms, 2.0 * math.pi * t * r)
+    return IntegralValue(h0 - h1 + pref * s1, n1 - 1, est)
 
 
 def integral_k(q: int, t: float) -> IntegralValue:
@@ -199,16 +212,20 @@ def integral_k(q: int, t: float) -> IntegralValue:
     """
     _check_t(t)
     q = abs(int(q))
+    x = math.pi * q / (2.0 * t)
     if q == 0:
-        head = 1.0 / (48.0 * t * t)
+        h0, h1 = 1.0 / (48.0 * t * t), 0.0
     else:
-        x = math.pi * q / (2.0 * t)
-        head = -1.0 / (2.0 * math.pi**2 * q * q) + cosh_over_sinh2(x) / (8.0 * t * t)
+        h0, h1 = -1.0 / (2.0 * math.pi**2 * q * q), cosh_over_sinh2(x) / (8.0 * t * t)
     _, s2, s3 = exp_series_sums(np.array([q]), t)
     sq = -1.0 if q % 2 == 0 else 1.0
-    value = head + sq * 2.0 * t / math.pi * float(s2[0]) + sq / math.pi**2 * float(s3[0])
-    n1 = _exp_series_terms(t)[0].size + 1
+    value = h0 + h1 + sq * 2.0 * t / math.pi * float(s2[0]) + sq / math.pi**2 * float(s3[0])
+    r, w = _exp_series_terms(t)
+    n1 = r.size + 1
     est = math.exp(-2.0 * math.pi * t * n1) * (2.0 * t * n1 + 1.0) / (4.0 * t * t * n1 * n1 + float(q) * q)
+    r2, q2 = 4.0 * t * t * r * r, float(q) * q
+    terms = np.abs(w) * (2.0 * t / math.pi * r / (r2 + q2) + np.abs(r2 - q2) / (math.pi * (r2 + q2)) ** 2)
+    est += _rounding([h0, h1], [0.0, x], terms, 2.0 * math.pi * t * r)
     return IntegralValue(value, n1 - 1, est)
 
 
@@ -217,9 +234,12 @@ def integral_j(q: int, t: float) -> IntegralValue:
     entry |q| of ``j_values``."""
     _check_t(t)
     q = abs(int(q))
-    n = _p_weights(t)[0]
+    n, c = _p_weights(t)
     n1 = n[-1] + 2.0
     est = 2.0 * t / math.pi * n1 * math.exp(-math.pi * t * n1) / (t * t * n1 * n1 + float(q) * q)
+    x = math.pi * q / (2.0 * t)
+    terms = 2.0 * t / math.pi * c / (t * t * n * n + float(q) * q)
+    est += _rounding([sech(x) / (2.0 * t)], [x], terms, math.pi * t * n)
     return IntegralValue(float(_j(np.array([q]), t)[0]), n.size, est)
 
 

@@ -25,7 +25,7 @@ from math import isqrt
 
 import numpy as np
 
-from .indicators import AmbiguousClassification, BlockTables
+from .indicators import BlockTables
 from .series import Evaluation
 
 __all__ = [
@@ -148,11 +148,13 @@ def robin_rhs(N: int) -> float:
 @dataclass(frozen=True)
 class RHRecord:
     """One inequality check: sigma against the Lagarias bound (and the
-    Robin bound where applicable).  margin > 0 means unfalsified."""
+    Robin bound where applicable).  margin > 0 means unfalsified.
+    error_estimate is sigma_analytic's, 0.0 when sigma is exact."""
 
     N: int
     sigma_analytic: float
     sigma_exact: int
+    error_estimate: float
     lagarias_rhs: float
     robin_rhs: float | None
     margin: float
@@ -161,7 +163,11 @@ class RHRecord:
 
 def rh_check(N: int, t: float = 1.0, mode: str = "exact") -> RHRecord:
     """Check sigma(N) < H_N + e^(H_N) log H_N with sigma taken exactly
-    ("exact") or from the series representation ("analytic")."""
+    ("exact") or from the series representation ("analytic").
+
+    Returns the record in both modes and raises only for bad arguments.
+    A series value that does not recover sigma(N), non-finite or rounding
+    to another integer, shows as its gap to ``sigma_exact``."""
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
     if mode not in ("exact", "analytic"):
@@ -169,13 +175,9 @@ def rh_check(N: int, t: float = 1.0, mode: str = "exact") -> RHRecord:
     exact = sigma_bruteforce(N)
     if mode == "analytic":
         ev = sigma_analytic(N, t)
-        value = ev.value
-        if not math.isfinite(value) or abs(value - round(value)) >= 0.25:
-            raise AmbiguousClassification(
-                f"sigma series value {value} too far from an integer at N={N}", value
-            )
+        value, est = ev.value, ev.error_estimate
     else:
-        value = float(exact)
+        value, est = float(exact), 0.0
     h = harmonic(N)
     rhs = h + math.exp(h) * math.log(h)
     robin = robin_rhs(N) if N >= 5041 else None
@@ -183,6 +185,7 @@ def rh_check(N: int, t: float = 1.0, mode: str = "exact") -> RHRecord:
         N=N,
         sigma_analytic=value,
         sigma_exact=exact,
+        error_estimate=est,
         lagarias_rhs=rhs,
         robin_rhs=robin,
         margin=rhs - value,

@@ -266,3 +266,69 @@ def test_cli_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-q", "--k", "1", "--N", "4", "--t", "113"],  # e^(2 pi t) overflows
+        ["sigma", "--N", "5", "--t", "300"],
+        ["sum", "--kind", "squares", "--N", "5", "--t", "300"],
+        ["eval-q", "--k", "1", "--N", "4", "--t", "5e-324"],  # 1/t overflows
+        ["eval-q", "--k", "1", "--s", "2", "--N", "16", "--t", "1e-11"],  # 873 TiB grid
+        ["sum", "--kind", "difference", "--N", "5", "--t", "1e-11"],  # 655 TiB grid
+    ],
+)
+def test_t_outside_the_working_range_exits_2(argv):
+    code = "import sys; from arithsum.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+def test_parse_t_bounds():
+    assert parse_t("100,112.96") == [100.0, 112.96]
+    with pytest.raises(ConfigError, match="112.965"):
+        parse_t("1,113")
+    with pytest.raises(ConfigError):
+        parse_t("1e-310")
+
+
+def test_rh_reports_sigma_error_estimate(capsys):
+    _, out = run_cli(["rh", "--mode", "analytic", "--from", "6", "--to", "6", "--format", "json"], capsys)
+    rh = json.loads(out)["records"][0]
+    _, out = run_cli(["sigma", "--N", "6", "--format", "json"], capsys)
+    sigma = json.loads(out)["records"][0]
+    assert rh["error_estimate"] == sigma["error_estimate"] > 0.0
+    _, out = run_cli(["rh", "--from", "6", "--to", "6", "--format", "json"], capsys)
+    exact = json.loads(out)["records"][0]
+    assert exact["error_estimate"] == 0.0
+    assert set(exact["terms"]) == {"robin_rhs", "harmonic"}
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_verify_config_names_fast(capsys, fast):
+    argv = ["verify", "--suite", "decomposition", "--format", "json"] + (["--fast"] if fast else [])
+    _, out = run_cli(argv, capsys)
+    assert json.loads(out)["config"]["fast"] is fast
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-q", "--k", "1", "--N", "1..3"],
+        ["sum", "--kind", "squares", "--N", "4,5"],
+        ["sigma", "--N", "2..4"],
+        ["rh", "--from", "2", "--to", "4", "--mode", "analytic"],
+    ],
+)
+def test_ms_is_measured_only_under_timing(capsys, argv, jobs):
+    for timing, positive in (([], False), (["--timing"], True)):
+        code, out = run_cli(argv + ["--format", "json", "--jobs", jobs] + timing, capsys)
+        assert code == 0
+        for rec in json.loads(out)["records"]:
+            assert (rec["ms"] > 0.0) if positive else (rec["ms"] == 0.0), rec

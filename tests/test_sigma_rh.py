@@ -157,3 +157,19 @@ def test_domain_errors():
         sigma_analytic(10, 0.0)
     with pytest.raises(ValueError):
         harmonic(0)
+
+
+def test_rh_check_reports_sigma_estimate():
+    assert rh_check(6, 1.0, "analytic").error_estimate == sigma_analytic(6, 1.0).error_estimate
+    assert rh_check(6, 1.0, "exact").error_estimate == 0.0
+
+
+def test_rh_check_returns_an_ambiguous_sigma():
+    # at t = 16 the series value for N = 2 is 37.47, which rounds to no
+    # integer: the record carries it, with its gap to sigma_exact, rather
+    # than raising
+    rec = rh_check(2, 16.0, "analytic")
+    assert rec.sigma_exact == 3
+    assert abs(rec.sigma_analytic - round(rec.sigma_analytic)) >= 0.25
+    assert not abs(rec.sigma_analytic - rec.sigma_exact) < 0.25
+    assert rec.margin == rec.lagarias_rhs - rec.sigma_analytic
