@@ -128,6 +128,20 @@ class SolutionList:
     tail_bound: float
 
 
+# candidates per step of the int64 scans: 2^18 of them hold ~16 MB
+_SCAN_CHUNK = 1 << 18
+
+
+def _square_roots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, m): the indices i at which q[i] = m^2 is a perfect square, and
+    those roots m, for int64 0 <= q < 2^62.  Below 2^62 the float root of
+    m^2 is within 1.5 m 2^-53 < 2^-21 of m, so it rounds to m, and an
+    exact int64 product confirms it."""
+    r = np.rint(np.sqrt(q)).astype(np.int64)
+    i = np.flatnonzero(r * r == q)
+    return i, r[i]
+
+
 def enumerate_solutions(
     inst: DiophantineInstance, b_horizon: int = 0, bound: float = 1.0
 ) -> SolutionList:
@@ -137,29 +151,33 @@ def enumerate_solutions(
     The difference kind scans b <= b_horizon; the infinitely many larger
     Pell-type solutions contribute at most bound * sum_{b>horizon} b^-4
     <= bound/(3 horizon^3) to any |g| <= bound weighted sum.
+
+    The candidates are scanned _SCAN_CHUNK at a time by ``_square_roots``,
+    which is exact while N and k b_horizon^2 stay below 2^62; larger
+    inputs are refused.
     """
     N, d, k = inst.N, inst.d, inst.k
-    pairs = []
-    if inst.kind == "sum":
-        a = 1
-        while d * a * a < N:
-            rem = N - d * a * a
-            if rem % k == 0:
-                b = isqrt(rem // k)
-                if b >= 1 and k * b * b == rem:
-                    pairs.append((a, b))
-            a += 1
-        return SolutionList(tuple(pairs), None, 0.0)
-    if b_horizon < 1:
+    if inst.kind == "difference" and b_horizon < 1:
         raise ValueError("difference kind requires b_horizon >= 1")
-    for b in range(1, b_horizon + 1):
-        rem = k * b * b - N
-        if rem >= d and rem % d == 0:
-            a = isqrt(rem // d)
-            if a >= 1 and d * a * a == rem:
-                pairs.append((a, b))
+    if max(N, k * b_horizon * b_horizon) >= 1 << 62:
+        raise ValueError("N and k * b_horizon^2 must be below 2^62 for an exact int64 scan")
+    # the sum kind scans a with d a^2 < N for b = root((N - d a^2)/k), the
+    # difference kind b <= b_horizon for a = root((k b^2 - N)/d)
+    if inst.kind == "sum":
+        sign, coef, div, last = -1, d, k, isqrt((N - 1) // d)
+    else:
+        sign, coef, div, last = 1, k, d, b_horizon
+    found = []
+    for lo in range(1, last + 1, _SCAN_CHUNK):
+        x = np.arange(lo, min(lo + _SCAN_CHUNK, last + 1), dtype=np.int64)
+        rem = sign * (coef * x * x - N)
+        # a candidate that gives no solution becomes 2, which is no square
+        i, root = _square_roots(np.where((rem > 0) & (rem % div == 0), rem // div, 2))
+        found += zip(x[i].tolist(), root.tolist())
+    if inst.kind == "sum":
+        return SolutionList(tuple(found), None, 0.0)
     tail = bound / (3.0 * b_horizon**3)
-    return SolutionList(tuple(pairs), b_horizon, tail)
+    return SolutionList(tuple((a, b) for b, a in found), b_horizon, tail)
 
 
 def sum_squares_bruteforce(inst: DiophantineInstance, g: WeightSpec) -> float:

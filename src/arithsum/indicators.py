@@ -21,13 +21,13 @@ N+c <= 0, for every t > 0.
 
 ``BlockTables`` is the one block engine.  It holds the signed two-sided
 grid sg[R+r] = (-1)^r G(r-N) and Js[Q+m] = J(|m|) of a base, contracts
-them tile by tile into the G-parts of many shifts, and ``blocks``
-assembles head + exp-series + G-part for an array of shifts; no other
-code assembles a block.  The Diophantine and divisor-pair sums of
-``dsums`` and ``sigma_analytic`` evaluate their blocks through it.
-``q_analytic`` and the vanishing identities are its shift-0 block, with
-the two sides folded, (sg[R+r] + sg[R-r]) J(r), before the products are
-summed.  Only the oracles keep organizations of their own:
+them into the G-parts of many shifts (the products next to J's peak
+summed by ``math.fsum``, the rest tile by tile), and ``blocks`` assembles
+head + exp-series + G-part for an array of shifts; no other code
+assembles a block.  ``q_analytic`` and the vanishing identities are its
+shift-0 block; the Diophantine and divisor-pair sums of ``dsums`` and
+``sigma_analytic`` evaluate their blocks through it too.  Only the
+oracles keep organizations of their own:
 ``q_shifted_analytic``, and the general-s form ``q_general_analytic``,
 which is ``series.invert_series`` of ``power_series_evaluator``.
 ``q_shifted_analytic`` and the unit-weight forms of ``dsums`` read the
@@ -51,6 +51,8 @@ from .series import Evaluation, SeriesEvaluator, invert_series
 # doubles of sg per tile of the G-part contraction (512 KiB); a tile and
 # the Js range it meets, ~3 MB at sigma(600), fit a 4 MiB L2 cache
 _TILE = 1 << 16
+# the near products of a G-part, |r + c| <= _NEAR next to J's peak
+_NEAR = 32
 # points and terms per block of power_series_evaluator: 32k doubles
 _R_CHUNK = 256
 _M_CHUNK = 128
@@ -119,7 +121,7 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
     sy = np.where(np.abs(y) % 2 == 1, -1.0, 1.0)  # (-1)^y
     x = pi * ys / (2.0 * t)
     head = (
-        pi * pi / (3.0 * k * ys * math.expm1(2.0 * pi * t))
+        pi * pi / (3.0 * k) / ys / math.expm1(2.0 * pi * t)
         + (1.0 - cth) / (2.0 * ys * ys)
         - sy * pi**3 * cth / (12.0 * k * t) * csch_values(x)
         + sy * pi * pi * cth / (8.0 * t * t) * cosh_over_sinh2_values(x)
@@ -210,26 +212,34 @@ class BlockTables:
         return float(self._gparts(np.array([c]), np.array([r_len]))[0])
 
     def _gparts(self, c: np.ndarray, L: np.ndarray) -> np.ndarray:
-        # tile by tile over r, and within a tile shift by shift, so the sg
-        # tile and the Js range it meets stay in cache for every shift; the
-        # tiles [jT - T/2, jT + T/2) are centred on r = 0, so a window of at
-        # most one tile is still one dot and keeps its bits
+        # each shift first sums its near products with one rounding
+        # (math.fsum): they carry most of its sum |terms|, and a dot rounds
+        # them worse.  The rest of the window follows tile by tile, one dot
+        # on either side of the near range, so the sg tile and the Js range
+        # it meets stay in cache for every shift; the tiles
+        # [jT - T/2, jT + T/2) are centred on r = 0
         m = int(L.max())
-        self.ensure(m, m + int(np.abs(c).max()))
+        self.ensure(m, max(m + int(np.abs(c).max()), _NEAR))
         R, Q, sg, Js = self.R, self.Q, self.sg, self.Js
-        windows = list(enumerate(zip(c.tolist(), L.tolist())))
-        acc = [0.0] * len(windows)
+        windows, acc = [], []
+        for ci, li in zip(c.tolist(), L.tolist()):
+            na = min(max(-ci - _NEAR, -li), li + 1)
+            nb = max(na, min(-ci + _NEAR + 1, li + 1))
+            windows.append((Q + ci, ((-li, na), (nb, li + 1))))
+            near = sg[R + na : R + nb] * Js[Q + ci + na : Q + ci + nb]
+            acc.append(math.fsum(near.tolist()))
         for lo in range((_TILE // 2 - m) // _TILE * _TILE - _TILE // 2, m + 1, _TILE):
-            for i, (ci, li) in windows:
-                a, b = max(lo, -li), min(lo + _TILE, li + 1)
-                if a < b:
-                    acc[i] += np.dot(sg[R + a : R + b], Js[Q + ci + a : Q + ci + b])
+            for i, (q, sides) in enumerate(windows):
+                for x, y in sides:
+                    a, b = max(lo, x), min(lo + _TILE, y)
+                    if a < b:
+                        acc[i] += np.dot(sg[R + a : R + b], Js[q + a : q + b])
         return self.coeff * np.where(c % 2, -1.0, 1.0) * np.array(acc)
 
-    def blocks(self, shifts, r_lens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(value, head, scale) of the block at each shift, its G-part
-        truncated at the matching entry of r_lens (or at r_lens for all)
-        and contracted tile by tile.
+    def blocks(self, shifts, r_lens) -> tuple[np.ndarray, ...]:
+        """(value, head, exp-series, scale) of the block at each shift, its
+        G-part truncated at the matching entry of r_lens (or at r_lens for
+        all) and contracted by ``_gparts``.
 
         value = head + exp-series + G-part; head is the closed head U(N+c);
         scale = |head| + |exp-series| + coeff * ||sg window||_1 * J(0), which
@@ -244,7 +254,7 @@ class BlockTables:
         cum = np.concatenate(([0.0], np.cumsum(np.abs(self.sg[self.R - m : self.R + m + 1]))))
         g_norm = cum[m + L + 1] - cum[m - L]
         scale = np.abs(head) + np.abs(exp_part) + self.coeff * g_norm * self.Js[self.Q]
-        return head + exp_part + g, head, scale
+        return head + exp_part + g, head, exp_part, scale
 
 
 def _default_r_len(N: int, c: int, t: float) -> int:
@@ -259,40 +269,26 @@ def block_value(tables: BlockTables, c: int, r_len: int | None = None) -> float:
     return float(tables.blocks([c], r_len)[0][0])
 
 
-def _shift0_block(k: int, N: int, t: float) -> tuple[float, float, float, int, bool]:
-    """The block at base N and shift 0, at any integer N; it equals
-    q_k(N)/N^2 for N >= 1 and 0 for N <= 0.  Returns (face, series, tail,
-    r_len, guarded): face is the head, the exp-series and the r = 0 term
-    coeff G(-N) J(0); series the r != 0 terms; tail models the omitted
-    ones."""
-    r_len = _default_r_len(N, 0, t)
-    tables = BlockTables(N, k, t, r_len, r_len)
-    R, sg, J = tables.R, tables.sg, tables.Js[tables.Q :]
-    head, exp_part = _closed_heads(np.array([N]), k, t)
-    face = float(head[0] + exp_part[0]) + tables.coeff * float(sg[R] * J[0])
-    # the two sides are folded before the product: one unfolded dot, as
-    # gpart(0) would take, loses enough accuracy at t ~ 7-10 to fail more
-    # classifications
-    terms = (sg[R + 1 : R + r_len + 1] + sg[R - r_len : R][::-1]) * J[1 : r_len + 1]
-    series = tables.coeff * float(np.sum(terms))
-    # Tail model: past r_len the summand decays at least like r^(-7/2) on
-    # the positive side and r^(-4) through the J factor on the negative.
-    tail = tables.coeff * float(np.max(np.abs(terms[-64:]))) * r_len / 2.5
-    return face, series, tail, r_len, tables.g0_guarded
-
-
 def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:
     """Convergent-series value of q_k(N)/N^2 for N >= 1: the shift-0
-    block of ``BlockTables`` at base N, its two sides folded."""
+    block of ``BlockTables`` at base N."""
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    face, series, tail, r_len, guarded = _shift0_block(k, N, t)
+    r_len = _default_r_len(N, 0, t)
+    tables = BlockTables(N, k, t, r_len, r_len)
+    value, head, exp_part, _ = tables.blocks([0], r_len)
+    R, Q, sg, Js = tables.R, tables.Q, tables.sg, tables.Js
+    face = float(head[0] + exp_part[0]) + tables.coeff * float(sg[R] * Js[Q])
+    # tail model: past r_len the summand decays at least like r^(-7/2) on
+    # the positive side and r^(-4) through the J factor on the negative
+    r = np.arange(r_len - 63, r_len + 1)
+    tail = tables.coeff * float(np.max(np.abs((sg[R + r] + sg[R - r]) * Js[Q + r]))) * r_len / 2.5
     est = tail + 1e-12 + abs(face) * 1e-15
-    return Evaluation(face + series, est, {"r_terms": r_len}, guarded)
+    return Evaluation(float(value[0]), est, {"r_terms": r_len}, tables.g0_guarded)
 
 
 def classify_unit(value: float, residual_tol: float = 0.25) -> tuple[int, float]:
@@ -321,8 +317,7 @@ def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
         raise ValueError(f"N must be <= 0, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    face, series, *_ = _shift0_block(k, N, t)
-    return abs(face + series)
+    return abs(block_value(BlockTables(N, k, t), 0))
 
 
 def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:

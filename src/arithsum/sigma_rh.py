@@ -25,6 +25,7 @@ from math import isqrt
 
 import numpy as np
 
+from .dsums import _square_roots
 from .indicators import BlockTables
 from .series import Evaluation
 
@@ -64,10 +65,8 @@ def sigma_decomposition_check(N: int) -> int:
     """|sigma(N) - q_1(N) sqrt(N) - sum_a q_1(4N+a^2) sqrt(4N+a^2)| with
     exact integer arithmetic; 0 for every N.
 
-    Square candidates come from the correctly rounded float sqrt and are
-    accepted only after an exact int64 m*m == M comparison, so the test
-    itself is integer-exact (4N + a^2 < 2^53 throughout the supported
-    range).
+    The square roots of the 4N + a^2 come from ``dsums._square_roots``, an
+    exact int64 test (4N + a^2 < 2^62 throughout the supported range).
     """
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
@@ -78,9 +77,7 @@ def sigma_decomposition_check(N: int) -> int:
     if N > 1:
         a = np.arange(1, N, dtype=np.int64)
         M = 4 * N + a * a
-        r = np.rint(np.sqrt(M.astype(float))).astype(np.int64)
-        hit = r * r == M
-        total += int(r[hit].sum())
+        total += int(_square_roots(M)[1].sum())
     return abs(sigma_bruteforce(N) - total)
 
 
@@ -111,7 +108,7 @@ def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
     # the blocks at base 4N and shifts a^2, weighted by M^(5/2)
     r_len = _sigma_r_len(N, t)
     tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
-    blocks, head, scale = tables.blocks(a2, r_len)
+    blocks, head, _, scale = tables.blocks(a2, r_len)
     total = lead + float(np.sum(M52 * blocks))
 
     # error model: guarded hyperbolics underflow to true zeros; the r

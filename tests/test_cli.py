@@ -289,6 +289,28 @@ def test_t_outside_the_working_range_exits_2(argv):
     assert "Traceback" not in out.stderr
 
 
+def test_closed_heads_warn_nothing_at_the_top_of_t():
+    # e^(2 pi t) is near DBL_MAX, and no term of the head may overflow on
+    # the way to underflowing; the series is still far off there, so the
+    # record fails and the command exits 1
+    code = "import sys; from arithsum.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["eval-q", "--k", "1", "--N", "4", "--t", "112.96", "--format", "json"]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == "", out.stderr
+    assert json.loads(out.stdout)["records"][0]["failed"]
+
+
+@pytest.mark.parametrize("horizon", ["3037000500", "1000000000000000"])
+def test_horizon_past_an_exact_scan_exits_2(horizon, capsys):
+    # k horizon^2 must stay below 2^62 for the exact int64 scan
+    argv = ["sum", "--kind", "difference", "--N", "5", "--horizon", horizon]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_parse_t_bounds():
     assert parse_t("100,112.96") == [100.0, 112.96]
     with pytest.raises(ConfigError, match="112.965"):

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arithsum import dsums, indicators, integrals, series, sigma_rh
@@ -55,6 +60,96 @@ def test_every_enumerated_pair_satisfies_equation():
                     DiophantineInstance(N, d, k, "difference"), 200
                 ).pairs:
                     assert k * b * b - d * a * a == N
+
+
+def _python_scan(inst, b_horizon):
+    # the per-candidate math.isqrt scan that the int64 scan replaced, kept
+    # as the reference
+    N, d, k = inst.N, inst.d, inst.k
+    pairs = []
+    if inst.kind == "sum":
+        a = 1
+        while d * a * a < N:
+            rem = N - d * a * a
+            if rem % k == 0:
+                b = math.isqrt(rem // k)
+                if b >= 1 and k * b * b == rem:
+                    pairs.append((a, b))
+            a += 1
+        return tuple(pairs)
+    for b in range(1, b_horizon + 1):
+        rem = k * b * b - N
+        if rem >= d and rem % d == 0:
+            a = math.isqrt(rem // d)
+            if a >= 1 and d * a * a == rem:
+                pairs.append((a, b))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 100, 3000])
+def test_enumeration_matches_the_python_scan(horizon):
+    # N spans small values, squares and sums of squares, and values past
+    # 10^6 where the float roots of 3 b^2 - N are ~10^3.5
+    for N in (*range(1, 60), 100, 625, 1000, 9999, 10**6, 10**6 + 1, 2 * 10**6 + 3):
+        for d in (1, 2, 3, 7):
+            for k in (1, 2, 3, 5):
+                for kind in ("sum", "difference"):
+                    inst = DiophantineInstance(N, d, k, kind)
+                    got = enumerate_solutions(inst, horizon).pairs
+                    assert got == _python_scan(inst, horizon), (N, d, k, kind)
+                    assert all(type(x) is int for pair in got for x in pair)
+
+
+def test_enumeration_chunks_meet_without_gap_or_overlap(monkeypatch):
+    # candidates 5 at a time, so chunk edges fall between solutions
+    monkeypatch.setattr(dsums, "_SCAN_CHUNK", 5)
+    for N, d, k in ((1, 2, 1), (7, 1, 2), (1000, 1, 1), (9999, 3, 1), (2 * 10**6 + 3, 2, 3)):
+        for kind in ("sum", "difference"):
+            inst = DiophantineInstance(N, d, k, kind)
+            assert enumerate_solutions(inst, 3000).pairs == _python_scan(inst, 3000), (N, d, k)
+
+
+def test_square_roots_are_exact_up_to_2_62():
+    # near 2^62 the float root of m^2 + 1 rounds to m and that of m^2 - 1
+    # can round to m as well; only the exact int64 product tells them apart
+    m = np.array([1, 2, 3, 2**26 + 1, 94906265, 3037000499, 2**31 - 1], dtype=np.int64)
+    q = m * m
+    i, root = dsums._square_roots(q)
+    assert i.tolist() == list(range(len(m))) and (root == m).all()
+    assert dsums._square_roots(q - 1)[0].tolist() == [0]  # 1 - 1 = 0^2
+    assert dsums._square_roots(q + 1)[0].size == 0
+    assert dsums._square_roots(np.array([2, 3, 5, 8, 99]))[0].size == 0
+
+
+def test_enumeration_refuses_inexact_horizons():
+    inst = DiophantineInstance(5, 1, 1, "difference")
+    with pytest.raises(ValueError, match="2\\^62"):
+        enumerate_solutions(inst, 2**31)
+    with pytest.raises(ValueError, match="2\\^62"):
+        enumerate_solutions(DiophantineInstance(5, 1, 4, "difference"), 2**30)
+    assert enumerate_solutions(inst, 5).pairs == ((2, 3),)
+
+
+def test_enumeration_scans_in_bounded_memory():
+    # the scan holds _SCAN_CHUNK candidates at a time: the peak grows by
+    # ~15 MB here, and by ~160 MB with all 4 * 10^6 candidates at once
+    code = (
+        "import resource\n"
+        "from arithsum.dsums import DiophantineInstance, enumerate_solutions\n"
+        "inst = DiophantineInstance(5, 1, 1, 'difference')\n"
+        "enumerate_solutions(inst, 1000)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "pairs = enumerate_solutions(inst, 4 * 10**6).pairs\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) / 1024.0, pairs)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    grown_mb, pairs = out.stdout.split(" ", 1)
+    assert pairs.strip() == "((2, 3),)"
+    assert float(grown_mb) < 64.0, grown_mb
 
 
 def test_bruteforce_examples():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -243,7 +244,7 @@ def test_gpart_is_the_two_sided_series(k):
     tables = BlockTables(N, k, t)
     sizes = [(tables.R, tables.Q)]
     coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
-    for c in (0, 5, -7, 33, -40):
+    for c in (0, 5, -7, 33, -40, -120):  # at -120, J's peak is past the window
         want = coeff * (-1) ** c * math.fsum(
             (-1) ** r * kernel_g(r - N, t, k).value * integral_j(abs(r + c), t).value
             for r in range(-r_len, r_len + 1)
@@ -279,19 +280,70 @@ def test_tiled_gparts_match_fsum(k, t):
         assert gi == tables.gpart(c, L)  # one window alone, same bits
 
 
-def test_window_of_one_tile_is_one_dot():
-    # a window of at most one tile is one np.dot over the whole window, so
-    # the blocks of the Diophantine sums keep the bits of a plain dot
-    T = indicators._TILE
-    tables = BlockTables(40, 2, 1.3)
-    shifts = [7, -3, 0, -40, 1500, -2]
-    r_lens = [0, 1, 40, 2000, T // 2 - 1, 9000]
+@pytest.mark.parametrize("N,k,t", [(40, 2, 1.3), (97, 3, 9.5)])
+def test_window_of_one_tile_is_near_sum_then_dots(N, k, t):
+    # a window of at most one tile is the math.fsum of its products with
+    # |r + c| <= _NEAR, then one dot on either side of that range, so the
+    # blocks of the Diophantine sums have these bits.  The windows of
+    # r_len 0 and 1 lie inside the near range, both window edges cut the
+    # near range of c = 0 (r_len 20), and the others hold theirs whole.
+    # Adding the right dot before the left one changes the bits of c = 1500
+    # at both bases and of c = -40 and c = -2 at the second.  The near
+    # ranges of c = -120 and c = 200 lie past either end of their windows,
+    # which are one dot each
+    T, W = indicators._TILE, indicators._NEAR
+    tables = BlockTables(N, k, t)
+    shifts = [7, -3, 0, -40, 1500, -2, -120, 200]
+    r_lens = [0, 1, 20, 2000, T // 2 - 1, 9000, 50, 60]
     g = tables._gparts(np.array(shifts), np.array(r_lens))
-    R, Q = tables.R, tables.Q
+    R, Q, sg, Js = tables.R, tables.Q, tables.sg, tables.Js
     for gi, c, L in zip(g, shifts, r_lens):
-        dot = np.dot(tables.sg[R - L : R + L + 1], tables.Js[Q + c - L : Q + c + L + 1])
-        want = tables.coeff * (-1) ** c * float(dot)
+        a = min(max(-c - W, -L), L + 1)
+        b = max(a, min(-c + W + 1, L + 1))
+        near = math.fsum(sg[R + a : R + b] * Js[Q + c + a : Q + c + b])
+        left = np.dot(sg[R - L : R + a], Js[Q + c - L : Q + c + a])
+        right = np.dot(sg[R + b : R + L + 1], Js[Q + c + b : Q + c + L + 1])
+        want = tables.coeff * (-1) ** c * float(near + left + right)
         assert gi == want and tables.gpart(c, L) == want, (c, L)
+
+
+def test_shift0_block_is_as_accurate_as_the_fold():
+    # q_analytic's shift-0 block once summed its two sides folded,
+    # (sg[R + r] + sg[R - r]) J(r), in one pairwise sum; that contraction
+    # is kept here as the reference.  At t in [7, 10] the engine, with its
+    # near products summed by math.fsum, must be at least as accurate, as a
+    # mean over the cases
+    # of |G-part - fsum(products)| / sum |products|; one plain dot over
+    # the window is about twice as far off as the fold
+    rng = random.Random(2024)
+    err_engine, err_fold = [], []
+    for _ in range(200):
+        k, N = rng.choice([1, 2, 3]), rng.randint(1, 100)
+        t = math.exp(rng.uniform(math.log(7.0), math.log(10.0)))
+        L = indicators._default_r_len(N, 0, t)
+        tables = BlockTables(N, k, t, L, L)
+        R, sg, J, coeff = tables.R, tables.sg, tables.Js[tables.Q :], tables.coeff
+        products = sg[R - L : R + L + 1] * tables.Js[tables.Q - L : tables.Q + L + 1]
+        want = coeff * math.fsum(products)
+        scale = coeff * math.fsum(np.abs(products))
+        folded = (sg[R + 1 : R + L + 1] + sg[R - L : R][::-1]) * J[1 : L + 1]
+        fold = coeff * float(sg[R] * J[0]) + coeff * float(np.sum(folded))
+        err_engine.append(abs(tables.gpart(0, L) - want) / scale)
+        err_fold.append(abs(fold - want) / scale)
+    assert np.mean(err_engine) <= np.mean(err_fold), (np.mean(err_engine), np.mean(err_fold))
+
+
+@pytest.mark.parametrize("k,N,t", [(1, 1, 1.0), (2, 8, 0.3), (3, 27, 8.5), (1, 97, 9.9)])
+def test_q_analytic_is_the_engines_shift0_block(k, N, t):
+    ev = q_analytic(k, N, t)
+    assert ev.value == block_value(BlockTables(N, k, t), 0, ev.terms_used["r_terms"])
+
+
+def test_closed_heads_do_not_overflow_near_the_top_of_t():
+    # pytest turns a RuntimeWarning into an error; at t = 112.96 the
+    # denominator 3 k y e^(2 pi t) of the head's first term is past DBL_MAX
+    head, exp_part = _closed_heads(np.array([4]), 1, 112.96)
+    assert np.isfinite(head).all() and np.isfinite(exp_part).all()
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
