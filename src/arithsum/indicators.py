@@ -19,9 +19,11 @@ and the G-part is the bilateral jump-kernel series
 The whole expression equals q_k(N+c)/(N+c)^2 for N+c >= 1 and 0 for
 N+c <= 0, for every t > 0.
 
-``BlockTables`` is the one block engine.  It holds the signed two-sided
-grid sg[R+r] = (-1)^r G(r-N) and Js[Q+m] = J(|m|) of a base, contracts
-them into the G-parts of many shifts (the products next to J's peak
+``BlockTables`` is the one block engine, a fixed contraction plan.  It
+builds the signed two-sided grid sg[R+r] = (-1)^r G(r-N) and
+Js[Q+m] = J(|m|) of a base once, at the sizes its driver passes,
+contracts them into the G-parts of many shifts whose windows lie inside
+the grids and hold their J peak r = -c (the products next to the peak
 summed by ``math.fsum``, the rest tile by tile), and ``blocks`` assembles
 head + exp-series + G-part for an array of shifts; no other code
 assembles a block.  ``q_analytic`` and the vanishing identities are its
@@ -42,7 +44,6 @@ from math import pi
 
 import numpy as np
 
-from .integrals import _exp_series_terms, _p_weights  # noqa: F401 (re-exported)
 from .integrals import cosh_over_sinh2_values, coth, csch_values, exp_series_sums
 from .integrals import j_values, p_values, sech_values
 from .kernels import _g
@@ -53,6 +54,7 @@ from .series import Evaluation, SeriesEvaluator, invert_series
 _TILE = 1 << 16
 # the near products of a G-part, |r + c| <= _NEAR next to J's peak
 _NEAR = 32
+_NEAR_RANGE = np.arange(-_NEAR, _NEAR + 1)
 # points and terms per block of power_series_evaluator: 32k doubles
 _R_CHUNK = 256
 _M_CHUNK = 128
@@ -177,63 +179,57 @@ class BlockTables:
     """Jump-kernel and integral grids for one base (N, k, t): the one
     block engine every analytic driver evaluates its blocks through.
 
-    sg[R + r] = (-1)^r G(r - N) for r = -R..R and Js[Q + m] = J(|m|) for
-    m = -Q..Q.  Grids grow on demand, at least doubling, and are reused
-    across every shift c evaluated against the same base.  The G-parts
-    are contracted tile by tile: each tile of sg is read once and serves
-    every shift.
+    A fixed contraction plan: sg[R + r] = (-1)^r G(r - N) for r = -R..R
+    and Js[Q + m] = J(|m|) for m = -Q..Q are built once, here, at
+    R = r_len and Q = q_len, and serve every shift c against the base.
+    A shift's window |r| <= L must lie inside them (L <= R, L + |c| <= Q)
+    and hold the near range around its J peak r = -c (|c| + _NEAR <= L);
+    ``_gparts`` refuses any other.  Each tile of sg is read once and
+    serves every shift.
     """
 
-    def __init__(self, N: int, k: int, t: float, r_len: int = 0, q_len: int = 0):
+    def __init__(self, N: int, k: int, t: float, r_len: int, q_len: int):
         if not t > 0:
             raise ValueError(f"t must be positive, got {t}")
         self.N = int(N)
         self.k = int(k)
         self.t = float(t)
-        self.R = self.Q = 0
-        self.ensure(max(r_len, 8), max(q_len, 8))  # _g rejects k < 1
+        self.R, self.Q = R, Q = int(r_len), int(q_len)
+        self.sg, guarded = _signed_g(self.N, self.t, self.k, R)
+        self.g0_guarded = bool(guarded[R])
+        self.Js = Js = np.empty(2 * Q + 1)
+        Js[Q:] = j_values(Q, self.t)
+        Js[:Q] = Js[:Q:-1]
         self.coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
-
-    def ensure(self, r_len: int, q_len: int) -> None:
-        # the grids are elementwise and read through slices, so growing them
-        # at least twofold changes no value and rebuilds them O(log) times
-        if r_len > self.R:
-            R = self.R = max(r_len, 2 * self.R)
-            self.sg, guarded = _signed_g(self.N, self.t, self.k, R)
-            self.g0_guarded = bool(guarded[R])
-        if q_len > self.Q:
-            Q = self.Q = max(q_len, 2 * self.Q)
-            self.Js = Js = np.empty(2 * Q + 1)
-            Js[Q:] = j_values(Q, self.t)
-            Js[:Q] = Js[:Q:-1]
 
     def gpart(self, c: int, r_len: int) -> float:
         """The bilateral G-series at shift c, truncated at |r| <= r_len."""
         return float(self._gparts(np.array([c]), np.array([r_len]))[0])
 
     def _gparts(self, c: np.ndarray, L: np.ndarray) -> np.ndarray:
-        # each shift first sums its near products with one rounding
-        # (math.fsum): they carry most of its sum |terms|, and a dot rounds
-        # them worse.  The rest of the window follows tile by tile, one dot
-        # on either side of the near range, so the sg tile and the Js range
-        # it meets stay in cache for every shift; the tiles
+        # each shift first sums its near products, |r + c| <= _NEAR, with
+        # one rounding (math.fsum): they carry most of its sum |terms|, and
+        # a dot rounds them worse.  The rest of the window follows tile by
+        # tile, one dot on either side of the near range, so the sg tile and
+        # the Js range it meets stay in cache for every shift; the tiles
         # [jT - T/2, jT + T/2) are centred on r = 0
-        m = int(L.max())
-        self.ensure(m, max(m + int(np.abs(c).max()), _NEAR))
         R, Q, sg, Js = self.R, self.Q, self.sg, self.Js
-        windows, acc = [], []
-        for ci, li in zip(c.tolist(), L.tolist()):
-            na = min(max(-ci - _NEAR, -li), li + 1)
-            nb = max(na, min(-ci + _NEAR + 1, li + 1))
-            windows.append((Q + ci, ((-li, na), (nb, li + 1))))
-            near = sg[R + na : R + nb] * Js[Q + ci + na : Q + ci + nb]
-            acc.append(math.fsum(near.tolist()))
+        cs, ls = c.tolist(), L.tolist()
+        for ci, li in zip(cs, ls):
+            if li > R or li + abs(ci) > Q:
+                raise ValueError(f"window |r| <= {li} at shift {ci} leaves the grids R={R}, Q={Q}")
+            if abs(ci) + _NEAR > li:
+                raise ValueError(f"window |r| <= {li} misses the near range of shift {ci}")
+        near = sg[(R - c)[:, None] + _NEAR_RANGE] * Js[Q - _NEAR : Q + _NEAR + 1]
+        acc = [math.fsum(row) for row in near.tolist()]
+        m = max(ls)
         for lo in range((_TILE // 2 - m) // _TILE * _TILE - _TILE // 2, m + 1, _TILE):
-            for i, (q, sides) in enumerate(windows):
-                for x, y in sides:
-                    a, b = max(lo, x), min(lo + _TILE, y)
+            hi = lo + _TILE
+            for i, (ci, li) in enumerate(zip(cs, ls)):
+                for a, b in (-li, -ci - _NEAR), (-ci + _NEAR + 1, li + 1):
+                    a, b = max(lo, a), min(hi, b)
                     if a < b:
-                        acc[i] += np.dot(sg[R + a : R + b], Js[q + a : q + b])
+                        acc[i] += np.dot(sg[R + a : R + b], Js[Q + ci + a : Q + ci + b])
         return self.coeff * np.where(c % 2, -1.0, 1.0) * np.array(acc)
 
     def blocks(self, shifts, r_lens) -> tuple[np.ndarray, ...]:
@@ -317,7 +313,8 @@ def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
         raise ValueError(f"N must be <= 0, got {N}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    return abs(block_value(BlockTables(N, k, t), 0))
+    r_len = _default_r_len(N, 0, t)
+    return abs(block_value(BlockTables(N, k, t, r_len, r_len), 0))
 
 
 def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:

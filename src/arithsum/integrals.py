@@ -165,9 +165,7 @@ def p_values(q: np.ndarray, t: float) -> np.ndarray:
 def _j(q: np.ndarray, t: float) -> np.ndarray:
     """J(q, t) = sech(pi q/(2t))/(2t) + (-1)^(q-1) (2t/pi) P(q), elementwise
     over an array of integers q >= 0."""
-    x = math.pi * q / (2.0 * t)
-    e = np.exp(-x)
-    head = e / (1.0 + e * e) / t
+    head = sech_values(math.pi * q / (2.0 * t)) / (2.0 * t)
     sign_q = np.where(q % 2 == 0, -1.0, 1.0)  # (-1)^(q-1)
     return head + sign_q * (2.0 * t / math.pi) * p_values(q, t)
 

@@ -12,7 +12,6 @@ from arithsum.indicators import (
     AmbiguousClassification,
     BlockTables,
     _closed_heads,
-    _p_weights,
     block_value,
     classify_unit,
     integer_root,
@@ -24,7 +23,7 @@ from arithsum.indicators import (
     power_series_evaluator,
     zero_identity_residual,
 )
-from arithsum.integrals import integral_i, integral_j, integral_k, sech, sech_values
+from arithsum.integrals import _p_weights, integral_i, integral_j, integral_k, sech, sech_values
 from arithsum.kernels import g_values, kernel_g
 
 
@@ -238,20 +237,16 @@ def test_q_shifted_within_estimate_at_large_t(t):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gpart_is_the_two_sided_series(k):
     # the bilateral G-series summed term by term from the scalar kernel and
-    # the closed-form J, against gpart on a table that starts at its
-    # minimum size and grows between calls
-    N, t, r_len = 9, 1.0, 50
-    tables = BlockTables(N, k, t)
-    sizes = [(tables.R, tables.Q)]
+    # the closed-form J, against gpart
+    N, t, r_len = 9, 1.0, 80
+    tables = BlockTables(N, k, t, r_len, r_len + 40)
     coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
-    for c in (0, 5, -7, 33, -40, -120):  # at -120, J's peak is past the window
+    for c in (0, 5, -7, 33, -40):
         want = coeff * (-1) ** c * math.fsum(
             (-1) ** r * kernel_g(r - N, t, k).value * integral_j(abs(r + c), t).value
             for r in range(-r_len, r_len + 1)
         )
         assert tables.gpart(c, r_len) == pytest.approx(want, rel=1e-11)
-        sizes.append((tables.R, tables.Q))
-    assert len(set(sizes)) >= 3, sizes
 
 
 @pytest.mark.parametrize("k,t", [(1, 1.0), (2, 0.5)])
@@ -266,7 +261,7 @@ def test_tiled_gparts_match_fsum(k, t):
     T = indicators._TILE
     shifts = [-T // 2, 400, -T // 2 + 1, -3000, -1, T // 2 - 1]
     r_lens = [110000, 3 * T // 2 - 1, 70000, 100000, T // 4, 140000]
-    tables = BlockTables(T // 2, k, t)
+    tables = BlockTables(T // 2, k, t, 140000, 140000 + T // 2 - 1)
     g = tables._gparts(np.array(shifts), np.array(r_lens))
     R, Q, eps = tables.R, tables.Q, np.finfo(float).eps
     for gi, c, L in zip(g, shifts, r_lens):
@@ -284,22 +279,19 @@ def test_tiled_gparts_match_fsum(k, t):
 def test_window_of_one_tile_is_near_sum_then_dots(N, k, t):
     # a window of at most one tile is the math.fsum of its products with
     # |r + c| <= _NEAR, then one dot on either side of that range, so the
-    # blocks of the Diophantine sums have these bits.  The windows of
-    # r_len 0 and 1 lie inside the near range, both window edges cut the
-    # near range of c = 0 (r_len 20), and the others hold theirs whole.
+    # blocks of the Diophantine sums have these bits.  The near range fills
+    # the window of c = 0 (r_len 32) and ends on the left edge of c = 7's
+    # and the right edge of c = -3's, whose dots on that side are empty.
     # Adding the right dot before the left one changes the bits of c = 1500
-    # at both bases and of c = -40 and c = -2 at the second.  The near
-    # ranges of c = -120 and c = 200 lie past either end of their windows,
-    # which are one dot each
+    # and c = 200 at both bases and of c = -40, -2 and -120 at the second
     T, W = indicators._TILE, indicators._NEAR
-    tables = BlockTables(N, k, t)
     shifts = [7, -3, 0, -40, 1500, -2, -120, 200]
-    r_lens = [0, 1, 20, 2000, T // 2 - 1, 9000, 50, 60]
+    r_lens = [39, 35, 32, 2000, T // 2 - 1, 9000, 200, 260]
+    tables = BlockTables(N, k, t, T // 2 - 1, T // 2 - 1 + 1500)
     g = tables._gparts(np.array(shifts), np.array(r_lens))
     R, Q, sg, Js = tables.R, tables.Q, tables.sg, tables.Js
     for gi, c, L in zip(g, shifts, r_lens):
-        a = min(max(-c - W, -L), L + 1)
-        b = max(a, min(-c + W + 1, L + 1))
+        a, b = -c - W, -c + W + 1
         near = math.fsum(sg[R + a : R + b] * Js[Q + c + a : Q + c + b])
         left = np.dot(sg[R - L : R + a], Js[Q + c - L : Q + c + a])
         right = np.dot(sg[R + b : R + L + 1], Js[Q + c + b : Q + c + L + 1])
@@ -336,7 +328,8 @@ def test_shift0_block_is_as_accurate_as_the_fold():
 @pytest.mark.parametrize("k,N,t", [(1, 1, 1.0), (2, 8, 0.3), (3, 27, 8.5), (1, 97, 9.9)])
 def test_q_analytic_is_the_engines_shift0_block(k, N, t):
     ev = q_analytic(k, N, t)
-    assert ev.value == block_value(BlockTables(N, k, t), 0, ev.terms_used["r_terms"])
+    r_len = ev.terms_used["r_terms"]
+    assert ev.value == block_value(BlockTables(N, k, t, r_len, r_len), 0, r_len)
 
 
 def test_closed_heads_do_not_overflow_near_the_top_of_t():
@@ -374,11 +367,33 @@ def test_sech_parts_reject_windows_off_the_grid():
 
 
 def test_block_tables_match_shifted():
-    tables = BlockTables(9, 1, 1.0)
+    # one plan holds the default window of every shift, the largest at c = 16
+    r_len = indicators._default_r_len(9, 16, 1.0)
+    tables = BlockTables(9, 1, 1.0, r_len, r_len + 16)
     for c in (-11, -9, -2, 0, 5, 7, 16):
         y = 9 + c
         want = q_bruteforce(1, 1, y) / (y * y) if y >= 1 else 0.0
         assert abs(block_value(tables, c) - want) < 1e-9
+
+
+def test_plan_refuses_windows_it_cannot_hold():
+    # a window |r| <= L at shift c must lie inside the grids (L <= R and
+    # L + |c| <= Q) and hold the near range around J's peak r = -c
+    # (|c| + _NEAR <= L); numpy would otherwise clip or wrap its slices
+    tables = BlockTables(9, 1, 1.0, 100, 150)
+    tables.gpart(50, 100)
+    tables.blocks([-50, 0], [100, 32])
+    for c, L in [(0, 101), (51, 100), (-51, 100)]:
+        with pytest.raises(ValueError, match="leaves the grids"):
+            tables.gpart(c, L)
+        with pytest.raises(ValueError, match="leaves the grids"):
+            tables.blocks([0, c], [32, L])
+    tables = BlockTables(9, 1, 1.0, 100, 200)
+    for c, L in [(-120, 50), (0, 31), (69, 100)]:
+        with pytest.raises(ValueError, match="near range"):
+            tables.gpart(c, L)
+        with pytest.raises(ValueError, match="near range"):
+            tables.blocks([0, c], [32, L])
 
 
 def test_q_general_examples():

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from arithsum import indicators
+from arithsum import indicators, sigma_rh
 from arithsum.indicators import AmbiguousClassification, BlockTables, block_value
+from arithsum.series import Evaluation
 from arithsum.sigma_rh import (
     _sigma_r_len,
     EULER_GAMMA,
@@ -64,8 +65,8 @@ def test_sigma_analytic_top_of_benchmark_range(N):
 @pytest.mark.parametrize("N", [6, 30, 97])
 def test_sigma_is_weighted_sum_of_blocks(N, t):
     # sigma(N) = q_1(N) sqrt(N) + sum_a (4N+a^2)^(5/2) block(4N, a^2)
-    tables = BlockTables(4 * N, 1, t)
     r_len = _sigma_r_len(N, t)
+    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
     want = math.sqrt(N) if math.isqrt(N) ** 2 == N else 0.0
     want += math.fsum(
         (4 * N + a * a) ** 2.5 * block_value(tables, a * a, r_len) for a in range(1, N)
@@ -73,19 +74,22 @@ def test_sigma_is_weighted_sum_of_blocks(N, t):
     assert sigma_analytic(N, t).value == pytest.approx(want, rel=1e-10)
 
 
-def test_growing_tables_are_not_rebuilt_per_shift(monkeypatch):
-    # the walk of test_sigma_is_weighted_sum_of_blocks at N = 97: a table
-    # at its default size asked for shifts a^2 in increasing order must grow
-    # geometrically, not rebuild J for every shift
+def test_one_plan_builds_its_grids_once(monkeypatch):
+    # the walk of test_sigma_is_weighted_sum_of_blocks at N = 97, one shift
+    # a^2 at a time, over one plan sized for the largest shift: the grids
+    # are built in BlockTables.__init__ and by no shift
     built = []
-    real = indicators.j_values
-    monkeypatch.setattr(indicators, "j_values", lambda q, t: built.append(q) or real(q, t))
+    for name in ("j_values", "_signed_g"):
+        real = getattr(indicators, name)
+        monkeypatch.setattr(
+            indicators, name, lambda *args, name=name, real=real: built.append(name) or real(*args)
+        )
     N, t = 97, 1.0
-    tables = BlockTables(4 * N, 1, t)
     r_len = _sigma_r_len(N, t)
+    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
     for a in range(1, N):
         block_value(tables, a * a, r_len)
-    assert len(built) <= 4, built
+    assert sorted(built) == ["_signed_g", "j_values"], built
 
 
 @pytest.mark.parametrize("t", [10.0, 16.0, 20.0])
@@ -164,12 +168,13 @@ def test_rh_check_reports_sigma_estimate():
     assert rh_check(6, 1.0, "exact").error_estimate == 0.0
 
 
-def test_rh_check_returns_an_ambiguous_sigma():
-    # at t = 16 the series value for N = 2 is 37.47, which rounds to no
-    # integer: the record carries it, with its gap to sigma_exact, rather
-    # than raising
+def test_rh_check_returns_an_ambiguous_sigma(monkeypatch):
+    # a series value of 3.5 rounds to no integer: the record carries it,
+    # with its gap to sigma_exact and its estimate, rather than raising
+    monkeypatch.setattr(sigma_rh, "sigma_analytic", lambda N, t: Evaluation(3.5, 0.75))
     rec = rh_check(2, 16.0, "analytic")
     assert rec.sigma_exact == 3
+    assert rec.sigma_analytic == 3.5 and rec.error_estimate == 0.75
     assert abs(rec.sigma_analytic - round(rec.sigma_analytic)) >= 0.25
     assert not abs(rec.sigma_analytic - rec.sigma_exact) < 0.25
     assert rec.margin == rec.lagarias_rhs - rec.sigma_analytic
