@@ -46,7 +46,7 @@ import numpy as np
 
 from .integrals import cosh_over_sinh2_values, coth, csch_values, exp_series_sums
 from .integrals import j_values, p_values, sech_values
-from .kernels import _g
+from .kernels import TABLE_CHUNK, _g
 from .series import Evaluation, SeriesEvaluator, invert_series
 
 # doubles of sg per tile of the G-part contraction (512 KiB); a tile and
@@ -144,14 +144,14 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
 
 def _signed_g(N: int, t: float, k: int, R: int) -> tuple[np.ndarray, np.ndarray]:
     """(sg, guarded): the signed two-sided grid sg[R + r] = (-1)^r G(r - N)
-    for r = -R..R, and the overflow-guard mask of each entry.  Each side is
-    its own _g call, which halves the temporaries."""
-    r = np.arange(R + 1, dtype=float)
+    for r = -R..R, and the overflow-guard mask of each entry, filled
+    TABLE_CHUNK entries at a time so that _g's temporaries stay in cache."""
     sg = np.empty(2 * R + 1)
     guarded = np.empty(2 * R + 1, dtype=bool)
-    sg[R:], guarded[R:] = _g(r - N, t, k)
-    sg[:R], guarded[:R] = _g(-r[:0:-1] - N, t, k)
-    sg[(R + 1) % 2 :: 2] *= -1.0
+    for i in range(0, 2 * R + 1, TABLE_CHUNK):
+        s = sg[i : i + TABLE_CHUNK]
+        s[:], guarded[i : i + TABLE_CHUNK] = _g(np.arange(i, i + s.size, dtype=float) - (R + N), t, k)
+        s[(R + 1 + i) % 2 :: 2] *= -1.0
     return sg, guarded
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GUARD_THRESHOLD
+from .kernels import GUARD_THRESHOLD, TABLE_CHUNK
 
 WEIGHT_TOL = 1e-18
 _EPS = float(np.finfo(float).eps)
@@ -135,15 +135,20 @@ def _p_weights(t: float) -> tuple[np.ndarray, np.ndarray]:
 def exp_series_sums(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s1, s2, s3), the r-series of I and K, elementwise over y: with w_r from
     ``_exp_series_terms`` and d_r = 4 t^2 r^2 + y^2, s1 = sum w_r / d_r,
-    s2 = sum w_r r / d_r and s3 = sum w_r (4 t^2 r^2 - y^2) / d_r^2."""
+    s2 = sum w_r r / d_r and s3 = sum w_r (4 t^2 r^2 - y^2) / d_r^2, in blocks of
+    ~TABLE_CHUNK terms, never 1 column wide unless y is: numpy sums that pairwise."""
     yf = np.asarray(y, dtype=float)
     r, w = _exp_series_terms(t)
     r2 = 4.0 * t * t * r[:, None] ** 2
-    dmat = r2 + yf[None, :] ** 2
-    s1 = (w[:, None] / dmat).sum(axis=0)
-    s2 = (w[:, None] * r[:, None] / dmat).sum(axis=0)
-    s3 = (w[:, None] * (r2 - yf[None, :] ** 2) / dmat**2).sum(axis=0)
-    return s1, s2, s3
+    n = yf.size
+    s = np.empty((3, n))
+    for cols in np.array_split(np.arange(n), max(1, min(n // 2, n * r.size // TABLE_CHUNK))):
+        y2 = yf[cols] ** 2
+        dmat = r2 + y2
+        s[0, cols] = (w[:, None] / dmat).sum(axis=0)
+        s[1, cols] = (w[:, None] * r[:, None] / dmat).sum(axis=0)
+        s[2, cols] = (w[:, None] * (r2 - y2) / dmat**2).sum(axis=0)
+    return s[0], s[1], s[2]
 
 
 def p_values(q: np.ndarray, t: float) -> np.ndarray:
@@ -242,13 +247,16 @@ def integral_j(q: int, t: float) -> IntegralValue:
 
 
 def j_values(q_max: int, t: float) -> np.ndarray:
-    """J(q, t) for q = 0..q_max as one vectorized sweep.
+    """J(q, t) for q = 0..q_max, in _j calls of TABLE_CHUNK entries.
 
     The series drivers index this table by |r +- c|, so it is built once
     per evaluation context rather than per call.
     """
     _check_t(t)
-    return _j(np.arange(q_max + 1), t)
+    out = np.empty(q_max + 1)
+    for i in range(0, q_max + 1, TABLE_CHUNK):
+        out[i : i + TABLE_CHUNK] = _j(np.arange(i, min(i + TABLE_CHUNK, q_max + 1)), t)
+    return out
 
 
 _INTEGRANDS = {

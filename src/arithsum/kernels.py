@@ -14,7 +14,9 @@ kernels are exposed:
 Direct sinh/cosh evaluation overflows binary64 once the argument passes
 ~709; every kernel therefore switches to an exponential rewrite when the
 argument exceeds ``GUARD_THRESHOLD``, and reports that the rewrite fired
-via ``KernelValue.overflow_guarded``.
+via ``KernelValue.overflow_guarded``.  G and T take each element's own
+branch only: direct for a <= 30, the rewrite up to a = 373, and past it
+num = 2p, den = 1, the rewrite's exact bits once e^(-2a) underflows to 0.
 
 G and T have one implementation each, elementwise over arrays of M
 (``g_values``, ``t_values``); the scalar forms ``kernel_g``, ``kernel_t``
@@ -34,6 +36,8 @@ import numpy as np
 # already at 30 costs nothing (the rewrite agrees to ~1e-26 there) and
 # leaves maximal headroom for downstream products.
 GUARD_THRESHOLD = 30.0
+# entries per _g/_j call of a table build: 64 KiB temporaries, in L2 and below malloc's mmap threshold
+TABLE_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -74,26 +78,44 @@ def _roots(M: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return h, np.where(M >= 0, big, small), np.where(M >= 0, small, big)
 
 
+def _direct(p, q, a, b):
+    sb = np.sin(b)
+    return p * np.sinh(2.0 * a) + q * np.sin(2.0 * b), np.sinh(a) ** 2 + sb * sb
+
+
+def _rewrite(p, q, a, b):
+    # sinh(2a) = e^{2a}(1 - x^2)/2 and sinh^2(a) = e^{2a}(1 - x)^2/4
+    # with x = e^{-2a}; dividing through by e^{2a}/4 keeps everything finite.
+    sb = np.sin(b)
+    with np.errstate(under="ignore"):
+        x = np.exp(-2.0 * a)
+    return 2.0 * p * (1.0 - x * x) + 4.0 * q * np.sin(2.0 * b) * x, (1.0 - x) ** 2 + 4.0 * sb * sb * x
+
+
 def _guarded_ratio(
     p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator and denominator of [p sinh(2a) + q sin(2b)] / (sinh^2(a) +
     sin^2(b)), and the mask where a > GUARD_THRESHOLD and both were rewritten
     in exponentials.  The denominator is bounded below by sinh^2(a) > 0 for
-    a > 0, so no special-casing is needed near sin resonances."""
-    sb = np.sin(b)
-    s2b = np.sin(2.0 * b)
+    a > 0, so no special-casing is needed near sin resonances.  Each element
+    takes only its own branch, on a whole array, a slice or a gather."""
     guarded = a > GUARD_THRESHOLD
-    a_safe = np.where(guarded, 1.0, a)
-    num_direct = p * np.sinh(2.0 * a_safe) + q * s2b
-    den_direct = np.sinh(a_safe) ** 2 + sb * sb
-    # sinh(2a) = e^{2a}(1 - x^2)/2 and sinh^2(a) = e^{2a}(1 - x)^2/4
-    # with x = e^{-2a}; dividing through by e^{2a}/4 keeps everything finite.
-    with np.errstate(under="ignore"):
-        x = np.exp(-2.0 * np.where(guarded, a, GUARD_THRESHOLD))
-    num_guard = 2.0 * p * (1.0 - x * x) + 4.0 * q * s2b * x
-    den_guard = (1.0 - x) ** 2 + 4.0 * sb * sb * x
-    return np.where(guarded, num_guard, num_direct), np.where(guarded, den_guard, den_direct), guarded
+    zero = a > 373.0  # e^{-2a} is 0.0 from a = 372.6 on: the rewrite is 2p over 1
+    n = a.size
+    lo, hi = n - np.count_nonzero(guarded), n - np.count_nonzero(zero)
+    runs = ((_direct, 0, lo), (_rewrite, lo, hi), (lambda p, q, a, b: (2.0 * p, np.ones_like(a)), hi, n))
+    for branch, i, j in runs:
+        if j - i == n:
+            return (*branch(p, q, a, b), guarded)
+    ascending = a.ndim == 1 and np.count_nonzero(guarded[lo:]) == n - lo
+    ascending = ascending and np.count_nonzero(zero[hi:]) == n - hi
+    num, den = np.empty_like(a), np.empty_like(a)
+    for (branch, i, j), mask in zip(runs, (~guarded, guarded & ~zero, zero)):
+        if i < j:
+            s = slice(i, j) if ascending else mask
+            num[s], den[s] = branch(p[s], q[s], a[s], b[s])
+    return num, den, guarded
 
 
 def _g(M, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:

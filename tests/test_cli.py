@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from arithsum import sigma_rh
 from arithsum.cli import build_parser, main, parse_range, parse_t, ConfigError
+from arithsum.series import Evaluation
 
 
 def run_cli(argv, capsys):
@@ -138,11 +140,12 @@ def test_rh_command(capsys):
     assert all(r["diff"] > 0 for r in doc["records"])
 
 
-def test_rh_analytic_ambiguous_sigma_is_failed_record(capsys):
-    # at t = 16 the sigma series rounds to no integer at N = 4: a failed
-    # record and exit 1, not a usage error
+def test_rh_analytic_ambiguous_sigma_is_failed_record(monkeypatch, capsys):
+    # a sigma series value of 3.5 rounds to no integer: a failed record and
+    # exit 1, not a usage error
+    monkeypatch.setattr(sigma_rh, "sigma_analytic", lambda N, t: Evaluation(3.5, 0.75))
     code, out = run_cli(
-        ["rh", "--mode", "analytic", "--from", "2", "--to", "4", "--t", "16", "--format", "json"],
+        ["rh", "--mode", "analytic", "--from", "2", "--to", "4", "--t", "16", "--format", "json", "--jobs", "1"],
         capsys,
     )
     assert code == 1

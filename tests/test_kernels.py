@@ -15,6 +15,7 @@ from arithsum.integrals import (
     sech,
     sech_values,
 )
+from arithsum import kernels
 from arithsum.kernels import (
     GUARD_THRESHOLD,
     g_values,
@@ -230,3 +231,45 @@ def test_mittag_leffler_domain():
         mittag_leffler_residual(3.5, 1.0, 10)
     with pytest.raises(ValueError):
         mittag_leffler_residual(0.0, 0.0, 10)
+
+
+def _two_branch_ratio(p, q, a, b):
+    # the earlier form of kernels._guarded_ratio, kept as the reference: both
+    # branches for every element, one picked by np.where
+    sb = np.sin(b)
+    s2b = np.sin(2.0 * b)
+    guarded = a > GUARD_THRESHOLD
+    a_safe = np.where(guarded, 1.0, a)
+    num_direct = p * np.sinh(2.0 * a_safe) + q * s2b
+    den_direct = np.sinh(a_safe) ** 2 + sb * sb
+    with np.errstate(under="ignore"):
+        x = np.exp(-2.0 * np.where(guarded, a, GUARD_THRESHOLD))
+    num_guard = 2.0 * p * (1.0 - x * x) + 4.0 * q * s2b * x
+    den_guard = (1.0 - x) ** 2 + 4.0 * sb * sb * x
+    return np.where(guarded, num_guard, num_direct), np.where(guarded, den_guard, den_direct), guarded
+
+
+def _bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("t", [0.001, 0.1, 1.0, 8.0, 112.9])
+def test_one_branch_kernels_keep_the_two_branch_bits(monkeypatch, t):
+    # pi u/sqrt(k) passes 30 near M = 91 k and 373 near M = 14100 k, so the
+    # ascending grid holds all three branches for every k; the shuffled and
+    # descending grids take the index path, the short ones the whole-array path
+    rng = np.random.default_rng(5)
+    up = np.arange(-6.0e4, 6.0e4, 1.7)
+    grids = [up, rng.permutation(up), up[::-1].copy(), np.arange(-500.0, 500.0, 0.3)]
+    grids += [np.array([m]) for m in (-3.0, 50.0, 2000.0, 1e6)] + [np.array([])]
+    for grid in grids:
+        got = [kernels._g(grid, t, k) for k in (1, 2, 3)] + [kernels._t(grid, t)]
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_guarded_ratio", _two_branch_ratio)
+            want = [kernels._g(grid, t, k) for k in (1, 2, 3)] + [kernels._t(grid, t)]
+        for (gv, gg), (wv, wg) in zip(got, want):
+            assert np.array_equal(_bits(gv), _bits(wv)), (t, grid[:2])
+            assert np.array_equal(gg, wg), (t, grid[:2])
+    for k in (1, 2, 3):
+        assert np.array_equal(_bits(g_values(up, t, k)), _bits(kernels._g(up, t, k)[0]))
+    assert np.array_equal(_bits(t_values(up, t)), _bits(kernels._t(up, t)[0]))

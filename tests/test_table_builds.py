@@ -1,0 +1,82 @@
+"""The table builds fill their outputs in cache-sized chunks: the values
+keep the bits of one unchunked call, and the temporaries stay small."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from arithsum import indicators, integrals
+from arithsum.indicators import _closed_heads, _signed_g
+from arithsum.integrals import _exp_series_terms, _j, exp_series_sums, j_values
+from arithsum.kernels import TABLE_CHUNK, _g
+
+
+def _bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("chunk", [TABLE_CHUNK, 1001])
+@pytest.mark.parametrize("size", ["below", "exact", "several"])
+def test_chunked_builds_equal_one_unchunked_call(monkeypatch, chunk, size):
+    # an odd chunk moves the parity of r from chunk to chunk, and only an
+    # odd chunk can hold the odd grid sg exactly
+    monkeypatch.setattr(indicators, "TABLE_CHUNK", chunk)
+    monkeypatch.setattr(integrals, "TABLE_CHUNK", chunk)
+    n = {"below": chunk - 2, "exact": chunk, "several": 3 * chunk + chunk // 3}[size]
+    R, N, t, k = n // 2, 37, 0.7, 2
+    sg, guarded = _signed_g(N, t, k, R)
+    g, want_guarded = _g(np.arange(-R, R + 1, dtype=float) - N, t, k)
+    g[(R + 1) % 2 :: 2] *= -1.0
+    assert np.array_equal(_bits(sg), _bits(g))
+    assert np.array_equal(guarded, want_guarded)
+    assert np.array_equal(_bits(j_values(n - 1, t)), _bits(_j(np.arange(n), t)))
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_builds_peak_at_their_outputs_plus_4_mb():
+    # numpy reports its buffers to tracemalloc; unchunked, the temporaries
+    # took 32 MB (sg) and 19 MB (J) beyond the outputs
+    (sg, guarded), peak = _peak_bytes(lambda: _signed_g(400, 1.0, 1, 200000))
+    assert peak <= sg.nbytes + guarded.nbytes + 4e6
+    js, peak = _peak_bytes(lambda: j_values(400000, 1.0))
+    assert peak <= js.nbytes + 4e6
+
+
+def _unblocked_exp_series_sums(y, t):
+    # the earlier form of integrals.exp_series_sums, kept as the reference:
+    # one (grid x y) array per term
+    yf = np.asarray(y, dtype=float)
+    r, w = _exp_series_terms(t)
+    r2 = 4.0 * t * t * r[:, None] ** 2
+    dmat = r2 + yf[None, :] ** 2
+    s1 = (w[:, None] / dmat).sum(axis=0)
+    s2 = (w[:, None] * r[:, None] / dmat).sum(axis=0)
+    s3 = (w[:, None] * (r2 - yf[None, :] ** 2) / dmat**2).sum(axis=0)
+    return s1, s2, s3
+
+
+@pytest.mark.parametrize("t", [0.001, 0.013, 0.3, 1.0, 10.0])
+def test_exp_series_blocks_keep_the_unblocked_bits(t):
+    # at t = 0.001 the grid has 6,600 rows, so the blocks of 400 columns
+    # are 2 wide; a block of one column would be summed pairwise
+    rng = np.random.default_rng(3)
+    for width in (1, 2, 3, 7, 400) + ((5000,) if t >= 0.3 else ()):
+        y = rng.integers(-4000, 4000, width)
+        for got, want in zip(exp_series_sums(y, t), _unblocked_exp_series_sums(y, t)):
+            assert np.array_equal(_bits(got), _bits(want)), (t, width)
+
+
+def test_closed_heads_at_small_t_stay_small():
+    # unblocked, this call raised the peak by about 250 MB
+    _, peak = _peak_bytes(lambda: _closed_heads(np.arange(1, 1601), 1, 0.001))
+    assert peak <= 4e6
