@@ -341,8 +341,8 @@ def _divisor_pair_bruteforce(g: WeightSpec, N: int) -> float:
 # block aggregation above).
 # ---------------------------------------------------------------------------
 
-# r-values per T call of the P sums: shorter calls keep the temporaries of
-# the guarded ratio in cache
+# r-values per T call of the P sums: shorter calls keep the guarded ratio's temporaries
+# in cache.  Not kernels.TABLE_CHUNK: it also groups p_sum's dots, and so the sum's bits.
 _T_CHUNK = 1 << 12
 
 
@@ -377,7 +377,7 @@ def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> 
     p_sum = 0.0
     for lo in range(-r_p, r_p + 1, _T_CHUNK):
         r = np.arange(lo, min(lo + _T_CHUNK, r_p + 1), dtype=float)
-        M, acc = -s * r / d, -0.5 * p_values(r, t)
+        M, acc = -s * r / d, -0.5 * p_values(r, t, (n, cm))
         for zi, ci in zip(t * n, cm):
             acc += ci * pi / (4.0 * d * d) * t_values(M, zi / d)
         p_sum += float(np.dot(sg[R + lo : R + lo + len(r)], np.where(r % 2, -acc, acc)))

@@ -140,8 +140,7 @@ def exp_series_sums(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     yf = np.asarray(y, dtype=float)
     r, w = _exp_series_terms(t)
     r2 = 4.0 * t * t * r[:, None] ** 2
-    n = yf.size
-    s = np.empty((3, n))
+    s, n = np.empty((3, yf.size)), yf.size
     for cols in np.array_split(np.arange(n), max(1, min(n // 2, n * r.size // TABLE_CHUNK))):
         y2 = yf[cols] ** 2
         dmat = r2 + y2
@@ -151,15 +150,15 @@ def exp_series_sums(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     return s[0], s[1], s[2]
 
 
-def p_values(q: np.ndarray, t: float) -> np.ndarray:
-    """P(q) = sum_n c_n / (t^2 n^2 + q^2) elementwise over q, with c_n from
-    ``_p_weights``, one weight at a time into one buffer.  The smallest
-    terms come first: in the other order the partial sums at t = 0.001
+def p_values(q: np.ndarray, t: float, weights=None) -> np.ndarray:
+    """P(q) = sum_n c_n / (t^2 n^2 + q^2) elementwise over q, with (n, c_n) the
+    given ``weights`` or ``_p_weights(t)``, one weight at a time into one buffer.
+    The smallest terms come first: in the other order the partial sums at t = 0.001
     stay near P(0) ~ 1/t^2 and put 3e-12 of rounding into J(0), not 1.3e-13."""
     q2 = np.square(np.asarray(q, dtype=float))
     out = np.zeros_like(q2)
     buf = np.empty_like(q2)
-    n, c = _p_weights(t)
+    n, c = _p_weights(t) if weights is None else weights
     for nm, cm in zip(n[::-1], c[::-1]):
         np.add(q2, t * t * nm * nm, out=buf)
         np.divide(cm, buf, out=buf)
@@ -167,12 +166,12 @@ def p_values(q: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _j(q: np.ndarray, t: float) -> np.ndarray:
+def _j(q: np.ndarray, t: float, weights=None) -> np.ndarray:
     """J(q, t) = sech(pi q/(2t))/(2t) + (-1)^(q-1) (2t/pi) P(q), elementwise
-    over an array of integers q >= 0."""
+    over an array of integers q >= 0; ``weights`` as in ``p_values``."""
     head = sech_values(math.pi * q / (2.0 * t)) / (2.0 * t)
     sign_q = np.where(q % 2 == 0, -1.0, 1.0)  # (-1)^(q-1)
-    return head + sign_q * (2.0 * t / math.pi) * p_values(q, t)
+    return head + sign_q * (2.0 * t / math.pi) * p_values(q, t, weights)
 
 
 def _check_t(t: float) -> None:
@@ -253,9 +252,9 @@ def j_values(q_max: int, t: float) -> np.ndarray:
     per evaluation context rather than per call.
     """
     _check_t(t)
-    out = np.empty(q_max + 1)
+    out, weights = np.empty(q_max + 1), _p_weights(t)
     for i in range(0, q_max + 1, TABLE_CHUNK):
-        out[i : i + TABLE_CHUNK] = _j(np.arange(i, min(i + TABLE_CHUNK, q_max + 1)), t)
+        out[i : i + TABLE_CHUNK] = _j(np.arange(i, min(i + TABLE_CHUNK, q_max + 1)), t, weights)
     return out
 
 

@@ -92,6 +92,10 @@ def _rewrite(p, q, a, b):
     return 2.0 * p * (1.0 - x * x) + 4.0 * q * np.sin(2.0 * b) * x, (1.0 - x) ** 2 + 4.0 * sb * sb * x
 
 
+def _past_underflow(p, q, a, b):  # e^{-2a} is 0.0 from a = 372.6 on: _rewrite's exact bits
+    return 2.0 * p, np.ones_like(a)
+
+
 def _guarded_ratio(
     p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,21 +103,18 @@ def _guarded_ratio(
     sin^2(b)), and the mask where a > GUARD_THRESHOLD and both were rewritten
     in exponentials.  The denominator is bounded below by sinh^2(a) > 0 for
     a > 0, so no special-casing is needed near sin resonances.  Each element
-    takes only its own branch, on a whole array, a slice or a gather."""
+    takes only its own branch: on the whole array, on a slice where the branch
+    is one run (as on monotone grids: every table chunk), else on a gather."""
     guarded = a > GUARD_THRESHOLD
-    zero = a > 373.0  # e^{-2a} is 0.0 from a = 372.6 on: the rewrite is 2p over 1
-    n = a.size
-    lo, hi = n - np.count_nonzero(guarded), n - np.count_nonzero(zero)
-    runs = ((_direct, 0, lo), (_rewrite, lo, hi), (lambda p, q, a, b: (2.0 * p, np.ones_like(a)), hi, n))
-    for branch, i, j in runs:
-        if j - i == n:
-            return (*branch(p, q, a, b), guarded)
-    ascending = a.ndim == 1 and np.count_nonzero(guarded[lo:]) == n - lo
-    ascending = ascending and np.count_nonzero(zero[hi:]) == n - hi
+    zero = a > 373.0
     num, den = np.empty_like(a), np.empty_like(a)
-    for (branch, i, j), mask in zip(runs, (~guarded, guarded & ~zero, zero)):
-        if i < j:
-            s = slice(i, j) if ascending else mask
+    for branch, mask in ((_direct, ~guarded), (_rewrite, guarded & ~zero), (_past_underflow, zero)):
+        m = np.count_nonzero(mask)
+        if m == a.size:
+            return (*branch(p, q, a, b), guarded)
+        if m:
+            i = mask.argmax()
+            s = slice(i, i + m) if a.ndim == 1 and mask[i : i + m].all() else mask
             num[s], den[s] = branch(p[s], q[s], a[s], b[s])
     return num, den, guarded
 

@@ -256,11 +256,13 @@ def _bits(x):
 @pytest.mark.parametrize("t", [0.001, 0.1, 1.0, 8.0, 112.9])
 def test_one_branch_kernels_keep_the_two_branch_bits(monkeypatch, t):
     # pi u/sqrt(k) passes 30 near M = 91 k and 373 near M = 14100 k, so the
-    # ascending grid holds all three branches for every k; the shuffled and
-    # descending grids take the index path, the short ones the whole-array path
+    # ascending grid holds all three branches for every k; the monotone grids
+    # take slices, the shuffled and 2-D ones masks, the one-element and empty
+    # ones the whole-array path
     rng = np.random.default_rng(5)
     up = np.arange(-6.0e4, 6.0e4, 1.7)
     grids = [up, rng.permutation(up), up[::-1].copy(), np.arange(-500.0, 500.0, 0.3)]
+    grids += [up[:70000].reshape(70, 1000)]
     grids += [np.array([m]) for m in (-3.0, 50.0, 2000.0, 1e6)] + [np.array([])]
     for grid in grids:
         got = [kernels._g(grid, t, k) for k in (1, 2, 3)] + [kernels._t(grid, t)]
