@@ -20,8 +20,9 @@ The whole expression equals q_k(N+c)/(N+c)^2 for N+c >= 1 and 0 for
 N+c <= 0, for every t > 0.
 
 ``BlockTables`` is the one block engine, a fixed contraction plan.  It
-builds the signed two-sided grid sg[R+r] = (-1)^r G(r-N) and
-Js[Q+m] = J(|m|) of a base once, at the sizes its driver passes,
+sets up the signed two-sided grid sg[R+r] = (-1)^r G(r-N) and
+Js[Q+m] = J(|m|) of a base once (views of the held tables where those
+cover them), at the sizes its driver passes,
 contracts them into the G-parts of many shifts whose windows lie inside
 the grids and hold their J peak r = -c (the products next to the peak
 summed by ``math.fsum``, the rest tile by tile), and ``blocks`` assembles
@@ -155,6 +156,39 @@ def _signed_g(N: int, t: float, k: int, R: int) -> tuple[np.ndarray, np.ndarray]
     return sg, guarded
 
 
+# the held tables: "g", the last (sg, guard mask) built, keyed by (k, t), with
+# its base N and M = r - N range; "j", the last (Js,), keyed by t, over q = -Q..Q
+_HELD: dict = {}
+
+
+def _held(name: str, key, base: int, lo: int, hi: int, build) -> list:
+    """Read-only arrays over the coordinates lo..hi: views of the held entry
+    if it has this key and covers lo..hi (the first negated if its base has
+    the other parity), else build()'s, which replace it.  Each entry depends
+    only on its coordinate and the key, so a view has the bits of a build."""
+    e = _HELD.get(name)
+    if e is not None and e[0] == key and e[2] <= lo and hi <= e[3]:
+        views = [a[lo - e[2] : hi - e[2] + 1] for a in e[4]]
+        if (e[1] - base) % 2:
+            views[0] = -views[0]
+            views[0].flags.writeable = False
+        return views
+    del e  # drop the old entry before the build: the two are never resident at once
+    _HELD.pop(name, None)
+    arrays = build()
+    for a in arrays:
+        a.flags.writeable = False
+    _HELD[name] = (key, base, lo, hi, arrays)
+    return list(arrays)
+
+
+def _two_sided_j(Q: int, t: float) -> tuple[np.ndarray]:
+    Js = np.empty(2 * Q + 1)
+    Js[Q:] = j_values(Q, t)
+    Js[:Q] = Js[:Q:-1]
+    return (Js,)
+
+
 def _sech_half_width(t: float) -> int:
     """Half-width W of the sech windows: sech(pi W/(2t)) < 1e-18."""
     return math.ceil(27.0 * t) + 3
@@ -180,8 +214,11 @@ class BlockTables:
     block engine every analytic driver evaluates its blocks through.
 
     A fixed contraction plan: sg[R + r] = (-1)^r G(r - N) for r = -R..R
-    and Js[Q + m] = J(|m|) for m = -Q..Q are built once, here, at
+    and Js[Q + m] = J(|m|) for m = -Q..Q are set up once, here, at
     R = r_len and Q = q_len, and serve every shift c against the base.
+    They are read-only views of the held tables (``_held``) where those
+    cover them: the last G grid per (k, t) and the last J table per t.
+    Otherwise they are built, bit for bit the same, and become the held ones.
     A shift's window |r| <= L must lie inside them (L <= R, L + |c| <= Q)
     and hold the near range around its J peak r = -c (|c| + _NEAR <= L);
     ``_gparts`` refuses any other.  Each tile of sg is read once and
@@ -191,15 +228,11 @@ class BlockTables:
     def __init__(self, N: int, k: int, t: float, r_len: int, q_len: int):
         if not t > 0:
             raise ValueError(f"t must be positive, got {t}")
-        self.N = int(N)
-        self.k = int(k)
-        self.t = float(t)
+        self.N, self.k, self.t = N, k, t = int(N), int(k), float(t)
         self.R, self.Q = R, Q = int(r_len), int(q_len)
-        self.sg, guarded = _signed_g(self.N, self.t, self.k, R)
+        self.sg, guarded = _held("g", (k, t), N, -R - N, R - N, lambda: _signed_g(N, t, k, R))
         self.g0_guarded = bool(guarded[R])
-        self.Js = Js = np.empty(2 * Q + 1)
-        Js[Q:] = j_values(Q, self.t)
-        Js[:Q] = Js[:Q:-1]
+        (self.Js,) = _held("j", t, 0, -Q, Q, lambda: _two_sided_j(Q, t))
         self.coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
 
     def gpart(self, c: int, r_len: int) -> float:
@@ -247,7 +280,8 @@ class BlockTables:
         g = self._gparts(c, L)
         m = int(L.max())
         head, exp_part = _closed_heads(self.N + c, self.k, self.t)
-        cum = np.concatenate(([0.0], np.cumsum(np.abs(self.sg[self.R - m : self.R + m + 1]))))
+        cum = np.zeros(2 * m + 2)  # one array: at sigma(600) a window takes 6 MB
+        np.cumsum(np.abs(self.sg[self.R - m : self.R + m + 1], out=cum[1:]), out=cum[1:])
         g_norm = cum[m + L + 1] - cum[m - L]
         scale = np.abs(head) + np.abs(exp_part) + self.coeff * g_norm * self.Js[self.Q]
         return head + exp_part + g, head, exp_part, scale

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arithsum import sigma_rh
+from arithsum import indicators, sigma_rh
 from arithsum.cli import build_parser, main, parse_range, parse_t, ConfigError
 from arithsum.series import Evaluation
 
@@ -357,3 +357,26 @@ def test_ms_is_measured_only_under_timing(capsys, argv, jobs):
         assert code == 0
         for rec in json.loads(out)["records"]:
             assert (rec["ms"] > 0.0) if positive else (rec["ms"] == 0.0), rec
+
+
+def test_held_tables_keep_the_records_of_cold_runs(capsys, monkeypatch):
+    # sigma(97) builds the tables that sigma(5) and sigma(40) then read; rh
+    # climbs, so each N reads or outgrows the tables of the one before
+    monkeypatch.setattr(indicators, "_HELD", {})
+
+    def records(argv):
+        code, out = run_cli(argv + ["--format", "json", "--jobs", "1"], capsys)
+        assert code == 0
+        return [json.dumps(r) for r in json.loads(out)["records"]]
+
+    def cold(argv):
+        indicators._HELD.clear()
+        return records(argv)
+
+    assert records(["sigma", "--N", "97,5,40"]) == [
+        r for n in ("97", "5", "40") for r in cold(["sigma", "--N", n])
+    ]
+    rh = ["rh", "--mode", "analytic", "--from"]
+    assert records(rh + ["2", "--to", "30"]) == [
+        r for n in range(2, 31) for r in cold(rh + [str(n), "--to", str(n)])
+    ]

@@ -77,7 +77,9 @@ def test_sigma_is_weighted_sum_of_blocks(N, t):
 def test_one_plan_builds_its_grids_once(monkeypatch):
     # the walk of test_sigma_is_weighted_sum_of_blocks at N = 97, one shift
     # a^2 at a time, over one plan sized for the largest shift: the grids
-    # are built in BlockTables.__init__ and by no shift
+    # are built in BlockTables.__init__ and by no shift.  The held tables
+    # start empty, so the plan cannot borrow an earlier test's grids
+    monkeypatch.setattr(indicators, "_HELD", {})
     built = []
     for name in ("j_values", "_signed_g"):
         real = getattr(indicators, name)
@@ -85,6 +87,14 @@ def test_one_plan_builds_its_grids_once(monkeypatch):
             indicators, name, lambda *args, name=name, real=real: built.append(name) or real(*args)
         )
     N, t = 97, 1.0
+    r_len = _sigma_r_len(N, t)
+    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
+    for a in range(1, N):
+        block_value(tables, a * a, r_len)
+    assert sorted(built) == ["_signed_g", "j_values"], built
+    # a second plan at the same (k, t) whose grids lie inside the first's
+    # builds nothing: it reads the held tables
+    N = 50
     r_len = _sigma_r_len(N, t)
     tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
     for a in range(1, N):

@@ -10,6 +10,7 @@ from arithsum import indicators, integrals
 from arithsum.indicators import _closed_heads, _signed_g
 from arithsum.integrals import _exp_series_terms, _j, exp_series_sums, j_values
 from arithsum.kernels import TABLE_CHUNK, _g
+from arithsum.sigma_rh import _sigma_r_len, sigma_analytic
 
 
 def _bits(x):
@@ -50,6 +51,25 @@ def test_table_builds_peak_at_their_outputs_plus_4_mb():
     assert peak <= sg.nbytes + guarded.nbytes + 4e6
     js, peak = _peak_bytes(lambda: j_values(400000, 1.0))
     assert peak <= js.nbytes + 4e6
+
+
+def test_a_new_key_drops_the_held_tables_before_it_builds(monkeypatch):
+    # the tables sigma(300, t=1) leaves held take about 5 MB, as much as
+    # sigma(300, t=1.5)'s; built before they went, these would rise on top
+    monkeypatch.setattr(indicators, "_HELD", {})
+    R = _sigma_r_len(300, 1.5)
+    Q = R + 299**2
+    own = (2 * R + 1) * 9 + (2 * Q + 1) * 8  # sg, its guard mask and Js
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sigma_analytic(300, 1.0)
+        tracemalloc.reset_peak()
+        sigma_analytic(300, 1.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= own + 4e6
 
 
 def _unblocked_exp_series_sums(y, t):
