@@ -43,7 +43,7 @@ from .indicators import (
     _signed_g,
 )
 from .integrals import _p_weights, p_values
-from .kernels import t_values
+from .kernels import TABLE_CHUNK, t_values
 from .series import Evaluation
 
 __all__ = [
@@ -341,10 +341,6 @@ def _divisor_pair_bruteforce(g: WeightSpec, N: int) -> float:
 # block aggregation above).
 # ---------------------------------------------------------------------------
 
-# r-values per T call of the P sums: shorter calls keep the guarded ratio's temporaries
-# in cache.  Not kernels.TABLE_CHUNK: it also groups p_sum's dots, and so the sum's bits.
-_T_CHUNK = 1 << 12
-
 
 def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> Evaluation:
     N, d, k = inst.N, inst.d, inst.k
@@ -371,12 +367,13 @@ def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> 
     sg, guarded = _signed_g(N, t, k, R)
     sech_val = sech_coeff * float(np.sum(_sech_parts(sg, R, s * d * a[:a_cut] ** 2, t)))
     # sum_a 1/(z^2 + (r - s d a^2)^2) = (pi/(4 d^2)) T(-s r/d, z/d) - 1/(2 (r^2 + z^2))
-    # closes the a-sums, r = 0 included, one T call per weight and chunk;
-    # over the weights c_n at z = t n, the second part sums to -P(r)/2
+    # closes the a-sums, r = 0 included, one T call per weight and chunk of
+    # TABLE_CHUNK r-values (its temporaries stay in cache); over the
+    # weights c_n at z = t n, the second part sums to -P(r)/2
     n, cm = _p_weights(t)
     p_sum = 0.0
-    for lo in range(-r_p, r_p + 1, _T_CHUNK):
-        r = np.arange(lo, min(lo + _T_CHUNK, r_p + 1), dtype=float)
+    for lo in range(-r_p, r_p + 1, TABLE_CHUNK):
+        r = np.arange(lo, min(lo + TABLE_CHUNK, r_p + 1), dtype=float)
         M, acc = -s * r / d, -0.5 * p_values(r, t, (n, cm))
         for zi, ci in zip(t * n, cm):
             acc += ci * pi / (4.0 * d * d) * t_values(M, zi / d)

@@ -46,7 +46,7 @@ from math import pi
 import numpy as np
 
 from .integrals import cosh_over_sinh2_values, coth, csch_values, exp_series_sums
-from .integrals import j_values, p_values, sech_values
+from .integrals import _p_weights, j_values, p_values, sech_values
 from .kernels import TABLE_CHUNK, _g
 from .series import Evaluation, SeriesEvaluator, invert_series
 
@@ -184,7 +184,7 @@ def _held(name: str, key, base: int, lo: int, hi: int, build) -> list:
 
 def _two_sided_j(Q: int, t: float) -> tuple[np.ndarray]:
     Js = np.empty(2 * Q + 1)
-    Js[Q:] = j_values(Q, t)
+    j_values(Q, t, out=Js[Q:])
     Js[:Q] = Js[:Q:-1]
     return (Js,)
 
@@ -375,7 +375,7 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     r_len = abs(c) + max(N + max(1200, int(700 / t)), W)
     sg, guarded = _signed_g(N, t, k, r_len)
     r = np.arange(-r_len, r_len + 1)
-    p_terms = np.where(r % 2, -sg, sg) * p_values(r + c, t)
+    p_terms = np.where(r % 2, -sg, sg) * p_values(r + c, t, _p_weights(t))
     sh = math.sinh(pi * t)
     sech_coeff = sh / (8.0 * math.sqrt(k) * t)
     p_coeff = t * sh / (2.0 * math.sqrt(k) * pi)
@@ -392,43 +392,38 @@ def power_series_evaluator(k: int, s: int) -> SeriesEvaluator:
     """Direct-summation evaluator of F(z) = sum_m 1/(k^2 m^(4s) (k m^(2s) + z)),
     the generating series of q_{k,s}(n)/n^2.
 
-    Points are taken in chunks of _R_CHUNK and terms in chunks of _M_CHUNK,
-    so no (m x point) temporary grows with the input.  A chunk with
-    |Re z| <= X and |Im z| <= Y keeps the terms m <= M, with M past the
-    resonance, k M^(2s) >= 2X, and M^(8s) >= 4e18 ((k+X)^2 + Y^2)/k^2.
-    Past the resonance |k m^(2s) + z| >= k m^(2s)/2, so each omitted term of
-    Im F is below 1e-18 of the m = 1 term, whose sign all terms of Im F
-    share.
+    ``evaluate(x, t)`` returns Im F(x + it) over a 1-D array of real points
+    x.  Points are taken in chunks of _R_CHUNK and terms in chunks of
+    _M_CHUNK, so no (m x point) temporary grows with the input.  A chunk
+    with |x| <= X keeps the terms m <= M, with M past the resonance,
+    k M^(2s) >= 2X, and M^(8s) >= 4e18 ((k+X)^2 + t^2)/k^2.  Past the
+    resonance |k m^(2s) + z| >= k m^(2s)/2, so each omitted term of Im F is
+    below 1e-18 of the m = 1 term, whose sign all terms of Im F share.
     """
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive integers")
 
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for lo in range(0, flat.size, _R_CHUNK):
-            x, y = flat.real[lo : lo + _R_CHUNK], flat.imag[lo : lo + _R_CHUNK]
-            X, Y = float(np.abs(x).max()), float(np.abs(y).max())
+    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        y2 = t * t
+        out = np.empty(x.size)
+        for lo in range(0, x.size, _R_CHUNK):
+            xc = x[lo : lo + _R_CHUNK]
+            X = float(np.abs(xc).max())
             m_max = math.ceil(
                 max(
                     (2.0 * X / k) ** (1.0 / (2 * s)),
-                    (4e18 * ((k + X) ** 2 + Y * Y) / (k * k)) ** (1.0 / (8 * s)),
+                    (4e18 * ((k + X) ** 2 + y2) / (k * k)) ** (1.0 / (8 * s)),
                 )
             )
-            y2 = y * y
-            re = np.zeros(x.size)
-            im = np.zeros(x.size)
+            im = np.zeros(xc.size)
             for m0 in range(1, m_max + 1, _M_CHUNK):
                 m = np.arange(m0, min(m0 + _M_CHUNK, m_max + 1), dtype=float)
-                u = k * m[:, None] ** (2 * s) + x
-                inv = 1.0 / (u * u + y2)
+                u = k * m[:, None] ** (2 * s) + xc
                 w = 1.0 / (k * k * m ** (4 * s))
-                im += np.einsum("m,mr->r", w, inv)
-                re += np.einsum("m,mr->r", w, u * inv)
-            out.real[lo : lo + _R_CHUNK] = re
-            out.imag[lo : lo + _R_CHUNK] = -y * im
-        return out.reshape(z.shape)
+                im += np.einsum("m,mr->r", w, 1.0 / (u * u + y2))
+            out[lo : lo + _R_CHUNK] = -t * im
+        return out
 
     def coefficient(n: int) -> float:
         return q_bruteforce(k, s, n) / (n * n) if n >= 1 else 0.0

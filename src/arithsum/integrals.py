@@ -150,15 +150,15 @@ def exp_series_sums(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     return s[0], s[1], s[2]
 
 
-def p_values(q: np.ndarray, t: float, weights=None) -> np.ndarray:
+def p_values(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """P(q) = sum_n c_n / (t^2 n^2 + q^2) elementwise over q, with (n, c_n) the
-    given ``weights`` or ``_p_weights(t)``, one weight at a time into one buffer.
+    ``weights`` from ``_p_weights(t)``, one weight at a time into one buffer.
     The smallest terms come first: in the other order the partial sums at t = 0.001
     stay near P(0) ~ 1/t^2 and put 3e-12 of rounding into J(0), not 1.3e-13."""
     q2 = np.square(np.asarray(q, dtype=float))
     out = np.zeros_like(q2)
     buf = np.empty_like(q2)
-    n, c = _p_weights(t) if weights is None else weights
+    n, c = weights
     for nm, cm in zip(n[::-1], c[::-1]):
         np.add(q2, t * t * nm * nm, out=buf)
         np.divide(cm, buf, out=buf)
@@ -166,7 +166,7 @@ def p_values(q: np.ndarray, t: float, weights=None) -> np.ndarray:
     return out
 
 
-def _j(q: np.ndarray, t: float, weights=None) -> np.ndarray:
+def _j(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """J(q, t) = sech(pi q/(2t))/(2t) + (-1)^(q-1) (2t/pi) P(q), elementwise
     over an array of integers q >= 0; ``weights`` as in ``p_values``."""
     head = sech_values(math.pi * q / (2.0 * t)) / (2.0 * t)
@@ -242,17 +242,19 @@ def integral_j(q: int, t: float) -> IntegralValue:
     x = math.pi * q / (2.0 * t)
     terms = 2.0 * t / math.pi * c / (t * t * n * n + float(q) * q)
     est += _rounding([sech(x) / (2.0 * t)], [x], terms, math.pi * t * n)
-    return IntegralValue(float(_j(np.array([q]), t)[0]), n.size, est)
+    return IntegralValue(float(_j(np.array([q]), t, (n, c))[0]), n.size, est)
 
 
-def j_values(q_max: int, t: float) -> np.ndarray:
-    """J(q, t) for q = 0..q_max, in _j calls of TABLE_CHUNK entries.
+def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarray:
+    """J(q, t) for q = 0..q_max, in _j calls of TABLE_CHUNK entries, into
+    ``out`` (q_max + 1 doubles) if given.
 
     The series drivers index this table by |r +- c|, so it is built once
     per evaluation context rather than per call.
     """
     _check_t(t)
-    out, weights = np.empty(q_max + 1), _p_weights(t)
+    out = np.empty(q_max + 1) if out is None else out
+    weights = _p_weights(t)
     for i in range(0, q_max + 1, TABLE_CHUNK):
         out[i : i + TABLE_CHUNK] = _j(np.arange(i, min(i + TABLE_CHUNK, q_max + 1)), t, weights)
     return out

@@ -10,13 +10,12 @@ complex points recovers the coefficients:
 
 for every t > 0, where J(q,t) = int_0^1 cos(pi q b)/cosh(pi b t) db.  The
 right-hand side vanishes for N <= 0.  For real-coefficient evaluators the
-bracket F(z conj) - F(z) is -2i Im F(z), which is how it is computed here
-(no cancellation between two nearly equal values).
-
-An evaluator's ``evaluate`` takes an array of complex points and returns
-the complex array of F there, so ``invert_series`` samples F once, on
-all 2L+1 points, and sums the folded r-series pairwise.  Its length L is
-the one inversion rule; there is no stopping rule to tune.
+bracket F(z conj) - F(z) is -2i Im F(z) (no cancellation between two
+nearly equal values), so an evaluator returns Im F alone:
+``evaluate(x, t)`` maps an array of real points x to the real array
+Im F(x + it).  ``invert_series`` samples it once, on all 2L+1 points, and
+sums the folded r-series pairwise.  Its length L is the one inversion
+rule; there is no stopping rule to tune.
 
 Callers must guarantee that their evaluator's shifted series converge
 absolutely and uniformly; that hypothesis cannot be checked mechanically
@@ -48,13 +47,13 @@ __all__ = [
 class SeriesEvaluator:
     """Evaluator F(z) of a partial-fraction series sum f(n)/(n+z).
 
-    ``evaluate`` maps an array of complex points to the complex array of
-    F at those points.  ``coefficient`` returns the true f(n) where known,
-    so inversion tests can compare recovered against intended values.
-    Real-coefficient evaluators satisfy F(conj z) = conj F(z).
+    ``evaluate(x, t)`` maps a 1-D array of real points x and a real t to
+    the real array Im F(x + it), which is odd in t for real coefficients.
+    ``coefficient`` returns the true f(n) where known, so inversion tests
+    can compare recovered against intended values.
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray, float], np.ndarray]
     label: str
     coefficient: Callable[[int], float] | None = None
 
@@ -84,7 +83,7 @@ def invert_series(F: SeriesEvaluator, N: int, t: float) -> Evaluation:
     N = int(N)
     L = abs(N) + max(2500, int(1200 / t))
     r = np.arange(1, L + 1, dtype=float)
-    im = F.evaluate(np.concatenate(([-N], r - N, -r - N)) + 1j * t).imag
+    im = F.evaluate(np.concatenate(([-N], r - N, -r - N)), t)
     J = j_values(L, t)
     terms = (im[1 : L + 1] + im[L + 1 :]) * J[1:]
     terms[::2] *= -1.0  # (-1)^r
@@ -129,11 +128,11 @@ def lemma4_residual(
     )
 
     def bracket(shift: np.ndarray) -> np.ndarray:
-        # F(shift - it) - F(shift + it) = sum_n f(n) * 2it/((n+shift)^2+t^2)
+        # (F(shift - it) - F(shift + it))/2i = sum_n f(n) t/((n+shift)^2+t^2)
         den = (n[None, :] + shift[:, None]) ** 2 + t * t
-        return 2j * t * (fn[None, :] / den).sum(axis=1)
+        return t * (fn[None, :] / den).sum(axis=1)
 
-    total = bracket(np.array([0.0]))[0] / 2j
+    total = bracket(np.array([0.0]))[0]
     last_contrib = 0j
     block = 2048
     k0 = 0
@@ -145,7 +144,7 @@ def lemma4_residual(
         bm = bracket(-ks)
         phase_p = np.exp(1j * math.pi * ks * beta)
         phase_m = np.exp(-1j * math.pi * ks * beta)
-        contrib = (sgn * (phase_p * bp + phase_m * bm)) / 2j
+        contrib = sgn * (phase_p * bp + phase_m * bm)
         total = total + contrib.sum()
         last_contrib = contrib[-1]
         k0 = hi
@@ -176,8 +175,8 @@ def indicator_series_evaluator(k: int = 1) -> SeriesEvaluator:
         raise ValueError(f"k must be a positive integer, got {k}")
     rk = math.sqrt(k)
 
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
+        z = np.asarray(x, dtype=float) + 1j * t
         w = np.sqrt(z)
         cth = 1.0 / np.tanh(math.pi * w / rk)
         return (
@@ -185,7 +184,7 @@ def indicator_series_evaluator(k: int = 1) -> SeriesEvaluator:
             - math.pi**2 / (6.0 * k * z * z)
             - 0.5 / z**3
             + math.pi * cth / (2.0 * rk * z * z * w)
-        )
+        ).imag
 
     def coefficient(n: int) -> float:
         if n < 1 or n % k:
@@ -202,11 +201,11 @@ def geometric_series_evaluator(ratio: float = 0.5, terms: int = 160) -> SeriesEv
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
 
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
+        z = np.asarray(x, dtype=float) + 1j * t
         total = np.zeros_like(z)
         for n in range(1, terms + 1):
             total += ratio**n / (n + z)
-        return total
+        return total.imag
 
     return SeriesEvaluator(evaluate, f"geometric ratio={ratio}", lambda n: ratio**n)

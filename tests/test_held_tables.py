@@ -20,7 +20,7 @@ def builds(monkeypatch):
     for name in ("j_values", "_signed_g"):
         real = getattr(indicators, name)
         monkeypatch.setattr(
-            indicators, name, lambda *args, name=name, real=real: built.append(name) or real(*args)
+            indicators, name, lambda *args, name=name, real=real, **kw: built.append(name) or real(*args, **kw)
         )
     return built
 

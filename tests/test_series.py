@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from arithsum.indicators import power_series_evaluator
@@ -73,14 +74,16 @@ def test_self_consistency_examples():
     assert self_consistency_residual(geometric_series_evaluator(), 1.0) < 1e-10
 
 
-def test_evaluator_conjugate_symmetry():
+def test_evaluator_odd_in_t():
+    # F(conj z) = conj F(z) for real coefficients, so Im F(x - it) = -Im F(x + it)
+    x = np.array([3.7, -2.5, 0.5, 41.0])
     evaluators = (
         geometric_series_evaluator(),
         indicator_series_evaluator(2),
         power_series_evaluator(2, 2),
     )
     for F in evaluators:
-        z = complex(3.7, 1.3)
-        assert F.evaluate(z.conjugate()) == pytest.approx(
-            F.evaluate(z).conjugate(), rel=1e-12
-        )
+        for t in (1.3, 0.2):
+            got = F.evaluate(x, t)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == x.shape
+            assert F.evaluate(x, -t) == pytest.approx(-got, rel=1e-12)

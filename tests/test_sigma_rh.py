@@ -84,7 +84,7 @@ def test_one_plan_builds_its_grids_once(monkeypatch):
     for name in ("j_values", "_signed_g"):
         real = getattr(indicators, name)
         monkeypatch.setattr(
-            indicators, name, lambda *args, name=name, real=real: built.append(name) or real(*args)
+            indicators, name, lambda *args, name=name, real=real, **kw: built.append(name) or real(*args, **kw)
         )
     N, t = 97, 1.0
     r_len = _sigma_r_len(N, t)

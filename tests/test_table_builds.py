@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from arithsum import indicators, integrals
-from arithsum.indicators import _closed_heads, _signed_g
-from arithsum.integrals import _exp_series_terms, _j, exp_series_sums, j_values
+from arithsum.indicators import _closed_heads, _signed_g, _two_sided_j
+from arithsum.integrals import _exp_series_terms, _j, _p_weights, exp_series_sums, j_values
 from arithsum.kernels import TABLE_CHUNK, _g
 from arithsum.sigma_rh import _sigma_r_len, sigma_analytic
 
@@ -31,7 +31,7 @@ def test_chunked_builds_equal_one_unchunked_call(monkeypatch, chunk, size):
     g[(R + 1) % 2 :: 2] *= -1.0
     assert np.array_equal(_bits(sg), _bits(g))
     assert np.array_equal(guarded, want_guarded)
-    assert np.array_equal(_bits(j_values(n - 1, t)), _bits(_j(np.arange(n), t)))
+    assert np.array_equal(_bits(j_values(n - 1, t)), _bits(_j(np.arange(n), t, _p_weights(t))))
 
 
 def _peak_bytes(f):
@@ -51,6 +51,13 @@ def test_table_builds_peak_at_their_outputs_plus_4_mb():
     assert peak <= sg.nbytes + guarded.nbytes + 4e6
     js, peak = _peak_bytes(lambda: j_values(400000, 1.0))
     assert peak <= js.nbytes + 4e6
+
+
+def test_two_sided_j_peaks_at_its_output_plus_1_mb():
+    # j_values fills the right half of Js in place; a half built apart
+    # and then copied in took 3.7 MB more
+    (js,), peak = _peak_bytes(lambda: _two_sided_j(400000, 1.0))
+    assert peak <= js.nbytes + 1e6
 
 
 def test_a_new_key_drops_the_held_tables_before_it_builds(monkeypatch):
