@@ -13,7 +13,8 @@ only weights below WEIGHT_TOL = 1e-18 of its leading one, with no cap.
 implementation of each series; ``integral_i``, ``integral_k`` and
 ``integral_j`` are one-element calls of them.
 ``quadrature_oracle`` integrates the defining integrands directly with
-adaptive quadrature so the closed forms are machine-checkable.
+adaptive Gauss-Legendre quadrature so the closed forms are
+machine-checkable.
 
 The hyperbolic heads csch, sech and cosh/sinh^2 each have one guarded
 implementation, elementwise over arrays (``csch_values``, ``sech_values``,
@@ -23,6 +24,7 @@ array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -260,11 +262,29 @@ def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-_INTEGRANDS = {
-    "I": lambda b, q, t: math.sin(math.pi * q * b) / (math.exp(2.0 * math.pi * b * t) + 1.0),
-    "K": lambda b, q, t: b * math.cos(math.pi * q * b) / (math.exp(2.0 * math.pi * b * t) + 1.0),
-    "J": lambda b, q, t: math.cos(math.pi * q * b) / math.cosh(math.pi * b * t),
-}
+def _integrand(kind: str, b: np.ndarray, q: int, t: float) -> np.ndarray:
+    """The defining integrand of I, K or J at the points b, written with
+    e^(-x) only: 1/(e^x + 1) = e^(-x)/(1 + e^(-x)), sech x = 2e^(-x)/(1 + e^(-2x))."""
+    with np.errstate(under="ignore"):
+        if kind == "J":
+            e = np.exp(-math.pi * t * b)
+            return np.cos(math.pi * q * b) * (2.0 * e / (1.0 + e * e))
+        e = np.exp(-2.0 * math.pi * t * b)
+        if kind == "I":
+            return np.sin(math.pi * q * b) * (e / (1.0 + e))
+        return b * np.cos(math.pi * q * b) * (e / (1.0 + e))
+
+
+_QUAD_PANELS = 500
+
+
+@functools.cache
+def _gauss_legendre_rules() -> tuple:
+    """(nodes, weights) of the 20- and 40-point rules on [-1, 1]."""
+    # imported here, not at module level, so that CLI start-up does not load numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(20), leggauss(40)
 
 
 class QuadratureError(RuntimeError):
@@ -275,23 +295,42 @@ def quadrature_oracle(kind: str, q: int, t: float, tol: float = 1e-12) -> float:
     """Adaptive quadrature of the defining integral, independent of the
     closed forms.  ``kind`` selects I, K or J.
 
-    Raises QuadratureError if the subdivision limit is reached without
-    convergence, and ValueError for an unknown kind or tol < 1e-12.
+    Each panel of [0, 1] takes the 20- and 40-point Gauss-Legendre rules;
+    a panel is bisected while |Q40 - Q20| > tol * (its length), and the
+    accepted panels' Q40 are summed with ``math.fsum``.
+
+    Raises QuadratureError past _QUAD_PANELS panels or if the summed
+    |Q40 - Q20| exceeds 50 max(tol, 1e-14 |value|), and ValueError for an
+    unknown kind, tol < 1e-12 or t <= 0.
     """
-    if kind not in _INTEGRANDS:
+    if kind not in ("I", "K", "J"):
         raise ValueError(f"unknown integral kind {kind!r}; expected one of I, K, J")
     if tol < 1e-12:
         raise ValueError(f"tol must be at least 1e-12, got {tol}")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    from scipy.integrate import quad  # the only scipy user; imported lazily for CLI start-up
-
-    f = _INTEGRANDS[kind]
-    value, abserr, info, *rest = quad(
-        f, 0.0, 1.0, args=(int(q), t), epsabs=tol, epsrel=0.0, limit=500, full_output=1
-    )
-    if rest:
-        raise QuadratureError(f"quadrature of {kind}({q}, {t}) did not converge: {rest[-1]}")
+    q = int(q)
+    rules = _gauss_legendre_rules()
+    lo, hi = np.array([0.0]), np.array([1.0])
+    values, errors, panels = [], [], 1
+    while lo.size:
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        q20, q40 = (
+            half * (_integrand(kind, mid[:, None] + half[:, None] * x, q, t) * w).sum(axis=1)
+            for x, w in rules
+        )
+        err = np.abs(q40 - q20)
+        done = err <= tol * 2.0 * half
+        values += q40[done].tolist()
+        errors += err[done].tolist()
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        panels += lo.size
+        if panels > _QUAD_PANELS:
+            raise QuadratureError(
+                f"quadrature of {kind}({q}, {t}) did not converge within {_QUAD_PANELS} panels"
+            )
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    value, abserr = math.fsum(values), math.fsum(errors)
     if abserr > max(tol, 1e-14 * abs(value)) * 50.0:
         raise QuadratureError(
             f"quadrature of {kind}({q}, {t}) reports error {abserr:.2e} above tolerance {tol:.2e}"

@@ -29,8 +29,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .integrals import j_values
+
+_LEMMA4_ROWS = 64  # rows per block of lemma4_residual: 64 x 2000 doubles ~ 1 MB
 
 __all__ = [
     "SeriesEvaluator",
@@ -127,12 +130,23 @@ def lemma4_residual(
         * np.sum(sgn_n * np.exp(-1j * math.pi * n * beta) * fn)
     )
 
-    def bracket(shift: np.ndarray) -> np.ndarray:
-        # (F(shift - it) - F(shift + it))/2i = sum_n f(n) t/((n+shift)^2+t^2)
-        den = (n[None, :] + shift[:, None]) ** 2 + t * t
-        return t * (fn[None, :] / den).sum(axis=1)
+    # (F(s - it) - F(s + it))/2i = t sum_n f(n)/((n+s)^2+t^2) for every shift
+    # s in [-k_max, k_max], into brackets[k_max + s].  Shift s reads the
+    # n_terms-wide window at m = 1+s of one table of m^2 + t^2, m = 1-k_max ..
+    # n_terms+k_max.  m is an exact integer, so each window holds the bits of
+    # (n + s)^2 + t^2; each row's pairwise sum is the same in blocks of
+    # _LEMMA4_ROWS rows (~1 MB) as over all rows at once.
+    m = np.arange(1 - k_max, n_terms + k_max + 1, dtype=float)
+    rows = sliding_window_view(m**2 + t * t, n_terms)
+    brackets = np.empty(2 * k_max + 1)
+    buf = np.empty((_LEMMA4_ROWS, n_terms))
+    for i in range(0, brackets.size, _LEMMA4_ROWS):
+        den = rows[i : i + _LEMMA4_ROWS]
+        quot = np.divide(fn, den, out=buf[: len(den)])
+        np.sum(quot, axis=1, out=brackets[i : i + len(den)])
+    brackets *= t
 
-    total = bracket(np.array([0.0]))[0]
+    total = brackets[k_max]
     last_contrib = 0j
     block = 2048
     k0 = 0
@@ -140,8 +154,8 @@ def lemma4_residual(
         hi = min(k0 + block, k_max)
         ks = np.arange(k0 + 1, hi + 1, dtype=float)
         sgn = np.where(np.arange(k0 + 1, hi + 1) % 2 == 0, 1.0, -1.0)
-        bp = bracket(ks)
-        bm = bracket(-ks)
+        bp = brackets[k_max + k0 + 1 : k_max + hi + 1]
+        bm = brackets[k_max - hi : k_max - k0][::-1]
         phase_p = np.exp(1j * math.pi * ks * beta)
         phase_m = np.exp(-1j * math.pi * ks * beta)
         contrib = sgn * (phase_p * bp + phase_m * bm)

@@ -261,14 +261,21 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
 
 
 def test_cli_import_does_not_load_scipy_integrate():
-    # scipy.integrate serves only the quadrature oracle; loading it at
-    # import would dominate the start-up of every command
-    code = "import sys, arithsum.cli; print('scipy.integrate' in sys.modules)"
+    # scipy.integrate would dominate the start-up of every command, and
+    # numpy.polynomial (3 ms) serves only the quadrature oracle, which loads
+    # it on its first call; the verify suites need no scipy at all
+    code = (
+        "import sys, arithsum.cli\n"
+        "print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
+        "from arithsum.suites import run_suite\n"
+        "run_suite('all', fast=True)\n"
+        "print('scipy' in sys.modules)\n"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 @pytest.mark.parametrize(

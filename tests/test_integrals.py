@@ -61,6 +61,27 @@ def test_quadrature_oracle_errors():
         quadrature_oracle("I", 0, 1.0, 1e-13)
     with pytest.raises(ValueError):
         quadrature_oracle("I", 0, -1.0, 1e-10)
+    for kind in ("I", "K", "J"):  # 5e5 periods of cos(pi q b) need far more than 500 panels
+        with pytest.raises(QuadratureError):
+            quadrature_oracle(kind, 10**6, 1.0)
+
+
+@pytest.mark.parametrize("t", np.geomspace(0.01, 20.0, 5).tolist())
+def test_quadrature_oracle_matches_mpmath(t):
+    import mpmath
+
+    T = mpmath.mpf(t)
+    fermi = lambda b: 1 / (mpmath.exp(2 * mpmath.pi * b * T) + 1)
+    integrands = {
+        "I": lambda q: lambda b: mpmath.sin(mpmath.pi * q * b) * fermi(b),
+        "K": lambda q: lambda b: b * mpmath.cos(mpmath.pi * q * b) * fermi(b),
+        "J": lambda q: lambda b: mpmath.cos(mpmath.pi * q * b) / mpmath.cosh(mpmath.pi * b * T),
+    }
+    for kind, integrand in integrands.items():
+        for q in range(11):
+            want = _mp_integral(integrand(q), q)
+            for sq, sign in ((q, 1), (-q, -1 if kind == "I" else 1)):  # I is odd in q
+                assert abs(quadrature_oracle(kind, sq, t) - sign * want) <= 1e-14, (kind, sq)
 
 
 def test_domain_errors():

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,68 @@ def test_lemma4_examples():
     assert lemma4_residual(lambda n: 0.5**n, 0.0, 1.0, 200) < 1e-8
     assert lemma4_residual(lambda n: 1.0 / n**2, 1.0, 0.5, 2000) < 1e-4
     assert lemma4_residual(lambda n: 0.0, 0.3, 1.0, 50) == 0.0
+
+
+def _lemma4_broadcast(f, beta, t, n_terms, k_max=None):
+    """lemma4_residual as it was first written: each block of 2048 shifts
+    builds its (shifts x n_terms) denominators by broadcasting."""
+    if k_max is None:
+        k_max = max(20_000, 4 * n_terms)
+    n = np.arange(1, n_terms + 1, dtype=float)
+    fn = np.array([f(int(j)) for j in range(1, n_terms + 1)], dtype=float)
+    sgn_n = np.where(np.arange(1, n_terms + 1) % 2 == 0, 1.0, -1.0)
+    lhs = (
+        math.pi
+        * math.cosh(math.pi * beta * t)
+        / math.sinh(math.pi * t)
+        * np.sum(sgn_n * np.exp(-1j * math.pi * n * beta) * fn)
+    )
+
+    def bracket(shift):
+        den = (n[None, :] + shift[:, None]) ** 2 + t * t
+        return t * (fn[None, :] / den).sum(axis=1)
+
+    total = bracket(np.array([0.0]))[0]
+    last_contrib = 0j
+    k0 = 0
+    while k0 < k_max:
+        hi = min(k0 + 2048, k_max)
+        ks = np.arange(k0 + 1, hi + 1, dtype=float)
+        sgn = np.where(np.arange(k0 + 1, hi + 1) % 2 == 0, 1.0, -1.0)
+        phase_p = np.exp(1j * math.pi * ks * beta)
+        phase_m = np.exp(-1j * math.pi * ks * beta)
+        contrib = sgn * (phase_p * bracket(ks) + phase_m * bracket(-ks))
+        total = total + contrib.sum()
+        last_contrib = contrib[-1]
+        k0 = hi
+    return abs(lhs - (total - 0.5 * last_contrib))
+
+
+@pytest.mark.parametrize(
+    "f,beta,t,n_terms,k_max",
+    [
+        (lambda n: 0.5**n, 0.0, 1.0, 200, None),  # the verify suite's two cases
+        (lambda n: 1.0 / (n * n), 1.0, 0.5, 2000, None),
+        (lambda n: 1.0 / (n * n), 0.3, 2.0, 500, None),
+        (lambda n: 1.0 / (n * n), 0.7, 1.0, 300, 5000),  # k_max not a multiple of 2048
+        (lambda n: n**-1.5, -0.4, -0.2, 70, 3001),
+    ],
+)
+def test_lemma4_keeps_the_broadcast_bits(f, beta, t, n_terms, k_max):
+    # the shifts read windows of one denominator table, in blocks of rows:
+    # the same divisions and the same pairwise row sums as the broadcast
+    assert lemma4_residual(f, beta, t, n_terms, k_max) == _lemma4_broadcast(f, beta, t, n_terms, k_max)
+
+
+def test_lemma4_memory_is_bounded():
+    # the broadcast held ~100 MB of (2048 x 2000) temporaries at once
+    tracemalloc.start()
+    try:
+        lemma4_residual(lambda n: 1.0 / (n * n), 1.0, 0.5, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
 
 
 def test_lemma4_domain():
