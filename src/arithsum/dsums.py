@@ -37,6 +37,7 @@ import numpy as np
 from .indicators import (
     BlockTables,
     _closed_heads,
+    _cut_windows,
     _default_r_len,
     _sech_half_width,
     _sech_parts,
@@ -217,14 +218,14 @@ def _aggregate_blocks(
     if not shifts:
         return Evaluation(0.0, extra_tail, {"blocks": 0}, False)
     r_lens = [_default_r_len(N, c, t) for _, c in shifts]
+    windows = _cut_windows(N, k, t, [c for _, c in shifts], r_lens)
+    values, _, _, _, bounds = BlockTables(N, k, t, *windows.extent).evaluate(windows)
     r_needed = max(r_lens)
-    tables = BlockTables(N, k, t, r_needed, r_needed + max(abs(c) for _, c in shifts))
-    values = tables.blocks([c for _, c in shifts], r_lens)[0]
     total = 0.0
     est = extra_tail
-    for (w, _), r_len, v in zip(shifts, r_lens, values.tolist()):
+    for (w, _), r_len, v, bound in zip(shifts, r_lens, values.tolist(), bounds.tolist()):
         total += w * v
-        est += abs(w) * _block_tail(r_len)
+        est += abs(w) * (_block_tail(r_len) + bound)
     return Evaluation(total, est, {"blocks": len(shifts), "r_terms": r_needed}, True)
 
 

@@ -20,18 +20,21 @@ The whole expression equals q_k(N+c)/(N+c)^2 for N+c >= 1 and 0 for
 N+c <= 0, for every t > 0.
 
 ``BlockTables`` is the one block engine, a fixed contraction plan.  It
-sets up the signed two-sided grid sg[R+r] = (-1)^r G(r-N) and
+sets up the signed grid sg[R+r] = (-1)^r G(r-N), r = -R..P, and
 Js[Q+m] = J(|m|) of a base once (views of the held tables where those
-cover them), at the sizes its driver passes,
-contracts them into the G-parts of many shifts whose windows lie inside
-the grids and hold their J peak r = -c (the products next to the peak
-summed by ``math.fsum``, the rest tile by tile), and ``blocks`` assembles
-head + exp-series + G-part for an array of shifts; no other code
-assembles a block.  ``q_analytic`` and the vanishing identities are its
-shift-0 block; the Diophantine and divisor-pair sums of ``dsums`` and
-``sigma_analytic`` evaluate their blocks through it too.  Only the
-oracles keep organizations of their own:
-``q_shifted_analytic``, and the general-s form ``q_general_analytic``,
+cover them), at the sizes its driver passes, and contracts them into the
+G-parts of many shifts (the products next to each J peak r = -c summed
+by ``math.fsum``, the rest tile by tile).  Shift c's window is
+-L <= r <= P_c: the driver picks L, and the engine cuts the positive side
+at the first P_c where a closed bound of the rest is below one rounding
+of the block's head and exp-series (``_cut_windows``), and reports that
+bound.  ``evaluate`` assembles head + exp-series + G-part for an array of
+shifts; no other code assembles a block.  ``q_analytic`` and the
+vanishing identities are its shift-0 block; the Diophantine and
+divisor-pair sums of ``dsums`` and ``sigma_analytic`` evaluate their
+blocks through it too.  Only the oracles keep organizations of their
+own, with symmetric grids: ``q_shifted_analytic``, and the general-s
+form ``q_general_analytic``,
 which is ``series.invert_series`` of ``power_series_evaluator``.
 ``q_shifted_analytic`` and the unit-weight forms of ``dsums`` read the
 same signed grid (``_signed_g``) and take their sech sums from one
@@ -40,8 +43,10 @@ windowed contraction (``_sech_parts``).
 
 from __future__ import annotations
 
+import functools
 import math
 from math import pi
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +61,8 @@ _TILE = 1 << 16
 # the near products of a G-part, |r + c| <= _NEAR next to J's peak
 _NEAR = 32
 _NEAR_RANGE = np.arange(-_NEAR, _NEAR + 1)
+# unit roundoff, the scale of one rounding
+_U = 2.0**-53
 # points and terms per block of power_series_evaluator: 32k doubles
 _R_CHUNK = 256
 _M_CHUNK = 128
@@ -143,13 +150,14 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
     return head, -yf * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3
 
 
-def _signed_g(N: int, t: float, k: int, R: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sg, guarded): the signed two-sided grid sg[R + r] = (-1)^r G(r - N)
-    for r = -R..R, and the overflow-guard mask of each entry, filled
-    TABLE_CHUNK entries at a time so that _g's temporaries stay in cache."""
-    sg = np.empty(2 * R + 1)
-    guarded = np.empty(2 * R + 1, dtype=bool)
-    for i in range(0, 2 * R + 1, TABLE_CHUNK):
+def _signed_g(N: int, t: float, k: int, R: int, P: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(sg, guarded): the signed grid sg[R + r] = (-1)^r G(r - N) for
+    r = -R..P (P = R if not given), and the overflow-guard mask of each entry,
+    filled TABLE_CHUNK entries at a time so that _g's temporaries stay in cache."""
+    n = R + 1 + (R if P is None else P)
+    sg = np.empty(n)
+    guarded = np.empty(n, dtype=bool)
+    for i in range(0, n, TABLE_CHUNK):
         s = sg[i : i + TABLE_CHUNK]
         s[:], guarded[i : i + TABLE_CHUNK] = _g(np.arange(i, i + s.size, dtype=float) - (R + N), t, k)
         s[(R + 1 + i) % 2 :: 2] *= -1.0
@@ -164,22 +172,29 @@ _HELD: dict = {}
 def _held(name: str, key, base: int, lo: int, hi: int, build) -> list:
     """Read-only arrays over the coordinates lo..hi: views of the held entry
     if it has this key and covers lo..hi (the first negated if its base has
-    the other parity), else build()'s, which replace it.  Each entry depends
-    only on its coordinate and the key, so a view has the bits of a build."""
+    the other parity), else views of build(lo', hi')'s, which replace it;
+    lo'..hi' is lo..hi joined with the held range if the key is the same,
+    so that requests whose ends move both ways are built once.  Each entry
+    depends only on its coordinate and the key, so a view has the bits of
+    a build."""
     e = _HELD.get(name)
-    if e is not None and e[0] == key and e[2] <= lo and hi <= e[3]:
-        views = [a[lo - e[2] : hi - e[2] + 1] for a in e[4]]
-        if (e[1] - base) % 2:
-            views[0] = -views[0]
-            views[0].flags.writeable = False
-        return views
+    if e is not None and e[0] == key:
+        if e[2] <= lo and hi <= e[3]:
+            views = [a[lo - e[2] : hi - e[2] + 1] for a in e[4]]
+            if (e[1] - base) % 2:
+                views[0] = -views[0]
+                views[0].flags.writeable = False
+            return views
+        lo_b, hi_b = min(lo, e[2]), max(hi, e[3])
+    else:
+        lo_b, hi_b = lo, hi
     del e  # drop the old entry before the build: the two are never resident at once
     _HELD.pop(name, None)
-    arrays = build()
+    arrays = build(lo_b, hi_b)
     for a in arrays:
         a.flags.writeable = False
-    _HELD[name] = (key, base, lo, hi, arrays)
-    return list(arrays)
+    _HELD[name] = (key, base, lo_b, hi_b, arrays)
+    return [a[lo - lo_b : hi - lo_b + 1] for a in arrays]
 
 
 def _two_sided_j(Q: int, t: float) -> tuple[np.ndarray]:
@@ -209,82 +224,243 @@ def _sech_parts(sg: np.ndarray, R: int, centres, t: float) -> np.ndarray:
     return np.where(c % 2, -1.0, 1.0) * (rows @ s)
 
 
+@functools.lru_cache(maxsize=8)
+def _j_far_coeffs(t: float) -> tuple[float, float]:
+    """(a2, a4) with |J(q)| <= a2/q^2 + a4/q^4 + e^(-pi q/(2t))/t for q >= 1,
+    J as ``j_values`` computes it.  J's series P(q) = sum_n c_n/(q^2 + t^2 n^2)
+    is mu0/q^2 minus sum_n c_n t^2 n^2/(q^2 (q^2 + t^2 n^2)), mu0 = sum_n c_n,
+    and its sum of n terms rounds by at most (n + 4) u sum_n |c_n|/q^2."""
+    n, c = (w.tolist() for w in _p_weights(t))
+    a = 2.0 * t / pi
+    mu0 = abs(math.fsum(c)) + (len(n) + 4) * _U * math.fsum(map(abs, c))
+    return a * mu0, a * t * t * math.fsum(abs(cm) * nm * nm for nm, cm in zip(n, c))
+
+
+def _g_bound(M: np.ndarray, t: float, k: int) -> np.ndarray:
+    """|G(M)| <= 5t M^(-7/2) + 2 eps(M) M^(-5/2) for M > 0, eps as in
+    ``_positive_tails``; 2 pi sqrt(M/k) is capped where expm1 would overflow."""
+    return 5.0 * t * M**-3.5 + 4.0 * M**-2.5 / np.expm1(np.minimum(2.0 * pi * np.sqrt(M / k), 700.0))
+
+
+def _positive_tails(k: int, t: float, m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S_GJ, S_G): bounds of sum_{r > P} |G(r - N) J(r + c)| and of
+    sum_{r > P} |G(r - N)| at each shift c, where m = P - N >= 1 and
+    y = N + c (floats of integer value), and P + c >= 1.
+
+    With x = r - N > m and q = r + c = x + y:
+    - |G(x)| <= 5t x^(-7/2) + 2 eps(x) x^(-5/2), where eps(x) = 2/expm1(2 pi
+      sqrt(x/k)) bounds |coth - 1|, since |Im (x + it)^(-5/2)| <= (5t/2x) x^(-5/2);
+    - |J(q)| <= a2/q^2 + a4/q^4 + e^(-pi q/(2t))/t (``_j_far_coeffs``);
+    - both bounds fall with x, so their sum over x > m is at most their
+      integral from m, and there q >= q0 (x/m)^theta, q0 = m + y, with
+      theta = min(1, m/q0): log q is convex in log x for y >= 0, and
+      q/q0 >= x/m for y < 0.  So the x^(-7/2) q^(-2) part integrates to at
+      most q0^(-2) m^(-5/2)/(5/2 + 2 theta), and so, a fortiori, does the
+      x^(-7/2) q^(-4) part with q0^(-4).
+    """
+    q0 = m + y
+    a2, a4 = _j_far_coeffs(t)
+    iq2 = q0**-2.0
+    j_far = iq2 * (a2 + a4 * iq2)
+    sech = np.exp(q0 * (-pi / (2.0 * t))) / t
+    g = (5.0 * t) * m**-2.5
+    # the eps part, (4/3) eps(m) m^(-3/2); 2 pi sqrt(m/k) is capped where expm1 would overflow
+    g_eps = (8.0 / 3.0) * m**-1.5 / np.expm1(np.minimum(np.sqrt(m * (4.0 * pi * pi / k)), 700.0))
+    s_gj = g * (j_far / (2.5 + 2.0 * np.minimum(m / q0, 1.0)) + 0.4 * sech) + g_eps * (j_far + sech)
+    return s_gj, 0.4 * g + g_eps
+
+
+def _positive_cuts(N: int, k: int, t: float, c: np.ndarray, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """The last r of each shift's window: the smallest P, outside the near
+    range and past r = N, at which coeff * S_GJ (``_positive_tails``) is at
+    most ``floor``; L where no P < L qualifies.
+
+    f(P) = log(coeff S_GJ(P)/floor) falls with P and is nearly linear in
+    log(P - N).  Each step evaluates f at a pair of neighbours p - 1, p,
+    which shrinks the bracket a < P <= b with f(a) > 0 >= f(b) and gives
+    the slope of the next Newton step in log(P - N).  The first pair comes
+    with the ends lo and L - 1, from a step at L - 1 along the log-slope of
+    S_GJ's main part, -(5/2 + 2 (P - N)/(P + c))."""
+    coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
+    P = L.copy()
+    # S_GJ >= 5t a2 m^(-5/2) q0^(-2)/4.5: where even that is above the
+    # floor at P = L - 1, the shift is not cut.  With the largest L and c
+    # it bounds every shift's at once, and most calls stop there
+    main = coeff * 5.0 * t * _j_far_coeffs(t)[0] / 4.5
+    b_max, c_max = int(L.max()) - 1, int(c.max())
+    if b_max <= N or b_max + c_max < 1 or float(floor.max()) < main * (b_max - N) ** -2.5 * (b_max + c_max) ** -2.0:
+        return P
+    lo = np.maximum(N + 1, _NEAR - c)
+    i = np.flatnonzero((lo < L) & (floor > 0))
+    mb = np.subtract(L[i] - 1, N, dtype=float)
+    y = np.add(c[i], N, dtype=float)
+    log_floor = np.log(floor[i]) - math.log(coeff)
+    f_low = math.log(main / coeff) - 2.5 * np.log(mb) - 2.0 * np.log(mb + y) - log_floor
+    keep = f_low <= 0
+    i, mb, y, f_low, log_floor = i[keep], mb[keep], y[keep], f_low[keep], log_floor[keep]
+    if not i.size:
+        return P
+
+    def f(m):  # at P = N + m for the shifts i
+        return np.log(_positive_tails(k, t, m, y)[0]) - log_floor
+
+    ma = np.subtract(lo[i], N, dtype=float)
+    # the first guess: the Newton step from L - 1 that f's lower bound f_low gives
+    m = np.clip(np.ceil(mb * np.exp(f_low / (2.5 + 2.0 * mb / (mb + y)))), ma + 1.0, mb)
+    fa, fb, f0, f1 = f(np.stack([ma, mb, m - 1.0, m]))
+    P[i[fa <= 0]] = lo[i[fa <= 0]]
+    keep = (fa > 0) & (fb <= 0)
+    i, ma, mb, y, m, f0, f1, log_floor = (v[keep] for v in (i, ma, mb, y, m, f0, f1, log_floor))
+    while True:
+        ma = np.where(f1 > 0, m, np.where(f0 > 0, m - 1.0, ma))
+        mb = np.where(f1 > 0, mb, np.where(f0 > 0, m, m - 1.0))
+        done = mb - ma <= 1.0
+        P[i[done]] = N + mb[done].astype(np.int64)
+        if done.all():
+            return P
+        # Newton in log(P - N) from the pair's slope, or the bracket's middle
+        # where that slope is not usable
+        s1 = np.log(m)
+        slope = (f1 - f0) / (s1 - np.log(m - 1.0))
+        s = np.where(slope < 0, s1 - f1 / np.where(slope < 0, slope, -1.0), (np.log(ma) + np.log(mb)) / 2)
+        keep = ~done
+        i, ma, mb, y, s, log_floor = (v[keep] for v in (i, ma, mb, y, s, log_floor))
+        m = np.clip(np.ceil(np.exp(s)), ma + 1.0, mb)
+        f0, f1 = f(np.stack([m - 1.0, m]))
+
+
+class Windows(NamedTuple):
+    """The window -L <= r <= P of each shift c's G-series, P the engine's
+    cut (``_positive_cuts``), and the closed parts of each block, from
+    ``_cut_windows``."""
+
+    c: np.ndarray
+    L: np.ndarray
+    P: np.ndarray
+    head: np.ndarray
+    exp_part: np.ndarray
+
+    @property
+    def extent(self) -> tuple[int, int, int]:
+        """(r_len, q_len, p_len) of the grids that hold exactly these windows."""
+        L, c, P = self.L, self.c, self.P
+        return int(L.max()), int(np.maximum(L - c, P + c).max()), int(P.max())
+
+
+def _cut_windows(N: int, k: int, t: float, shifts, r_lens) -> Windows:
+    """The windows of the blocks at base N and these shifts, r_lens their
+    negative ends (one for all, or one per shift): each positive end is
+    cut where the bounded rest is below one rounding of the block's head
+    and exp-series, u (|head| + |exp-series|)."""
+    c = np.asarray(shifts, dtype=np.int64).reshape(-1)
+    L = np.empty_like(c)
+    L[:] = r_lens
+    head, exp_part = _closed_heads(N + c, k, t)
+    P = _positive_cuts(N, k, t, c, L, _U * (np.abs(head) + np.abs(exp_part)))
+    return Windows(c, L, P, head, exp_part)
+
+
 class BlockTables:
     """Jump-kernel and integral grids for one base (N, k, t): the one
     block engine every analytic driver evaluates its blocks through.
 
-    A fixed contraction plan: sg[R + r] = (-1)^r G(r - N) for r = -R..R
+    A fixed contraction plan: sg[R + r] = (-1)^r G(r - N) for r = -R..P
     and Js[Q + m] = J(|m|) for m = -Q..Q are set up once, here, at
-    R = r_len and Q = q_len, and serve every shift c against the base.
-    They are read-only views of the held tables (``_held``) where those
-    cover them: the last G grid per (k, t) and the last J table per t.
-    Otherwise they are built, bit for bit the same, and become the held ones.
-    A shift's window |r| <= L must lie inside them (L <= R, L + |c| <= Q)
-    and hold the near range around its J peak r = -c (|c| + _NEAR <= L);
-    ``_gparts`` refuses any other.  Each tile of sg is read once and
-    serves every shift.
+    R = r_len, P = p_len (R if not given) and Q = q_len, and serve every
+    shift c against the base.  The drivers size them to their windows,
+    ``BlockTables(N, k, t, *w.extent).evaluate(w)`` with w from
+    ``_cut_windows``.  They are read-only views of the held tables
+    (``_held``) where those cover them: the last G grid per (k, t) and the
+    last J table per t.  Otherwise they are built, bit for bit the same,
+    and become the held ones.
+
+    The window of shift c is -L <= r <= P_c, asymmetric: L is the driver's
+    r_len and P_c <= L is the engine's cut (``_positive_cuts``), where the
+    bounded positive tail is below one rounding of the block's head.  A
+    window must lie inside the grids (L <= R, P_c <= P, L - c <= Q and
+    P_c + c <= Q) and hold the near range around its J peak r = -c
+    (|r + c| <= _NEAR); ``_gparts`` refuses any other.  Each tile of sg
+    is read once and serves every shift.
     """
 
-    def __init__(self, N: int, k: int, t: float, r_len: int, q_len: int):
+    def __init__(self, N: int, k: int, t: float, r_len: int, q_len: int, p_len: int | None = None):
         if not t > 0:
             raise ValueError(f"t must be positive, got {t}")
         self.N, self.k, self.t = N, k, t = int(N), int(k), float(t)
         self.R, self.Q = R, Q = int(r_len), int(q_len)
-        self.sg, guarded = _held("g", (k, t), N, -R - N, R - N, lambda: _signed_g(N, t, k, R))
+        self.P = P = R if p_len is None else int(p_len)
+        # the held coordinates are M = r - N for G and m for J
+        self.sg, guarded = _held("g", (k, t), N, -R - N, P - N, lambda lo, hi: _signed_g(N, t, k, -lo - N, hi + N))
         self.g0_guarded = bool(guarded[R])
-        (self.Js,) = _held("j", t, 0, -Q, Q, lambda: _two_sided_j(Q, t))
+        (self.Js,) = _held("j", t, 0, -Q, Q, lambda lo, hi: _two_sided_j(hi, t))
         self.coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
 
     def gpart(self, c: int, r_len: int) -> float:
         """The bilateral G-series at shift c, truncated at |r| <= r_len."""
         return float(self._gparts(np.array([c]), np.array([r_len]))[0])
 
-    def _gparts(self, c: np.ndarray, L: np.ndarray) -> np.ndarray:
+    def _gparts(self, c: np.ndarray, L: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
         # each shift first sums its near products, |r + c| <= _NEAR, with
         # one rounding (math.fsum): they carry most of its sum |terms|, and
         # a dot rounds them worse.  The rest of the window follows tile by
         # tile, one dot on either side of the near range, so the sg tile and
         # the Js range it meets stay in cache for every shift; the tiles
-        # [jT - T/2, jT + T/2) are centred on r = 0
+        # [jT - T/2, jT + T/2) are centred on r = 0.  The windows are
+        # -L <= r <= P, with P = L if not given
         R, Q, sg, Js = self.R, self.Q, self.sg, self.Js
         cs, ls = c.tolist(), L.tolist()
-        for ci, li in zip(cs, ls):
-            if li > R or li + abs(ci) > Q:
-                raise ValueError(f"window |r| <= {li} at shift {ci} leaves the grids R={R}, Q={Q}")
-            if abs(ci) + _NEAR > li:
-                raise ValueError(f"window |r| <= {li} misses the near range of shift {ci}")
+        ps = ls if P is None else P.tolist()
+        for ci, li, pi_ in zip(cs, ls, ps):
+            if li > R or pi_ > self.P or li - ci > Q or pi_ + ci > Q:
+                raise ValueError(
+                    f"window -{li} <= r <= {pi_} at shift {ci} leaves the grids R={R}, P={self.P}, Q={Q}"
+                )
+            if ci + _NEAR > li or _NEAR - ci > pi_:
+                raise ValueError(f"window -{li} <= r <= {pi_} misses the near range of shift {ci}")
         near = sg[(R - c)[:, None] + _NEAR_RANGE] * Js[Q - _NEAR : Q + _NEAR + 1]
         acc = [math.fsum(row) for row in near.tolist()]
-        m = max(ls)
-        for lo in range((_TILE // 2 - m) // _TILE * _TILE - _TILE // 2, m + 1, _TILE):
+        for lo in range((_TILE // 2 - max(ls)) // _TILE * _TILE - _TILE // 2, max(ps) + 1, _TILE):
             hi = lo + _TILE
-            for i, (ci, li) in enumerate(zip(cs, ls)):
-                for a, b in (-li, -ci - _NEAR), (-ci + _NEAR + 1, li + 1):
+            for i, (ci, li, pi_) in enumerate(zip(cs, ls, ps)):
+                for a, b in (-li, -ci - _NEAR), (-ci + _NEAR + 1, pi_ + 1):
                     a, b = max(lo, a), min(hi, b)
                     if a < b:
                         acc[i] += np.dot(sg[R + a : R + b], Js[Q + ci + a : Q + ci + b])
         return self.coeff * np.where(c % 2, -1.0, 1.0) * np.array(acc)
 
     def blocks(self, shifts, r_lens) -> tuple[np.ndarray, ...]:
-        """(value, head, exp-series, scale) of the block at each shift, its
-        G-part truncated at the matching entry of r_lens (or at r_lens for
-        all) and contracted by ``_gparts``.
+        """``evaluate`` at the windows of these shifts, r_lens their negative
+        ends (one for all, or one per shift)."""
+        return self.evaluate(_cut_windows(self.N, self.k, self.t, shifts, r_lens))
 
-        value = head + exp-series + G-part; head is the closed head U(N+c);
-        scale = |head| + |exp-series| + coeff * ||sg window||_1 * J(0), which
-        bounds the magnitude of every term summed, so eps * scale bounds
-        the block's rounding.
+    def evaluate(self, w: Windows) -> tuple[np.ndarray, ...]:
+        """(value, head, exp-series, scale, bound) of the block at each
+        shift of ``w``, its G-part contracted by ``_gparts`` over the
+        window -L <= r <= P.
+
+        value = head + exp-series + G-part; head is the closed head U(N+c).
+        bound >= coeff * sum_{r > P} |G(r - N) J(r + c)| bounds what the
+        cut drops (0 where P = L); a driver adds |w| * bound to its estimate.
+        scale = |head| + |exp-series| + coeff * ||sg window||_1 * J(0), the
+        window's norm taken over -L <= r <= P plus the bound of the rest up
+        to L, bounds the magnitude of every term summed, so eps * scale
+        bounds the block's rounding.
         """
-        c = np.asarray(shifts, dtype=np.int64)
-        L = np.broadcast_to(np.asarray(r_lens, dtype=np.int64), c.shape)
-        g = self._gparts(c, L)
-        m = int(L.max())
-        head, exp_part = _closed_heads(self.N + c, self.k, self.t)
-        cum = np.zeros(2 * m + 2)  # one array: at sigma(600) a window takes 6 MB
-        np.cumsum(np.abs(self.sg[self.R - m : self.R + m + 1], out=cum[1:]), out=cum[1:])
-        g_norm = cum[m + L + 1] - cum[m - L]
+        c, L, P, head, exp_part = w
+        g = self._gparts(c, L, P)
+        m, p = int(L.max()), int(P.max())
+        cum = np.zeros(m + p + 2)  # one array: at sigma(600) a window takes 3 MB
+        np.cumsum(np.abs(self.sg[self.R - m : self.R + p + 1], out=cum[1:]), out=cum[1:])
+        g_norm = cum[m + P + 1] - cum[m - L]
+        bound = np.zeros(c.size)
+        cut = np.flatnonzero(P < L)
+        if cut.size:
+            m_cut, y_cut = np.subtract(P[cut], self.N, dtype=float), np.add(c[cut], self.N, dtype=float)
+            bound[cut], g_tail = _positive_tails(self.k, self.t, m_cut, y_cut)
+            bound *= self.coeff
+            g_norm[cut] += g_tail
         scale = np.abs(head) + np.abs(exp_part) + self.coeff * g_norm * self.Js[self.Q]
-        return head + exp_part + g, head, exp_part, scale
+        return head + exp_part + g, head, exp_part, scale, bound
 
 
 def _default_r_len(N: int, c: int, t: float) -> int:
@@ -309,15 +485,22 @@ def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     r_len = _default_r_len(N, 0, t)
-    tables = BlockTables(N, k, t, r_len, r_len)
-    value, head, exp_part, _ = tables.blocks([0], r_len)
+    w = _cut_windows(N, k, t, [0], r_len)
+    tables = BlockTables(N, k, t, *w.extent)
+    value, head, exp_part, _, bound = tables.evaluate(w)
     R, Q, sg, Js = tables.R, tables.Q, tables.sg, tables.Js
     face = float(head[0] + exp_part[0]) + tables.coeff * float(sg[R] * Js[Q])
     # tail model: past r_len the summand decays at least like r^(-7/2) on
-    # the positive side and r^(-4) through the J factor on the negative
+    # the positive side and r^(-4) through the J factor on the negative.
+    # Where the cut leaves the positive edge off the grid, its closed bound
+    # stands in, which is no smaller; the cut's own tail is the engine's bound
     r = np.arange(r_len - 63, r_len + 1)
-    tail = tables.coeff * float(np.max(np.abs((sg[R + r] + sg[R - r]) * Js[Q + r]))) * r_len / 2.5
-    est = tail + 1e-12 + abs(face) * 1e-15
+    if r_len <= tables.P:
+        edge = np.abs(sg[R + r] + sg[R - r])
+    else:
+        edge = _g_bound((r - N).astype(float), t, k) + np.abs(sg[R - r])
+    tail = tables.coeff * float(np.max(edge * np.abs(Js[Q + r]))) * r_len / 2.5
+    est = tail + 1e-12 + abs(face) * 1e-15 + float(bound[0])
     return Evaluation(float(value[0]), est, {"r_terms": r_len}, tables.g0_guarded)
 
 
@@ -348,7 +531,8 @@ def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     r_len = _default_r_len(N, 0, t)
-    return abs(block_value(BlockTables(N, k, t, r_len, r_len), 0))
+    w = _cut_windows(N, k, t, [0], r_len)
+    return abs(float(BlockTables(N, k, t, *w.extent).evaluate(w)[0][0]))
 
 
 def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:

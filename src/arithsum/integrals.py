@@ -113,8 +113,11 @@ def _exp_series_terms(t: float) -> tuple[np.ndarray, np.ndarray]:
     return r, w
 
 
+@functools.lru_cache(maxsize=8)
 def _p_weights(t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(n, c_n) with n = 2m+1 and c_n = (-1)^m n e^(-pi t n), the weights of P.
+    """(n, c_n) with n = 2m+1 and c_n = (-1)^m n e^(-pi t n), the weights of P,
+    read-only and kept for the last few t: the engine's tail bound and the J
+    table of one evaluation read the same weights.
 
     The omitted weights are below WEIGHT_TOL of the leading one, e^(-pi t):
     n e^(-pi t (n-1)) < WEIGHT_TOL.  With L = -ln WEIGHT_TOL, a = pi t and
@@ -131,6 +134,7 @@ def _p_weights(t: float) -> tuple[np.ndarray, np.ndarray]:
     # J's one weight, and the block results there turn on J's last bits
     c = np.array([nm * math.exp(-a * nm) for nm in n.tolist()])
     c[1::2] *= -1.0
+    n.flags.writeable = c.flags.writeable = False
     return n, c
 
 
@@ -248,8 +252,9 @@ def integral_j(q: int, t: float) -> IntegralValue:
 
 
 def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarray:
-    """J(q, t) for q = 0..q_max, in _j calls of TABLE_CHUNK entries, into
-    ``out`` (q_max + 1 doubles) if given.
+    """J(q, t) for q = 0..q_max, in _j calls of TABLE_CHUNK entries or, for
+    more than 15 weights, up to four times that, into ``out`` (q_max + 1
+    doubles) if given.
 
     The series drivers index this table by |r +- c|, so it is built once
     per evaluation context rather than per call.
@@ -257,8 +262,12 @@ def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarr
     _check_t(t)
     out = np.empty(q_max + 1) if out is None else out
     weights = _p_weights(t)
-    for i in range(0, q_max + 1, TABLE_CHUNK):
-        out[i : i + TABLE_CHUNK] = _j(np.arange(i, min(i + TABLE_CHUNK, q_max + 1)), t, weights)
+    # p_values makes three numpy calls per weight and chunk, so the chunks
+    # grow with the weight count, to at most 4 TABLE_CHUNK entries: then
+    # its three buffers take 768 KiB
+    chunk = TABLE_CHUNK * min(4, max(1, weights[0].size // 8))
+    for i in range(0, q_max + 1, chunk):
+        out[i : i + chunk] = _j(np.arange(i, min(i + chunk, q_max + 1)), t, weights)
     return out
 
 
@@ -278,13 +287,40 @@ def _integrand(kind: str, b: np.ndarray, q: int, t: float) -> np.ndarray:
 _QUAD_PANELS = 500
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1],
+    nodes ascending, each the binary64 rounding of a 40-digit value.
+
+    Each node is Newton-polished from cos(pi (i - 1/4)/(n + 1/2)) in
+    40-digit decimal arithmetic, and its weight is 2/((1 - x^2) P_n'(x)^2).
+    In binary64 the weight formula alone errs by about 2(n + 1) u relative,
+    from the last bit of the node, and numpy's leggauss(40) by up to 7e-13.
+    """
+    import decimal  # here, not at module level, so that CLI start-up does not load it
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        nodes, weights = [], []
+        for i in range(n, 0, -1):
+            x, step = decimal.Decimal(math.cos(math.pi * (i - 0.25) / (n + 0.5))), 1
+            while True:
+                p0, p1 = decimal.Decimal(1), x  # P_{j-1}(x), P_j(x)
+                for j in range(1, n):
+                    p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                dp = n * (x * p1 - p0) / (x * x - 1)  # P_n'(x)
+                if abs(step) < decimal.Decimal("1e-36"):
+                    break
+                step = p1 / dp
+                x -= step
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
+
+
 @functools.cache
 def _gauss_legendre_rules() -> tuple:
     """(nodes, weights) of the 20- and 40-point rules on [-1, 1]."""
-    # imported here, not at module level, so that CLI start-up does not load numpy.polynomial
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(20), leggauss(40)
+    return _gauss_legendre(20), _gauss_legendre(40)
 
 
 class QuadratureError(RuntimeError):

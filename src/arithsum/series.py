@@ -13,9 +13,10 @@ right-hand side vanishes for N <= 0.  For real-coefficient evaluators the
 bracket F(z conj) - F(z) is -2i Im F(z) (no cancellation between two
 nearly equal values), so an evaluator returns Im F alone:
 ``evaluate(x, t)`` maps an array of real points x to the real array
-Im F(x + it).  ``invert_series`` samples it once, on all 2L+1 points, and
-sums the folded r-series pairwise.  Its length L is the one inversion
-rule; there is no stopping rule to tune.
+Im F(x + it).  ``invert_series_many`` samples it once, on the union of
+the 2L+1 points of every N it inverts, and sums each folded r-series
+pairwise; ``invert_series`` is its one-N case.  The length L is the one
+inversion rule; there is no stopping rule to tune.
 
 Callers must guarantee that their evaluator's shifted series converge
 absolutely and uniformly; that hypothesis cannot be checked mechanically
@@ -39,6 +40,7 @@ __all__ = [
     "SeriesEvaluator",
     "Evaluation",
     "invert_series",
+    "invert_series_many",
     "lemma4_residual",
     "self_consistency_residual",
     "indicator_series_evaluator",
@@ -73,28 +75,43 @@ class Evaluation:
 
 def invert_series(F: SeriesEvaluator, N: int, t: float) -> Evaluation:
     """Recover the coefficient f(N) of a partial-fraction series from its
-    evaluator, for any t > 0.  Returns ~0 for N <= 0.
+    evaluator, for any t > 0: the one-N case of ``invert_series_many``."""
+    return invert_series_many(F, [N], t)[0]
 
-    One call of F on the 2L+1 points -N +- r + it, r = 0..L, with
-    L = |N| + max(2500, 1200/t); the two sides are folded before the
-    products with J(r) are summed pairwise.  The estimate is the tail
-    model 20/L^2 plus the sinh(pi t)/pi-amplified rounding of that sum,
+
+def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
+    """Recover the coefficients f(N) for each N of ``Ns``; ~0 for N <= 0.
+
+    Each N reads its 2L+1 points -N +- r + it, r = 0..L, with
+    L = |N| + max(2500, 1200/t), from one call of F over the union of the
+    points, laid out as p, p+1, .., hi, p-1, .., lo with p = -Ns[0] (so a
+    single N is sampled in the order -N, -N + r, -N - r), and its J(r)
+    from one table.  The two sides are folded before the products with
+    J(r) are summed pairwise.  The estimate is the tail model 20/L^2 plus
+    the sinh(pi t)/pi-amplified rounding of that sum,
     eps (ceil(log2 L) + 2) sum |terms|.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    N = int(N)
-    L = abs(N) + max(2500, int(1200 / t))
-    r = np.arange(1, L + 1, dtype=float)
-    im = F.evaluate(np.concatenate(([-N], r - N, -r - N)), t)
-    J = j_values(L, t)
-    terms = (im[1 : L + 1] + im[L + 1 :]) * J[1:]
-    terms[::2] *= -1.0  # (-1)^r
-    head = float(im[0] * J[0])
+    Ns = [int(N) for N in Ns]
+    Ls = [abs(N) + max(2500, int(1200 / t)) for N in Ns]
+    p = -Ns[0]
+    hi = max(L - N for N, L in zip(Ns, Ls))
+    lo = min(-L - N for N, L in zip(Ns, Ls))
+    im = F.evaluate(np.concatenate(([p], np.arange(p + 1, hi + 1), np.arange(p - 1, lo - 1, -1))).astype(float), t)
+    im = np.concatenate((im[hi - p + 1 :][::-1], im[: hi - p + 1]))  # x = lo..hi in order
+    J = j_values(max(Ls), t)
     scale = math.sinh(math.pi * t) / math.pi
-    rounding = np.finfo(float).eps * (math.ceil(math.log2(L)) + 2) * scale
-    est = 20.0 / L**2 + rounding * (abs(head) + float(np.sum(np.abs(terms))))
-    return Evaluation(-scale * (head + float(np.sum(terms))), float(est), {"r_terms": L})
+    out = []
+    for N, L in zip(Ns, Ls):
+        x0 = -N - lo  # the index of x = -N
+        terms = (im[x0 + 1 : x0 + L + 1] + im[x0 - L : x0][::-1]) * J[1 : L + 1]
+        terms[::2] *= -1.0  # (-1)^r
+        head = float(im[x0] * J[0])
+        rounding = np.finfo(float).eps * (math.ceil(math.log2(L)) + 2) * scale
+        est = 20.0 / L**2 + rounding * (abs(head) + float(np.sum(np.abs(terms))))
+        out.append(Evaluation(-scale * (head + float(np.sum(terms))), float(est), {"r_terms": L}))
+    return out
 
 
 def lemma4_residual(

@@ -26,7 +26,7 @@ from math import isqrt
 import numpy as np
 
 from .dsums import _square_roots
-from .indicators import BlockTables
+from .indicators import BlockTables, _cut_windows
 from .series import Evaluation
 
 __all__ = [
@@ -107,17 +107,18 @@ def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
 
     # the blocks at base 4N and shifts a^2, weighted by M^(5/2)
     r_len = _sigma_r_len(N, t)
-    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
-    blocks, head, _, scale = tables.blocks(a2, r_len)
+    w = _cut_windows(4 * N, 1, t, a2, r_len)
+    blocks, head, _, scale, bound = BlockTables(4 * N, 1, t, *w.extent).evaluate(w)
     total = lead + float(np.sum(M52 * blocks))
 
     # error model: guarded hyperbolics underflow to true zeros; the r
     # truncation sits past the last resonance with a polynomial margin;
     # the rounding of each block, eps * scale, is amplified by M^(5/2),
-    # and scale carries the sinh(pi t) of the G-part
+    # and scale carries the sinh(pi t) of the G-part; so is the bound of
+    # each block's cut positive tail
     margin = r_len - (N - 1) ** 2
     est = 1e-12 * float(np.sum(np.abs(M52 * head))) + 0.05 * N * N / margin**1.5 + 1e-9
-    est += _EPS * float(np.sum(M52 * scale))
+    est += _EPS * float(np.sum(M52 * scale)) + float(np.sum(M52 * bound))
     return Evaluation(float(total), float(est), {"a_terms": N - 1, "r_terms": r_len}, True)
 
 

@@ -21,7 +21,7 @@ from .kernels import g_values, half_plane_root, kernel_t, kernel_v, mittag_leffl
 from .series import (
     geometric_series_evaluator,
     indicator_series_evaluator,
-    invert_series,
+    invert_series_many,
     lemma4_residual,
     self_consistency_residual,
 )
@@ -95,17 +95,13 @@ def suite_integrals(fast: bool = False) -> list[Check]:
 
 def suite_inversion(fast: bool = False) -> list[Check]:
     checks: list[Check] = []
-    geo = geometric_series_evaluator()
-    ind = indicator_series_evaluator(1)
-    worst_geo = 0.0
-    worst_ind = 0.0
-    for N in range(-5, 31):
-        got = invert_series(geo, N, 1.0).value
-        want = geo.coefficient(N) if N >= 1 else 0.0
-        worst_geo = max(worst_geo, abs(got - want))
-        got = invert_series(ind, N, 1.0).value
-        want = ind.coefficient(N) if N >= 1 else 0.0
-        worst_ind = max(worst_ind, abs(got - want))
+    worst_geo, worst_ind = (
+        max(
+            abs(ev.value - (F.coefficient(N) if N >= 1 else 0.0))
+            for N, ev in zip(range(-5, 31), invert_series_many(F, range(-5, 31), 1.0))
+        )
+        for F in (geometric_series_evaluator(), indicator_series_evaluator(1))
+    )
     checks.append(("inversion_geometric_recovery", worst_geo, 1e-6))
     checks.append(("inversion_indicator_recovery", worst_ind, 1e-6))
     checks.append(

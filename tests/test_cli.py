@@ -262,11 +262,12 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
 
 def test_cli_import_does_not_load_scipy_integrate():
     # scipy.integrate would dominate the start-up of every command, and
-    # numpy.polynomial (3 ms) serves only the quadrature oracle, which loads
-    # it on its first call; the verify suites need no scipy at all
+    # numpy.polynomial (3 ms) and decimal (2-4 ms) would serve only the
+    # quadrature oracle, which loads decimal on its first call; the verify
+    # suites need no scipy at all
     code = (
         "import sys, arithsum.cli\n"
-        "print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
+        "print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules, 'decimal' in sys.modules)\n"
         "from arithsum.suites import run_suite\n"
         "run_suite('all', fast=True)\n"
         "print('scipy' in sys.modules)\n"
@@ -275,7 +276,7 @@ def test_cli_import_does_not_load_scipy_integrate():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False", "False"]
+    assert out.stdout.split() == ["False", "False", "False", "False"]
 
 
 @pytest.mark.parametrize(

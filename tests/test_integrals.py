@@ -7,6 +7,7 @@ from arithsum.integrals import (
     WEIGHT_TOL,
     QuadratureError,
     _exp_series_terms,
+    _gauss_legendre_rules,
     _p_weights,
     integral_i,
     integral_j,
@@ -82,6 +83,24 @@ def test_quadrature_oracle_matches_mpmath(t):
             want = _mp_integral(integrand(q), q)
             for sq, sign in ((q, 1), (-q, -1 if kind == "I" else 1)):  # I is odd in q
                 assert abs(quadrature_oracle(kind, sq, t) - sign * want) <= 1e-14, (kind, sq)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_gauss_legendre_weights_match_mpmath(n):
+    # numpy's leggauss weights were off by up to 7e-14 (n = 20) and 7e-13
+    # (n = 40) relative; 40-digit Newton-polished nodes are the reference
+    import mpmath
+
+    x, w = _gauss_legendre_rules()[n // 40]
+    assert x.size == n and (np.diff(x) > 0).all()
+    with mpmath.workdps(40):
+        for xi, wi in zip(x.tolist(), w.tolist()):
+            node = mpmath.mpf(xi)
+            for _ in range(8):
+                node -= mpmath.legendre(n, node) / mpmath.diff(lambda z: mpmath.legendre(n, z), node)
+            want = 2 / ((1 - node**2) * mpmath.diff(lambda z: mpmath.legendre(n, z), node) ** 2)
+            assert abs(xi - node) <= 2.0**-53
+            assert abs(wi - want) <= 1e-15 * want, (xi, wi)
 
 
 def test_domain_errors():

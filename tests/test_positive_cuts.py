@@ -1,0 +1,249 @@
+"""The engine's asymmetric windows: each shift's positive G-series stops at
+P_c, where a closed bound of what it drops is below one rounding of the
+block's head and exp-series.  The bound must hold against the exact
+dropped tail, every block may move by its bound alone, and no estimate
+shrinks."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from arithsum import indicators
+from arithsum.dsums import (
+    DiophantineInstance,
+    alternating_weight,
+    divisor_pair_sum_analytic,
+    reciprocal_weight,
+    sum_diff_analytic,
+    sum_squares_analytic,
+    unit_weight,
+    weighted_finite_analytic,
+    weighted_infinite_analytic,
+)
+from arithsum.indicators import BlockTables, _cut_windows, _default_r_len, q_analytic
+from arithsum.kernels import g_values
+from arithsum.sigma_rh import _sigma_r_len, sigma_analytic, sigma_bruteforce
+
+U = 2.0**-53
+
+
+def _sigma_set(N, t):
+    return 4 * N, 1, t, np.arange(1, N, dtype=np.int64) ** 2, _sigma_r_len(N, t)
+
+
+def _dsums_set(N, d, k, t):
+    # the shifts of the five block drivers at base N: sum squares, the
+    # finite and infinite weighted sums (horizon 400), the difference kind
+    # (horizon 80); the divisor-pair sums are sigma's shifts at base 4N
+    shifts = [-d * a * a for a in range(1, N) if d * a * a < N] + [-a for a in range(1, N)]
+    shifts += list(range(1, 401)) + [d * a * a for a in range(1, 81)]
+    return N, k, t, shifts, [_default_r_len(N, c, t) for c in shifts]
+
+
+def _eval_q_set(N, k, t):
+    return N, k, t, [0], _default_r_len(N, 0, t)
+
+
+CASES = [pytest.param(_sigma_set(N, 1.0), id=f"sigma({N})") for N in (100, 300, 600)]
+CASES += [
+    pytest.param(_dsums_set(N, d, k, t), id=f"dsums(N={N},d={d},k={k},t={t})")
+    for t in (0.1, 1.0, 3.0, 8.0)
+    for k in (1, 2, 3)
+    for N, d in ((50, 1), (97, 3))
+]
+CASES += [
+    pytest.param(_eval_q_set(N, k, t), id=f"eval-q(N={N},k={k},t={t})")
+    for t in (0.1, 1.0, 3.0, 8.0)
+    for k in (1, 2, 3)
+    for N in (1, 17, 97)
+]
+
+
+def _full_tables(w, N, k, t):
+    # symmetric grids that hold every window uncut
+    return BlockTables(N, k, t, int(w.L.max()), int((w.L + np.abs(w.c)).max()))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_dropped_tail_is_within_its_bound(case):
+    N, k, t, shifts, r_lens = case
+    w = _cut_windows(N, k, t, shifts, r_lens)
+    tables = _full_tables(w, N, k, t)
+    _, head, exp_part, _, bound = tables.evaluate(w)
+    sg, Js, R, Q = np.abs(tables.sg), np.abs(tables.Js), tables.R, tables.Q
+    for i in range(w.c.size):
+        c, L, P = int(w.c[i]), int(w.L[i]), int(w.P[i])
+        if P == L:
+            assert bound[i] == 0.0
+            continue
+        # the cut keeps the near range and the G peak r = N
+        assert P >= max(N + 1, indicators._NEAR - c)
+        dropped = tables.coeff * float(np.dot(sg[R + P + 1 : R + L + 1], Js[Q + c + P + 1 : Q + c + L + 1]))
+        assert dropped <= bound[i] <= U * (abs(head[i]) + abs(exp_part[i])), (c, L, P)
+        # P is the smallest such cut
+        if P > max(N + 1, indicators._NEAR - c):
+            prior = tables.coeff * indicators._positive_tails(k, t, np.array([P - 1.0 - N]), np.array([N + c + 0.0]))[0][0]
+            assert prior > U * (abs(head[i]) + abs(exp_part[i])), (c, L, P)
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 3.0, 8.0])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_g_bound_holds_past_the_peak(t, k):
+    # the pointwise bound behind the tails, against the kernel itself;
+    # q_analytic's edge model reads it where the cut leaves the edge off the grid
+    M = np.unique(np.geomspace(1.0, 1e6, 400).round())
+    assert (np.abs(g_values(M, t, k)) <= indicators._g_bound(M, t, k)).all()
+
+
+@pytest.mark.parametrize("t", [20.0, 112.96])
+def test_cuts_warn_nothing_at_large_t(t):
+    # pytest turns a RuntimeWarning into an error; at large t the heads and
+    # floors underflow, some to 0, and no cut may divide by them
+    for N, d in ((5, 1), (97, 3)):
+        w = _cut_windows(*_dsums_set(N, d, 2, t))
+        assert (w.P == w.L).all()
+        BlockTables(N, 2, t, *w.extent).evaluate(w)
+    assert math.isfinite(sigma_analytic(30, t).value)
+
+
+def test_the_cuts_are_real():
+    # the cases above would pass with no cut at all
+    for N, t in ((300, 1.0), (600, 1.0), (50, 0.3)):
+        w = _cut_windows(*_sigma_set(N, t))
+        assert (w.P < w.L).all(), (N, t)
+    w = _cut_windows(*_dsums_set(50, 1, 1, 0.1))
+    assert (w.P < w.L).all()
+    w = _cut_windows(*_eval_q_set(17, 2, 0.1))
+    assert w.P[0] < w.L[0] // 4
+    # at t >= 3 the heads are exponentially small in y, and nothing is cut
+    for k in (1, 2, 3):
+        w = _cut_windows(*_dsums_set(97, 3, k, 3.0))
+        assert (w.P == w.L).all()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_each_block_moves_by_at_most_its_bound(case):
+    # against the same tables contracted over the uncut windows.  Beyond
+    # the bound, a block may differ by the roundings of the sums that
+    # take the dropped dots (one per dropped tile), of coeff * acc and
+    # of head + exp-series + G-part: each at most u |head| + |exp| + |G|
+    N, k, t, shifts, r_lens = case
+    w = _cut_windows(N, k, t, shifts, r_lens)
+    tables = _full_tables(w, N, k, t)
+    value, head, exp_part, scale, bound = tables.evaluate(w)
+    full_value, _, _, full_scale, full_bound = tables.evaluate(w._replace(P=w.L))
+    assert not full_bound.any()
+    uncut = w.P == w.L
+    assert np.array_equal(value[uncut], full_value[uncut])  # the same bits
+    assert np.array_equal(scale[uncut], full_scale[uncut])
+    assert (scale >= full_scale).all()
+    tiles = (w.L - w.P) // indicators._TILE + 2
+    g = np.abs(full_value - head - exp_part)
+    allowance = bound + (tiles + 3) * U * (np.abs(head) + np.abs(exp_part) + g)
+    assert (np.abs(value - full_value) <= allowance).all()
+
+
+@pytest.fixture
+def uncut(monkeypatch):
+    """Turns the cut off: every window ends at its r_len on both sides."""
+
+    def evaluate(*args):
+        def no_cuts(N, k, t, c, L, floor):
+            return L.copy()
+
+        with monkeypatch.context() as m:
+            m.setattr(indicators, "_positive_cuts", no_cuts)
+            return args[0](*args[1:])
+
+    return evaluate
+
+
+def _driver_points():
+    # sigma for N <= 200, q and the Diophantine, divisor-pair and weighted
+    # sums, at t in {0.3, 1, 2.5}
+    g = [unit_weight(), alternating_weight(), reciprocal_weight()]
+    for t in (0.3, 1.0, 2.5):
+        for N in (2, 7, 36, 97, 150, 200):
+            yield sigma_analytic, N, t
+        for N in (1, 9, 50, 100):
+            yield q_analytic, 2, N, t
+        for i, N in enumerate((25, 50, 97)):
+            yield sum_squares_analytic, g[i], DiophantineInstance(N, 1 + i, 1, "sum"), t
+            yield sum_diff_analytic, g[i], DiophantineInstance(N, 2, 1 + i, "difference"), t
+            yield divisor_pair_sum_analytic, g[i], N, t
+            yield weighted_finite_analytic, g[i], 1 + i, N, t
+            yield weighted_infinite_analytic, g[i], 1 + i, N, t
+
+
+def _eval_q_points():
+    # eval-q draws: t log-uniform, k in {1, 2, 3}, N in [1, 100]
+    for seed, lo, hi in ((7, 7.0, 10.0), (8, 7.0, 10.0), (9, 0.1, 7.0)):
+        rng = random.Random(seed)
+        for _ in range(30):
+            t = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            yield q_analytic, rng.choice([1, 2, 3]), rng.randint(1, 100), t
+
+
+def test_no_error_estimate_shrinks(uncut):
+    for f, *args in [*_driver_points(), *_eval_q_points()]:
+        indicators._HELD.clear()
+        ev = f(*args)
+        indicators._HELD.clear()
+        ref = uncut(f, *args)
+        assert ev.error_estimate >= ref.error_estimate, (f.__name__, args)
+        assert abs(ev.value - ref.value) <= ev.error_estimate, (f.__name__, args)
+
+
+@pytest.mark.parametrize("N", [100, 300, 600])
+def test_sigma_moves_by_less_than_one_rounding_of_its_heads(uncut, N):
+    ev = sigma_analytic(N, 1.0)
+    ref = uncut(sigma_analytic, N, 1.0)
+    w = _cut_windows(*_sigma_set(N, 1.0))
+    M = 4.0 * N + w.c.astype(float)
+    heads = float(np.sum(M**2.5 * (np.abs(w.head) + np.abs(w.exp_part))))
+    assert abs(ev.value - ref.value) <= U * heads
+    assert round(ev.value) == sigma_bruteforce(N)
+
+
+def test_sigma_600_tables_are_a_little_over_half_as_large(monkeypatch):
+    # the grids of the uncut plan: sg over |r| <= R and Js over |m| <= R + (N - 1)^2
+    monkeypatch.setattr(indicators, "_HELD", {})
+    N = 600
+    w = _cut_windows(*_sigma_set(N, 1.0))
+    tables = BlockTables(4 * N, 1, 1.0, *w.extent)
+    R = _sigma_r_len(N, 1.0)
+    assert tables.sg.size <= 0.57 * (2 * R + 1)
+    assert tables.Js.size <= 0.55 * (2 * (R + (N - 1) ** 2) + 1)
+    terms = float(np.sum(w.L + w.P + 1)) / float(np.sum(2 * w.L + 1))
+    assert terms <= 0.57
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    monkeypatch.setattr(indicators, "_HELD", {})
+    built = []
+    for name in ("j_values", "_signed_g"):
+        real = getattr(indicators, name)
+        monkeypatch.setattr(
+            indicators, name, lambda *args, name=name, real=real, **kw: built.append(name) or real(*args, **kw)
+        )
+    return built
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_a_sigma_sweep_builds_each_table_once(builds, t):
+    # the largest sigma first, then the rest in any order
+    sigma_analytic(600, t)
+    for N in (117, 300, 5, 116, 450, 229, 40, 599, 158):
+        sigma_analytic(N, t)
+    assert sorted(builds) == ["_signed_g", "j_values"]
+
+
+def test_ends_that_move_both_ways_are_joined(builds):
+    # at t = 0.3 the grid of sigma(116) starts below sigma(115)'s and ends
+    # one entry short of it; held apart, each call would rebuild the other's
+    for N in (115, 116, 115, 116):
+        sigma_analytic(N, 0.3)
+    assert builds.count("_signed_g") == 2
