@@ -12,8 +12,8 @@ because the block equals q_k(N -+ d a^2)/(N -+ d a^2)^2, which is
 family therefore terminates (shifts with d a^2 >= N contribute exactly
 zero by the vanishing identity), while the difference family has a
 Pell-type infinite solution set and carries a rigorous b^-4 tail bound.
-All blocks of one base are evaluated by the one block engine,
-``indicators.BlockTables``.
+Each analytic driver is one ``indicators.weighted_blocks`` call over its
+(weight, shift) pairs, plus the horizon tail of what it leaves out.
 
 The unit-weight forms are additionally evaluated through a second,
 independent organization: the expanded representation of
@@ -34,15 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .indicators import (
-    BlockTables,
-    _closed_heads,
-    _cut_windows,
-    _default_r_len,
-    _sech_half_width,
-    _sech_parts,
-    _signed_g,
-)
+from .indicators import _closed_heads, _sech_half_width, _sech_parts, _signed_g, weighted_blocks
 from .integrals import _p_weights, p_values
 from .kernels import TABLE_CHUNK, t_values
 from .series import Evaluation
@@ -203,30 +195,14 @@ def sum_diff_bruteforce(
 _BLOCK_TAIL_MODEL = 50.0  # empirical prefactor for the r^-3.5 block tail
 
 
-def _block_tail(r_len: int) -> float:
-    return _BLOCK_TAIL_MODEL * r_len**-3.5
+def _block_tail(tables, w, scale) -> np.ndarray:
+    return _BLOCK_TAIL_MODEL * w.L**-3.5
 
 
-def _aggregate_blocks(
-    N: int,
-    k: int,
-    t: float,
-    shifts: list[tuple[float, int]],
-    extra_tail: float = 0.0,
-) -> Evaluation:
-    """sum of w * block(N, c) over (w, c), sharing one table set."""
-    if not shifts:
-        return Evaluation(0.0, extra_tail, {"blocks": 0}, False)
-    r_lens = [_default_r_len(N, c, t) for _, c in shifts]
-    windows = _cut_windows(N, k, t, [c for _, c in shifts], r_lens)
-    values, _, _, _, bounds = BlockTables(N, k, t, *windows.extent).evaluate(windows)
-    r_needed = max(r_lens)
-    total = 0.0
-    est = extra_tail
-    for (w, _), r_len, v, bound in zip(shifts, r_lens, values.tolist(), bounds.tolist()):
-        total += w * v
-        est += abs(w) * (_block_tail(r_len) + bound)
-    return Evaluation(total, est, {"blocks": len(shifts), "r_terms": r_needed}, True)
+def _record(ev: Evaluation, horizon: float = 0.0) -> Evaluation:
+    """A driver's record: its ``weighted_blocks`` sum plus the horizon tail,
+    with guards set for every sum of blocks."""
+    return Evaluation(ev.value, ev.error_estimate + horizon, ev.terms_used, ev.terms_used["blocks"] > 0)
 
 
 def weighted_finite_analytic(
@@ -245,8 +221,8 @@ def weighted_finite_analytic(
     """
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
-    shifts = [(h.weight(a), -a) for a in range(1, N)]
-    return _aggregate_blocks(N, k, t, shifts)
+    a = range(1, N)
+    return _record(weighted_blocks(N, k, t, [h.weight(i) for i in a], [-i for i in a], None, _block_tail))
 
 
 def weighted_infinite_analytic(
@@ -264,9 +240,9 @@ def weighted_infinite_analytic(
     """
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
-    tail = h.bound / (3.0 * math.sqrt(k) * (N + a_horizon) ** 1.5)
-    shifts = [(h.weight(a), a) for a in range(1, a_horizon + 1)]
-    return _aggregate_blocks(N, k, t, shifts, tail)
+    a = range(1, a_horizon + 1)
+    ev = weighted_blocks(N, k, t, [h.weight(i) for i in a], list(a), None, _block_tail)
+    return _record(ev, h.bound / (3.0 * math.sqrt(k) * (N + a_horizon) ** 1.5))
 
 
 def sum_squares_analytic(
@@ -278,17 +254,14 @@ def sum_squares_analytic(
 
     Shifts with d a^2 >= N (including the boundary case N = d m^2, whose
     block is the vanishing identity at zero) contribute exactly 0, so the
-    aggregation is finite with no truncation estimate.
+    sum is finite and has no horizon tail; its estimate is the blocks'
+    own, ``_block_tail`` and the engine's cut bounds.
     """
     if inst.kind != "sum":
         raise ValueError("instance must be sum kind")
     N, d, k = inst.N, inst.d, inst.k
-    shifts = []
-    a = 1
-    while d * a * a <= N - 1:
-        shifts.append((g.weight(a), -d * a * a))
-        a += 1
-    return _aggregate_blocks(N, k, t, shifts)
+    a = range(1, isqrt((N - 1) // d) + 1)
+    return _record(weighted_blocks(N, k, t, [g.weight(i) for i in a], [-d * i * i for i in a], None, _block_tail))
 
 
 def sum_diff_analytic(
@@ -306,9 +279,9 @@ def sum_diff_analytic(
     if inst.kind != "difference":
         raise ValueError("instance must be difference kind")
     N, d, k = inst.N, inst.d, inst.k
-    tail = g.bound / (3.0 * math.sqrt(k) * d**1.5 * a_horizon**3)
-    shifts = [(g.weight(a), d * a * a) for a in range(1, a_horizon + 1)]
-    return _aggregate_blocks(N, k, t, shifts, tail)
+    a = range(1, a_horizon + 1)
+    ev = weighted_blocks(N, k, t, [g.weight(i) for i in a], [d * i * i for i in a], None, _block_tail)
+    return _record(ev, g.bound / (3.0 * math.sqrt(k) * d**1.5 * a_horizon**3))
 
 
 def divisor_pair_sum_analytic(
@@ -319,13 +292,13 @@ def divisor_pair_sum_analytic(
     """Series value of sum over divisors d|N with N/d > d of
     g(N/d - d)/(N/d + d)^4, through b^2 - a^2 = 4N.
 
-    Arguments 4N + a^2 with a >= N are never squares, so the aggregation
-    stops at a = N-1 with zero omitted mass.
+    Arguments 4N + a^2 with a >= N are never squares, so the sum stops at
+    a = N-1 with zero omitted mass.
     """
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
-    shifts = [(g.weight(a), a * a) for a in range(1, N)]
-    return _aggregate_blocks(4 * N, 1, t, shifts)
+    a = range(1, N)
+    return _record(weighted_blocks(4 * N, 1, t, [g.weight(i) for i in a], [i * i for i in a], None, _block_tail))
 
 
 def _divisor_pair_bruteforce(g: WeightSpec, N: int) -> float:

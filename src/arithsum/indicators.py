@@ -22,19 +22,20 @@ N+c <= 0, for every t > 0.
 ``BlockTables`` is the one block engine, a fixed contraction plan.  It
 sets up the signed grid sg[R+r] = (-1)^r G(r-N), r = -R..P, and
 Js[Q+m] = J(|m|) of a base once (views of the held tables where those
-cover them), at the sizes its driver passes, and contracts them into the
-G-parts of many shifts (the products next to each J peak r = -c summed
-by ``math.fsum``, the rest tile by tile).  Shift c's window is
--L <= r <= P_c: the driver picks L, and the engine cuts the positive side
-at the first P_c where a closed bound of the rest is below one rounding
-of the block's head and exp-series (``_cut_windows``), and reports that
-bound.  ``evaluate`` assembles head + exp-series + G-part for an array of
-shifts; no other code assembles a block.  ``q_analytic`` and the
-vanishing identities are its shift-0 block; the Diophantine and
-divisor-pair sums of ``dsums`` and ``sigma_analytic`` evaluate their
-blocks through it too.  Only the oracles keep organizations of their
-own, with symmetric grids: ``q_shifted_analytic``, and the general-s
-form ``q_general_analytic``,
+cover them), and contracts them into the G-parts of many shifts (the
+products next to each J peak r = -c summed by ``math.fsum``, the rest
+tile by tile).  Shift c's window is -L <= r <= P_c: the driver picks L,
+and the engine cuts the positive side at the first P_c where a closed
+bound of the rest is below one rounding of the block's head and
+exp-series (``_cut_windows``), and reports that bound.  ``evaluate``
+assembles head + exp-series + G-part for an array of shifts; no other
+code assembles a block.  ``weighted_blocks`` is the one function that
+forms a weighted sum of blocks, sum_i w_i block(N, c_i), and its
+estimate; it alone cuts windows and sizes tables for a driver.  Every
+analytic driver is one call of it: ``q_analytic`` and the vanishing
+identities are its one block at shift 0.  Only the oracles keep
+organizations of their own, with symmetric grids:
+``q_shifted_analytic``, and the general-s form ``q_general_analytic``,
 which is ``series.invert_series`` of ``power_series_evaluator``.
 ``q_shifted_analytic`` and the unit-weight forms of ``dsums`` read the
 same signed grid (``_signed_g``) and take their sech sums from one
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from math import pi
 from typing import NamedTuple
 
@@ -80,6 +82,7 @@ __all__ = [
     "q_general_analytic",
     "power_series_evaluator",
     "block_value",
+    "weighted_blocks",
 ]
 
 
@@ -367,8 +370,8 @@ class BlockTables:
     A fixed contraction plan: sg[R + r] = (-1)^r G(r - N) for r = -R..P
     and Js[Q + m] = J(|m|) for m = -Q..Q are set up once, here, at
     R = r_len, P = p_len (R if not given) and Q = q_len, and serve every
-    shift c against the base.  The drivers size them to their windows,
-    ``BlockTables(N, k, t, *w.extent).evaluate(w)`` with w from
+    shift c against the base.  ``weighted_blocks`` sizes them to its
+    windows, ``BlockTables(N, k, t, *w.extent).evaluate(w)`` with w from
     ``_cut_windows``.  They are read-only views of the held tables
     (``_held``) where those cover them: the last G grid per (k, t) and the
     last J table per t.  Otherwise they are built, bit for bit the same,
@@ -463,8 +466,41 @@ class BlockTables:
         return head + exp_part + g, head, exp_part, scale, bound
 
 
-def _default_r_len(N: int, c: int, t: float) -> int:
+def _default_r_len(N: int, c, t: float):
     return abs(c) + abs(N) + max(1500, int(900 / t))
+
+
+def _check_k_t(k: int, t: float) -> None:
+    # before any window or table is sized from k and t
+    if not k >= 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
+
+
+def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> Evaluation:
+    """sum_i w_i block(N, c_i) and its estimate, the one weighted sum of blocks.
+
+    r_lens are the windows' negative ends, one for all or one per shift
+    (None: ``_default_r_len``).  tail(tables, w, scale) is the driver's
+    model of each block's truncation and rounding per unit weight.  The
+    value is math.fsum of the w_i block_i, the estimate math.fsum of the
+    |w_i| (tail_i + bound_i), bound_i that of the cut tail: neither depends
+    on the order of the pairs.  guards_engaged is G's guard at r = 0.
+    """
+    _check_k_t(k, t)
+    c = np.asarray(shifts, dtype=np.int64)
+    if not c.size:
+        return Evaluation(0.0, 0.0, {"blocks": 0}, False)
+    w = _cut_windows(N, k, t, c, _default_r_len(N, c, t) if r_lens is None else r_lens)
+    tables = BlockTables(N, k, t, *w.extent)
+    value, _, _, scale, bound = tables.evaluate(w)
+    return Evaluation(
+        math.fsum(map(operator.mul, weights, value.tolist())),
+        math.fsum(map(operator.mul, map(abs, weights), (tail(tables, w, scale) + bound).tolist())),
+        {"blocks": c.size, "r_terms": tables.R},
+        tables.g0_guarded,
+    )
 
 
 def block_value(tables: BlockTables, c: int, r_len: int | None = None) -> float:
@@ -475,33 +511,31 @@ def block_value(tables: BlockTables, c: int, r_len: int | None = None) -> float:
     return float(tables.blocks([c], r_len)[0][0])
 
 
+def _q_tail(tables: BlockTables, w: Windows, scale) -> float:
+    # past r_len the summand decays at least like r^(-7/2) on the positive
+    # side and r^(-4) through the J factor on the negative.  Where the cut
+    # leaves the positive edge off the grid, its closed bound stands in,
+    # which is no smaller; the cut's own tail is the engine's bound
+    N, k, t, R, Q, sg, Js = tables.N, tables.k, tables.t, tables.R, tables.Q, tables.sg, tables.Js
+    r_len = int(w.L[0])
+    face = float(w.head[0] + w.exp_part[0]) + tables.coeff * float(sg[R] * Js[Q])
+    lo = r_len - 63  # the edge r = lo..r_len, and its mirror -r
+    neg = sg[R - r_len : R - lo + 1][::-1]
+    if r_len <= tables.P:
+        edge = np.abs(sg[R + lo : R + r_len + 1] + neg)
+    else:
+        edge = _g_bound(np.arange(lo - N, r_len - N + 1, dtype=float), t, k) + np.abs(neg)
+    edge_max = float(np.max(edge * np.abs(Js[Q + lo : Q + r_len + 1])))
+    return tables.coeff * edge_max * r_len / 2.5 + 1e-12 + abs(face) * 1e-15
+
+
 def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:
     """Convergent-series value of q_k(N)/N^2 for N >= 1: the shift-0
-    block of ``BlockTables`` at base N."""
+    block at base N, ``weighted_blocks`` of one unit weight."""
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    r_len = _default_r_len(N, 0, t)
-    w = _cut_windows(N, k, t, [0], r_len)
-    tables = BlockTables(N, k, t, *w.extent)
-    value, head, exp_part, _, bound = tables.evaluate(w)
-    R, Q, sg, Js = tables.R, tables.Q, tables.sg, tables.Js
-    face = float(head[0] + exp_part[0]) + tables.coeff * float(sg[R] * Js[Q])
-    # tail model: past r_len the summand decays at least like r^(-7/2) on
-    # the positive side and r^(-4) through the J factor on the negative.
-    # Where the cut leaves the positive edge off the grid, its closed bound
-    # stands in, which is no smaller; the cut's own tail is the engine's bound
-    r = np.arange(r_len - 63, r_len + 1)
-    if r_len <= tables.P:
-        edge = np.abs(sg[R + r] + sg[R - r])
-    else:
-        edge = _g_bound((r - N).astype(float), t, k) + np.abs(sg[R - r])
-    tail = tables.coeff * float(np.max(edge * np.abs(Js[Q + r]))) * r_len / 2.5
-    est = tail + 1e-12 + abs(face) * 1e-15 + float(bound[0])
-    return Evaluation(float(value[0]), est, {"r_terms": r_len}, tables.g0_guarded)
+    ev = weighted_blocks(N, k, t, [1.0], [0], None, _q_tail)
+    return Evaluation(ev.value, ev.error_estimate, {"r_terms": ev.terms_used["r_terms"]}, ev.guards_engaged)
 
 
 def classify_unit(value: float, residual_tol: float = 0.25) -> tuple[int, float]:
@@ -525,14 +559,11 @@ def q_classify(k: int, N: int, t: float = 1.0) -> tuple[int, float]:
 
 def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
     """|series representation at a nonpositive argument|, which the
-    vanishing identity says is 0.  Requires N <= 0."""
+    vanishing identity says is 0: q's one-block ``weighted_blocks`` call.
+    Requires N <= 0."""
     if N > 0:
         raise ValueError(f"N must be <= 0, got {N}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    r_len = _default_r_len(N, 0, t)
-    w = _cut_windows(N, k, t, [0], r_len)
-    return abs(float(BlockTables(N, k, t, *w.extent).evaluate(w)[0][0]))
+    return abs(weighted_blocks(N, k, t, [1.0], [0], None, lambda *_: 0.0).value)
 
 
 def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:

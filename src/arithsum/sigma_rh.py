@@ -10,8 +10,8 @@ as b = N/d + d, a = N/d - d).  Substituting the shifted series for
 q_1(4N+a^2)/(4N+a^2)^2 and weighting by (4N+a^2)^(5/2) gives a
 convergent-series representation of sigma(N) valid for every t > 0:
 the (4N+a^2)^(5/2)-weighted sum of the blocks at base 4N and shifts a^2,
-all assembled by one ``blocks`` call of the block engine
-``indicators.BlockTables``, with all hyperbolic weights in guarded form.
+one ``indicators.weighted_blocks`` call, with all hyperbolic weights in
+guarded form.
 
 The Lagarias criterion compares sigma(N) against H_N + e^(H_N) log H_N;
 Robin's compares against e^gamma N log log N for N >= 5041.
@@ -26,7 +26,7 @@ from math import isqrt
 import numpy as np
 
 from .dsums import _square_roots
-from .indicators import BlockTables, _cut_windows
+from .indicators import _check_k_t, weighted_blocks
 from .series import Evaluation
 
 __all__ = [
@@ -87,6 +87,12 @@ def _sigma_r_len(N: int, t: float) -> int:
     return (N - 1) * (N - 1) + max(4000, 40 * N, int(3000 / t))
 
 
+def _sigma_tail(tables, w, scale) -> np.ndarray:
+    # guarded hyperbolics underflow to true zeros; the rounding of each
+    # block, eps * scale, carries the sinh(pi t) of the G-part
+    return 1e-12 * np.abs(w.head) + _EPS * scale
+
+
 def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
     """Convergent-series value of sigma(N), N >= 2, for any t > 0.
 
@@ -95,31 +101,17 @@ def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
     """
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_k_t(1, t)
     a2 = np.arange(1, N, dtype=np.int64) ** 2
-    M = 4 * N + a2
-    Mf = M.astype(float)
-    M52 = Mf * Mf * np.sqrt(Mf)
-
+    Mf = (4 * N + a2).astype(float)
     m = isqrt(N)
     lead = math.sqrt(N) if m * m == N else 0.0
-
-    # the blocks at base 4N and shifts a^2, weighted by M^(5/2)
     r_len = _sigma_r_len(N, t)
-    w = _cut_windows(4 * N, 1, t, a2, r_len)
-    blocks, head, _, scale, bound = BlockTables(4 * N, 1, t, *w.extent).evaluate(w)
-    total = lead + float(np.sum(M52 * blocks))
-
-    # error model: guarded hyperbolics underflow to true zeros; the r
-    # truncation sits past the last resonance with a polynomial margin;
-    # the rounding of each block, eps * scale, is amplified by M^(5/2),
-    # and scale carries the sinh(pi t) of the G-part; so is the bound of
-    # each block's cut positive tail
+    ev = weighted_blocks(4 * N, 1, t, (Mf * Mf * np.sqrt(Mf)).tolist(), a2, r_len, _sigma_tail)
+    # the r truncation sits past the last resonance with a polynomial margin
     margin = r_len - (N - 1) ** 2
-    est = 1e-12 * float(np.sum(np.abs(M52 * head))) + 0.05 * N * N / margin**1.5 + 1e-9
-    est += _EPS * float(np.sum(M52 * scale)) + float(np.sum(M52 * bound))
-    return Evaluation(float(total), float(est), {"a_terms": N - 1, "r_terms": r_len}, True)
+    est = ev.error_estimate + 0.05 * N * N / margin**1.5 + 1e-9
+    return Evaluation(lead + ev.value, est, {"a_terms": N - 1, "r_terms": r_len}, True)
 
 
 def harmonic(N: int) -> float:

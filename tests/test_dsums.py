@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arithsum import dsums, indicators, integrals, series, sigma_rh
+from arithsum import dsums, indicators, integrals, series
 from arithsum.dsums import (
     DiophantineInstance,
     WeightSpec,
@@ -272,8 +272,7 @@ def test_unit_forms_do_not_use_the_block_engine(monkeypatch):
     def unavailable(*args, **kwargs):
         raise AssertionError("the block engine was called")
 
-    for module in (dsums, indicators, sigma_rh):
-        monkeypatch.setattr(module, "BlockTables", unavailable)
+    monkeypatch.setattr(indicators, "BlockTables", unavailable)
     for module in (integrals, indicators, series):
         monkeypatch.setattr(module, "j_values", unavailable)
     with pytest.raises(AssertionError):

@@ -1,0 +1,191 @@
+"""The one weighted-block driver: every analytic sum of blocks, sum_i w_i
+block(N, c_i), and its estimate come from ``indicators.weighted_blocks``.
+Its value and estimate are math.fsum sums, so they do not depend on the
+order of the pairs; each driver is one call of it; the drivers refuse a
+bad k or t before they size anything; and no other code cuts windows or
+builds a BlockTables."""
+
+import ast
+import math
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from arithsum import dsums, indicators, sigma_rh
+from arithsum.dsums import (
+    DiophantineInstance,
+    alternating_weight,
+    divisor_pair_sum_analytic,
+    reciprocal_weight,
+    sum_diff_analytic,
+    sum_squares_analytic,
+    unit_weight,
+    weighted_finite_analytic,
+    weighted_infinite_analytic,
+)
+from arithsum.indicators import BlockTables, _default_r_len, q_analytic, weighted_blocks, zero_identity_residual
+from arithsum.sigma_rh import _sigma_r_len, _sigma_tail, sigma_analytic
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "arithsum"
+
+DRIVERS = {
+    "q": lambda k, t: q_analytic(k, 7, t),
+    "zero": lambda k, t: zero_identity_residual(k, -1, t),
+    "finite": lambda k, t: weighted_finite_analytic(unit_weight(), k, 5, t),
+    "infinite": lambda k, t: weighted_infinite_analytic(unit_weight(), k, 5, t, a_horizon=3),
+    "squares": lambda k, t: sum_squares_analytic(unit_weight(), DiophantineInstance(10, 1, k, "sum"), t),
+    "diff": lambda k, t: sum_diff_analytic(unit_weight(), DiophantineInstance(3, 1, k, "difference"), t, 3),
+    "divisor": lambda k, t: divisor_pair_sum_analytic(unit_weight(), 6, t),
+    "sigma": lambda k, t: sigma_analytic(6, t),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_drivers_refuse_a_bad_t_by_name(driver, t):
+    with pytest.raises(ValueError, match="^t must be"):
+        DRIVERS[driver](1, t)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("driver", ["q", "zero", "finite", "infinite"])
+def test_drivers_refuse_a_bad_k_by_name(driver, k):
+    # the instance-based drivers refuse k < 1 in DiophantineInstance, and
+    # the divisor-pair sums and sigma have k = 1
+    with pytest.raises(ValueError, match="^k must be"):
+        DRIVERS[driver](k, 1.0)
+
+
+def test_the_check_comes_before_any_window_is_sized(monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a window was sized")
+
+    monkeypatch.setattr(indicators, "_default_r_len", unavailable)
+    monkeypatch.setattr(sigma_rh, "_sigma_r_len", unavailable)
+    for driver in DRIVERS.values():
+        with pytest.raises(ValueError, match="^t must be"):
+            driver(1, 0.0)
+
+
+def _pairs(seed, n, N):
+    rng = random.Random(seed)
+    shifts = rng.sample(range(-N + 1, 60), n)
+    return [rng.uniform(-3.0, 3.0) for _ in shifts], shifts
+
+
+@pytest.mark.parametrize("N,k,t", [(40, 1, 0.7), (37, 2, 0.2), (25, 3, 4.0)])
+def test_permuted_pairs_give_the_same_bits(N, k, t):
+    weights, shifts = _pairs(N, 30, N)
+    ev = weighted_blocks(N, k, t, weights, shifts, None, dsums._block_tail)
+    order = list(range(len(shifts)))
+    for seed in range(3):
+        random.Random(seed).shuffle(order)
+        perm = weighted_blocks(
+            N, k, t, [weights[i] for i in order], [shifts[i] for i in order], None, dsums._block_tail
+        )
+        assert perm.value == ev.value
+        assert perm.error_estimate == ev.error_estimate
+        assert perm.terms_used == ev.terms_used
+
+
+def test_permuted_sigma_pairs_give_the_same_bits():
+    N, t = 90, 1.0
+    a2 = np.arange(1, N, dtype=np.int64) ** 2
+    M = (4 * N + a2).astype(float)
+    r_len = _sigma_r_len(N, t)
+    ev = weighted_blocks(4 * N, 1, t, M**2.5, a2, r_len, _sigma_tail)
+    order = np.random.default_rng(5).permutation(N - 1)
+    perm = weighted_blocks(4 * N, 1, t, (M**2.5)[order], a2[order], r_len, _sigma_tail)
+    assert (perm.value, perm.error_estimate) == (ev.value, ev.error_estimate)
+
+
+def test_value_and_estimate_are_the_fsums_of_the_blocks():
+    N, k, t = 30, 2, 0.5
+    weights, shifts = _pairs(3, 20, N)
+    r_lens = [_default_r_len(N, c, t) for c in shifts]
+    ev = weighted_blocks(N, k, t, weights, shifts, r_lens, dsums._block_tail)
+    r_max = max(r_lens)
+    tables = BlockTables(N, k, t, r_max, r_max + max(map(abs, shifts)))
+    values, _, _, _, bounds = tables.blocks(shifts, r_lens)
+    assert ev.value == math.fsum(w * v for w, v in zip(weights, values.tolist()))
+    assert ev.error_estimate == math.fsum(
+        abs(w) * (50.0 * r**-3.5 + b) for w, r, b in zip(weights, r_lens, bounds.tolist())
+    )
+    assert ev.terms_used == {"blocks": len(shifts), "r_terms": r_max}
+
+
+CALLS = {
+    "sigma": lambda: sigma_analytic(40, 1.0),
+    "q": lambda: q_analytic(1, 49, 2.0),
+    "zero": lambda: zero_identity_residual(2, -5, 1.0),
+    "finite": lambda: weighted_finite_analytic(alternating_weight(), 1, 20, 1.0),
+    "infinite": lambda: weighted_infinite_analytic(reciprocal_weight(), 2, 20, 1.0, a_horizon=30),
+    "squares": lambda: sum_squares_analytic(unit_weight(), DiophantineInstance(50, 1, 1, "sum"), 1.0),
+    "diff": lambda: sum_diff_analytic(unit_weight(), DiophantineInstance(3, 1, 1, "difference"), 1.0, 20),
+    "divisor": lambda: divisor_pair_sum_analytic(unit_weight(), 30, 1.0),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(CALLS))
+def test_each_driver_is_one_weighted_blocks_call(monkeypatch, driver):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return weighted_blocks(*args, **kwargs)
+
+    for module in (indicators, dsums, sigma_rh):
+        monkeypatch.setattr(module, "weighted_blocks", counted)
+    CALLS[driver]()
+    assert len(calls) == 1
+
+
+def test_an_empty_shift_set_is_its_horizon_tail():
+    ev = weighted_blocks(5, 1, 1.0, [], [], None, dsums._block_tail)
+    assert (ev.value, ev.error_estimate, ev.terms_used, ev.guards_engaged) == (0.0, 0.0, {"blocks": 0}, False)
+    ev = weighted_infinite_analytic(unit_weight(), 4, 5, 1.0, a_horizon=0)
+    assert ev.value == 0.0
+    assert ev.error_estimate == 1.0 / (3.0 * math.sqrt(4) * 5**1.5)
+    assert ev.terms_used == {"blocks": 0}
+    ev = sum_squares_analytic(unit_weight(), DiophantineInstance(1, 1, 1, "sum"), 1.0)
+    assert (ev.value, ev.error_estimate, ev.terms_used) == (0.0, 0.0, {"blocks": 0})
+
+
+def _functions_that(predicate):
+    """(file, qualified function name) of every call in src/arithsum for
+    which predicate(call node) holds."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                else:
+                    if isinstance(child, ast.Call) and predicate(child):
+                        found.append((path.name, ".".join(scope)))
+                    visit(child, scope)
+
+        visit(tree, [])
+    return found
+
+
+def _calls(name):
+    def predicate(call):
+        f = call.func
+        return (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name)
+
+    return predicate
+
+
+def test_only_the_weighted_driver_cuts_windows_and_builds_tables():
+    # a second weighted sum of blocks would have to cut its own windows and
+    # size its own tables; the engine's fixed-table ``blocks`` cuts too
+    assert sorted(_functions_that(_calls("_cut_windows"))) == [
+        ("indicators.py", "BlockTables.blocks"),
+        ("indicators.py", "weighted_blocks"),
+    ]
+    assert _functions_that(_calls("BlockTables")) == [("indicators.py", "weighted_blocks")]
