@@ -40,6 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import dsums, indicators, sigma_rh, suites
+from .kernels import T_MAX
 
 CSV_COLUMNS = ["inputs", "value", "oracle", "diff", "error_estimate", "terms", "guards", "ms"]
 
@@ -97,10 +98,7 @@ def parse_range(spec: str) -> list[int]:
         raise ConfigError(f"cannot parse integer range {spec!r}") from None
 
 
-# the closed heads divide by e^(2 pi t) - 1, which must be a finite number
-_LN_DBL_MAX = math.log(sys.float_info.max)
-# the longest r grid is sigma's, about 3000/t terms past (N-1)^2; its length
-# must be a finite number too
+# sigma's grid rule: its r grid, the longest, runs about 3000/t terms past (N-1)^2
 _GRID_PER_T = 3000.0
 
 
@@ -112,11 +110,8 @@ def parse_t(spec: str) -> list[float]:
     for v in vals:
         if not (v > 0 and math.isfinite(v)):
             raise ConfigError("all t values must be positive and finite")
-        if 2.0 * math.pi * v > _LN_DBL_MAX:
-            raise ConfigError(
-                f"t = {v} exceeds ln(DBL_MAX)/(2 pi) = {_LN_DBL_MAX / (2.0 * math.pi):.6g}, "
-                "where e^(2 pi t) overflows"
-            )
+        if v > T_MAX:
+            raise ConfigError(f"t = {v} exceeds ln(DBL_MAX)/(2 pi) = {T_MAX:.6g}, where e^(2 pi t) overflows")
         if not math.isfinite(_GRID_PER_T / v):
             raise ConfigError(f"t = {v} is too small: an r grid of {_GRID_PER_T:g}/t terms is not finite")
     return vals

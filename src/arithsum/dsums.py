@@ -36,7 +36,7 @@ import numpy as np
 
 from .indicators import _closed_heads, _sech_half_width, _sech_parts, _signed_g, weighted_blocks
 from .integrals import _p_weights, p_values
-from .kernels import TABLE_CHUNK, t_values
+from .kernels import TABLE_CHUNK, check_analytic_t, t_values
 from .series import Evaluation
 
 __all__ = [
@@ -240,6 +240,8 @@ def weighted_infinite_analytic(
     """
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
+    if a_horizon < 0:
+        raise ValueError(f"a_horizon must be a nonnegative integer, got {a_horizon}")
     a = range(1, a_horizon + 1)
     ev = weighted_blocks(N, k, t, [h.weight(i) for i in a], list(a), None, _block_tail)
     return _record(ev, h.bound / (3.0 * math.sqrt(k) * (N + a_horizon) ** 1.5))
@@ -278,6 +280,8 @@ def sum_diff_analytic(
     """
     if inst.kind != "difference":
         raise ValueError("instance must be difference kind")
+    if a_horizon < 1:
+        raise ValueError(f"a_horizon must be a positive integer, got {a_horizon}")
     N, d, k = inst.N, inst.d, inst.k
     a = range(1, a_horizon + 1)
     ev = weighted_blocks(N, k, t, [g.weight(i) for i in a], [d * i * i for i in a], None, _block_tail)
@@ -317,6 +321,7 @@ def _divisor_pair_bruteforce(g: WeightSpec, N: int) -> float:
 
 
 def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> Evaluation:
+    check_analytic_t(t)
     N, d, k = inst.N, inst.d, inst.k
     sech_coeff = math.sinh(pi * t) / (8.0 * math.sqrt(k) * t)
     # Cutoffs and tail models per kind.  At the resonances r ~ d a^2 the

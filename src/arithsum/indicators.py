@@ -54,7 +54,7 @@ import numpy as np
 
 from .integrals import cosh_over_sinh2_values, coth, csch_values, exp_series_sums
 from .integrals import _p_weights, j_values, p_values, sech_values
-from .kernels import TABLE_CHUNK, _g
+from .kernels import TABLE_CHUNK, _g, check_analytic_t
 from .series import Evaluation, SeriesEvaluator, invert_series
 
 # doubles of sg per tile of the G-part contraction (512 KiB); a tile and
@@ -387,8 +387,7 @@ class BlockTables:
     """
 
     def __init__(self, N: int, k: int, t: float, r_len: int, q_len: int, p_len: int | None = None):
-        if not t > 0:
-            raise ValueError(f"t must be positive, got {t}")
+        check_analytic_t(t)
         self.N, self.k, self.t = N, k, t = int(N), int(k), float(t)
         self.R, self.Q = R, Q = int(r_len), int(q_len)
         self.P = P = R if p_len is None else int(p_len)
@@ -470,14 +469,6 @@ def _default_r_len(N: int, c, t: float):
     return abs(c) + abs(N) + max(1500, int(900 / t))
 
 
-def _check_k_t(k: int, t: float) -> None:
-    # before any window or table is sized from k and t
-    if not k >= 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError(f"t must be positive and finite, got {t}")
-
-
 def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> Evaluation:
     """sum_i w_i block(N, c_i) and its estimate, the one weighted sum of blocks.
 
@@ -488,7 +479,10 @@ def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> 
     |w_i| (tail_i + bound_i), bound_i that of the cut tail: neither depends
     on the order of the pairs.  guards_engaged is G's guard at r = 0.
     """
-    _check_k_t(k, t)
+    # before any window or table is sized from k and t
+    if not k >= 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    check_analytic_t(t)
     c = np.asarray(shifts, dtype=np.int64)
     if not c.size:
         return Evaluation(0.0, 0.0, {"blocks": 0}, False)
@@ -582,8 +576,7 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     """
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    check_analytic_t(t)
     heads, exp_part = _closed_heads(np.array([N + c]), k, t)
     head = float(heads[0] + exp_part[0])
     W = _sech_half_width(t)

@@ -14,7 +14,7 @@ implementation of each series; ``integral_i``, ``integral_k`` and
 ``integral_j`` are one-element calls of them.
 ``quadrature_oracle`` integrates the defining integrands directly with
 adaptive Gauss-Legendre quadrature so the closed forms are
-machine-checkable.
+machine-checkable.  Every entry takes any finite t > 0 (``kernels.check_t``).
 
 The hyperbolic heads csch, sech and cosh/sinh^2 each have one guarded
 implementation, elementwise over arrays (``csch_values``, ``sech_values``,
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GUARD_THRESHOLD, TABLE_CHUNK
+from .kernels import GUARD_THRESHOLD, TABLE_CHUNK, check_t
 
 WEIGHT_TOL = 1e-18
 _EPS = float(np.finfo(float).eps)
@@ -180,11 +180,6 @@ def _j(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.nd
     return head + sign_q * (2.0 * t / math.pi) * p_values(q, t, weights)
 
 
-def _check_t(t: float) -> None:
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-
-
 def _rounding(parts: list, exponents: list, terms: np.ndarray, term_exponents: np.ndarray) -> float:
     """eps * sum |x| (1 + a) over the head parts and the series terms x:
     the rounding of their sum, where an x proportional to e^(-a) also
@@ -195,7 +190,7 @@ def _rounding(parts: list, exponents: list, terms: np.ndarray, term_exponents: n
 
 def integral_i(q: int, t: float) -> IntegralValue:
     """Closed form of int_0^1 sin(pi q b)/(e^{2 pi b t}+1) db; odd in q."""
-    _check_t(t)
+    check_t(t)
     q = int(q)
     if q == 0:
         return IntegralValue(0.0, 0, 0.0)
@@ -218,7 +213,7 @@ def integral_k(q: int, t: float) -> IntegralValue:
     integrating b cos(pi q b) e^{-2 pi t r b} term by term; the head is the
     exponential-free part of that expansion (its q -> 0 limit is 1/(48 t^2)).
     """
-    _check_t(t)
+    check_t(t)
     q = abs(int(q))
     x = math.pi * q / (2.0 * t)
     if q == 0:
@@ -240,7 +235,7 @@ def integral_k(q: int, t: float) -> IntegralValue:
 def integral_j(q: int, t: float) -> IntegralValue:
     """Closed form of int_0^1 cos(pi q b)/cosh(pi b t) db; even in q: the
     entry |q| of ``j_values``."""
-    _check_t(t)
+    check_t(t)
     q = abs(int(q))
     n, c = _p_weights(t)
     n1 = n[-1] + 2.0
@@ -259,7 +254,7 @@ def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarr
     The series drivers index this table by |r +- c|, so it is built once
     per evaluation context rather than per call.
     """
-    _check_t(t)
+    check_t(t)
     out = np.empty(q_max + 1) if out is None else out
     weights = _p_weights(t)
     # p_values makes three numpy calls per weight and chunk, so the chunks
@@ -337,14 +332,13 @@ def quadrature_oracle(kind: str, q: int, t: float, tol: float = 1e-12) -> float:
 
     Raises QuadratureError past _QUAD_PANELS panels or if the summed
     |Q40 - Q20| exceeds 50 max(tol, 1e-14 |value|), and ValueError for an
-    unknown kind, tol < 1e-12 or t <= 0.
+    unknown kind, tol < 1e-12 or a t that is not finite and positive.
     """
     if kind not in ("I", "K", "J"):
         raise ValueError(f"unknown integral kind {kind!r}; expected one of I, K, J")
     if tol < 1e-12:
         raise ValueError(f"tol must be at least 1e-12, got {tol}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    check_t(t)
     q = int(q)
     rules = _gauss_legendre_rules()
     lo, hi = np.array([0.0]), np.array([1.0])

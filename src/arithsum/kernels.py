@@ -22,6 +22,9 @@ G and T have one implementation each, elementwise over arrays of M
 (``g_values``, ``t_values``); the scalar forms ``kernel_g``, ``kernel_t``
 and ``half_plane_root`` call it on a one-element array, so that they
 return the same bits.  (numpy's 0-d paths can round differently.)
+
+The t-domain is defined here only: the kernels and integrals take any finite
+t > 0 (``check_t``), the analytic entries 0 < t <= ``T_MAX`` (``check_analytic_t``).
 """
 
 from __future__ import annotations
@@ -38,6 +41,20 @@ import numpy as np
 GUARD_THRESHOLD = 30.0
 # entries per _g/_j call of a table build: 64 KiB temporaries, in L2 and below malloc's mmap threshold
 TABLE_CHUNK = 1 << 13
+T_MAX = math.log(np.finfo(float).max) / (2.0 * math.pi)
+
+
+def check_t(t: float) -> None:
+    """Refuse a t that is not finite and positive, before anything is sized from it."""
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
+
+
+def check_analytic_t(t: float) -> None:
+    """``check_t``, and refuse t > T_MAX, where the closed heads' e^(2 pi t) - 1 overflows."""
+    check_t(t)
+    if t > T_MAX:
+        raise ValueError(f"t must be at most ln(DBL_MAX)/(2 pi) = {T_MAX:.6g}, got {t}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +87,7 @@ def _roots(M: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     subtractive cancellation, so the invariants hold to ~1e-15 relative
     even for |M| ~ 1e12.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    check_t(t)
     h = np.hypot(M, t)
     big = np.sqrt((h + np.abs(M)) / 2.0)
     small = t / (2.0 * big)
@@ -142,10 +158,7 @@ def _t(M, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def half_plane_root(M: float, t: float) -> HalfPlaneRoot:
-    """Split sqrt(M + it) into (u, v) with u^2 - v^2 = M and 2uv = t.
-
-    Raises ValueError for t <= 0.
-    """
+    """Split sqrt(M + it) into (u, v) with u^2 - v^2 = M and 2uv = t > 0."""
     _, u, v = _roots(np.array([float(M)]), t)
     return HalfPlaneRoot(M=float(M), t=float(t), u=float(u[0]), v=float(v[0]))
 
@@ -164,8 +177,6 @@ def kernel_v(M: float, t: float) -> KernelValue:
     V keeps its own scalar guard rather than an elementwise form through
     ``_guarded_ratio``: its numerator grows like e^a, not e^(2a), so that
     rewrite does not apply, and no caller evaluates V on arrays."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
     root = half_plane_root(M, t)
     u, v = root.u, root.v
     a = math.pi * u

@@ -16,7 +16,8 @@ nearly equal values), so an evaluator returns Im F alone:
 Im F(x + it).  ``invert_series_many`` samples it once, on the union of
 the 2L+1 points of every N it inverts, and sums each folded r-series
 pairwise; ``invert_series`` is its one-N case.  The length L is the one
-inversion rule; there is no stopping rule to tune.
+inversion rule; there is no stopping rule to tune.  It serves 0 < t <=
+``kernels.T_MAX``, and ``lemma4_residual``, which is even in t, 0 < |t| <= T_MAX.
 
 Callers must guarantee that their evaluator's shifted series converge
 absolutely and uniformly; that hypothesis cannot be checked mechanically
@@ -33,6 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .integrals import j_values
+from .kernels import check_analytic_t
 
 _LEMMA4_ROWS = 64  # rows per block of lemma4_residual: 64 x 2000 doubles ~ 1 MB
 
@@ -75,7 +77,7 @@ class Evaluation:
 
 def invert_series(F: SeriesEvaluator, N: int, t: float) -> Evaluation:
     """Recover the coefficient f(N) of a partial-fraction series from its
-    evaluator, for any t > 0: the one-N case of ``invert_series_many``."""
+    evaluator, for 0 < t <= T_MAX: the one-N case of ``invert_series_many``."""
     return invert_series_many(F, [N], t)[0]
 
 
@@ -91,8 +93,7 @@ def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
     the sinh(pi t)/pi-amplified rounding of that sum,
     eps (ceil(log2 L) + 2) sum |terms|.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    check_analytic_t(t)
     Ns = [int(N) for N in Ns]
     Ls = [abs(N) + max(2500, int(1200 / t)) for N in Ns]
     p = -Ns[0]
@@ -129,12 +130,11 @@ def lemma4_residual(
     series, which is summed to ``k_max`` (beyond n_terms) with a final
     two-point average to damp the alternating error term.
 
-    Raises ValueError for |beta| > 1 or t = 0.
+    Raises ValueError for |beta| > 1 or |t| outside (0, T_MAX]; it is even in t.
     """
     if abs(beta) > 1.0:
         raise ValueError(f"|beta| must not exceed 1, got {beta}")
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    check_analytic_t(abs(t))
     if k_max is None:
         k_max = max(20_000, 4 * n_terms)
     n = np.arange(1, n_terms + 1, dtype=float)

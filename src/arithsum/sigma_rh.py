@@ -26,7 +26,8 @@ from math import isqrt
 import numpy as np
 
 from .dsums import _square_roots
-from .indicators import _check_k_t, weighted_blocks
+from .indicators import weighted_blocks
+from .kernels import check_analytic_t
 from .series import Evaluation
 
 __all__ = [
@@ -94,14 +95,14 @@ def _sigma_tail(tables, w, scale) -> np.ndarray:
 
 
 def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
-    """Convergent-series value of sigma(N), N >= 2, for any t > 0.
+    """Convergent-series value of sigma(N), N >= 2, for 0 < t <= T_MAX.
 
     Assembled as q_1(N) sqrt(N) plus the (4N+a^2)^(5/2)-weighted shifted
     indicator blocks at base 4N and shifts a^2, a = 1..N-1.
     """
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
-    _check_k_t(1, t)
+    check_analytic_t(t)
     a2 = np.arange(1, N, dtype=np.int64) ** 2
     Mf = (4 * N + a2).astype(float)
     m = isqrt(N)
