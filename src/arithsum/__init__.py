@@ -67,7 +67,7 @@ from .sigma_rh import (
     robin_rhs,
     sigma_analytic,
     sigma_bruteforce,
-    sigma_decomposition_check,
+    sigma_decomposition_residuals,
 )
 
 __version__ = "0.1.0"

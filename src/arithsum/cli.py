@@ -24,8 +24,11 @@ Reports carry one record per item with a fixed schema
 summary {count, failures, max_abs_diff}.  JSON serializes numbers with
 17 significant digits; CSV uses RFC-4180 quoting with the documented
 column order.  Exit codes: 0 success, 1 verification failure, 2 usage
-or configuration error, including a t outside (0, ln(DBL_MAX)/(2 pi)]
-and an item too large to allocate."""
+or configuration error, including a t outside (0, ln(DBL_MAX)/(2 pi)],
+a --tol that is not finite and >= 0, and an item too large to allocate.
+Every failure rule is written as ``not (diff <= bound)``, so a non-finite
+value gives a failed record and exit 1, and a NaN diff makes the
+summary's max_abs_diff NaN."""
 
 from __future__ import annotations
 
@@ -152,7 +155,8 @@ def _work_eval_q(k, s, N, t, tol) -> dict:
     value = N * N * ev.value
     est = N * N * ev.error_estimate
     diff = abs(value - oracle)
-    failed = diff > tol + est or round(value) != oracle
+    # written so that a non-finite value fails, and fails before round()
+    failed = not (math.isfinite(value) and diff <= tol + est and round(value) == oracle)
     return _record({"k": k, "s": s, "N": N, "t": t}, value, oracle, diff, est,
                    ev.terms_used, ev.guards_engaged, failed)
 
@@ -178,7 +182,7 @@ def _work_sum(kind, N, d, k, weight, t, tol, horizon) -> dict:
         ev = dsums.sum_diff_analytic(g, inst, t)
     diff = abs(ev.value - oracle)
     return _record(inputs, ev.value, oracle, diff, ev.error_estimate + tail, ev.terms_used,
-                   ev.guards_engaged, diff > tol + ev.error_estimate + tail)
+                   ev.guards_engaged, not diff <= tol + ev.error_estimate + tail)
 
 
 def _work_sigma(N, t) -> dict:
@@ -186,7 +190,8 @@ def _work_sigma(N, t) -> dict:
     oracle = float(sigma_rh.sigma_bruteforce(N))
     diff = abs(ev.value - oracle)
     return _record({"N": N, "t": t}, ev.value, oracle, diff, ev.error_estimate, ev.terms_used,
-                   ev.guards_engaged, diff >= 0.25 or round(ev.value) != oracle)
+                   ev.guards_engaged,
+                   not (math.isfinite(ev.value) and diff < 0.25 and round(ev.value) == oracle))
 
 
 def _work_rh(N, t, mode) -> dict:
@@ -201,7 +206,7 @@ def _work_rh(N, t, mode) -> dict:
 
 def _work_check(suite, label, residual, allowance, tol) -> dict:
     return _record({"suite": suite, "check": label}, residual, 0.0, residual, allowance, {},
-                   False, residual > allowance + tol)
+                   False, not residual <= allowance + tol)
 
 
 def _timed(worker, timing: bool, item: tuple) -> dict:
@@ -221,7 +226,9 @@ def _run_items(worker, items: list[tuple], jobs: int, timing: bool) -> list[dict
 
 def _emit(config: dict, records: list[dict], fmt: str, out) -> None:
     failures = sum(1 for r in records if r["failed"])
-    max_diff = max((abs(r["diff"]) for r in records), default=0.0)
+    diffs = [abs(r["diff"]) for r in records]
+    # max() keeps or drops a NaN depending on where it sits
+    max_diff = math.nan if any(math.isnan(d) for d in diffs) else max(diffs, default=0.0)
     summary = {"count": len(records), "failures": failures, "max_abs_diff": max_diff}
     if fmt == "json":
         out.write(_dumps({"config": config, "records": records, "summary": summary}))
@@ -284,13 +291,20 @@ def _n_t_items(args, n_min: int) -> list[tuple[int, float]]:
     return [(n, t) for n in ns for t in ts]
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
+
+
 def cmd_eval_q(args):
     if args.k < 1 or args.s < 1:
         raise ConfigError("k and s must be positive")
+    _check_tol(args.tol)
     return _work_eval_q, [(args.k, args.s, n, t, args.tol) for n, t in _n_t_items(args, 1)]
 
 
 def cmd_sum(args):
+    _check_tol(args.tol)
     return _work_sum, [
         (args.kind, n, args.d, args.k, args.weight, t, args.tol, args.horizon)
         for n, t in _n_t_items(args, 1)
@@ -310,6 +324,7 @@ def cmd_rh(args):
 
 
 def cmd_verify(args):
+    _check_tol(args.tol)
     try:
         checks = suites.run_suite(args.suite, fast=args.fast)
     except KeyError as exc:

@@ -25,7 +25,6 @@ from math import isqrt
 
 import numpy as np
 
-from .dsums import _square_roots
 from .indicators import weighted_blocks
 from .kernels import check_analytic_t
 from .series import Evaluation
@@ -34,7 +33,7 @@ __all__ = [
     "RHRecord",
     "EULER_GAMMA",
     "sigma_bruteforce",
-    "sigma_decomposition_check",
+    "sigma_decomposition_residuals",
     "sigma_analytic",
     "harmonic",
     "lagarias_rhs",
@@ -62,24 +61,40 @@ def sigma_bruteforce(N: int) -> int:
     return total
 
 
-def sigma_decomposition_check(N: int) -> int:
-    """|sigma(N) - q_1(N) sqrt(N) - sum_a q_1(4N+a^2) sqrt(4N+a^2)| with
-    exact integer arithmetic; 0 for every N.
+def _square_pair_sums(n_max: int) -> np.ndarray:
+    """s[N - 1] = sum of b over 4N + a^2 = b^2, 1 <= a < N, for N = 1..n_max,
+    exact int64, from a listing of the squares rather than a search.
 
-    The square roots of the 4N + a^2 come from ``dsums._square_roots``, an
-    exact int64 test (4N + a^2 < 2^62 throughout the supported range).
+    b^2 - a^2 = 4N makes b = a + 2j with j >= 1, and a < N holds by
+    construction, since N = j(a + j) >= a + 1.  So the pairs are listed for
+    each j as a = 1, 2, ... while b^2 <= a^2 + 4 n_max, and each N is read
+    off its square as (b^2 - a^2)/4; N is never factored.  b^2 is at most
+    (n_max + 1)^2, exact in int64 for n_max < 3e9.
     """
-    if N < 1:
-        raise ValueError(f"N must be a natural number, got {N}")
-    total = 0
-    m = isqrt(N)
-    if m * m == N:
-        total += m
-    if N > 1:
-        a = np.arange(1, N, dtype=np.int64)
-        M = 4 * N + a * a
-        total += int(_square_roots(M)[1].sum())
-    return abs(sigma_bruteforce(N) - total)
+    j = np.arange(1, isqrt(n_max) + 1, dtype=np.int64)
+    counts = n_max // j - j  # the a >= 1 with j(a + j) <= n_max; j^2 <= n_max keeps it >= 0
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    a = np.arange(int(counts.sum()), dtype=np.int64) - starts + 1
+    b = a + 2 * np.repeat(j, counts)
+    sums = np.zeros(n_max + 1, dtype=np.int64)
+    np.add.at(sums, (b * b - a * a) // 4, b)
+    return sums[1:]
+
+
+def sigma_decomposition_residuals(n_max: int) -> np.ndarray:
+    """sigma(N) - q_1(N) sqrt(N) - sum_{a<N} q_1(4N+a^2) sqrt(4N+a^2) for
+    every N = 1..n_max, as exact int64; 0 throughout.
+
+    The a-sums come from one listing of the squares (``_square_pair_sums``),
+    independent of the divisor-pair sums, and sigma(N) from trial division.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be a natural number, got {n_max}")
+    total = _square_pair_sums(n_max)
+    m = np.arange(1, isqrt(n_max) + 1, dtype=np.int64)
+    total[m * m - 1] += m
+    sigma = np.fromiter((sigma_bruteforce(N) for N in range(1, n_max + 1)), np.int64, n_max)
+    return sigma - total
 
 
 def _sigma_r_len(N: int, t: float) -> int:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from arithsum import indicators, sigma_rh
+from arithsum import dsums, indicators, sigma_rh, suites
 from arithsum.cli import build_parser, main, parse_range, parse_t, ConfigError
 from arithsum.series import Evaluation
 
@@ -388,3 +389,131 @@ def test_held_tables_keep_the_records_of_cold_runs(capsys, monkeypatch):
     assert records(rh + ["2", "--to", "30"]) == [
         r for n in range(2, 31) for r in cold(rh + [str(n), "--to", str(n)])
     ]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-q", "--k", "1", "--N", "4"],
+        ["sum", "--kind", "squares", "--N", "5"],
+        ["verify", "--suite", "decomposition", "--fast"],
+    ],
+)
+def test_tol_must_be_finite_and_nonnegative(argv, tol, capsys):
+    # a NaN or infinite tol would pass every record, and a negative one fail them all
+    assert main(argv + [f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--tol" in lines[0], lines
+
+
+def test_tol_zero_is_accepted(capsys):
+    code, out = run_cli(["verify", "--suite", "decomposition", "--fast", "--tol", "0", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["tol"] == 0.0
+
+
+_NAN = Evaluation(math.nan, 0.0)
+
+
+# command: the module and name of its driver, and the N of a driver call
+_DRIVERS = {
+    "eval-q": (indicators, "q_analytic", lambda args: args[1]),
+    "sum": (dsums, "sum_squares_analytic", lambda args: args[1].N),
+    "sigma": (sigma_rh, "sigma_analytic", lambda args: args[0]),
+    "rh": (sigma_rh, "sigma_analytic", lambda args: args[0]),
+}
+
+
+def _patch_driver_nan(monkeypatch, command, at=None):
+    """Make the driver behind ``command`` return NaN, at N = ``at`` only if given."""
+    if command == "verify":
+        monkeypatch.setitem(suites.SUITES, "decomposition", lambda fast: [("nan_check", math.nan, 0.0)])
+        return
+    module, name, n_of = _DRIVERS[command]
+    original = getattr(module, name)
+
+    def driver(*args):
+        return _NAN if at is None or n_of(args) == at else original(*args)
+
+    monkeypatch.setattr(module, name, driver)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-q", "--k", "1", "--N", "4"],
+        ["sum", "--kind", "squares", "--N", "5"],
+        ["sigma", "--N", "6"],
+        ["rh", "--from", "6", "--to", "6", "--mode", "analytic"],
+        ["verify", "--suite", "decomposition"],
+    ],
+)
+def test_a_nan_value_is_a_failed_record(monkeypatch, capsys, argv):
+    _patch_driver_nan(monkeypatch, argv[0])
+    code, out = run_cli(argv + ["--format", "json", "--jobs", "1"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert [r["failed"] for r in doc["records"]] == [True]
+    assert doc["summary"]["failures"] == 1
+    assert doc["summary"]["max_abs_diff"] == "nan"
+
+
+@pytest.mark.parametrize("at", [1, 3])
+@pytest.mark.parametrize("command", ["eval-q", "sum", "sigma"])
+def test_a_nan_diff_anywhere_makes_max_abs_diff_nan(monkeypatch, capsys, command, at):
+    # max() keeps a NaN in the first place and drops one in the last
+    argv = {"eval-q": ["eval-q", "--k", "1"], "sum": ["sum", "--kind", "squares"], "sigma": ["sigma"]}
+    _patch_driver_nan(monkeypatch, command, at=at + (command == "sigma"))
+    lo = 2 if command == "sigma" else 1
+    code, out = run_cli(argv[command] + ["--N", f"{lo}..{lo + 2}", "--format", "json", "--jobs", "1"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert [r["failed"] for r in doc["records"]] == [i == at - 1 for i in range(3)]
+    assert doc["summary"]["max_abs_diff"] == "nan"
+
+
+_DECOMPOSITION_REPORT = """{
+  "config": {
+    "command": "verify",
+    "suite": "decomposition",
+    "fast": FAST,
+    "tol": 1e-08
+  },
+  "records": [
+    {
+      "inputs": {
+        "suite": "decomposition",
+        "check": "divisor_pair_decomposition_N<=N_MAX"
+      },
+      "value": 0,
+      "oracle": 0,
+      "diff": 0,
+      "error_estimate": 0,
+      "terms": {
+
+      },
+      "guards": false,
+      "failed": false,
+      "ms": 0
+    }
+  ],
+  "summary": {
+    "count": 1,
+    "failures": 0,
+    "max_abs_diff": 0
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("fast, n_max", [(False, 10000), (True, 2000)])
+def test_verify_decomposition_report_is_unchanged(capsys, fast, n_max):
+    # the report of the per-N scan that the listing of squares replaced
+    argv = ["verify", "--suite", "decomposition", "--format", "json"] + (["--fast"] if fast else [])
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    want = _DECOMPOSITION_REPORT.replace("FAST", "true" if fast else "false").replace("N_MAX", str(n_max))
+    assert out == want

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from arithsum import indicators, sigma_rh
+from arithsum.dsums import _square_roots
 from arithsum.indicators import AmbiguousClassification, BlockTables, block_value
 from arithsum.series import Evaluation
 from arithsum.sigma_rh import (
@@ -14,7 +16,7 @@ from arithsum.sigma_rh import (
     robin_rhs,
     sigma_analytic,
     sigma_bruteforce,
-    sigma_decomposition_check,
+    sigma_decomposition_residuals,
 )
 
 
@@ -27,13 +29,41 @@ def test_sigma_bruteforce_examples():
 
 
 def test_decomposition_examples():
-    assert sigma_decomposition_check(1) == 0
-    assert sigma_decomposition_check(4) == 0
-    assert sigma_decomposition_check(6) == 0
+    res = sigma_decomposition_residuals(6)
+    assert res.dtype == np.int64
+    assert res[[1 - 1, 4 - 1, 6 - 1]].tolist() == [0, 0, 0]
 
 
 def test_decomposition_range():
-    assert all(sigma_decomposition_check(N) == 0 for N in range(1, 3001))
+    res = sigma_decomposition_residuals(3000)
+    assert res.shape == (3000,) and res.dtype == np.int64
+    assert (res == 0).all()
+
+
+def _scanned_a_sums(N: int) -> int:
+    # the search the listing replaced: every candidate 4N + a^2, a < N,
+    # tested for squareness
+    a = np.arange(1, N, dtype=np.int64)
+    return int(_square_roots(4 * N + a * a)[1].sum())
+
+
+def test_listed_a_sums_equal_the_scan():
+    listed = sigma_rh._square_pair_sums(3000)
+    assert listed.tolist() == [_scanned_a_sums(N) for N in range(1, 3001)]
+
+
+def test_no_square_past_a_equal_n():
+    # the premise of divisor_pair_sum_analytic's zero omitted mass: the
+    # shifts a >= N add nothing (4N + a^2 = b^2 needs N = j(a + j) > a)
+    for N in range(1, 1001):
+        a = np.arange(N, 3 * N + 1, dtype=np.int64)
+        assert _square_roots(4 * N + a * a)[0].size == 0, N
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_decomposition_refuses_n_max_below_one(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        sigma_decomposition_residuals(n_max)
 
 
 def test_sigma_analytic_examples():
