@@ -101,7 +101,8 @@ def parse_range(spec: str) -> list[int]:
         raise ConfigError(f"cannot parse integer range {spec!r}") from None
 
 
-# sigma's grid rule: its r grid, the longest, runs about 3000/t terms past (N-1)^2
+# sigma's grid rule: its r grid, the longest, runs about 3000/t terms past (N-1)^2;
+# a length from 2^62 up overflows the C long that numpy sizes it with
 _GRID_PER_T = 3000.0
 
 
@@ -115,8 +116,8 @@ def parse_t(spec: str) -> list[float]:
             raise ConfigError("all t values must be positive and finite")
         if v > T_MAX:
             raise ConfigError(f"t = {v} exceeds ln(DBL_MAX)/(2 pi) = {T_MAX:.6g}, where e^(2 pi t) overflows")
-        if not math.isfinite(_GRID_PER_T / v):
-            raise ConfigError(f"t = {v} is too small: an r grid of {_GRID_PER_T:g}/t terms is not finite")
+        if not _GRID_PER_T / v < 2.0**62:
+            raise ConfigError(f"t = {v} is too small: an r grid of {_GRID_PER_T:g}/t terms is not below 2^62")
     return vals
 
 

@@ -19,6 +19,12 @@ pairwise; ``invert_series`` is its one-N case.  The length L is the one
 inversion rule; there is no stopping rule to tune.  It serves 0 < t <=
 ``kernels.T_MAX``, and ``lemma4_residual``, which is even in t, 0 < |t| <= T_MAX.
 
+``lemma4_residual`` checks the phase-weighted form of the identity.  At
+beta in {-1, 0, 1} it sums the shifts term by term to n_terms + 32 and
+closes the rest in digamma form (Stirling's series, DLMF 5.11.2); at other
+beta, whose tail has no elementary form, it sums to a fixed k_max and
+averages the last two partial sums.
+
 Callers must guarantee that their evaluator's shifted series converge
 absolutely and uniformly; that hypothesis cannot be checked mechanically
 and is documented per evaluator.
@@ -37,6 +43,11 @@ from .integrals import j_values
 from .kernels import check_analytic_t
 
 _LEMMA4_ROWS = 64  # rows per block of lemma4_residual: 64 x 2000 doubles ~ 1 MB
+# lemma4_residual's closed tails start at shift n_terms + _PSI_MARGIN, where
+# every digamma argument has real part >= (_PSI_MARGIN + 1)/2 = 16.5
+_PSI_MARGIN = 32
+# B_2k/(2k), k = 1..8, of Stirling's series for the digamma function
+_PSI_STIRLING = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160)
 
 __all__ = [
     "SeriesEvaluator",
@@ -115,6 +126,35 @@ def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
     return out
 
 
+def _digamma(z: np.ndarray) -> np.ndarray:
+    """psi(z) from Stirling's series with eight Bernoulli terms (DLMF 5.11.2),
+    for Re z >= 10, where the first dropped term is below 2e-18 relative."""
+    z = np.asarray(z, dtype=complex)
+    u = 1.0 / (z * z)
+    s = 0.0
+    for c in reversed(_PSI_STIRLING):
+        s = (s + c) * u
+    return np.log(z) - 0.5 / z - s
+
+
+def _closed_tail(fn: np.ndarray, beta: float, t: float, k_max: int) -> float:
+    """sum_{k > k_max} (-1)^k e^(i pi k beta) [b(k) + b(-k)], with b(s) =
+    t sum_n f(n)/((n+s)^2 + t^2), in closed form at beta in {-1, 0, 1}.
+
+    With a = k_max + 1 +- n, sum_{j>=0} |t|/((j+a)^2 + t^2) = Im psi(a + i|t|),
+    and its alternating form is Im (psi((w+1)/2) - psi(w/2))/2 with w = a - i|t|;
+    the alternating tail starts with the sign (-1)^(k_max+1).
+    """
+    n = np.arange(1, fn.size + 1, dtype=float)
+    a = np.concatenate((k_max + 1 + n, k_max + 1 - n))
+    if beta == 0.0:
+        w = a - 1j * abs(t)
+        im = (-1.0) ** (k_max + 1) * 0.5 * (_digamma((w + 1.0) / 2.0) - _digamma(w / 2.0)).imag
+    else:
+        im = _digamma(a + 1j * abs(t)).imag
+    return math.copysign(1.0, t) * float(np.dot(fn, im[: fn.size] + im[fn.size :]))
+
+
 def lemma4_residual(
     f: Callable[[int], float],
     beta: float,
@@ -127,16 +167,28 @@ def lemma4_residual(
 
     Both sides use f(1..n_terms) only, for which the identity is exact;
     the residual therefore measures the convergence of the shifted-sample
-    series, which is summed to ``k_max`` (beyond n_terms) with a final
-    two-point average to damp the alternating error term.
+    series, which is summed term by term to the shift ``k_max``.  At beta
+    in {-1, 0, 1} its tail past k_max is closed in digamma form
+    (``_closed_tail``), taken from the summand itself and never from the
+    left-hand side; k_max defaults to n_terms + 32, the least it may be,
+    where every digamma argument has real part >= 16.5.  At other beta the
+    tail is a Lerch transcendent with no elementary form: the sum runs to
+    k_max = max(20000, 4 n_terms) by default and ends with a two-point
+    average to damp the alternating error term.
 
-    Raises ValueError for |beta| > 1 or |t| outside (0, T_MAX]; it is even in t.
+    Raises ValueError for |beta| > 1, for |t| outside (0, T_MAX] and for a
+    k_max below n_terms + 32 at beta in {-1, 0, 1}; it is even in t.
     """
     if abs(beta) > 1.0:
         raise ValueError(f"|beta| must not exceed 1, got {beta}")
     check_analytic_t(abs(t))
+    closed = beta in (-1.0, 0.0, 1.0)
     if k_max is None:
-        k_max = max(20_000, 4 * n_terms)
+        k_max = n_terms + _PSI_MARGIN if closed else max(20_000, 4 * n_terms)
+    elif closed and k_max < n_terms + _PSI_MARGIN:
+        raise ValueError(
+            f"k_max must be at least n_terms + {_PSI_MARGIN} = {n_terms + _PSI_MARGIN} at beta = {beta}, got {k_max}"
+        )
     n = np.arange(1, n_terms + 1, dtype=float)
     fn = np.array([f(int(j)) for j in range(1, n_terms + 1)], dtype=float)
     sgn_n = np.where(np.arange(1, n_terms + 1) % 2 == 0, 1.0, -1.0)
@@ -179,9 +231,11 @@ def lemma4_residual(
         total = total + contrib.sum()
         last_contrib = contrib[-1]
         k0 = hi
-    # Averaging the last two partial sums damps the leading alternating
-    # error term; for one-signed phases (beta = +-1) it is harmless.
-    rhs = total - 0.5 * last_contrib
+    if closed:
+        rhs = total + _closed_tail(fn, beta, t, k_max)
+    else:
+        # averaging the last two partial sums damps the leading alternating error term
+        rhs = total - 0.5 * last_contrib
     return abs(lhs - rhs)
 
 

@@ -61,6 +61,12 @@ def sigma_bruteforce(N: int) -> int:
     return total
 
 
+def _runs(counts: np.ndarray) -> np.ndarray:
+    """1, 2, .., c for each c of ``counts`` (int64, each >= 0), end to end."""
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.arange(int(counts.sum()), dtype=np.int64) - starts + 1
+
+
 def _square_pair_sums(n_max: int) -> np.ndarray:
     """s[N - 1] = sum of b over 4N + a^2 = b^2, 1 <= a < N, for N = 1..n_max,
     exact int64, from a listing of the squares rather than a search.
@@ -73,11 +79,26 @@ def _square_pair_sums(n_max: int) -> np.ndarray:
     """
     j = np.arange(1, isqrt(n_max) + 1, dtype=np.int64)
     counts = n_max // j - j  # the a >= 1 with j(a + j) <= n_max; j^2 <= n_max keeps it >= 0
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    a = np.arange(int(counts.sum()), dtype=np.int64) - starts + 1
+    a = _runs(counts)
     b = a + 2 * np.repeat(j, counts)
     sums = np.zeros(n_max + 1, dtype=np.int64)
     np.add.at(sums, (b * b - a * a) // 4, b)
+    return sums[1:]
+
+
+def _sigma_sieve(n_max: int) -> np.ndarray:
+    """s[N - 1] = sigma(N) for N = 1..n_max, exact int64, from one divisor
+    sieve: each d is added at every multiple d m <= n_max.
+
+    The pairs (d, m) are listed for each d as m = 1 .. n_max // d, about
+    n_max ln n_max of them; no N is factored.
+    """
+    d = np.arange(1, n_max + 1, dtype=np.int64)
+    counts = n_max // d
+    m = _runs(counts)
+    d = np.repeat(d, counts)
+    sums = np.zeros(n_max + 1, dtype=np.int64)
+    np.add.at(sums, d * m, d)
     return sums[1:]
 
 
@@ -85,16 +106,16 @@ def sigma_decomposition_residuals(n_max: int) -> np.ndarray:
     """sigma(N) - q_1(N) sqrt(N) - sum_{a<N} q_1(4N+a^2) sqrt(4N+a^2) for
     every N = 1..n_max, as exact int64; 0 throughout.
 
-    The a-sums come from one listing of the squares (``_square_pair_sums``),
-    independent of the divisor-pair sums, and sigma(N) from trial division.
+    The a-sums come from one listing of the squares (``_square_pair_sums``)
+    and sigma(N) from one divisor sieve (``_sigma_sieve``), which never
+    reads the squares, so the two sides stay independent enumerations.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a natural number, got {n_max}")
     total = _square_pair_sums(n_max)
     m = np.arange(1, isqrt(n_max) + 1, dtype=np.int64)
     total[m * m - 1] += m
-    sigma = np.fromiter((sigma_bruteforce(N) for N in range(1, n_max + 1)), np.int64, n_max)
-    return sigma - total
+    return _sigma_sieve(n_max) - total
 
 
 def _sigma_r_len(N: int, t: float) -> int:

@@ -105,14 +105,14 @@ def suite_inversion(fast: bool = False) -> list[Check]:
     checks.append(("inversion_geometric_recovery", worst_geo, 1e-6))
     checks.append(("inversion_indicator_recovery", worst_ind, 1e-6))
     checks.append(
-        ("coefficient_identity(f=2^-n,beta=0)", lemma4_residual(lambda n: 0.5**n, 0.0, 1.0, 200), 1e-8)
+        ("coefficient_identity(f=2^-n,beta=0)", lemma4_residual(lambda n: 0.5**n, 0.0, 1.0, 200), 1e-12)
     )
     if not fast:
         checks.append(
             (
                 "coefficient_identity(f=1/n^2,beta=1)",
                 lemma4_residual(lambda n: 1.0 / (n * n), 1.0, 0.5, 2000),
-                1e-4,
+                1e-12,
             )
         )
     return checks

@@ -301,6 +301,25 @@ def test_t_outside_the_working_range_exits_2(argv):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("t", ["1e-300", "1e-17"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-q", "--k", "1", "--N", "5"],
+        ["sum", "--kind", "squares", "--d", "1", "--k", "1", "--N", "5"],
+        ["sigma", "--N", "5"],
+        ["rh", "--from", "5", "--to", "5", "--mode", "analytic"],
+    ],
+)
+def test_a_tiny_t_exits_2_naming_t(argv, t, capsys):
+    # the grid length 3000/t must stay below 2^62, or its int conversion overflows
+    assert main(argv + ["--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: t = {float(t)} "), lines
+
+
 def test_closed_heads_warn_nothing_at_the_top_of_t():
     # e^(2 pi t) is near DBL_MAX, and no term of the head may overflow on
     # the way to underflowing; the series is still far off there, so the

@@ -1,11 +1,14 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from arithsum.indicators import power_series_evaluator
 from arithsum.series import (
+    _closed_tail,
+    _digamma,
     geometric_series_evaluator,
     indicator_series_evaluator,
     invert_series,
@@ -59,16 +62,64 @@ def test_invert_determinism():
 
 
 def test_lemma4_examples():
-    assert lemma4_residual(lambda n: 0.5**n, 0.0, 1.0, 200) < 1e-8
-    assert lemma4_residual(lambda n: 1.0 / n**2, 1.0, 0.5, 2000) < 1e-4
+    # the closed tails leave rounding alone at beta = 0 and 1
+    assert lemma4_residual(lambda n: 0.5**n, 0.0, 1.0, 200) < 1e-12
+    assert lemma4_residual(lambda n: 1.0 / n**2, 1.0, 0.5, 2000) < 1e-12
     assert lemma4_residual(lambda n: 0.0, 0.3, 1.0, 50) == 0.0
+
+
+def test_digamma_matches_mpmath():
+    re = np.geomspace(10.0, 1e4, 40)
+    im = np.geomspace(1e-3, 30.0, 25)
+    z = (re[:, None] + 1j * im[None, :]).ravel()
+    got = _digamma(z)
+    with mpmath.workdps(30):
+        want = [mpmath.digamma(mpmath.mpc(w.real, w.imag)) for w in z]
+    for part in ("real", "imag"):
+        g = getattr(got, part)
+        w = np.array([float(getattr(v, part)) for v in want])
+        assert (np.abs(g - w) <= 4 * np.spacing(np.abs(w))).all(), part
+
+
+def _nsum_tail(fn, beta, t, k_max):
+    # the tail sum_{k > k_max} (-1)^k e^(i pi k beta) (b(k) + b(-k)) term by term
+    t = mpmath.mpf(t)
+
+    def b(s):
+        return t * mpmath.fsum(mpmath.mpf(f) / ((n + s) ** 2 + t * t) for n, f in enumerate(fn, 1))
+
+    if beta == 0.0:
+        return mpmath.nsum(lambda k: (-1) ** int(k) * (b(k) + b(-k)), [k_max + 1, mpmath.inf])
+    return mpmath.nsum(lambda k: b(k) + b(-k), [k_max + 1, mpmath.inf], method="euler-maclaurin")
+
+
+@pytest.mark.parametrize("k_max", [52, 53])  # n_terms + 32 and an odd first sign
+@pytest.mark.parametrize("t", [0.2, 1.0, 3.0])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_closed_tails_match_mpmath(beta, t, k_max):
+    fn = 1.0 / np.arange(1, 21, dtype=float) ** 2
+    with mpmath.workdps(30):
+        want = float(_nsum_tail(fn, beta, t, k_max))
+    # the alternating form takes the difference of two digammas ~ |t|/a that
+    # cancels about 2a-fold, a = k_max + 1 +- n <= 74
+    rel = 1e-13 if beta == 0.0 else 1e-15
+    assert _closed_tail(fn, beta, t, k_max) == pytest.approx(want, rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0])
+def test_lemma4_refuses_a_k_max_short_of_the_closed_tail(beta):
+    with pytest.raises(ValueError, match="k_max.*51"):
+        lemma4_residual(lambda n: 1.0 / (n * n), beta, 1.0, 20, k_max=51)
+    assert lemma4_residual(lambda n: 1.0 / (n * n), beta, 1.0, 20, k_max=52) < 1e-14
 
 
 def _lemma4_broadcast(f, beta, t, n_terms, k_max=None):
     """lemma4_residual as it was first written: each block of 2048 shifts
-    builds its (shifts x n_terms) denominators by broadcasting."""
+    builds its (shifts x n_terms) denominators by broadcasting.  At beta in
+    {-1, 0, 1} it adds the library's closed tail in place of the average."""
+    closed = beta in (-1.0, 0.0, 1.0)
     if k_max is None:
-        k_max = max(20_000, 4 * n_terms)
+        k_max = n_terms + 32 if closed else max(20_000, 4 * n_terms)
     n = np.arange(1, n_terms + 1, dtype=float)
     fn = np.array([f(int(j)) for j in range(1, n_terms + 1)], dtype=float)
     sgn_n = np.where(np.arange(1, n_terms + 1) % 2 == 0, 1.0, -1.0)
@@ -96,6 +147,8 @@ def _lemma4_broadcast(f, beta, t, n_terms, k_max=None):
         total = total + contrib.sum()
         last_contrib = contrib[-1]
         k0 = hi
+    if closed:
+        return abs(lhs - (total + _closed_tail(fn, beta, t, k_max)))
     return abs(lhs - (total - 0.5 * last_contrib))
 
 

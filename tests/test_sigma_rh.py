@@ -52,6 +52,13 @@ def test_listed_a_sums_equal_the_scan():
     assert listed.tolist() == [_scanned_a_sums(N) for N in range(1, 3001)]
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 10**4])
+def test_sieve_equals_trial_division(n_max):
+    sieved = sigma_rh._sigma_sieve(n_max)
+    assert sieved.dtype == np.int64
+    assert sieved.tolist() == [sigma_bruteforce(N) for N in range(1, n_max + 1)]
+
+
 def test_no_square_past_a_equal_n():
     # the premise of divisor_pair_sum_analytic's zero omitted mass: the
     # shifts a >= N add nothing (4N + a^2 = b^2 needs N = j(a + j) > a)

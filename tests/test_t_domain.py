@@ -50,8 +50,8 @@ SQUARES = DiophantineInstance(10, 1, 1, "sum")
 DIFF = DiophantineInstance(3, 1, 1, "difference")
 
 
-def _lemma4(t):
-    return lemma4_residual(lambda n: 1.0 / (n * n), 0.3, t, 20, k_max=200)
+def _lemma4(t, beta=0.3, k_max=200):
+    return lemma4_residual(lambda n: 1.0 / (n * n), beta, t, 20, k_max=k_max)
 
 
 # entries whose values hold at every finite t > 0
@@ -104,8 +104,10 @@ def test_every_entry_refuses_a_bad_t_by_name(name, t):
 
 
 def test_lemma4_residual_is_even_in_t():
-    assert _lemma4(-1.0) == _lemma4(1.0)
-    assert _lemma4(-0.4) == _lemma4(0.4)
+    # beta = 0.3 ends with the average; beta = 0 and 1 with the two closed tails
+    for beta, k_max in ((0.3, 200), (0.0, None), (1.0, None)):
+        assert _lemma4(-1.0, beta, k_max) == _lemma4(1.0, beta, k_max), beta
+        assert _lemma4(-0.4, beta, k_max) == _lemma4(0.4, beta, k_max), beta
 
 
 def test_kernels_and_integrals_serve_t_past_the_analytic_bound():
