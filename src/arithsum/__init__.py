@@ -3,12 +3,10 @@ Diophantine solution sets, square indicators, the divisor function, and
 the Robin-Lagarias inequality."""
 
 from .indicators import (
-    AmbiguousClassification,
     BlockTables,
     block_value,
     q_analytic,
     q_bruteforce,
-    q_classify,
     q_general_analytic,
     power_series_evaluator,
     q_shifted_analytic,
@@ -57,6 +55,7 @@ from .series import (
     invert_series,
     lemma4_residual,
     self_consistency_residual,
+    verdict,
 )
 from .sigma_rh import (
     EULER_GAMMA,

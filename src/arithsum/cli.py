@@ -24,11 +24,12 @@ Reports carry one record per item with a fixed schema
 summary {count, failures, max_abs_diff}.  JSON serializes numbers with
 17 significant digits; CSV uses RFC-4180 quoting with the documented
 column order.  Exit codes: 0 success, 1 verification failure, 2 usage
-or configuration error, including a t outside (0, ln(DBL_MAX)/(2 pi)],
-a --tol that is not finite and >= 0, and an item too large to allocate.
-Every failure rule is written as ``not (diff <= bound)``, so a non-finite
-value gives a failed record and exit 1, and a NaN diff makes the
-summary's max_abs_diff NaN."""
+or configuration error, including a t that ``kernels.check_analytic_t``
+refuses, a --tol that is not finite and >= 0, and an item too large to
+allocate.  Every worker decides ``failed`` through ``series.verdict``, the
+one failure rule, with the quarter rule ``_SIGMA_BOUND`` as sigma's integer
+bound, so a non-finite value gives a failed record and exit 1; a NaN diff
+makes the summary's max_abs_diff NaN."""
 
 from __future__ import annotations
 
@@ -43,7 +44,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import dsums, indicators, sigma_rh, suites
-from .kernels import T_MAX
+from .kernels import check_analytic_t
+from .series import verdict
 
 CSV_COLUMNS = ["inputs", "value", "oracle", "diff", "error_estimate", "terms", "guards", "ms"]
 
@@ -101,25 +103,23 @@ def parse_range(spec: str) -> list[int]:
         raise ConfigError(f"cannot parse integer range {spec!r}") from None
 
 
-# sigma's grid rule: its r grid, the longest, runs about 3000/t terms past (N-1)^2;
-# a length from 2^62 up overflows the C long that numpy sizes it with
-_GRID_PER_T = 3000.0
-
-
 def parse_t(spec: str) -> list[float]:
     try:
         vals = [float(p) for p in spec.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse t list {spec!r}") from None
     for v in vals:
-        if not (v > 0 and math.isfinite(v)):
-            raise ConfigError("all t values must be positive and finite")
-        if v > T_MAX:
-            raise ConfigError(f"t = {v} exceeds ln(DBL_MAX)/(2 pi) = {T_MAX:.6g}, where e^(2 pi t) overflows")
-        if not _GRID_PER_T / v < 2.0**62:
-            raise ConfigError(f"t = {v} is too small: an r grid of {_GRID_PER_T:g}/t terms is not below 2^62")
+        try:
+            check_analytic_t(v)
+        except ValueError as exc:
+            raise ConfigError(f"t = {v} is refused: {exc}") from None
     return vals
 
+
+# sigma's quarter rule: for floats, d <= nextafter(0.25, 0) is exactly d < 0.25.
+# It stands in for sigma's error estimate, which is not below 0.5 over the
+# whole range, until a derived rounding budget makes it so
+_SIGMA_BOUND = math.nextafter(0.25, 0.0)
 
 _WEIGHTS = {
     "unit": dsums.unit_weight,
@@ -155,9 +155,7 @@ def _work_eval_q(k, s, N, t, tol) -> dict:
         ev = indicators.q_general_analytic(k, s, N, t)
     value = N * N * ev.value
     est = N * N * ev.error_estimate
-    diff = abs(value - oracle)
-    # written so that a non-finite value fails, and fails before round()
-    failed = not (math.isfinite(value) and diff <= tol + est and round(value) == oracle)
+    diff, failed = verdict(value, oracle, tol + est, integer=True)
     return _record({"k": k, "s": s, "N": N, "t": t}, value, oracle, diff, est,
                    ev.terms_used, ev.guards_engaged, failed)
 
@@ -181,33 +179,31 @@ def _work_sum(kind, N, d, k, weight, t, tol, horizon) -> dict:
         oracle = raw / (k * k)
         tail /= k * k
         ev = dsums.sum_diff_analytic(g, inst, t)
-    diff = abs(ev.value - oracle)
+    diff, failed = verdict(ev.value, oracle, tol + ev.error_estimate + tail)
     return _record(inputs, ev.value, oracle, diff, ev.error_estimate + tail, ev.terms_used,
-                   ev.guards_engaged, not diff <= tol + ev.error_estimate + tail)
+                   ev.guards_engaged, failed)
 
 
 def _work_sigma(N, t) -> dict:
     ev = sigma_rh.sigma_analytic(N, t)
     oracle = float(sigma_rh.sigma_bruteforce(N))
-    diff = abs(ev.value - oracle)
+    diff, failed = verdict(ev.value, oracle, _SIGMA_BOUND, integer=True)
     return _record({"N": N, "t": t}, ev.value, oracle, diff, ev.error_estimate, ev.terms_used,
-                   ev.guards_engaged,
-                   not (math.isfinite(ev.value) and diff < 0.25 and round(ev.value) == oracle))
+                   ev.guards_engaged, failed)
 
 
 def _work_rh(N, t, mode) -> dict:
     rec = sigma_rh.rh_check(N, t, mode)
     robin = rec.robin_rhs if rec.robin_rhs is not None else 0.0
-    # written so that a non-finite series value fails too
-    sigma_fail = not abs(rec.sigma_analytic - rec.sigma_exact) < 0.25
+    _, sigma_fail = verdict(rec.sigma_analytic, rec.sigma_exact, _SIGMA_BOUND, integer=True)
     return _record({"N": N, "t": t, "mode": mode}, rec.sigma_analytic, rec.lagarias_rhs,
                    rec.margin, rec.error_estimate, {"robin_rhs": robin, "harmonic": rec.harmonic},
                    False, rec.margin <= 0.0 or sigma_fail)
 
 
 def _work_check(suite, label, residual, allowance, tol) -> dict:
-    return _record({"suite": suite, "check": label}, residual, 0.0, residual, allowance, {},
-                   False, not residual <= allowance + tol)
+    diff, failed = verdict(residual, 0.0, allowance + tol)
+    return _record({"suite": suite, "check": label}, residual, 0.0, diff, allowance, {}, False, failed)
 
 
 def _timed(worker, timing: bool, item: tuple) -> dict:

@@ -70,13 +70,10 @@ _R_CHUNK = 256
 _M_CHUNK = 128
 
 __all__ = [
-    "AmbiguousClassification",
     "BlockTables",
     "integer_root",
     "q_bruteforce",
     "q_analytic",
-    "q_classify",
-    "classify_unit",
     "zero_identity_residual",
     "q_shifted_analytic",
     "q_general_analytic",
@@ -84,15 +81,6 @@ __all__ = [
     "block_value",
     "weighted_blocks",
 ]
-
-
-class AmbiguousClassification(ValueError):
-    """A series value was too far from its rounding targets to classify;
-    ``value`` is that series value."""
-
-    def __init__(self, message: str, value: float = math.nan):
-        super().__init__(message)
-        self.value = value
 
 
 def integer_root(x: int, e: int) -> int:
@@ -430,11 +418,6 @@ class BlockTables:
                         acc[i] += np.dot(sg[R + a : R + b], Js[Q + ci + a : Q + ci + b])
         return self.coeff * np.where(c % 2, -1.0, 1.0) * np.array(acc)
 
-    def blocks(self, shifts, r_lens) -> tuple[np.ndarray, ...]:
-        """``evaluate`` at the windows of these shifts, r_lens their negative
-        ends (one for all, or one per shift)."""
-        return self.evaluate(_cut_windows(self.N, self.k, self.t, shifts, r_lens))
-
     def evaluate(self, w: Windows) -> tuple[np.ndarray, ...]:
         """(value, head, exp-series, scale, bound) of the block at each
         shift of ``w``, its G-part contracted by ``_gparts`` over the
@@ -502,7 +485,7 @@ def block_value(tables: BlockTables, c: int, r_len: int | None = None) -> float:
     for N+c >= 1, and 0 for N+c <= 0."""
     if r_len is None:
         r_len = _default_r_len(tables.N, c, tables.t)
-    return float(tables.blocks([c], r_len)[0][0])
+    return float(tables.evaluate(_cut_windows(tables.N, tables.k, tables.t, [c], r_len))[0][0])
 
 
 def _q_tail(tables: BlockTables, w: Windows, scale) -> float:
@@ -530,25 +513,6 @@ def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:
         raise ValueError(f"N must be a natural number, got {N}")
     ev = weighted_blocks(N, k, t, [1.0], [0], None, _q_tail)
     return Evaluation(ev.value, ev.error_estimate, {"r_terms": ev.terms_used["r_terms"]}, ev.guards_engaged)
-
-
-def classify_unit(value: float, residual_tol: float = 0.25) -> tuple[int, float]:
-    """Round a should-be-indicator value to {0, 1}; the residual is the
-    distance to the rounded target.  Raises AmbiguousClassification when
-    the residual reaches ``residual_tol``."""
-    bit = 1 if value >= 0.5 else 0
-    residual = abs(value - bit)
-    if residual >= residual_tol:
-        raise AmbiguousClassification(
-            f"value {value} is {residual:.3f} away from both 0 and 1", value
-        )
-    return bit, residual
-
-
-def q_classify(k: int, N: int, t: float = 1.0) -> tuple[int, float]:
-    """Classify N by rounding N^2 times the series value of q_k(N)/N^2."""
-    ev = q_analytic(k, N, t)
-    return classify_unit(N * N * ev.value)
 
 
 def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:

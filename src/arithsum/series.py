@@ -16,8 +16,8 @@ nearly equal values), so an evaluator returns Im F alone:
 Im F(x + it).  ``invert_series_many`` samples it once, on the union of
 the 2L+1 points of every N it inverts, and sums each folded r-series
 pairwise; ``invert_series`` is its one-N case.  The length L is the one
-inversion rule; there is no stopping rule to tune.  It serves 0 < t <=
-``kernels.T_MAX``, and ``lemma4_residual``, which is even in t, 0 < |t| <= T_MAX.
+inversion rule; there is no stopping rule to tune.  It serves T_MIN <= t <=
+T_MAX, and ``lemma4_residual``, which is even in t, T_MIN <= |t| <= T_MAX.
 
 ``lemma4_residual`` checks the phase-weighted form of the identity.  At
 beta in {-1, 0, 1} it sums the shifts term by term to n_terms + 32 and
@@ -58,6 +58,7 @@ __all__ = [
     "self_consistency_residual",
     "indicator_series_evaluator",
     "geometric_series_evaluator",
+    "verdict",
 ]
 
 
@@ -86,9 +87,18 @@ class Evaluation:
     guards_engaged: bool = False
 
 
+def verdict(value: float, oracle: float, bound: float, integer: bool = False) -> tuple[float, bool]:
+    """(diff, failed) of a value against its oracle, the one failure rule: diff =
+    |value - oracle| must be <= bound and, for an integer oracle, < 0.5.  Every
+    ordered comparison with NaN is false, so a NaN value fails by the comparisons
+    alone, and so does an infinite one against a finite bound."""
+    diff = abs(value - oracle)
+    return diff, not (diff <= bound and (not integer or diff < 0.5))
+
+
 def invert_series(F: SeriesEvaluator, N: int, t: float) -> Evaluation:
     """Recover the coefficient f(N) of a partial-fraction series from its
-    evaluator, for 0 < t <= T_MAX: the one-N case of ``invert_series_many``."""
+    evaluator, for T_MIN <= t <= T_MAX: the one-N case of ``invert_series_many``."""
     return invert_series_many(F, [N], t)[0]
 
 
@@ -176,7 +186,7 @@ def lemma4_residual(
     k_max = max(20000, 4 n_terms) by default and ends with a two-point
     average to damp the alternating error term.
 
-    Raises ValueError for |beta| > 1, for |t| outside (0, T_MAX] and for a
+    Raises ValueError for |beta| > 1, for |t| outside [T_MIN, T_MAX] and for a
     k_max below n_terms + 32 at beta in {-1, 0, 1}; it is even in t.
     """
     if abs(beta) > 1.0:

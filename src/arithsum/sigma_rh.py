@@ -131,7 +131,7 @@ def _sigma_tail(tables, w, scale) -> np.ndarray:
 
 
 def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
-    """Convergent-series value of sigma(N), N >= 2, for 0 < t <= T_MAX.
+    """Convergent-series value of sigma(N), N >= 2, for T_MIN <= t <= T_MAX.
 
     Assembled as q_1(N) sqrt(N) plus the (4N+a^2)^(5/2)-weighted shifted
     indicator blocks at base 4N and shifts a^2, a = 1..N-1.

@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithsum import indicators
+from arithsum.cli import _SIGMA_BOUND
 from arithsum.indicators import (
-    AmbiguousClassification,
     BlockTables,
     _closed_heads,
+    _cut_windows,
     block_value,
-    classify_unit,
     integer_root,
     q_analytic,
     q_bruteforce,
-    q_classify,
     q_general_analytic,
     q_shifted_analytic,
     power_series_evaluator,
@@ -25,6 +24,10 @@ from arithsum.indicators import (
 )
 from arithsum.integrals import _p_weights, integral_i, integral_j, integral_k, sech, sech_values
 from arithsum.kernels import g_values, kernel_g
+from arithsum.series import verdict
+
+# the quarter rule: a classification stands only within a quarter of its bit
+QUARTER = _SIGMA_BOUND
 
 
 def test_integer_root():
@@ -64,30 +67,29 @@ def test_q_analytic_examples():
     assert q_analytic(2, 8, 1.0).value == pytest.approx(1.0 / 64.0, abs=1e-8)
 
 
-def test_q_classify_examples():
-    assert q_classify(1, 49, 1.0)[0] == 1
-    assert q_classify(1, 50, 1.0)[0] == 0
-    assert q_classify(5, 45, 1.0)[0] == 1
-    assert q_classify(1, 49, 1.0)[1] < 1e-3
-    assert q_classify(1, 50, 1.0)[1] < 1e-3
+@pytest.mark.parametrize("k, N, bit", [(1, 49, 1), (1, 50, 0), (5, 45, 1)])
+def test_q_analytic_classifies_under_the_quarter_rule(k, N, bit):
+    # N^2 q_k(N)/N^2 passes against its bit alone, with a residual below 1e-3
+    value = N * N * q_analytic(k, N, 1.0).value
+    diff, failed = verdict(value, bit, QUARTER, integer=True)
+    assert not failed and diff < 1e-3
+    assert verdict(value, 1 - bit, QUARTER, integer=True)[1]
 
 
-def test_classify_unit_raises_when_ambiguous():
-    with pytest.raises(AmbiguousClassification):
-        classify_unit(0.5)
-    with pytest.raises(AmbiguousClassification):
-        classify_unit(0.31)
-    assert classify_unit(0.01) == (0, pytest.approx(0.01))
-    assert classify_unit(1.2) == (1, pytest.approx(0.2))
+def test_the_quarter_rule_refuses_ambiguous_values():
+    for value in (0.5, 0.31):
+        assert verdict(value, 0.0, QUARTER, integer=True)[1]
+        assert verdict(value, 1.0, QUARTER, integer=True)[1]
+    assert verdict(0.01, 0.0, QUARTER, integer=True) == (pytest.approx(0.01), False)
+    assert verdict(1.2, 1.0, QUARTER, integer=True) == (pytest.approx(0.2), False)
 
 
 def test_indicator_matches_definition_grid():
     for k in (1, 2, 3, 5):
         for N in range(1, 61):
-            bit, _ = q_classify(k, N, 1.0)
-            ev = q_analytic(k, N, 1.0)
-            assert bit == q_bruteforce(k, 1, N)
-            assert abs(N * N * ev.value - q_bruteforce(k, 1, N)) < 1e-4
+            diff, failed = verdict(N * N * q_analytic(k, N, 1.0).value, q_bruteforce(k, 1, N), QUARTER, integer=True)
+            assert not failed, (k, N)
+            assert diff < 1e-4, (k, N)
 
 
 def test_zero_identity_examples():
@@ -382,18 +384,18 @@ def test_plan_refuses_windows_it_cannot_hold():
     # (|c| + _NEAR <= L); numpy would otherwise clip or wrap its slices
     tables = BlockTables(9, 1, 1.0, 100, 150)
     tables.gpart(50, 100)
-    tables.blocks([-50, 0], [100, 32])
+    tables.evaluate(_cut_windows(9, 1, 1.0, [-50, 0], [100, 32]))
     for c, L in [(0, 101), (51, 100), (-51, 100)]:
         with pytest.raises(ValueError, match="leaves the grids"):
             tables.gpart(c, L)
         with pytest.raises(ValueError, match="leaves the grids"):
-            tables.blocks([0, c], [32, L])
+            tables.evaluate(_cut_windows(9, 1, 1.0, [0, c], [32, L]))
     tables = BlockTables(9, 1, 1.0, 100, 200)
     for c, L in [(-120, 50), (0, 31), (69, 100)]:
         with pytest.raises(ValueError, match="near range"):
             tables.gpart(c, L)
         with pytest.raises(ValueError, match="near range"):
-            tables.blocks([0, c], [32, L])
+            tables.evaluate(_cut_windows(9, 1, 1.0, [0, c], [32, L]))
 
 
 def test_q_general_examples():

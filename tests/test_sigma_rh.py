@@ -5,7 +5,7 @@ import pytest
 
 from arithsum import indicators, sigma_rh
 from arithsum.dsums import _square_roots
-from arithsum.indicators import AmbiguousClassification, BlockTables, block_value
+from arithsum.indicators import BlockTables, block_value
 from arithsum.series import Evaluation
 from arithsum.sigma_rh import (
     _sigma_r_len,

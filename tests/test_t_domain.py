@@ -1,5 +1,5 @@
 """One t-domain: ``kernels.check_t`` (any finite t > 0) and
-``kernels.check_analytic_t`` (0 < t <= T_MAX) are the only checks of t.
+``kernels.check_analytic_t`` (T_MIN <= t <= T_MAX) are the only checks of t.
 Every public entry that takes t refuses a t outside its domain by name,
 before it sizes anything, and the CLI reads the same bound."""
 
@@ -33,6 +33,7 @@ from arithsum.indicators import (
 from arithsum.integrals import integral_i, integral_j, integral_k, j_values, quadrature_oracle
 from arithsum.kernels import (
     T_MAX,
+    T_MIN,
     check_analytic_t,
     g_values,
     half_plane_root,
@@ -92,8 +93,11 @@ ANALYTIC = {
 BAD_T = [0.0, -1.0, math.nan, math.inf]
 CASES = [(name, t) for name in ANY_T for t in BAD_T]
 PAST_T_MAX = [150.0, 220.0, 300.0]
+BELOW_T_MIN = [1e-310, 1e-300, 1e-17]
 # lemma4_residual is even in t, and serves t = -1
-CASES += [(name, t) for name in ANALYTIC for t in BAD_T + PAST_T_MAX if (name, t) != ("lemma4_residual", -1.0)]
+CASES += [
+    (name, t) for name in ANALYTIC for t in BAD_T + PAST_T_MAX + BELOW_T_MIN if (name, t) != ("lemma4_residual", -1.0)
+]
 
 
 @pytest.mark.parametrize("name,t", CASES)
@@ -126,6 +130,16 @@ def test_the_library_and_the_cli_share_the_bound():
         check_analytic_t(past)
     with pytest.raises(ConfigError, match="112.965"):
         parse_t(repr(past))
+
+
+def test_the_library_and_the_cli_share_the_lower_end():
+    below = float(np.nextafter(T_MIN, 0.0))
+    check_analytic_t(T_MIN)
+    assert parse_t(repr(T_MIN)) == [T_MIN]
+    with pytest.raises(ValueError, match="^t must be at least"):
+        check_analytic_t(below)
+    with pytest.raises(ConfigError, match=f"^t = {re.escape(repr(below))} .*t must be at least"):
+        parse_t(repr(below))
 
 
 def test_a_horizon_is_refused_by_name():
@@ -173,7 +187,7 @@ def _leading_text(arg):
 
 
 def test_only_the_kernels_checks_raise_about_t():
-    raisers = sorted(
+    raisers = sorted({
         (path, name)
         for path, name, fn in _functions()
         for node in _own_nodes(fn)
@@ -183,7 +197,7 @@ def test_only_the_kernels_checks_raise_about_t():
         and node.exc.func.id == "ValueError"
         and node.exc.args
         and re.match(r"\|?t\b", _leading_text(node.exc.args[0]))
-    )
+    })
     assert raisers == [("kernels.py", "check_analytic_t"), ("kernels.py", "check_t")]
 
 

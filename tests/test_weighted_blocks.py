@@ -25,7 +25,14 @@ from arithsum.dsums import (
     weighted_finite_analytic,
     weighted_infinite_analytic,
 )
-from arithsum.indicators import BlockTables, _default_r_len, q_analytic, weighted_blocks, zero_identity_residual
+from arithsum.indicators import (
+    BlockTables,
+    _cut_windows,
+    _default_r_len,
+    q_analytic,
+    weighted_blocks,
+    zero_identity_residual,
+)
 from arithsum.sigma_rh import _sigma_r_len, _sigma_tail, sigma_analytic
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "arithsum"
@@ -108,7 +115,7 @@ def test_value_and_estimate_are_the_fsums_of_the_blocks():
     ev = weighted_blocks(N, k, t, weights, shifts, r_lens, dsums._block_tail)
     r_max = max(r_lens)
     tables = BlockTables(N, k, t, r_max, r_max + max(map(abs, shifts)))
-    values, _, _, _, bounds = tables.blocks(shifts, r_lens)
+    values, _, _, _, bounds = tables.evaluate(_cut_windows(N, k, t, shifts, r_lens))
     assert ev.value == math.fsum(w * v for w, v in zip(weights, values.tolist()))
     assert ev.error_estimate == math.fsum(
         abs(w) * (50.0 * r**-3.5 + b) for w, r, b in zip(weights, r_lens, bounds.tolist())
@@ -183,9 +190,9 @@ def _calls(name):
 
 def test_only_the_weighted_driver_cuts_windows_and_builds_tables():
     # a second weighted sum of blocks would have to cut its own windows and
-    # size its own tables; the engine's fixed-table ``blocks`` cuts too
+    # size its own tables; ``block_value``, one block over given tables, cuts too
     assert sorted(_functions_that(_calls("_cut_windows"))) == [
-        ("indicators.py", "BlockTables.blocks"),
+        ("indicators.py", "block_value"),
         ("indicators.py", "weighted_blocks"),
     ]
     assert _functions_that(_calls("BlockTables")) == [("indicators.py", "weighted_blocks")]
