@@ -25,9 +25,10 @@ summary {count, failures, max_abs_diff}.  JSON serializes numbers with
 17 significant digits; CSV uses RFC-4180 quoting with the documented
 column order.  Exit codes: 0 success, 1 verification failure, 2 usage
 or configuration error, including a t that ``kernels.check_analytic_t``
-refuses, a --tol that is not finite and >= 0, and an item too large to
-allocate.  Every worker decides ``failed`` through ``series.verdict``, the
-one failure rule, with the quarter rule ``_SIGMA_BOUND`` as sigma's integer
+refuses, a --tol that is not finite and >= 0, a sum whose d, k or horizon
+is below 1 (whatever its kind reads), and an item too large to allocate.
+Every worker decides ``failed`` through ``series.verdict``, the one
+failure rule, with the quarter rule ``_SIGMA_BOUND`` as sigma's integer
 bound, so a non-finite value gives a failed record and exit 1; a NaN diff
 makes the summary's max_abs_diff NaN."""
 
@@ -301,6 +302,9 @@ def cmd_eval_q(args):
 
 
 def cmd_sum(args):
+    # for every kind, so that no report echoes a value no record read
+    if min(args.d, args.k, args.horizon) < 1:
+        raise ConfigError(f"sum requires d, k and horizon >= 1, got {args.d}, {args.k} and {args.horizon}")
     _check_tol(args.tol)
     return _work_sum, [
         (args.kind, n, args.d, args.k, args.weight, t, args.tol, args.horizon)

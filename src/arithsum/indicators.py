@@ -25,13 +25,13 @@ Js[Q+m] = J(|m|) of a base once (views of the held tables where those
 cover them), and contracts them into the G-parts of many shifts (the
 products next to each J peak r = -c summed by ``math.fsum``, the rest
 tile by tile).  Shift c's window is -L <= r <= P_c: the driver picks L,
-and the engine cuts the positive side at the first P_c where a closed
-bound of the rest is below one rounding of the block's head and
-exp-series (``_cut_windows``), and reports that bound.  ``evaluate``
-assembles head + exp-series + G-part for an array of shifts; no other
-code assembles a block.  ``weighted_blocks`` is the one function that
-forms a weighted sum of blocks, sum_i w_i block(N, c_i), and its
-estimate; it alone cuts windows and sizes tables for a driver.  Every
+and the engine cuts the positive side at a P_c solved in closed form
+from a bound of the rest, where that bound is below one rounding of the
+block's head and exp-series (``_cut_windows``), and reports that bound.
+``evaluate`` assembles head + exp-series + G-part for an array of
+shifts; no other code assembles a block.  ``weighted_blocks`` is the one
+function that forms a weighted sum of blocks, sum_i w_i block(N, c_i),
+and its estimate; it alone cuts windows and sizes tables for a driver.  Every
 analytic driver is one call of it: ``q_analytic`` and the vanishing
 identities are its one block at shift 0.  Only the oracles keep
 organizations of their own, with symmetric grids:
@@ -262,68 +262,38 @@ def _positive_tails(k: int, t: float, m: np.ndarray, y: np.ndarray) -> tuple[np.
 
 
 def _positive_cuts(N: int, k: int, t: float, c: np.ndarray, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """The last r of each shift's window: the smallest P, outside the near
-    range and past r = N, at which coeff * S_GJ (``_positive_tails``) is at
-    most ``floor``; L where no P < L qualifies.
+    """The last r of each shift's window: P = N + m, outside the near range
+    and past r = N, with m solved in closed form so that coeff * S_GJ(P)
+    (``_positive_tails``) is at most ``floor``; L where that P is not below
+    L, where y = N + c <= 0, or where a check of the whole bound at P fails.
 
-    f(P) = log(coeff S_GJ(P)/floor) falls with P and is nearly linear in
-    log(P - N).  Each step evaluates f at a pair of neighbours p - 1, p,
-    which shrinks the bracket a < P <= b with f(a) > 0 >= f(b) and gives
-    the slope of the next Newton step in log(P - N).  The first pair comes
-    with the ends lo and L - 1, from a step at L - 1 along the log-slope of
-    S_GJ's main part, -(5/2 + 2 (P - N)/(P + c))."""
+    For y > 0 the main part of coeff S_GJ, its g j_far/(5/2 + 2 theta) part
+    with a4 = 0, is K floor/(m^(5/2) (m + y) (9m/2 + 5y/2)), K = coeff 5t
+    a2/floor.  Its denominator is at least each of 9/2 m^(9/2),
+    5/2 m^(5/2) y^2 and 13.7 m^(7/2) y (13.7 < 7 + 2 sqrt(11.25)), so at the
+    least m that makes one of them K the main part is at most the floor.
+    That m is below 1.17 times the m at which the main part is the floor."""
     coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
-    P = L.copy()
-    # S_GJ >= 5t a2 m^(-5/2) q0^(-2)/4.5: where even that is above the
-    # floor at P = L - 1, the shift is not cut.  With the largest L and c
-    # it bounds every shift's at once, and most calls stop there
-    main = coeff * 5.0 * t * _j_far_coeffs(t)[0] / 4.5
-    b_max, c_max = int(L.max()) - 1, int(c.max())
-    if b_max <= N or b_max + c_max < 1 or float(floor.max()) < main * (b_max - N) ** -2.5 * (b_max + c_max) ** -2.0:
-        return P
-    lo = np.maximum(N + 1, _NEAR - c)
-    i = np.flatnonzero((lo < L) & (floor > 0))
-    mb = np.subtract(L[i] - 1, N, dtype=float)
-    y = np.add(c[i], N, dtype=float)
-    log_floor = np.log(floor[i]) - math.log(coeff)
-    f_low = math.log(main / coeff) - 2.5 * np.log(mb) - 2.0 * np.log(mb + y) - log_floor
-    keep = f_low <= 0
-    i, mb, y, f_low, log_floor = i[keep], mb[keep], y[keep], f_low[keep], log_floor[keep]
-    if not i.size:
-        return P
-
-    def f(m):  # at P = N + m for the shifts i
-        return np.log(_positive_tails(k, t, m, y)[0]) - log_floor
-
-    ma = np.subtract(lo[i], N, dtype=float)
-    # the first guess: the Newton step from L - 1 that f's lower bound f_low gives
-    m = np.clip(np.ceil(mb * np.exp(f_low / (2.5 + 2.0 * mb / (mb + y)))), ma + 1.0, mb)
-    fa, fb, f0, f1 = f(np.stack([ma, mb, m - 1.0, m]))
-    P[i[fa <= 0]] = lo[i[fa <= 0]]
-    keep = (fa > 0) & (fb <= 0)
-    i, ma, mb, y, m, f0, f1, log_floor = (v[keep] for v in (i, ma, mb, y, m, f0, f1, log_floor))
-    while True:
-        ma = np.where(f1 > 0, m, np.where(f0 > 0, m - 1.0, ma))
-        mb = np.where(f1 > 0, mb, np.where(f0 > 0, m, m - 1.0))
-        done = mb - ma <= 1.0
-        P[i[done]] = N + mb[done].astype(np.int64)
-        if done.all():
-            return P
-        # Newton in log(P - N) from the pair's slope, or the bracket's middle
-        # where that slope is not usable
-        s1 = np.log(m)
-        slope = (f1 - f0) / (s1 - np.log(m - 1.0))
-        s = np.where(slope < 0, s1 - f1 / np.where(slope < 0, slope, -1.0), (np.log(ma) + np.log(mb)) / 2)
-        keep = ~done
-        i, ma, mb, y, s, log_floor = (v[keep] for v in (i, ma, mb, y, s, log_floor))
-        m = np.clip(np.ceil(np.exp(s)), ma + 1.0, mb)
-        f0, f1 = f(np.stack([m - 1.0, m]))
+    y = np.add(c, N, dtype=float)
+    # a floor that underflowed to 0 makes K and the roots inf, and a y <= 0
+    # makes a root NaN; both leave the shift uncut
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        K = coeff * 5.0 * t * _j_far_coeffs(t)[0] / floor
+        m = np.minimum.reduce([(K / 4.5) ** (2 / 9), (K / (2.5 * y * y)) ** 0.4, (K / (13.7 * y)) ** (2 / 7)])
+    # raised to the near range and r = N + 1, then clipped to L
+    m = np.minimum(np.maximum(np.where(y > 0, m, np.inf), np.maximum(1, _NEAR - c - N)), L - N)
+    P = N + np.ceil(m).astype(np.int64)
+    i = np.flatnonzero(P < L)
+    if i.size:
+        held = coeff * _positive_tails(k, t, np.subtract(P[i], N, dtype=float), y[i])[0] <= floor[i]
+        P[i[~held]] = L[i[~held]]
+    return P
 
 
 class Windows(NamedTuple):
     """The window -L <= r <= P of each shift c's G-series, P the engine's
-    cut (``_positive_cuts``), and the closed parts of each block, from
-    ``_cut_windows``."""
+    closed-form cut (``_positive_cuts``), and the closed parts of each
+    block, from ``_cut_windows``."""
 
     c: np.ndarray
     L: np.ndarray
@@ -366,12 +336,13 @@ class BlockTables:
     and become the held ones.
 
     The window of shift c is -L <= r <= P_c, asymmetric: L is the driver's
-    r_len and P_c <= L is the engine's cut (``_positive_cuts``), where the
-    bounded positive tail is below one rounding of the block's head.  A
-    window must lie inside the grids (L <= R, P_c <= P, L - c <= Q and
-    P_c + c <= Q) and hold the near range around its J peak r = -c
-    (|r + c| <= _NEAR); ``_gparts`` refuses any other.  Each tile of sg
-    is read once and serves every shift.
+    r_len and P_c <= L is the engine's closed-form cut (``_positive_cuts``),
+    at which the bounded positive tail is below one rounding of the block's
+    head and exp-series (L where it finds no such cut).  A window must lie
+    inside the grids (L <= R, P_c <= P, L - c <= Q and P_c + c <= Q) and
+    hold the near range around its J peak r = -c (|r + c| <= _NEAR);
+    ``_gparts`` refuses any other.  Each tile of sg is read once and
+    serves every shift.
     """
 
     def __init__(self, N: int, k: int, t: float, r_len: int, q_len: int, p_len: int | None = None):

@@ -342,6 +342,20 @@ def test_horizon_past_an_exact_scan_exits_2(horizon, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("kind", ["squares", "difference", "divisor-pairs"])
+@pytest.mark.parametrize(
+    "flags", [["--d", "0"], ["--k", "-1"], ["--horizon", "0"], ["--k", "0", "--d", "-5", "--horizon", "-7"]]
+)
+def test_sum_refuses_d_k_and_horizon_below_one_for_every_kind(kind, flags, capsys):
+    # divisor-pairs reads none of the three and squares no horizon, but a
+    # report would still echo them in its config
+    assert main(["sum", "--kind", kind, "--N", "6", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: sum requires d, k and horizon >= 1"), lines
+
+
 def test_parse_t_bounds():
     assert parse_t("100,112.96") == [100.0, 112.96]
     with pytest.raises(ConfigError, match="112.965"):

@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithsum import indicators
 from arithsum.dsums import (
@@ -66,6 +68,22 @@ def _full_tables(w, N, k, t):
     return BlockTables(N, k, t, int(w.L.max()), int((w.L + np.abs(w.c)).max()))
 
 
+def _smallest_cuts(N, k, t, w, floor):
+    # the exact smallest cut P* of each shift, by bisection over the tail
+    # bound: the least P >= max(N + 1, _NEAR - c) with coeff S_GJ(P) <= floor,
+    # or L where no P < L has it.  S_GJ falls with P, and each y = N + c > 0
+    coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
+    y = (N + w.c).astype(float)
+    assert (y > 0).all()
+    lo = np.maximum(N + 1, indicators._NEAR - w.c)
+    a, b = lo - 1, np.maximum(w.L, lo)  # P <= a fails or is refused; P = b holds or is L
+    while (b - a > 1).any():
+        mid = np.where(b - a > 1, (a + b) // 2, b)
+        held = coeff * indicators._positive_tails(k, t, (mid - N).astype(float), y)[0] <= floor
+        a, b = np.where(held | (b - a <= 1), a, mid), np.where(held, mid, b)
+    return np.minimum(b, w.L)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_dropped_tail_is_within_its_bound(case):
     N, k, t, shifts, r_lens = case
@@ -73,8 +91,12 @@ def test_dropped_tail_is_within_its_bound(case):
     tables = _full_tables(w, N, k, t)
     _, head, exp_part, _, bound = tables.evaluate(w)
     sg, Js, R, Q = np.abs(tables.sg), np.abs(tables.Js), tables.R, tables.Q
+    best = _smallest_cuts(N, k, t, w, U * (np.abs(head) + np.abs(exp_part)))
     for i in range(w.c.size):
         c, L, P = int(w.c[i]), int(w.L[i]), int(w.P[i])
+        # P is past the smallest cut P*, by at most a fifth of P* - N
+        if best[i] < L:
+            assert best[i] <= P and P - N <= 1.2 * (best[i] - N), (c, L, P, best[i])
         if P == L:
             assert bound[i] == 0.0
             continue
@@ -82,10 +104,56 @@ def test_dropped_tail_is_within_its_bound(case):
         assert P >= max(N + 1, indicators._NEAR - c)
         dropped = tables.coeff * float(np.dot(sg[R + P + 1 : R + L + 1], Js[Q + c + P + 1 : Q + c + L + 1]))
         assert dropped <= bound[i] <= U * (abs(head[i]) + abs(exp_part[i])), (c, L, P)
-        # P is the smallest such cut
-        if P > max(N + 1, indicators._NEAR - c):
-            prior = tables.coeff * indicators._positive_tails(k, t, np.array([P - 1.0 - N]), np.array([N + c + 0.0]))[0][0]
-            assert prior > U * (abs(head[i]) + abs(exp_part[i])), (c, L, P)
+    # and the plan's products exceed those of the smallest cuts by at most 2%
+    assert np.sum(w.L + w.P + 1) <= 1.02 * np.sum(w.L + best + 1)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def test_every_cut_holds_its_bound(monkeypatch):
+    # over wide draws, every P < L is admissible and bounds its tail.  A
+    # closed cut whose full bound (the a4, sech and eps parts too) is over
+    # the floor leaves its shift uncut: the second call, whose check always
+    # passes, finds those shifts, and some must occur.  They occur mostly
+    # at a small m and a large k, where the eps part is large
+    real = indicators._positive_tails
+    unchecked = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        N=st.integers(-200, 5000),
+        k=_log_uniform(1.0, 1e4).map(int),
+        t=_log_uniform(0.1, 3.0),
+        shifts=st.lists(
+            st.tuples(  # (y = N + c, L, floor)
+                st.one_of(st.integers(-100, 0), _log_uniform(1.0, 1e6).map(int)),
+                _log_uniform(1.0, 2e6).map(int),
+                st.one_of(st.just(0.0), _log_uniform(1e-30, 1.0)),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def check(N, k, t, shifts):
+        y, L, floor = (np.array(v) for v in zip(*shifts))
+        c = y - N
+        P = indicators._positive_cuts(N, k, t, c, L, floor)
+        with monkeypatch.context() as mp:
+            mp.setattr(indicators, "_positive_tails", lambda k, t, m, y: (np.zeros_like(m), np.zeros_like(m)))
+            closed = indicators._positive_cuts(N, k, t, c, L, floor)
+        assert (P <= L).all()
+        cut = P < L
+        assert (P[cut] == closed[cut]).all()
+        assert (P[cut] >= np.maximum(N + 1, indicators._NEAR - c[cut])).all()
+        coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
+        tails = real(k, t, (P[cut] - N).astype(float), y[cut].astype(float))[0]
+        assert (coeff * tails <= floor[cut]).all()
+        unchecked.append(int(np.sum((closed < L) & ~cut)))
+
+    check()
+    assert sum(unchecked) > 0
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.0, 8.0])

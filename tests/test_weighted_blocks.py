@@ -196,3 +196,12 @@ def test_only_the_weighted_driver_cuts_windows_and_builds_tables():
         ("indicators.py", "weighted_blocks"),
     ]
     assert _functions_that(_calls("BlockTables")) == [("indicators.py", "weighted_blocks")]
+
+
+def test_the_cut_is_closed_form():
+    # each shift's cut is one closed root and one check of the bound at it:
+    # no search, so no loop of any kind
+    tree = ast.parse((SRC / "indicators.py").read_text())
+    (cuts,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_positive_cuts"]
+    loops = [n for n in ast.walk(cuts) if isinstance(n, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
+    assert not loops, [type(n).__name__ for n in loops]
