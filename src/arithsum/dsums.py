@@ -18,7 +18,7 @@ Each analytic driver is one ``indicators.weighted_blocks`` call over its
 The unit-weight forms are additionally evaluated through a second,
 independent organization: the expanded representation of
 ``q_shifted_analytic`` at the shifts -s d a^2 (s = 1 for the sum kind,
--1 for the difference kind), over one signed grid sg[R+r] = (-1)^r G(r-N).
+-1 for the difference kind), over one plain grid g[R+r] = G(r-N).
 Its sech sums are the ``_sech_parts`` windows at the centres s d a^2; its
 P sums close the a-sums in the lattice kernel T, one T call per weight.
 Neither uses J or ``BlockTables``; agreement of the two organizations
@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .indicators import _closed_heads, _sech_half_width, _sech_parts, _signed_g, weighted_blocks
+from .indicators import _closed_heads, _g_grid, _sech_half_width, _sech_parts, weighted_blocks
 from .integrals import _p_weights, p_values
 from .kernels import TABLE_CHUNK, check_analytic_t, t_values
 from .series import Evaluation
@@ -343,8 +343,8 @@ def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> 
     a = np.arange(1, a_grid_len + 1, dtype=np.int64)
     head, exp_part = _closed_heads(N - s * d * a * a, k, t)
     R = max(d * a_cut * a_cut + _sech_half_width(t) + 1, r_p)
-    sg, guarded = _signed_g(N, t, k, R)
-    sech_val = sech_coeff * float(np.sum(_sech_parts(sg, R, s * d * a[:a_cut] ** 2, t)))
+    g, guarded = _g_grid(-R - N, R - N, t, k)
+    sech_val = sech_coeff * float(np.sum(_sech_parts(g, R, s * d * a[:a_cut] ** 2, t)[0]))
     # sum_a 1/(z^2 + (r - s d a^2)^2) = (pi/(4 d^2)) T(-s r/d, z/d) - 1/(2 (r^2 + z^2))
     # closes the a-sums, r = 0 included, one T call per weight and chunk of
     # TABLE_CHUNK r-values (its temporaries stay in cache); over the
@@ -356,7 +356,7 @@ def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> 
         M, acc = -s * r / d, -0.5 * p_values(r, t, (n, cm))
         for zi, ci in zip(t * n, cm):
             acc += ci * pi / (4.0 * d * d) * t_values(M, zi / d)
-        p_sum += float(np.dot(sg[R + lo : R + lo + len(r)], np.where(r % 2, -acc, acc)))
+        p_sum += float(np.dot(g[R + lo : R + lo + len(r)], acc))
     p_val = -t * math.sinh(pi * t) / (2.0 * math.sqrt(k) * pi) * p_sum
     value = float(np.sum(head)) + float(np.sum(exp_part)) + sech_val + p_val
     est = tail + 1.0 / (2.0 * d * d * a_grid_len**3) + 1e-12  # + the head's a-tail

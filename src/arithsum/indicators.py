@@ -20,11 +20,11 @@ The whole expression equals q_k(N+c)/(N+c)^2 for N+c >= 1 and 0 for
 N+c <= 0, for every t > 0.
 
 ``BlockTables`` is the one block engine, a fixed contraction plan.  It
-sets up the signed grid sg[R+r] = (-1)^r G(r-N), r = -R..P, and
-Js[Q+m] = J(|m|) of a base once (views of the held tables where those
-cover them), and contracts them into the G-parts of many shifts (the
-products next to each J peak r = -c summed by ``math.fsum``, the rest
-tile by tile).  Shift c's window is -L <= r <= P_c: the driver picks L,
+sets up the grid g[R+r] = G(r-N), r = -R..P, and Js[Q+m] = (-1)^m J(|m|),
+which carries the (-1)^(r+c), of a base once (views of the held tables
+where those cover them), and contracts them into the G-parts of many
+shifts (the products next to each J peak r = -c summed by ``math.fsum``,
+the rest tile by tile).  Shift c's window is -L <= r <= P_c: the driver picks L,
 and the engine cuts the positive side at a P_c solved in closed form
 from a bound of the rest, where that bound is below one rounding of the
 block's head and exp-series (``_cut_windows``), and reports that bound.
@@ -37,9 +37,9 @@ identities are its one block at shift 0.  Only the oracles keep
 organizations of their own, with symmetric grids:
 ``q_shifted_analytic``, and the general-s form ``q_general_analytic``,
 which is ``series.invert_series`` of ``power_series_evaluator``.
-``q_shifted_analytic`` and the unit-weight forms of ``dsums`` read the
-same signed grid (``_signed_g``) and take their sech sums from one
-windowed contraction (``_sech_parts``).
+``q_shifted_analytic`` and the unit-weight forms of ``dsums`` build the
+same plain grid (``_g_grid``) and take their sech sums from one windowed
+contraction (``_sech_parts``), whose sech weights carry the (-1)^j.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .integrals import _p_weights, j_values, p_values, sech_values
 from .kernels import TABLE_CHUNK, _g, check_analytic_t
 from .series import Evaluation, SeriesEvaluator, invert_series
 
-# doubles of sg per tile of the G-part contraction (512 KiB); a tile and
+# doubles of g per tile of the G-part contraction (512 KiB); a tile and
 # the Js range it meets, ~3 MB at sigma(600), fit a 4 MiB L2 cache
 _TILE = 1 << 16
 # the near products of a G-part, |r + c| <= _NEAR next to J's peak
@@ -141,42 +141,35 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
     return head, -yf * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3
 
 
-def _signed_g(N: int, t: float, k: int, R: int, P: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(sg, guarded): the signed grid sg[R + r] = (-1)^r G(r - N) for
-    r = -R..P (P = R if not given), and the overflow-guard mask of each entry,
-    filled TABLE_CHUNK entries at a time so that _g's temporaries stay in cache."""
-    n = R + 1 + (R if P is None else P)
-    sg = np.empty(n)
-    guarded = np.empty(n, dtype=bool)
-    for i in range(0, n, TABLE_CHUNK):
-        s = sg[i : i + TABLE_CHUNK]
-        s[:], guarded[i : i + TABLE_CHUNK] = _g(np.arange(i, i + s.size, dtype=float) - (R + N), t, k)
-        s[(R + 1 + i) % 2 :: 2] *= -1.0
-    return sg, guarded
+def _g_grid(lo: int, hi: int, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(g, guarded): the grid g[i] = G(lo + i) for M = lo..hi, and the
+    overflow-guard mask of each entry, filled TABLE_CHUNK entries at a time
+    so that _g's temporaries stay in cache."""
+    g = np.empty(hi - lo + 1)
+    guarded = np.empty(g.size, dtype=bool)
+    for i in range(0, g.size, TABLE_CHUNK):
+        M = np.arange(lo + i, min(lo + i + TABLE_CHUNK, hi + 1), dtype=float)
+        g[i : i + TABLE_CHUNK], guarded[i : i + TABLE_CHUNK] = _g(M, t, k)
+    return g, guarded
 
 
-# the held tables: "g", the last (sg, guard mask) built, keyed by (k, t), with
-# its base N and M = r - N range; "j", the last (Js,), keyed by t, over q = -Q..Q
+# the held tables: "g", the last (G grid, guard mask) built, keyed by (k, t),
+# over M = lo..hi; "j", the last (Js,), keyed by t, over m = -Q..Q
 _HELD: dict = {}
 
 
-def _held(name: str, key, base: int, lo: int, hi: int, build) -> list:
+def _held(name: str, key, lo: int, hi: int, build) -> list:
     """Read-only arrays over the coordinates lo..hi: views of the held entry
-    if it has this key and covers lo..hi (the first negated if its base has
-    the other parity), else views of build(lo', hi')'s, which replace it;
-    lo'..hi' is lo..hi joined with the held range if the key is the same,
-    so that requests whose ends move both ways are built once.  Each entry
-    depends only on its coordinate and the key, so a view has the bits of
-    a build."""
+    if it has this key and covers lo..hi, else views of build(lo', hi')'s,
+    which replace it; lo'..hi' is lo..hi joined with the held range if the
+    key is the same, so that requests whose ends move both ways are built
+    once.  Each entry depends only on its coordinate and the key, so a
+    view has the bits of a build."""
     e = _HELD.get(name)
     if e is not None and e[0] == key:
-        if e[2] <= lo and hi <= e[3]:
-            views = [a[lo - e[2] : hi - e[2] + 1] for a in e[4]]
-            if (e[1] - base) % 2:
-                views[0] = -views[0]
-                views[0].flags.writeable = False
-            return views
-        lo_b, hi_b = min(lo, e[2]), max(hi, e[3])
+        if e[1] <= lo and hi <= e[2]:
+            return [a[lo - e[1] : hi - e[1] + 1] for a in e[3]]
+        lo_b, hi_b = min(lo, e[1]), max(hi, e[2])
     else:
         lo_b, hi_b = lo, hi
     del e  # drop the old entry before the build: the two are never resident at once
@@ -184,13 +177,15 @@ def _held(name: str, key, base: int, lo: int, hi: int, build) -> list:
     arrays = build(lo_b, hi_b)
     for a in arrays:
         a.flags.writeable = False
-    _HELD[name] = (key, base, lo_b, hi_b, arrays)
+    _HELD[name] = (key, lo_b, hi_b, arrays)
     return [a[lo - lo_b : hi - lo_b + 1] for a in arrays]
 
 
 def _two_sided_j(Q: int, t: float) -> tuple[np.ndarray]:
+    """(Js,): the signed J table Js[Q + m] = (-1)^m J(|m|), m = -Q..Q."""
     Js = np.empty(2 * Q + 1)
     j_values(Q, t, out=Js[Q:])
+    Js[Q + 1 :: 2] *= -1.0
     Js[:Q] = Js[:Q:-1]
     return (Js,)
 
@@ -200,19 +195,20 @@ def _sech_half_width(t: float) -> int:
     return math.ceil(27.0 * t) + 3
 
 
-def _sech_parts(sg: np.ndarray, R: int, centres, t: float) -> np.ndarray:
-    """sum over |r - c| <= W of (-1)^(r-c) G(r-N) sech(pi (r-c)/(2t)) for
-    each centre c, from the signed grid sg[R + r] = (-1)^r G(r - N); each
-    window is one row of sg against one sech vector and must lie inside
-    the grid."""
+def _sech_parts(g: np.ndarray, R: int, centres, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sum over |r - c| <= W of (-1)^(r-c) G(r-N) sech(pi (r-c)/(2t)), and
+    of |G(r-N)| sech(pi (r-c)/(2t))) for each centre c, from the grid
+    g[R + r] = G(r - N); each window is one row of g against sech weights
+    that carry the (-1)^(r-c), and must lie inside the grid."""
     W = _sech_half_width(t)
     c = np.asarray(centres, dtype=np.int64)
     lo = R + c - W
     if lo.min() < 0 or lo.max() + 2 * W > 2 * R:
         raise ValueError(f"a sech window of half-width {W} leaves the grid r = -{R}..{R}")
-    s = sech_values(pi * np.arange(-W, W + 1) / (2.0 * t))
-    rows = np.lib.stride_tricks.sliding_window_view(sg, 2 * W + 1)[lo]
-    return np.where(c % 2, -1.0, 1.0) * (rows @ s)
+    j = np.arange(-W, W + 1)
+    s = sech_values(pi * j / (2.0 * t))
+    rows = np.lib.stride_tricks.sliding_window_view(g, 2 * W + 1)[lo]
+    return rows @ np.where(j % 2, -s, s), np.abs(rows) @ s
 
 
 @functools.lru_cache(maxsize=8)
@@ -325,15 +321,15 @@ class BlockTables:
     """Jump-kernel and integral grids for one base (N, k, t): the one
     block engine every analytic driver evaluates its blocks through.
 
-    A fixed contraction plan: sg[R + r] = (-1)^r G(r - N) for r = -R..P
-    and Js[Q + m] = J(|m|) for m = -Q..Q are set up once, here, at
+    A fixed contraction plan: g[R + r] = G(r - N) for r = -R..P and
+    Js[Q + m] = (-1)^m J(|m|) for m = -Q..Q are set up once, here, at
     R = r_len, P = p_len (R if not given) and Q = q_len, and serve every
     shift c against the base.  ``weighted_blocks`` sizes them to its
     windows, ``BlockTables(N, k, t, *w.extent).evaluate(w)`` with w from
     ``_cut_windows``.  They are read-only views of the held tables
-    (``_held``) where those cover them: the last G grid per (k, t) and the
-    last J table per t.  Otherwise they are built, bit for bit the same,
-    and become the held ones.
+    (``_held``) where those cover them: the last G grid per (k, t), whatever
+    its base, and the last J table per t.  Otherwise they are built, bit for
+    bit the same, and become the held ones.
 
     The window of shift c is -L <= r <= P_c, asymmetric: L is the driver's
     r_len and P_c <= L is the engine's closed-form cut (``_positive_cuts``),
@@ -341,7 +337,7 @@ class BlockTables:
     head and exp-series (L where it finds no such cut).  A window must lie
     inside the grids (L <= R, P_c <= P, L - c <= Q and P_c + c <= Q) and
     hold the near range around its J peak r = -c (|r + c| <= _NEAR);
-    ``_gparts`` refuses any other.  Each tile of sg is read once and
+    ``_gparts`` refuses any other.  Each tile of g is read once and
     serves every shift.
     """
 
@@ -351,9 +347,9 @@ class BlockTables:
         self.R, self.Q = R, Q = int(r_len), int(q_len)
         self.P = P = R if p_len is None else int(p_len)
         # the held coordinates are M = r - N for G and m for J
-        self.sg, guarded = _held("g", (k, t), N, -R - N, P - N, lambda lo, hi: _signed_g(N, t, k, -lo - N, hi + N))
+        self.g, guarded = _held("g", (k, t), -R - N, P - N, lambda lo, hi: _g_grid(lo, hi, t, k))
         self.g0_guarded = bool(guarded[R])
-        (self.Js,) = _held("j", t, 0, -Q, Q, lambda lo, hi: _two_sided_j(hi, t))
+        (self.Js,) = _held("j", t, -Q, Q, lambda lo, hi: _two_sided_j(hi, t))
         self.coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
 
     def gpart(self, c: int, r_len: int) -> float:
@@ -364,11 +360,11 @@ class BlockTables:
         # each shift first sums its near products, |r + c| <= _NEAR, with
         # one rounding (math.fsum): they carry most of its sum |terms|, and
         # a dot rounds them worse.  The rest of the window follows tile by
-        # tile, one dot on either side of the near range, so the sg tile and
+        # tile, one dot on either side of the near range, so the g tile and
         # the Js range it meets stay in cache for every shift; the tiles
         # [jT - T/2, jT + T/2) are centred on r = 0.  The windows are
-        # -L <= r <= P, with P = L if not given
-        R, Q, sg, Js = self.R, self.Q, self.sg, self.Js
+        # -L <= r <= P, with P = L if not given.  Js carries the (-1)^(r+c)
+        R, Q, g, Js = self.R, self.Q, self.g, self.Js
         cs, ls = c.tolist(), L.tolist()
         ps = ls if P is None else P.tolist()
         for ci, li, pi_ in zip(cs, ls, ps):
@@ -378,7 +374,7 @@ class BlockTables:
                 )
             if ci + _NEAR > li or _NEAR - ci > pi_:
                 raise ValueError(f"window -{li} <= r <= {pi_} misses the near range of shift {ci}")
-        near = sg[(R - c)[:, None] + _NEAR_RANGE] * Js[Q - _NEAR : Q + _NEAR + 1]
+        near = g[(R - c)[:, None] + _NEAR_RANGE] * Js[Q - _NEAR : Q + _NEAR + 1]
         acc = [math.fsum(row) for row in near.tolist()]
         for lo in range((_TILE // 2 - max(ls)) // _TILE * _TILE - _TILE // 2, max(ps) + 1, _TILE):
             hi = lo + _TILE
@@ -386,8 +382,8 @@ class BlockTables:
                 for a, b in (-li, -ci - _NEAR), (-ci + _NEAR + 1, pi_ + 1):
                     a, b = max(lo, a), min(hi, b)
                     if a < b:
-                        acc[i] += np.dot(sg[R + a : R + b], Js[Q + ci + a : Q + ci + b])
-        return self.coeff * np.where(c % 2, -1.0, 1.0) * np.array(acc)
+                        acc[i] += np.dot(g[R + a : R + b], Js[Q + ci + a : Q + ci + b])
+        return self.coeff * np.array(acc)
 
     def evaluate(self, w: Windows) -> tuple[np.ndarray, ...]:
         """(value, head, exp-series, scale, bound) of the block at each
@@ -397,7 +393,7 @@ class BlockTables:
         value = head + exp-series + G-part; head is the closed head U(N+c).
         bound >= coeff * sum_{r > P} |G(r - N) J(r + c)| bounds what the
         cut drops (0 where P = L); a driver adds |w| * bound to its estimate.
-        scale = |head| + |exp-series| + coeff * ||sg window||_1 * J(0), the
+        scale = |head| + |exp-series| + coeff * ||g window||_1 * J(0), the
         window's norm taken over -L <= r <= P plus the bound of the rest up
         to L, bounds the magnitude of every term summed, so eps * scale
         bounds the block's rounding.
@@ -406,7 +402,7 @@ class BlockTables:
         g = self._gparts(c, L, P)
         m, p = int(L.max()), int(P.max())
         cum = np.zeros(m + p + 2)  # one array: at sigma(600) a window takes 3 MB
-        np.cumsum(np.abs(self.sg[self.R - m : self.R + p + 1], out=cum[1:]), out=cum[1:])
+        np.cumsum(np.abs(self.g[self.R - m : self.R + p + 1], out=cum[1:]), out=cum[1:])
         g_norm = cum[m + P + 1] - cum[m - L]
         bound = np.zeros(c.size)
         cut = np.flatnonzero(P < L)
@@ -464,13 +460,13 @@ def _q_tail(tables: BlockTables, w: Windows, scale) -> float:
     # side and r^(-4) through the J factor on the negative.  Where the cut
     # leaves the positive edge off the grid, its closed bound stands in,
     # which is no smaller; the cut's own tail is the engine's bound
-    N, k, t, R, Q, sg, Js = tables.N, tables.k, tables.t, tables.R, tables.Q, tables.sg, tables.Js
+    N, k, t, R, Q, g, Js = tables.N, tables.k, tables.t, tables.R, tables.Q, tables.g, tables.Js
     r_len = int(w.L[0])
-    face = float(w.head[0] + w.exp_part[0]) + tables.coeff * float(sg[R] * Js[Q])
+    face = float(w.head[0] + w.exp_part[0]) + tables.coeff * float(g[R] * Js[Q])
     lo = r_len - 63  # the edge r = lo..r_len, and its mirror -r
-    neg = sg[R - r_len : R - lo + 1][::-1]
+    neg = g[R - r_len : R - lo + 1][::-1]
     if r_len <= tables.P:
-        edge = np.abs(sg[R + lo : R + r_len + 1] + neg)
+        edge = np.abs(g[R + lo : R + r_len + 1] + neg)
     else:
         edge = _g_bound(np.arange(lo - N, r_len - N + 1, dtype=float), t, k) + np.abs(neg)
     edge_max = float(np.max(edge * np.abs(Js[Q + lo : Q + r_len + 1])))
@@ -503,7 +499,7 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     one-signed double G sums.  Returns ~q_k(N+c)/(N+c)^2 when N+c >= 1
     and ~0 when N+c <= 0 (the vanishing branch).
 
-    The bilateral sums run over r = -r_len..r_len of the signed grid: the
+    The bilateral sums run over r = -r_len..r_len of ``_g_grid``: the
     negative side G(-r-N) w(r-c) is the r -> -r image of G(r-N) w(r+c),
     since both weights w are even.  The sech sum is ``_sech_parts`` at the
     centre -c.  The estimate adds the sinh(pi t)-amplified rounding of both
@@ -516,14 +512,14 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     head = float(heads[0] + exp_part[0])
     W = _sech_half_width(t)
     r_len = abs(c) + max(N + max(1200, int(700 / t)), W)
-    sg, guarded = _signed_g(N, t, k, r_len)
+    g, guarded = _g_grid(-r_len - N, r_len - N, t, k)
     r = np.arange(-r_len, r_len + 1)
-    p_terms = np.where(r % 2, -sg, sg) * p_values(r + c, t, _p_weights(t))
+    p_terms = g * p_values(r + c, t, _p_weights(t))
     sh = math.sinh(pi * t)
     sech_coeff = sh / (8.0 * math.sqrt(k) * t)
     p_coeff = t * sh / (2.0 * math.sqrt(k) * pi)
-    gpart = sech_coeff * _sech_parts(sg, r_len, [-c], t)[0] - p_coeff * float(np.sum(p_terms))
-    sech_abs = sech_coeff * abs(_sech_parts(np.abs(sg), r_len, [-c], t)[0])
+    sech, sech_abs = (sech_coeff * s[0] for s in _sech_parts(g, r_len, [-c], t))
+    gpart = sech - p_coeff * float(np.sum(p_terms))
     p_abs = p_coeff * float(np.sum(np.abs(p_terms)))
     est = 1e-12 + (abs(head) + abs(gpart)) * 1e-14 + 3.0 / r_len**2.5
     # n = r.size is odd, so ceil(log2 n) = n.bit_length()

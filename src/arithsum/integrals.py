@@ -14,7 +14,7 @@ implementation of each series; ``integral_i``, ``integral_k`` and
 ``integral_j`` are one-element calls of them.
 ``quadrature_oracle`` integrates the defining integrands directly with
 adaptive Gauss-Legendre quadrature so the closed forms are
-machine-checkable.  Every entry takes any finite t > 0 (``kernels.check_t``).
+machine-checkable.  Every entry takes any finite t >= T_MIN (``kernels.check_t``).
 
 The hyperbolic heads csch, sech and cosh/sinh^2 each have one guarded
 implementation, elementwise over arrays (``csch_values``, ``sech_values``,
@@ -332,7 +332,7 @@ def quadrature_oracle(kind: str, q: int, t: float, tol: float = 1e-12) -> float:
 
     Raises QuadratureError past _QUAD_PANELS panels or if the summed
     |Q40 - Q20| exceeds 50 max(tol, 1e-14 |value|), and ValueError for an
-    unknown kind, tol < 1e-12 or a t that is not finite and positive.
+    unknown kind, tol < 1e-12 or a t that ``kernels.check_t`` refuses.
     """
     if kind not in ("I", "K", "J"):
         raise ValueError(f"unknown integral kind {kind!r}; expected one of I, K, J")

@@ -24,7 +24,7 @@ and ``half_plane_root`` call it on a one-element array, so that they
 return the same bits.  (numpy's 0-d paths can round differently.)
 
 The t-domain is defined here only: the kernels and integrals take any finite
-t > 0 (``check_t``), the analytic entries T_MIN <= t <= T_MAX (``check_analytic_t``).
+t >= T_MIN (``check_t``), the analytic entries T_MIN <= t <= T_MAX (``check_analytic_t``).
 """
 
 from __future__ import annotations
@@ -42,24 +42,24 @@ GUARD_THRESHOLD = 30.0
 # entries per _g/_j call of a table build: 64 KiB temporaries, in L2 and below malloc's mmap threshold
 TABLE_CHUNK = 1 << 13
 T_MAX = math.log(np.finfo(float).max) / (2.0 * math.pi)
-# The analytic entries size grids of c/t entries, the longest being the
+# The entries size grids of c/t entries, the longest being the
 # unit forms' 12000/t (``dsums._unit_value``); numpy sizes them with a C
 # long, and at t >= 2^-48 every c < 2^14 keeps c/t below 2^62
 T_MIN = 2.0**-48
 
 
 def check_t(t: float) -> None:
-    """Refuse a t that is not finite and positive, before anything is sized from it."""
+    """Refuse a t that is not finite and positive, before anything is sized
+    from it, and t < T_MIN, past which grids of c/t entries overflow."""
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")
+    if t < T_MIN:
+        raise ValueError(f"t must be at least 2^-48 = {T_MIN:.6g}, where grids of 2^14/t entries fit in 2^62, got {t}")
 
 
 def check_analytic_t(t: float) -> None:
-    """``check_t``, and refuse t < T_MIN, past which grids of c/t entries
-    overflow, and t > T_MAX, where the closed heads' e^(2 pi t) - 1 overflows."""
+    """``check_t``, and refuse t > T_MAX, where the closed heads' e^(2 pi t) - 1 overflows."""
     check_t(t)
-    if t < T_MIN:
-        raise ValueError(f"t must be at least 2^-48 = {T_MIN:.6g}, where grids of 2^14/t entries fit in 2^62, got {t}")
     if t > T_MAX:
         raise ValueError(f"t must be at most ln(DBL_MAX)/(2 pi) = {T_MAX:.6g}, got {t}")
 

@@ -158,11 +158,14 @@ def harmonic(N: int) -> float:
     return math.fsum(1.0 / r for r in range(1, N + 1))
 
 
+def _lagarias(h: float) -> float:  # the one form of the Lagarias bound, at h = H_N
+    return h + math.exp(h) * math.log(h)
+
+
 def lagarias_rhs(N: int) -> float:
     """H_N + e^(H_N) log(H_N); sigma(N) stays below it for N > 1 iff the
     Riemann hypothesis holds."""
-    h = harmonic(N)
-    return h + math.exp(h) * math.log(h)
+    return _lagarias(harmonic(N))
 
 
 def robin_rhs(N: int) -> float:
@@ -206,7 +209,7 @@ def rh_check(N: int, t: float = 1.0, mode: str = "exact") -> RHRecord:
     else:
         value, est = float(exact), 0.0
     h = harmonic(N)
-    rhs = h + math.exp(h) * math.log(h)
+    rhs = _lagarias(h)
     robin = robin_rhs(N) if N >= 5041 else None
     return RHRecord(
         N=N,

@@ -1,7 +1,9 @@
 """BlockTables reads the last G grid per (k, t) and the last J table per t
-wherever they cover its request.  A warm plan keeps the bits of a cold
-one, the held arrays are read-only, and the oracles never read them."""
+wherever they cover its request, whatever the base.  A warm plan keeps
+the bits of a cold one, the held arrays are read-only, and the oracles
+never read them."""
 
+import numpy as np
 import pytest
 
 from arithsum import indicators
@@ -17,7 +19,7 @@ def builds(monkeypatch):
     at the start and restored after the test."""
     monkeypatch.setattr(indicators, "_HELD", {})
     built = []
-    for name in ("j_values", "_signed_g"):
+    for name in ("j_values", "_g_grid"):
         real = getattr(indicators, name)
         monkeypatch.setattr(
             indicators, name, lambda *args, name=name, real=real, **kw: built.append(name) or real(*args, **kw)
@@ -48,18 +50,30 @@ def test_sigma_from_held_tables_keeps_the_cold_bits(builds, t):
 @pytest.mark.parametrize("N", [50, 51])
 def test_difference_sums_from_a_base_of_either_parity_keep_the_cold_bits(builds, N):
     # sum_diff_analytic's grid at base N spans M = r - N up to 6400 d + 1500
-    # whatever N, so the grids of bases N + 1 and N + 2 hold it; the first
-    # is read negated
+    # whatever N, so the grids of bases N + 1 and N + 2 hold it
     g = alternating_weight()
     inst = DiophantineInstance(N, 2, 3, "difference")
     cold = _cold(sum_diff_analytic, g, inst, 1.0)
     for base in (N + 1, N + 2):
         indicators._HELD.clear()
         sum_diff_analytic(g, DiophantineInstance(base, 2, 3, "difference"), 1.0)
-        assert indicators._HELD["g"][1] == base
+        held = indicators._HELD["g"]
         del builds[:]
         assert _bits(sum_diff_analytic(g, inst, 1.0)) == cold, base
-        assert builds == []
+        assert builds == [] and indicators._HELD["g"] is held
+
+
+def test_a_base_of_the_other_parity_reads_a_view_of_the_held_grid(builds):
+    # the held grid is G(M), whatever the base it was built for: base 31
+    # reads base 30's grid (M = -640..580) as a view, M = -631..569
+    cold = BlockTables(31, 2, 0.7, 600, 700).g.tobytes()
+    indicators._HELD.clear()
+    BlockTables(30, 2, 0.7, 610, 700)
+    del builds[:]
+    g = BlockTables(31, 2, 0.7, 600, 700).g
+    assert builds == []
+    assert np.shares_memory(g, indicators._HELD["g"][3][0])
+    assert g.tobytes() == cold
 
 
 def test_a_range_miss_or_a_new_key_builds_and_keeps_the_cold_bits(builds):
@@ -72,10 +86,10 @@ def test_a_range_miss_or_a_new_key_builds_and_keeps_the_cold_bits(builds):
     indicators._HELD.clear()
     sigma_analytic(40, 1.0)
     steps = [
-        ("sigma(97, 1)", lambda: sigma_analytic(97, 1.0), ["_signed_g", "j_values"]),  # range
-        ("sigma(97, 1.5)", lambda: sigma_analytic(97, 1.5), ["_signed_g", "j_values"]),  # t
+        ("sigma(97, 1)", lambda: sigma_analytic(97, 1.0), ["_g_grid", "j_values"]),  # range
+        ("sigma(97, 1.5)", lambda: sigma_analytic(97, 1.5), ["_g_grid", "j_values"]),  # t
         ("q_1(50)", lambda: q_analytic(1, 50, 1.5), []),  # inside sigma(97, 1.5)'s tables
-        ("q_2(50)", lambda: q_analytic(2, 50, 1.5), ["_signed_g"]),  # k; J is keyed by t
+        ("q_2(50)", lambda: q_analytic(2, 50, 1.5), ["_g_grid"]),  # k; J is keyed by t
     ]
     for label, f, want in steps:
         del builds[:]
@@ -87,9 +101,9 @@ def test_a_grid_that_ends_past_the_held_one_is_built(builds):
     # M = r - N runs over -1040..960 in the first plan and -1035..975 in
     # the second: its start lies inside the held grid, its end beyond it
     BlockTables(40, 1, 1.0, 1000, 1000)
-    sg = BlockTables(30, 1, 1.0, 1005, 1000).sg
-    assert builds == ["_signed_g", "j_values", "_signed_g"]
-    assert sg.tobytes() == indicators._signed_g(30, 1.0, 1, 1005)[0].tobytes()
+    g = BlockTables(30, 1, 1.0, 1005, 1000).g
+    assert builds == ["_g_grid", "j_values", "_g_grid"]
+    assert g.tobytes() == indicators._g_grid(-1035, 975, 1.0, 1)[0].tobytes()
 
 
 def test_held_arrays_are_read_only(builds):
@@ -97,16 +111,16 @@ def test_held_arrays_are_read_only(builds):
     r_len = _sigma_r_len(N, t)
     plans = [BlockTables(4 * N + d, 1, t, r_len + 10 - 5 * d, r_len + 900) for d in (0, 1, 2)]
     assert len(builds) == 2  # the second and third plans read the first's tables
-    arrays = [*indicators._HELD["g"][4], *indicators._HELD["j"][4]]
-    arrays += [a for p in plans for a in (p.sg, p.Js)]  # plan 1's sg is negated
+    arrays = [*indicators._HELD["g"][3], *indicators._HELD["j"][3]]
+    arrays += [a for p in plans for a in (p.g, p.Js)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
 
 def test_the_oracles_do_not_read_the_held_grid(builds):
-    # a wrong offset or sign in the held grid moves the block sum, and no
-    # oracle of it: they build their grids with _signed_g themselves
+    # a wrong offset or value in the held grid moves the block sum, and no
+    # oracle of it: they build their grids with _g_grid themselves
     N, c, t = 50, 8, 1.0
     inst = DiophantineInstance(N, 2, 3, "difference")
     g = unit_weight()
@@ -118,12 +132,12 @@ def test_the_oracles_do_not_read_the_held_grid(builds):
             lambda: q_shifted_analytic(3, N, c, t),
         )
     ]
-    key, base, lo, hi, (sg, guarded) = indicators._HELD["g"]
-    assert key == (3, t) and base == N
-    bent = sg * (1.0 + 1e-6)
+    key, lo, hi, (held, guarded) = indicators._HELD["g"]
+    assert key == (3, t) and lo < -N < hi  # r = 0 at base N
+    bent = held * (1.0 + 1e-6)
     bent.flags.writeable = False
-    indicators._HELD["g"] = (key, base, lo, hi, (bent, guarded))
+    indicators._HELD["g"] = (key, lo, hi, (bent, guarded))
     assert _bits(sum_diff_analytic(g, inst, t)) != before[0]
     assert _bits(unit_sum_diff(inst, t)) == before[1]
     assert _bits(q_shifted_analytic(3, N, c, t)) == before[2]
-    assert indicators._HELD["g"][4][0] is bent
+    assert indicators._HELD["g"][3][0] is bent

@@ -267,8 +267,8 @@ def test_tiled_gparts_match_fsum(k, t):
     g = tables._gparts(np.array(shifts), np.array(r_lens))
     R, Q, eps = tables.R, tables.Q, np.finfo(float).eps
     for gi, c, L in zip(g, shifts, r_lens):
-        terms = tables.sg[R - L : R + L + 1] * tables.Js[Q + c - L : Q + c + L + 1]
-        want = tables.coeff * (-1) ** c * math.fsum(terms)
+        terms = tables.g[R - L : R + L + 1] * tables.Js[Q + c - L : Q + c + L + 1]
+        want = tables.coeff * math.fsum(terms)
         scale = tables.coeff * math.fsum(np.abs(terms))
         # a BLAS dot accumulates each lane in sequence, so its rounding
         # grows like sqrt(n) eps sum |terms| (0.13 sqrt(n) at most here,
@@ -291,19 +291,19 @@ def test_window_of_one_tile_is_near_sum_then_dots(N, k, t):
     r_lens = [39, 35, 32, 2000, T // 2 - 1, 9000, 200, 260]
     tables = BlockTables(N, k, t, T // 2 - 1, T // 2 - 1 + 1500)
     g = tables._gparts(np.array(shifts), np.array(r_lens))
-    R, Q, sg, Js = tables.R, tables.Q, tables.sg, tables.Js
+    R, Q, grid, Js = tables.R, tables.Q, tables.g, tables.Js
     for gi, c, L in zip(g, shifts, r_lens):
         a, b = -c - W, -c + W + 1
-        near = math.fsum(sg[R + a : R + b] * Js[Q + c + a : Q + c + b])
-        left = np.dot(sg[R - L : R + a], Js[Q + c - L : Q + c + a])
-        right = np.dot(sg[R + b : R + L + 1], Js[Q + c + b : Q + c + L + 1])
-        want = tables.coeff * (-1) ** c * float(near + left + right)
+        near = math.fsum(grid[R + a : R + b] * Js[Q + c + a : Q + c + b])
+        left = np.dot(grid[R - L : R + a], Js[Q + c - L : Q + c + a])
+        right = np.dot(grid[R + b : R + L + 1], Js[Q + c + b : Q + c + L + 1])
+        want = tables.coeff * float(near + left + right)
         assert gi == want and tables.gpart(c, L) == want, (c, L)
 
 
 def test_shift0_block_is_as_accurate_as_the_fold():
     # q_analytic's shift-0 block once summed its two sides folded,
-    # (sg[R + r] + sg[R - r]) J(r), in one pairwise sum; that contraction
+    # (G(r - N) + G(-r - N)) (-1)^r J(r), in one pairwise sum; that contraction
     # is kept here as the reference.  At t in [7, 10] the engine, with its
     # near products summed by math.fsum, must be at least as accurate, as a
     # mean over the cases
@@ -316,12 +316,12 @@ def test_shift0_block_is_as_accurate_as_the_fold():
         t = math.exp(rng.uniform(math.log(7.0), math.log(10.0)))
         L = indicators._default_r_len(N, 0, t)
         tables = BlockTables(N, k, t, L, L)
-        R, sg, J, coeff = tables.R, tables.sg, tables.Js[tables.Q :], tables.coeff
-        products = sg[R - L : R + L + 1] * tables.Js[tables.Q - L : tables.Q + L + 1]
+        R, g, J, coeff = tables.R, tables.g, tables.Js[tables.Q :], tables.coeff
+        products = g[R - L : R + L + 1] * tables.Js[tables.Q - L : tables.Q + L + 1]
         want = coeff * math.fsum(products)
         scale = coeff * math.fsum(np.abs(products))
-        folded = (sg[R + 1 : R + L + 1] + sg[R - L : R][::-1]) * J[1 : L + 1]
-        fold = coeff * float(sg[R] * J[0]) + coeff * float(np.sum(folded))
+        folded = (g[R + 1 : R + L + 1] + g[R - L : R][::-1]) * J[1 : L + 1]
+        fold = coeff * float(g[R] * J[0]) + coeff * float(np.sum(folded))
         err_engine.append(abs(tables.gpart(0, L) - want) / scale)
         err_fold.append(abs(fold - want) / scale)
     assert np.mean(err_engine) <= np.mean(err_fold), (np.mean(err_engine), np.mean(err_fold))
@@ -344,28 +344,31 @@ def test_closed_heads_do_not_overflow_near_the_top_of_t():
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
 def test_sech_parts_match_unwindowed_sum(t):
     # every window against the sum over the whole grid, with windows that
-    # start on the grid's first index and end on its last
+    # start on the grid's first index and end on its last; the second sum
+    # is that of the |terms|
     N, k, R = 7, 2, 400
     W = indicators._sech_half_width(t)
-    sg, _ = indicators._signed_g(N, t, k, R)
+    grid, _ = indicators._g_grid(-R - N, R - N, t, k)
     r = np.arange(-R, R + 1)
     g = g_values(r - N, t, k)
     centres = [W - R, W - R + 1, -N, 0, 5, 33, R - W - 1, R - W]
-    got = indicators._sech_parts(sg, R, centres, t)
-    for gi, c in zip(got, centres):
+    got, got_abs = indicators._sech_parts(grid, R, centres, t)
+    for gi, ai, c in zip(got, got_abs, centres):
         terms = np.where((r - c) % 2, -g, g) * sech_values(math.pi * (r - c) / (2.0 * t))
-        assert abs(gi - math.fsum(terms)) <= 1e-13 * math.fsum(np.abs(terms)), c
+        abs_sum = math.fsum(np.abs(terms))
+        assert abs(gi - math.fsum(terms)) <= 1e-13 * abs_sum, c
+        assert abs(ai - abs_sum) <= 1e-13 * abs_sum, c
 
 
 def test_sech_parts_reject_windows_off_the_grid():
     # numpy would wrap a negative start silently
     t, R = 1.0, 100
     W = indicators._sech_half_width(t)
-    sg, _ = indicators._signed_g(3, t, 1, R)
-    indicators._sech_parts(sg, R, [W - R, R - W], t)
+    g, _ = indicators._g_grid(-R - 3, R - 3, t, 1)
+    indicators._sech_parts(g, R, [W - R, R - W], t)
     for c in (W - R - 1, R - W + 1):
         with pytest.raises(ValueError):
-            indicators._sech_parts(sg, R, [0, c], t)
+            indicators._sech_parts(g, R, [0, c], t)
 
 
 def test_block_tables_match_shifted():

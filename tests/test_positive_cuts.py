@@ -90,7 +90,7 @@ def test_dropped_tail_is_within_its_bound(case):
     w = _cut_windows(N, k, t, shifts, r_lens)
     tables = _full_tables(w, N, k, t)
     _, head, exp_part, _, bound = tables.evaluate(w)
-    sg, Js, R, Q = np.abs(tables.sg), np.abs(tables.Js), tables.R, tables.Q
+    g, Js, R, Q = np.abs(tables.g), np.abs(tables.Js), tables.R, tables.Q
     best = _smallest_cuts(N, k, t, w, U * (np.abs(head) + np.abs(exp_part)))
     for i in range(w.c.size):
         c, L, P = int(w.c[i]), int(w.L[i]), int(w.P[i])
@@ -102,7 +102,7 @@ def test_dropped_tail_is_within_its_bound(case):
             continue
         # the cut keeps the near range and the G peak r = N
         assert P >= max(N + 1, indicators._NEAR - c)
-        dropped = tables.coeff * float(np.dot(sg[R + P + 1 : R + L + 1], Js[Q + c + P + 1 : Q + c + L + 1]))
+        dropped = tables.coeff * float(np.dot(g[R + P + 1 : R + L + 1], Js[Q + c + P + 1 : Q + c + L + 1]))
         assert dropped <= bound[i] <= U * (abs(head[i]) + abs(exp_part[i])), (c, L, P)
     # and the plan's products exceed those of the smallest cuts by at most 2%
     assert np.sum(w.L + w.P + 1) <= 1.02 * np.sum(w.L + best + 1)
@@ -276,13 +276,13 @@ def test_sigma_moves_by_less_than_one_rounding_of_its_heads(uncut, N):
 
 
 def test_sigma_600_tables_are_a_little_over_half_as_large(monkeypatch):
-    # the grids of the uncut plan: sg over |r| <= R and Js over |m| <= R + (N - 1)^2
+    # the grids of the uncut plan: g over |r| <= R and Js over |m| <= R + (N - 1)^2
     monkeypatch.setattr(indicators, "_HELD", {})
     N = 600
     w = _cut_windows(*_sigma_set(N, 1.0))
     tables = BlockTables(4 * N, 1, 1.0, *w.extent)
     R = _sigma_r_len(N, 1.0)
-    assert tables.sg.size <= 0.57 * (2 * R + 1)
+    assert tables.g.size <= 0.57 * (2 * R + 1)
     assert tables.Js.size <= 0.55 * (2 * (R + (N - 1) ** 2) + 1)
     terms = float(np.sum(w.L + w.P + 1)) / float(np.sum(2 * w.L + 1))
     assert terms <= 0.57
@@ -292,7 +292,7 @@ def test_sigma_600_tables_are_a_little_over_half_as_large(monkeypatch):
 def builds(monkeypatch):
     monkeypatch.setattr(indicators, "_HELD", {})
     built = []
-    for name in ("j_values", "_signed_g"):
+    for name in ("j_values", "_g_grid"):
         real = getattr(indicators, name)
         monkeypatch.setattr(
             indicators, name, lambda *args, name=name, real=real, **kw: built.append(name) or real(*args, **kw)
@@ -306,7 +306,7 @@ def test_a_sigma_sweep_builds_each_table_once(builds, t):
     sigma_analytic(600, t)
     for N in (117, 300, 5, 116, 450, 229, 40, 599, 158):
         sigma_analytic(N, t)
-    assert sorted(builds) == ["_signed_g", "j_values"]
+    assert sorted(builds) == ["_g_grid", "j_values"]
 
 
 def test_ends_that_move_both_ways_are_joined(builds):
@@ -314,4 +314,4 @@ def test_ends_that_move_both_ways_are_joined(builds):
     # one entry short of it; held apart, each call would rebuild the other's
     for N in (115, 116, 115, 116):
         sigma_analytic(N, 0.3)
-    assert builds.count("_signed_g") == 2
+    assert builds.count("_g_grid") == 2

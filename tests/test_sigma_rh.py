@@ -118,7 +118,7 @@ def test_one_plan_builds_its_grids_once(monkeypatch):
     # start empty, so the plan cannot borrow an earlier test's grids
     monkeypatch.setattr(indicators, "_HELD", {})
     built = []
-    for name in ("j_values", "_signed_g"):
+    for name in ("j_values", "_g_grid"):
         real = getattr(indicators, name)
         monkeypatch.setattr(
             indicators, name, lambda *args, name=name, real=real, **kw: built.append(name) or real(*args, **kw)
@@ -128,7 +128,7 @@ def test_one_plan_builds_its_grids_once(monkeypatch):
     tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
     for a in range(1, N):
         block_value(tables, a * a, r_len)
-    assert sorted(built) == ["_signed_g", "j_values"], built
+    assert sorted(built) == ["_g_grid", "j_values"], built
     # a second plan at the same (k, t) whose grids lie inside the first's
     # builds nothing: it reads the held tables
     N = 50
@@ -136,7 +136,7 @@ def test_one_plan_builds_its_grids_once(monkeypatch):
     tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
     for a in range(1, N):
         block_value(tables, a * a, r_len)
-    assert sorted(built) == ["_signed_g", "j_values"], built
+    assert sorted(built) == ["_g_grid", "j_values"], built
 
 
 @pytest.mark.parametrize("t", [10.0, 16.0, 20.0])

@@ -1,4 +1,4 @@
-"""One t-domain: ``kernels.check_t`` (any finite t > 0) and
+"""One t-domain: ``kernels.check_t`` (any finite t >= T_MIN) and
 ``kernels.check_analytic_t`` (T_MIN <= t <= T_MAX) are the only checks of t.
 Every public entry that takes t refuses a t outside its domain by name,
 before it sizes anything, and the CLI reads the same bound."""
@@ -55,7 +55,7 @@ def _lemma4(t, beta=0.3, k_max=200):
     return lemma4_residual(lambda n: 1.0 / (n * n), beta, t, 20, k_max=k_max)
 
 
-# entries whose values hold at every finite t > 0
+# entries whose values hold at every finite t >= T_MIN
 ANY_T = {
     "kernel_g": lambda t: kernel_g(5.0, t),
     "kernel_t": lambda t: kernel_t(5.0, t),
@@ -70,7 +70,7 @@ ANY_T = {
     "quadrature_oracle": lambda t: quadrature_oracle("J", 3, t),
 }
 
-# entries that form the closed heads or sinh(pi t): 0 < t <= T_MAX
+# entries that form the closed heads or sinh(pi t): T_MIN <= t <= T_MAX
 ANALYTIC = {
     "lemma4_residual": _lemma4,
     "invert_series": lambda t: invert_series(geometric_series_evaluator(), 2, t),
@@ -91,9 +91,9 @@ ANALYTIC = {
 }
 
 BAD_T = [0.0, -1.0, math.nan, math.inf]
-CASES = [(name, t) for name in ANY_T for t in BAD_T]
 PAST_T_MAX = [150.0, 220.0, 300.0]
 BELOW_T_MIN = [1e-310, 1e-300, 1e-17]
+CASES = [(name, t) for name in ANY_T for t in BAD_T + BELOW_T_MIN]
 # lemma4_residual is even in t, and serves t = -1
 CASES += [
     (name, t) for name in ANALYTIC for t in BAD_T + PAST_T_MAX + BELOW_T_MIN if (name, t) != ("lemma4_residual", -1.0)

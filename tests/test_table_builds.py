@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from arithsum import indicators, integrals
-from arithsum.indicators import _closed_heads, _signed_g, _two_sided_j
+from arithsum.indicators import _closed_heads, _g_grid, _two_sided_j
 from arithsum.integrals import _exp_series_terms, _j, _p_weights, exp_series_sums, j_values
 from arithsum.kernels import TABLE_CHUNK, _g
 from arithsum.sigma_rh import _sigma_r_len, sigma_analytic
@@ -20,18 +20,21 @@ def _bits(x):
 @pytest.mark.parametrize("chunk", [TABLE_CHUNK, 1001])
 @pytest.mark.parametrize("size", ["below", "exact", "several"])
 def test_chunked_builds_equal_one_unchunked_call(monkeypatch, chunk, size):
-    # an odd chunk moves the parity of r from chunk to chunk, and only an
-    # odd chunk can hold the odd grid sg exactly
+    # an odd chunk moves the parity of M from chunk to chunk, and only an
+    # odd chunk can hold the odd grid g exactly.  The two-sided J table
+    # carries (-1)^m, whatever the parity of Q
     monkeypatch.setattr(indicators, "TABLE_CHUNK", chunk)
     monkeypatch.setattr(integrals, "TABLE_CHUNK", chunk)
     n = {"below": chunk - 2, "exact": chunk, "several": 3 * chunk + chunk // 3}[size]
     R, N, t, k = n // 2, 37, 0.7, 2
-    sg, guarded = _signed_g(N, t, k, R)
-    g, want_guarded = _g(np.arange(-R, R + 1, dtype=float) - N, t, k)
-    g[(R + 1) % 2 :: 2] *= -1.0
-    assert np.array_equal(_bits(sg), _bits(g))
+    g, guarded = _g_grid(-R - N, R - N, t, k)
+    want, want_guarded = _g(np.arange(-R, R + 1, dtype=float) - N, t, k)
+    assert np.array_equal(_bits(g), _bits(want))
     assert np.array_equal(guarded, want_guarded)
-    assert np.array_equal(_bits(j_values(n - 1, t)), _bits(_j(np.arange(n), t, _p_weights(t))))
+    js = _j(np.arange(n), t, _p_weights(t))
+    assert np.array_equal(_bits(j_values(n - 1, t)), _bits(js))
+    m = np.arange(-R, R + 1)
+    assert np.array_equal(_bits(_two_sided_j(R, t)[0]), _bits(np.where(m % 2, -1.0, 1.0) * js[np.abs(m)]))
 
 
 def _peak_bytes(f):
@@ -46,9 +49,9 @@ def _peak_bytes(f):
 
 def test_table_builds_peak_at_their_outputs_plus_4_mb():
     # numpy reports its buffers to tracemalloc; unchunked, the temporaries
-    # took 32 MB (sg) and 19 MB (J) beyond the outputs
-    (sg, guarded), peak = _peak_bytes(lambda: _signed_g(400, 1.0, 1, 200000))
-    assert peak <= sg.nbytes + guarded.nbytes + 4e6
+    # took 32 MB (G) and 19 MB (J) beyond the outputs
+    (g, guarded), peak = _peak_bytes(lambda: _g_grid(-200400, 199600, 1.0, 1))
+    assert peak <= g.nbytes + guarded.nbytes + 4e6
     js, peak = _peak_bytes(lambda: j_values(400000, 1.0))
     assert peak <= js.nbytes + 4e6
 
@@ -66,7 +69,7 @@ def test_a_new_key_drops_the_held_tables_before_it_builds(monkeypatch):
     monkeypatch.setattr(indicators, "_HELD", {})
     R = _sigma_r_len(300, 1.5)
     Q = R + 299**2
-    own = (2 * R + 1) * 9 + (2 * Q + 1) * 8  # sg, its guard mask and Js
+    own = (2 * R + 1) * 9 + (2 * Q + 1) * 8  # g, its guard mask and Js
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
