@@ -195,8 +195,8 @@ def sum_diff_bruteforce(
 _BLOCK_TAIL_MODEL = 50.0  # empirical prefactor for the r^-3.5 block tail
 
 
-def _block_tail(tables, w, scale) -> np.ndarray:
-    return _BLOCK_TAIL_MODEL * w.L**-3.5
+def _block_tail(tables, w, scale, r_len) -> np.ndarray:
+    return _BLOCK_TAIL_MODEL * r_len**-3.5
 
 
 def _record(ev: Evaluation, horizon: float = 0.0) -> Evaluation:

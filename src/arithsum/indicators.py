@@ -7,33 +7,33 @@ obtained by inverting the generating series sum q_k(n)/(n^2 (n+z)),
 its vanishing counterpart for N <= 0, the integer-shifted variants, and
 the general-s form.
 
-The series representation at base N and shift c is assembled as
+A driver's block at base N and shift c is a function of its argument
+y = N + c alone, assembled as
 
-    head(N+c) + exp-series(N+c) + G-part(N, c)
+    head(y) + exp-series(y) + G-part(y)
 
-where head and the three exponential r-series depend only on y = N+c,
-and the G-part is the bilateral jump-kernel series
+where the G-part is the bilateral jump-kernel series, in M = r - N,
 
-    sinh(pi t)/(4 sqrt(k)) * (-1)^c * sum_{r in Z} (-1)^r G(r-N) J(|r+c|).
+    sinh(pi t)/(4 sqrt(k)) * sum_{M in Z} G(M) (-1)^(M+y) J(|M + y|).
 
-The whole expression equals q_k(N+c)/(N+c)^2 for N+c >= 1 and 0 for
-N+c <= 0, for every t > 0.
+The whole expression equals q_k(y)/y^2 for y >= 1 and 0 for y <= 0, for
+every t > 0.
 
-``BlockTables`` is the one block engine, a fixed contraction plan.  It
-sets up the grid g[R+r] = G(r-N), r = -R..P, and Js[Q+m] = (-1)^m J(|m|),
-which carries the (-1)^(r+c), of a base once (views of the held tables
-where those cover them), and contracts them into the G-parts of many
-shifts (the products next to each J peak r = -c summed by ``math.fsum``,
-the rest tile by tile).  Shift c's window is -L <= r <= P_c: the driver picks L,
-and the engine cuts the positive side at a P_c solved in closed form
-from a bound of the rest, where that bound is below one rounding of the
-block's head and exp-series (``_cut_windows``), and reports that bound.
-``evaluate`` assembles head + exp-series + G-part for an array of
-shifts; no other code assembles a block.  ``weighted_blocks`` is the one
-function that forms a weighted sum of blocks, sum_i w_i block(N, c_i),
-and its estimate; it alone cuts windows and sizes tables for a driver.  Every
-analytic driver is one call of it: ``q_analytic`` and the vanishing
-identities are its one block at shift 0.  Only the oracles keep
+``BlockTables`` is the one block engine, a fixed contraction plan keyed on
+(k, t).  It sets up the grid g[M - lo] = G(M), M = lo..hi, and
+Js[Q + q] = (-1)^q J(|q|), which carries the (-1)^(M+y), once (views of the
+held tables where those cover them), and contracts them into the G-parts of
+many blocks (the products next to each J peak M = -y summed by
+``math.fsum``, the rest tile by tile).  A block's window is lo <= M <= hi:
+the driver sets lo and a cap on hi, and the engine cuts hi lower where a
+closed bound of the rest is below one rounding of the block's head and
+exp-series (``_cut_windows``), and reports that bound.  ``evaluate``
+assembles head + exp-series + G-part for an array of blocks; no other code
+assembles a block.  ``weighted_blocks`` is the one function that forms a
+weighted sum of blocks, sum_i w_i block(N + c_i), and its estimate; it alone
+turns a driver's (N, c, r_len) into (y, lo, hi), cuts windows and sizes
+tables.  Every analytic driver is one call of it: ``q_analytic`` and the
+vanishing identities are its one block at shift 0.  Only the oracles keep
 organizations of their own, with symmetric grids:
 ``q_shifted_analytic``, and the general-s form ``q_general_analytic``,
 which is ``series.invert_series`` of ``power_series_evaluator``.
@@ -230,11 +230,11 @@ def _g_bound(M: np.ndarray, t: float, k: int) -> np.ndarray:
 
 
 def _positive_tails(k: int, t: float, m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S_GJ, S_G): bounds of sum_{r > P} |G(r - N) J(r + c)| and of
-    sum_{r > P} |G(r - N)| at each shift c, where m = P - N >= 1 and
-    y = N + c (floats of integer value), and P + c >= 1.
+    """(S_GJ, S_G): bounds of sum_{M > m} |G(M) J(M + y)| and of
+    sum_{M > m} |G(M)| for each block, where m >= 1 and y are floats of
+    integer value, and m + y >= 1.
 
-    With x = r - N > m and q = r + c = x + y:
+    With x = M > m and q = x + y:
     - |G(x)| <= 5t x^(-7/2) + 2 eps(x) x^(-5/2), where eps(x) = 2/expm1(2 pi
       sqrt(x/k)) bounds |coth - 1|, since |Im (x + it)^(-5/2)| <= (5t/2x) x^(-5/2);
     - |J(q)| <= a2/q^2 + a4/q^4 + e^(-pi q/(2t))/t (``_j_far_coeffs``);
@@ -257,11 +257,12 @@ def _positive_tails(k: int, t: float, m: np.ndarray, y: np.ndarray) -> tuple[np.
     return s_gj, 0.4 * g + g_eps
 
 
-def _positive_cuts(N: int, k: int, t: float, c: np.ndarray, L: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """The last r of each shift's window: P = N + m, outside the near range
-    and past r = N, with m solved in closed form so that coeff * S_GJ(P)
-    (``_positive_tails``) is at most ``floor``; L where that P is not below
-    L, where y = N + c <= 0, or where a check of the whole bound at P fails.
+def _positive_cuts(k: int, t: float, y: np.ndarray, hi: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """The last M of each block's window: m >= max(1, _NEAR - y), past G's
+    peak M = 0 and J's near range, solved in closed form so that
+    coeff * S_GJ(m) (``_positive_tails``) is at most ``floor``; hi where
+    that m is not below hi, where y <= 0, or where a check of the whole
+    bound at m fails.
 
     For y > 0 the main part of coeff S_GJ, its g j_far/(5/2 + 2 theta) part
     with a4 = 0, is K floor/(m^(5/2) (m + y) (9m/2 + 5y/2)), K = coeff 5t
@@ -270,145 +271,128 @@ def _positive_cuts(N: int, k: int, t: float, c: np.ndarray, L: np.ndarray, floor
     least m that makes one of them K the main part is at most the floor.
     That m is below 1.17 times the m at which the main part is the floor."""
     coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
-    y = np.add(c, N, dtype=float)
+    yf = y.astype(float)
     # a floor that underflowed to 0 makes K and the roots inf, and a y <= 0
-    # makes a root NaN; both leave the shift uncut
+    # makes a root NaN; both leave the block uncut
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         K = coeff * 5.0 * t * _j_far_coeffs(t)[0] / floor
-        m = np.minimum.reduce([(K / 4.5) ** (2 / 9), (K / (2.5 * y * y)) ** 0.4, (K / (13.7 * y)) ** (2 / 7)])
-    # raised to the near range and r = N + 1, then clipped to L
-    m = np.minimum(np.maximum(np.where(y > 0, m, np.inf), np.maximum(1, _NEAR - c - N)), L - N)
-    P = N + np.ceil(m).astype(np.int64)
-    i = np.flatnonzero(P < L)
+        m = np.minimum.reduce([(K / 4.5) ** (2 / 9), (K / (2.5 * yf * yf)) ** 0.4, (K / (13.7 * yf)) ** (2 / 7)])
+    # raised to the near range and M = 1, then clipped to hi
+    m = np.minimum(np.maximum(np.where(yf > 0, m, np.inf), np.maximum(1, _NEAR - y)), hi)
+    m = np.ceil(m).astype(np.int64)
+    i = np.flatnonzero(m < hi)
     if i.size:
-        held = coeff * _positive_tails(k, t, np.subtract(P[i], N, dtype=float), y[i])[0] <= floor[i]
-        P[i[~held]] = L[i[~held]]
-    return P
+        held = coeff * _positive_tails(k, t, m[i].astype(float), yf[i])[0] <= floor[i]
+        m[i[~held]] = hi[i[~held]]
+    return m
 
 
 class Windows(NamedTuple):
-    """The window -L <= r <= P of each shift c's G-series, P the engine's
-    closed-form cut (``_positive_cuts``), and the closed parts of each
-    block, from ``_cut_windows``."""
+    """The window lo <= M <= hi of each block's G-series, y its argument and
+    hi the engine's closed-form cut (``_positive_cuts``), and the closed
+    parts of each block, from ``_cut_windows``."""
 
-    c: np.ndarray
-    L: np.ndarray
-    P: np.ndarray
+    y: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     head: np.ndarray
     exp_part: np.ndarray
 
     @property
     def extent(self) -> tuple[int, int, int]:
-        """(r_len, q_len, p_len) of the grids that hold exactly these windows."""
-        L, c, P = self.L, self.c, self.P
-        return int(L.max()), int(np.maximum(L - c, P + c).max()), int(P.max())
+        """(lo, hi, q_len) of the grids that hold exactly these windows."""
+        y, lo, hi = self.y, self.lo, self.hi
+        return int(lo.min()), int(hi.max()), int(np.maximum(-lo - y, hi + y).max())
 
 
-def _cut_windows(N: int, k: int, t: float, shifts, r_lens) -> Windows:
-    """The windows of the blocks at base N and these shifts, r_lens their
-    negative ends (one for all, or one per shift): each positive end is
-    cut where the bounded rest is below one rounding of the block's head
-    and exp-series, u (|head| + |exp-series|)."""
-    c = np.asarray(shifts, dtype=np.int64).reshape(-1)
-    L = np.empty_like(c)
-    L[:] = r_lens
-    head, exp_part = _closed_heads(N + c, k, t)
-    P = _positive_cuts(N, k, t, c, L, _U * (np.abs(head) + np.abs(exp_part)))
-    return Windows(c, L, P, head, exp_part)
+def _cut_windows(k: int, t: float, y, lo, hi) -> Windows:
+    """The windows of the blocks at arguments y, from lo to at most hi (one
+    each): each upper end is cut below hi where the bounded rest is below
+    one rounding of the block's head and exp-series, u (|head| + |exp-series|)."""
+    y, lo, hi = (np.asarray(a, dtype=np.int64) for a in (y, lo, hi))
+    head, exp_part = _closed_heads(y, k, t)
+    return Windows(y, lo, _positive_cuts(k, t, y, hi, _U * (np.abs(head) + np.abs(exp_part))), head, exp_part)
 
 
 class BlockTables:
-    """Jump-kernel and integral grids for one base (N, k, t): the one
-    block engine every analytic driver evaluates its blocks through.
+    """Jump-kernel and integral grids for one (k, t): the one block engine
+    every analytic driver evaluates its blocks through.
 
-    A fixed contraction plan: g[R + r] = G(r - N) for r = -R..P and
-    Js[Q + m] = (-1)^m J(|m|) for m = -Q..Q are set up once, here, at
-    R = r_len, P = p_len (R if not given) and Q = q_len, and serve every
-    shift c against the base.  ``weighted_blocks`` sizes them to its
-    windows, ``BlockTables(N, k, t, *w.extent).evaluate(w)`` with w from
-    ``_cut_windows``.  They are read-only views of the held tables
-    (``_held``) where those cover them: the last G grid per (k, t), whatever
-    its base, and the last J table per t.  Otherwise they are built, bit for
-    bit the same, and become the held ones.
+    A fixed contraction plan: g[M - lo] = G(M), M = lo..hi, and
+    Js[Q + q] = (-1)^q J(|q|), q = -Q..Q, Q = q_len, are set up once and
+    serve every block; ``weighted_blocks`` sizes them to its windows,
+    ``BlockTables(k, t, *w.extent).evaluate(w, cap)``.  They are read-only
+    views of the held tables (``_held``) where those cover them: the last G
+    grid per (k, t) and the last J table per t.  Otherwise they are built,
+    bit for bit the same, and become the held ones.
 
-    The window of shift c is -L <= r <= P_c, asymmetric: L is the driver's
-    r_len and P_c <= L is the engine's closed-form cut (``_positive_cuts``),
-    at which the bounded positive tail is below one rounding of the block's
-    head and exp-series (L where it finds no such cut).  A window must lie
-    inside the grids (L <= R, P_c <= P, L - c <= Q and P_c + c <= Q) and
-    hold the near range around its J peak r = -c (|r + c| <= _NEAR);
-    ``_gparts`` refuses any other.  Each tile of g is read once and
-    serves every shift.
+    The block at argument y sums G(M) Js(M + y) over its window
+    lo <= M <= hi from ``_cut_windows``, which must lie inside the grids
+    and hold the near range around J's peak, |M + y| <= _NEAR; ``_gparts``
+    refuses any other.  Each tile of g is read once and serves every block.
     """
 
-    def __init__(self, N: int, k: int, t: float, r_len: int, q_len: int, p_len: int | None = None):
+    def __init__(self, k: int, t: float, lo: int, hi: int, q_len: int):
         check_analytic_t(t)
-        self.N, self.k, self.t = N, k, t = int(N), int(k), float(t)
-        self.R, self.Q = R, Q = int(r_len), int(q_len)
-        self.P = P = R if p_len is None else int(p_len)
-        # the held coordinates are M = r - N for G and m for J
-        self.g, guarded = _held("g", (k, t), -R - N, P - N, lambda lo, hi: _g_grid(lo, hi, t, k))
-        self.g0_guarded = bool(guarded[R])
-        (self.Js,) = _held("j", t, -Q, Q, lambda lo, hi: _two_sided_j(hi, t))
+        self.k, self.t = k, t = int(k), float(t)
+        self.lo, self.hi, self.Q = lo, hi, Q = int(lo), int(hi), int(q_len)
+        self.g, self.guarded = _held("g", (k, t), lo, hi, lambda a, b: _g_grid(a, b, t, k))
+        (self.Js,) = _held("j", t, -Q, Q, lambda a, b: _two_sided_j(b, t))
         self.coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
 
-    def gpart(self, c: int, r_len: int) -> float:
-        """The bilateral G-series at shift c, truncated at |r| <= r_len."""
-        return float(self._gparts(np.array([c]), np.array([r_len]))[0])
+    def gpart(self, y: int, lo: int, hi: int) -> float:
+        """The G-series of the block at argument y over lo <= M <= hi."""
+        return float(self._gparts(np.array([y]), np.array([lo]), np.array([hi]))[0])
 
-    def _gparts(self, c: np.ndarray, L: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
-        # each shift first sums its near products, |r + c| <= _NEAR, with
+    def _gparts(self, y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # each block first sums its near products, |M + y| <= _NEAR, with
         # one rounding (math.fsum): they carry most of its sum |terms|, and
         # a dot rounds them worse.  The rest of the window follows tile by
         # tile, one dot on either side of the near range, so the g tile and
-        # the Js range it meets stay in cache for every shift; the tiles
-        # [jT - T/2, jT + T/2) are centred on r = 0.  The windows are
-        # -L <= r <= P, with P = L if not given.  Js carries the (-1)^(r+c)
-        R, Q, g, Js = self.R, self.Q, self.g, self.Js
-        cs, ls = c.tolist(), L.tolist()
-        ps = ls if P is None else P.tolist()
-        for ci, li, pi_ in zip(cs, ls, ps):
-            if li > R or pi_ > self.P or li - ci > Q or pi_ + ci > Q:
-                raise ValueError(
-                    f"window -{li} <= r <= {pi_} at shift {ci} leaves the grids R={R}, P={self.P}, Q={Q}"
-                )
-            if ci + _NEAR > li or _NEAR - ci > pi_:
-                raise ValueError(f"window -{li} <= r <= {pi_} misses the near range of shift {ci}")
-        near = g[(R - c)[:, None] + _NEAR_RANGE] * Js[Q - _NEAR : Q + _NEAR + 1]
+        # the Js range it meets stay in cache for every block.  The tiles
+        # [jT - T/2, jT + T/2) of M are the same in every call, so a block's
+        # bits depend on its (k, t, y, lo, hi) alone.  Js carries the (-1)^(M+y)
+        g0, Q, g, Js = self.lo, self.Q, self.g, self.Js
+        ys, los, his = y.tolist(), lo.tolist(), hi.tolist()
+        for yi, a, b in zip(ys, los, his):
+            if a < g0 or b > self.hi or a + yi < -Q or b + yi > Q:
+                raise ValueError(f"window {a} <= M <= {b} at y = {yi} leaves the grids {g0}..{self.hi}, |q| <= {Q}")
+            if a > -yi - _NEAR or b < _NEAR - yi:
+                raise ValueError(f"window {a} <= M <= {b} misses the near range of y = {yi}")
+        near = g[(-g0 - y)[:, None] + _NEAR_RANGE] * Js[Q - _NEAR : Q + _NEAR + 1]
         acc = [math.fsum(row) for row in near.tolist()]
-        for lo in range((_TILE // 2 - max(ls)) // _TILE * _TILE - _TILE // 2, max(ps) + 1, _TILE):
-            hi = lo + _TILE
-            for i, (ci, li, pi_) in enumerate(zip(cs, ls, ps)):
-                for a, b in (-li, -ci - _NEAR), (-ci + _NEAR + 1, pi_ + 1):
-                    a, b = max(lo, a), min(hi, b)
-                    if a < b:
-                        acc[i] += np.dot(g[R + a : R + b], Js[Q + ci + a : Q + ci + b])
+        for start in range((min(los) + _TILE // 2) // _TILE * _TILE - _TILE // 2, max(his) + 1, _TILE):
+            end = start + _TILE
+            for i, (yi, a, b) in enumerate(zip(ys, los, his)):
+                for u, v in (a, -yi - _NEAR), (-yi + _NEAR + 1, b + 1):
+                    u, v = max(start, u), min(end, v)
+                    if u < v:
+                        acc[i] += np.dot(g[u - g0 : v - g0], Js[Q + yi + u : Q + yi + v])
         return self.coeff * np.array(acc)
 
-    def evaluate(self, w: Windows) -> tuple[np.ndarray, ...]:
-        """(value, head, exp-series, scale, bound) of the block at each
-        shift of ``w``, its G-part contracted by ``_gparts`` over the
-        window -L <= r <= P.
+    def evaluate(self, w: Windows, cap) -> tuple[np.ndarray, ...]:
+        """(value, head, exp-series, scale, bound) of each block of ``w``, its
+        G-part contracted by ``_gparts`` over the window lo <= M <= hi.
 
-        value = head + exp-series + G-part; head is the closed head U(N+c).
-        bound >= coeff * sum_{r > P} |G(r - N) J(r + c)| bounds what the
-        cut drops (0 where P = L); a driver adds |w| * bound to its estimate.
-        scale = |head| + |exp-series| + coeff * ||g window||_1 * J(0), the
-        window's norm taken over -L <= r <= P plus the bound of the rest up
-        to L, bounds the magnitude of every term summed, so eps * scale
+        value = head + exp-series + G-part; head is the closed head U(y).
+        cap is each window's end before the cut: where hi < cap,
+        bound >= coeff * sum_{M > hi} |G(M) J(M + y)| bounds what the cut
+        drops, and elsewhere bound is 0; a driver adds |w| * bound to its
+        estimate.  scale = |head| + |exp-series| + coeff * ||g window||_1 *
+        J(0), the window's norm plus, where it was cut, the bound of the
+        rest, bounds the magnitude of every term summed, so eps * scale
         bounds the block's rounding.
         """
-        c, L, P, head, exp_part = w
-        g = self._gparts(c, L, P)
-        m, p = int(L.max()), int(P.max())
-        cum = np.zeros(m + p + 2)  # one array: at sigma(600) a window takes 3 MB
-        np.cumsum(np.abs(self.g[self.R - m : self.R + p + 1], out=cum[1:]), out=cum[1:])
-        g_norm = cum[m + P + 1] - cum[m - L]
-        bound = np.zeros(c.size)
-        cut = np.flatnonzero(P < L)
+        y, lo, hi, head, exp_part = w
+        g = self._gparts(y, lo, hi)
+        a, b = int(lo.min()), int(hi.max())
+        cum = np.zeros(b - a + 2)  # one array: at sigma(600) a window takes 3 MB
+        np.cumsum(np.abs(self.g[a - self.lo : b - self.lo + 1], out=cum[1:]), out=cum[1:])
+        g_norm = cum[hi - a + 1] - cum[lo - a]
+        bound = np.zeros(y.size)
+        cut = np.flatnonzero(hi < cap)
         if cut.size:
-            m_cut, y_cut = np.subtract(P[cut], self.N, dtype=float), np.add(c[cut], self.N, dtype=float)
-            bound[cut], g_tail = _positive_tails(self.k, self.t, m_cut, y_cut)
+            bound[cut], g_tail = _positive_tails(self.k, self.t, hi[cut].astype(float), y[cut].astype(float))
             bound *= self.coeff
             g_norm[cut] += g_tail
         scale = np.abs(head) + np.abs(exp_part) + self.coeff * g_norm * self.Js[self.Q]
@@ -420,14 +404,16 @@ def _default_r_len(N: int, c, t: float):
 
 
 def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> Evaluation:
-    """sum_i w_i block(N, c_i) and its estimate, the one weighted sum of blocks.
+    """sum_i w_i block(N + c_i) and its estimate, the one weighted sum of blocks.
 
-    r_lens are the windows' negative ends, one for all or one per shift
-    (None: ``_default_r_len``).  tail(tables, w, scale) is the driver's
-    model of each block's truncation and rounding per unit weight.  The
-    value is math.fsum of the w_i block_i, the estimate math.fsum of the
-    |w_i| (tail_i + bound_i), bound_i that of the cut tail: neither depends
-    on the order of the pairs.  guards_engaged is G's guard at r = 0.
+    It alone turns a driver's (N, c, r_len) into the engine's (y, lo, hi):
+    y = N + c, lo = -r_len - N and hi at most r_len - N.  r_lens are one for
+    all or one per shift (None: ``_default_r_len``).  tail(tables, w, scale,
+    r_len) is the driver's model of each block's truncation and rounding
+    per unit weight.  The value is math.fsum of the w_i block_i, the
+    estimate math.fsum of the |w_i| (tail_i + bound_i), bound_i that of the
+    cut tail: neither depends on the order of the pairs.  guards_engaged is
+    G's guard at any block's J peak, M = -y.
     """
     # before any window or table is sized from k and t
     if not k >= 1:
@@ -436,41 +422,44 @@ def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> 
     c = np.asarray(shifts, dtype=np.int64)
     if not c.size:
         return Evaluation(0.0, 0.0, {"blocks": 0}, False)
-    w = _cut_windows(N, k, t, c, _default_r_len(N, c, t) if r_lens is None else r_lens)
-    tables = BlockTables(N, k, t, *w.extent)
-    value, _, _, scale, bound = tables.evaluate(w)
+    r_len = np.empty_like(c)
+    r_len[:] = _default_r_len(N, c, t) if r_lens is None else r_lens
+    cap = r_len - N
+    w = _cut_windows(k, t, N + c, -r_len - N, cap)
+    tables = BlockTables(k, t, *w.extent)
+    value, _, _, scale, bound = tables.evaluate(w, cap)
     return Evaluation(
         math.fsum(map(operator.mul, weights, value.tolist())),
-        math.fsum(map(operator.mul, map(abs, weights), (tail(tables, w, scale) + bound).tolist())),
-        {"blocks": c.size, "r_terms": tables.R},
-        tables.g0_guarded,
+        math.fsum(map(operator.mul, map(abs, weights), (tail(tables, w, scale, r_len) + bound).tolist())),
+        {"blocks": c.size, "r_terms": -tables.lo - N},
+        bool(tables.guarded[-tables.lo - w.y].any()),
     )
 
 
-def block_value(tables: BlockTables, c: int, r_len: int | None = None) -> float:
-    """Series value at shift c over ``tables``'s base: q_k(N+c)/(N+c)^2
-    for N+c >= 1, and 0 for N+c <= 0."""
-    if r_len is None:
-        r_len = _default_r_len(tables.N, c, tables.t)
-    return float(tables.evaluate(_cut_windows(tables.N, tables.k, tables.t, [c], r_len))[0][0])
+def block_value(tables: BlockTables, y: int, lo: int, hi: int) -> float:
+    """The block at argument y over ``tables``, its window lo <= M <= hi cut
+    by the engine: q_k(y)/y^2 for y >= 1, and 0 for y <= 0."""
+    return float(tables.evaluate(_cut_windows(tables.k, tables.t, [y], [lo], [hi]), hi)[0][0])
 
 
-def _q_tail(tables: BlockTables, w: Windows, scale) -> float:
-    # past r_len the summand decays at least like r^(-7/2) on the positive
-    # side and r^(-4) through the J factor on the negative.  Where the cut
-    # leaves the positive edge off the grid, its closed bound stands in,
+def _q_tail(tables: BlockTables, w: Windows, scale, r_len) -> float:
+    # past the window the summand decays at least like |M|^(-7/2) on the
+    # positive side and |M + y|^(-4) through the J factor on the negative.
+    # The edge is the 64 points at distance d - 63..d on either side of J's
+    # peak M = -y, d = -y - lo, paired about it, where J is even.  Where the
+    # cut leaves the positive edge off the grid, its closed bound stands in,
     # which is no smaller; the cut's own tail is the engine's bound
-    N, k, t, R, Q, g, Js = tables.N, tables.k, tables.t, tables.R, tables.Q, tables.g, tables.Js
-    r_len = int(w.L[0])
-    face = float(w.head[0] + w.exp_part[0]) + tables.coeff * float(g[R] * Js[Q])
-    lo = r_len - 63  # the edge r = lo..r_len, and its mirror -r
-    neg = g[R - r_len : R - lo + 1][::-1]
-    if r_len <= tables.P:
-        edge = np.abs(g[R + lo : R + r_len + 1] + neg)
+    k, t, Q, g, Js = tables.k, tables.t, tables.Q, tables.g, tables.Js
+    y, d = int(w.y[0]), -int(w.y[0] + w.lo[0])
+    p = -y - tables.lo  # J's peak in g
+    face = float(w.head[0] + w.exp_part[0]) + tables.coeff * float(g[p] * Js[Q])
+    neg = g[p - d : p - d + 64][::-1]
+    if d - y <= tables.hi:
+        edge = np.abs(g[p + d - 63 : p + d + 1] + neg)
     else:
-        edge = _g_bound(np.arange(lo - N, r_len - N + 1, dtype=float), t, k) + np.abs(neg)
-    edge_max = float(np.max(edge * np.abs(Js[Q + lo : Q + r_len + 1])))
-    return tables.coeff * edge_max * r_len / 2.5 + 1e-12 + abs(face) * 1e-15
+        edge = _g_bound(np.arange(d - 63 - y, d - y + 1, dtype=float), t, k) + np.abs(neg)
+    edge_max = float(np.max(edge * np.abs(Js[Q + d - 63 : Q + d + 1])))
+    return tables.coeff * edge_max * d / 2.5 + 1e-12 + abs(face) * 1e-15
 
 
 def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:

@@ -142,17 +142,18 @@ def exp_series_sums(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     """(s1, s2, s3), the r-series of I and K, elementwise over y: with w_r from
     ``_exp_series_terms`` and d_r = 4 t^2 r^2 + y^2, s1 = sum w_r / d_r,
     s2 = sum w_r r / d_r and s3 = sum w_r (4 t^2 r^2 - y^2) / d_r^2, in blocks of
-    ~TABLE_CHUNK terms, never 1 column wide unless y is: numpy sums that pairwise."""
+    ~TABLE_CHUNK terms.  Each y's terms are one contiguous row, which numpy
+    sums pairwise, so its sums have the same bits whatever the other y."""
     yf = np.asarray(y, dtype=float)
     r, w = _exp_series_terms(t)
-    r2 = 4.0 * t * t * r[:, None] ** 2
+    r2 = 4.0 * t * t * r**2
     s, n = np.empty((3, yf.size)), yf.size
-    for cols in np.array_split(np.arange(n), max(1, min(n // 2, n * r.size // TABLE_CHUNK))):
-        y2 = yf[cols] ** 2
+    for rows in np.array_split(np.arange(n), max(1, n * r.size // TABLE_CHUNK)):
+        y2 = yf[rows, None] ** 2
         dmat = r2 + y2
-        s[0, cols] = (w[:, None] / dmat).sum(axis=0)
-        s[1, cols] = (w[:, None] * r[:, None] / dmat).sum(axis=0)
-        s[2, cols] = (w[:, None] * (r2 - y2) / dmat**2).sum(axis=0)
+        s[0, rows] = (w / dmat).sum(axis=1)
+        s[1, rows] = (w * r / dmat).sum(axis=1)
+        s[2, rows] = (w * (r2 - y2) / dmat**2).sum(axis=1)
     return s[0], s[1], s[2]
 
 

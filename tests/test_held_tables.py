@@ -64,13 +64,14 @@ def test_difference_sums_from_a_base_of_either_parity_keep_the_cold_bits(builds,
 
 
 def test_a_base_of_the_other_parity_reads_a_view_of_the_held_grid(builds):
-    # the held grid is G(M), whatever the base it was built for: base 31
-    # reads base 30's grid (M = -640..580) as a view, M = -631..569
-    cold = BlockTables(31, 2, 0.7, 600, 700).g.tobytes()
+    # the held grid is G(M), whatever the base it was built for: base 31's
+    # window |r| <= 600, M = -631..569, is a view of base 30's |r| <= 610,
+    # M = -640..580
+    cold = BlockTables(2, 0.7, -631, 569, 700).g.tobytes()
     indicators._HELD.clear()
-    BlockTables(30, 2, 0.7, 610, 700)
+    BlockTables(2, 0.7, -640, 580, 700)
     del builds[:]
-    g = BlockTables(31, 2, 0.7, 600, 700).g
+    g = BlockTables(2, 0.7, -631, 569, 700).g
     assert builds == []
     assert np.shares_memory(g, indicators._HELD["g"][3][0])
     assert g.tobytes() == cold
@@ -98,10 +99,10 @@ def test_a_range_miss_or_a_new_key_builds_and_keeps_the_cold_bits(builds):
 
 
 def test_a_grid_that_ends_past_the_held_one_is_built(builds):
-    # M = r - N runs over -1040..960 in the first plan and -1035..975 in
-    # the second: its start lies inside the held grid, its end beyond it
-    BlockTables(40, 1, 1.0, 1000, 1000)
-    g = BlockTables(30, 1, 1.0, 1005, 1000).g
+    # M runs over -1040..960 in the first plan and -1035..975 in the
+    # second: its start lies inside the held grid, its end beyond it
+    BlockTables(1, 1.0, -1040, 960, 1000)
+    g = BlockTables(1, 1.0, -1035, 975, 1000).g
     assert builds == ["_g_grid", "j_values", "_g_grid"]
     assert g.tobytes() == indicators._g_grid(-1035, 975, 1.0, 1)[0].tobytes()
 
@@ -109,7 +110,9 @@ def test_a_grid_that_ends_past_the_held_one_is_built(builds):
 def test_held_arrays_are_read_only(builds):
     N, t = 30, 1.0
     r_len = _sigma_r_len(N, t)
-    plans = [BlockTables(4 * N + d, 1, t, r_len + 10 - 5 * d, r_len + 900) for d in (0, 1, 2)]
+    # the windows |r| <= r_len + 10 - 5d at bases 4N + d, in M = r - 4N - d
+    windows = [(r_len + 10 - 5 * d, 4 * N + d) for d in (0, 1, 2)]
+    plans = [BlockTables(1, t, -L - B, L - B, r_len + 900) for L, B in windows]
     assert len(builds) == 2  # the second and third plans read the first's tables
     arrays = [*indicators._HELD["g"][3], *indicators._HELD["j"][3]]
     arrays += [a for p in plans for a in (p.g, p.Js)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithsum import indicators
+from arithsum import dsums, indicators, sigma_rh
 from arithsum.cli import _SIGMA_BOUND
 from arithsum.indicators import (
     BlockTables,
@@ -25,6 +25,7 @@ from arithsum.indicators import (
 from arithsum.integrals import _p_weights, integral_i, integral_j, integral_k, sech, sech_values
 from arithsum.kernels import g_values, kernel_g
 from arithsum.series import verdict
+from arithsum.sigma_rh import sigma_analytic
 
 # the quarter rule: a classification stands only within a quarter of its bit
 QUARTER = _SIGMA_BOUND
@@ -240,65 +241,70 @@ def test_q_shifted_within_estimate_at_large_t(t):
 def test_gpart_is_the_two_sided_series(k):
     # the bilateral G-series summed term by term from the scalar kernel and
     # the closed-form J, against gpart
+    # over the window M = r - N, |r| <= r_len, of each shift c at base N
     N, t, r_len = 9, 1.0, 80
-    tables = BlockTables(N, k, t, r_len, r_len + 40)
+    tables = BlockTables(k, t, -r_len - N, r_len - N, r_len + 40)
     coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
     for c in (0, 5, -7, 33, -40):
         want = coeff * (-1) ** c * math.fsum(
             (-1) ** r * kernel_g(r - N, t, k).value * integral_j(abs(r + c), t).value
             for r in range(-r_len, r_len + 1)
         )
-        assert tables.gpart(c, r_len) == pytest.approx(want, rel=1e-11)
+        assert tables.gpart(N + c, -r_len - N, r_len - N) == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("k,t", [(1, 1.0), (2, 0.5)])
 def test_tiled_gparts_match_fsum(k, t):
-    # windows over 3-5 tiles (ending mid-tile or on a tile's last index)
-    # and one shorter than a tile, at unsorted and negative shifts, in one
-    # contraction.  At N = T/2 the G peak is r = T/2, a tile's first index;
-    # the J peak r = -c lies on it for c = -T/2, on the index before it for
-    # c = 1 - T/2, and next to the central tile's first index for
-    # c = T/2 - 1.  The largest term carries 40-96% of sum |terms|, so an
-    # off-by-one at a tile edge breaks the bound below
+    # windows |M| <= L over 3-5 tiles (ending mid-tile or on a tile's last
+    # index) and one shorter than a tile, at unsorted and negative arguments
+    # y, in one contraction.  The tiles are [jT - T/2, jT + T/2) in M; the J
+    # peak M = -y lies on a tile's first index for y = -T/2, on the index
+    # before it for y = 1 - T/2, and next to the central tile's first index
+    # for y = T/2 - 1.  The largest term carries 40-96% of sum |terms|, so
+    # an off-by-one at a tile edge breaks the bound below
     T = indicators._TILE
-    shifts = [-T // 2, 400, -T // 2 + 1, -3000, -1, T // 2 - 1]
+    ys = [-T // 2, 400, -T // 2 + 1, -3000, -1, T // 2 - 1]
     r_lens = [110000, 3 * T // 2 - 1, 70000, 100000, T // 4, 140000]
-    tables = BlockTables(T // 2, k, t, 140000, 140000 + T // 2 - 1)
-    g = tables._gparts(np.array(shifts), np.array(r_lens))
-    R, Q, eps = tables.R, tables.Q, np.finfo(float).eps
-    for gi, c, L in zip(g, shifts, r_lens):
-        terms = tables.g[R - L : R + L + 1] * tables.Js[Q + c - L : Q + c + L + 1]
+    tables = BlockTables(k, t, -140000, 140000, 140000 + T // 2 - 1)
+    g = tables._gparts(np.array(ys), -np.array(r_lens), np.array(r_lens))
+    g0, Q, eps = tables.lo, tables.Q, np.finfo(float).eps
+    for gi, y, L in zip(g, ys, r_lens):
+        terms = tables.g[-L - g0 : L - g0 + 1] * tables.Js[Q + y - L : Q + y + L + 1]
         want = tables.coeff * math.fsum(terms)
         scale = tables.coeff * math.fsum(np.abs(terms))
         # a BLAS dot accumulates each lane in sequence, so its rounding
         # grows like sqrt(n) eps sum |terms| (0.13 sqrt(n) at most here,
         # 56 eps at n ~ 2e5 where the sum cancels to 1e-11 of sum |terms|)
-        assert abs(gi - want) <= eps * math.sqrt(2 * L + 1) * scale, (c, L)
-        assert gi == tables.gpart(c, L)  # one window alone, same bits
+        assert abs(gi - want) <= eps * math.sqrt(2 * L + 1) * scale, (y, L)
+        assert gi == tables.gpart(y, -L, L)  # one window alone, same bits
 
 
 @pytest.mark.parametrize("N,k,t", [(40, 2, 1.3), (97, 3, 9.5)])
 def test_window_of_one_tile_is_near_sum_then_dots(N, k, t):
     # a window of at most one tile is the math.fsum of its products with
-    # |r + c| <= _NEAR, then one dot on either side of that range, so the
-    # blocks of the Diophantine sums have these bits.  The near range fills
-    # the window of c = 0 (r_len 32) and ends on the left edge of c = 7's
-    # and the right edge of c = -3's, whose dots on that side are empty.
-    # Adding the right dot before the left one changes the bits of c = 1500
-    # and c = 200 at both bases and of c = -40, -2 and -120 at the second
+    # |M + y| <= _NEAR, then one dot on either side of that range, so the
+    # blocks of the Diophantine sums have these bits.  The windows are
+    # those of base N and shift c, M = r - N for |r| <= r_len, the one of
+    # r_len T/2 - 1 starting at the central tile's first index, M = -T/2.
+    # The near range fills the window of c = 0 (r_len 32) and ends on the
+    # left edge of c = 7's and the right edge of c = -3's, whose dots on
+    # that side are empty.  Adding the right dot before the left one
+    # changes the bits of c = 1500 and c = 200 at both bases and of c = -40,
+    # -2 and -120 at the second
     T, W = indicators._TILE, indicators._NEAR
     shifts = [7, -3, 0, -40, 1500, -2, -120, 200]
-    r_lens = [39, 35, 32, 2000, T // 2 - 1, 9000, 200, 260]
-    tables = BlockTables(N, k, t, T // 2 - 1, T // 2 - 1 + 1500)
-    g = tables._gparts(np.array(shifts), np.array(r_lens))
-    R, Q, grid, Js = tables.R, tables.Q, tables.g, tables.Js
-    for gi, c, L in zip(g, shifts, r_lens):
-        a, b = -c - W, -c + W + 1
-        near = math.fsum(grid[R + a : R + b] * Js[Q + c + a : Q + c + b])
-        left = np.dot(grid[R - L : R + a], Js[Q + c - L : Q + c + a])
-        right = np.dot(grid[R + b : R + L + 1], Js[Q + c + b : Q + c + L + 1])
+    r_lens = np.array([39, 35, 32, 2000, T // 2 - 1, 9000, 200, 260])
+    ys, los, his = N + np.array(shifts), np.maximum(-r_lens - N, -T // 2), r_lens - N
+    tables = BlockTables(k, t, -T // 2, T // 2 - 1 - N, T // 2 - 1 + 1500)
+    g = tables._gparts(ys, los, his)
+    g0, Q, grid, Js = tables.lo, tables.Q, tables.g, tables.Js
+    for gi, y, lo, hi in zip(g, ys.tolist(), los.tolist(), his.tolist()):
+        a, b = -y - W, -y + W + 1
+        near = math.fsum(grid[a - g0 : b - g0] * Js[Q + y + a : Q + y + b])
+        left = np.dot(grid[lo - g0 : a - g0], Js[Q + y + lo : Q + y + a])
+        right = np.dot(grid[b - g0 : hi - g0 + 1], Js[Q + y + b : Q + y + hi + 1])
         want = tables.coeff * float(near + left + right)
-        assert gi == want and tables.gpart(c, L) == want, (c, L)
+        assert gi == want and tables.gpart(y, lo, hi) == want, (y, lo, hi)
 
 
 def test_shift0_block_is_as_accurate_as_the_fold():
@@ -314,15 +320,16 @@ def test_shift0_block_is_as_accurate_as_the_fold():
     for _ in range(200):
         k, N = rng.choice([1, 2, 3]), rng.randint(1, 100)
         t = math.exp(rng.uniform(math.log(7.0), math.log(10.0)))
+        # the window M = r - N, |r| <= L; J's peak M = -N is g[L]
         L = indicators._default_r_len(N, 0, t)
-        tables = BlockTables(N, k, t, L, L)
-        R, g, J, coeff = tables.R, tables.g, tables.Js[tables.Q :], tables.coeff
-        products = g[R - L : R + L + 1] * tables.Js[tables.Q - L : tables.Q + L + 1]
+        tables = BlockTables(k, t, -L - N, L - N, L)
+        g, J, coeff = tables.g, tables.Js[tables.Q :], tables.coeff
+        products = g * tables.Js
         want = coeff * math.fsum(products)
         scale = coeff * math.fsum(np.abs(products))
-        folded = (g[R + 1 : R + L + 1] + g[R - L : R][::-1]) * J[1 : L + 1]
-        fold = coeff * float(g[R] * J[0]) + coeff * float(np.sum(folded))
-        err_engine.append(abs(tables.gpart(0, L) - want) / scale)
+        folded = (g[L + 1 :] + g[:L][::-1]) * J[1 : L + 1]
+        fold = coeff * float(g[L] * J[0]) + coeff * float(np.sum(folded))
+        err_engine.append(abs(tables.gpart(N, -L - N, L - N) - want) / scale)
         err_fold.append(abs(fold - want) / scale)
     assert np.mean(err_engine) <= np.mean(err_fold), (np.mean(err_engine), np.mean(err_fold))
 
@@ -331,7 +338,39 @@ def test_shift0_block_is_as_accurate_as_the_fold():
 def test_q_analytic_is_the_engines_shift0_block(k, N, t):
     ev = q_analytic(k, N, t)
     r_len = ev.terms_used["r_terms"]
-    assert ev.value == block_value(BlockTables(N, k, t, r_len, r_len), 0, r_len)
+    lo, hi = -r_len - N, r_len - N  # |r| <= r_len, M = r - N
+    assert ev.value == block_value(BlockTables(k, t, lo, hi, r_len), N, lo, hi)
+
+
+@pytest.mark.parametrize("k,N,t", [(1, 9, 1.0), (2, 40, 0.3), (3, 27, 4.0), (1, 97, 9.9)])
+def test_q_tail_pairs_its_edge_about_js_peak(monkeypatch, k, N, t):
+    # q's tail model reads the 64 points at distance d - 63..d from J's peak
+    # M = -N on either side, d = r_len, paired, G(d' - N) + G(-d' - N),
+    # against J(d'); where the cut leaves the positive side off the grid,
+    # its bound |G(M)| <= _g_bound(M) stands in.  Recomputed here from the
+    # kernels, the estimate is that model plus the engine's bound
+    seen = []
+    real = BlockTables.evaluate
+
+    def spy(self, w, cap):
+        seen.append((w, real(self, w, cap)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(BlockTables, "evaluate", spy)
+    ev = q_analytic(k, N, t)
+    ((w, (_, head, exp_part, _, bound)),) = seen
+    d = ev.terms_used["r_terms"]
+    r = np.arange(d - 63, d + 1)
+    neg = g_values(-r - N, t, k)
+    if d - N <= w.hi[0]:
+        edge = np.abs(g_values(r - N, t, k) + neg)
+    else:
+        edge = indicators._g_bound((r - N).astype(float), t, k) + np.abs(neg)
+    coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
+    j = np.array([integral_j(int(q), t).value for q in r])
+    face = head[0] + exp_part[0] + coeff * kernel_g(-N, t, k).value * integral_j(0, t).value
+    tail = coeff * float(np.max(edge * np.abs(j))) * d / 2.5 + 1e-12 + abs(face) * 1e-15
+    assert ev.error_estimate == pytest.approx(tail + bound[0], rel=1e-9, abs=0.0)
 
 
 def test_closed_heads_do_not_overflow_near_the_top_of_t():
@@ -371,34 +410,85 @@ def test_sech_parts_reject_windows_off_the_grid():
             indicators._sech_parts(g, R, [0, c], t)
 
 
-def test_block_tables_match_shifted():
+def _window(N, c, L):
+    """(y, lo, hi) of the window |r| <= L of shift c at base N, M = r - N."""
+    return N + c, -L - N, L - N
+
+
+# each driver at small N, as (k, driver call); its blocks are those of its
+# one weighted_blocks call
+UNIT = dsums.unit_weight()
+SHIFT_SETS = {
+    "q": [(1, lambda t: q_analytic(1, 4, t)), (2, lambda t: q_analytic(2, 8, t))],
+    "vanishing": [(1, lambda t: zero_identity_residual(1, 0, t)), (2, lambda t: zero_identity_residual(2, -3, t))],
+    "finite": [(2, lambda t: dsums.weighted_finite_analytic(UNIT, 2, 6, t))],
+    "infinite": [(1, lambda t: dsums.weighted_infinite_analytic(UNIT, 1, 5, t, a_horizon=4))],
+    "squares": [(2, lambda t: dsums.sum_squares_analytic(UNIT, dsums.DiophantineInstance(10, 1, 2, "sum"), t))],
+    "difference": [
+        (1, lambda t: dsums.sum_diff_analytic(UNIT, dsums.DiophantineInstance(3, 1, 1, "difference"), t, 4))
+    ],
+    "divisor-pairs": [(1, lambda t: dsums.divisor_pair_sum_analytic(UNIT, 6, t))],
+    "sigma": [(1, lambda t: sigma_analytic(6, t))],
+}
+
+
+def test_block_tables_match_shifted(monkeypatch):
     # one plan holds the default window of every shift, the largest at c = 16
     r_len = indicators._default_r_len(9, 16, 1.0)
-    tables = BlockTables(9, 1, 1.0, r_len, r_len + 16)
+    tables = BlockTables(1, 1.0, -r_len - 9, r_len - 9, r_len + 16)
     for c in (-11, -9, -2, 0, 5, 7, 16):
         y = 9 + c
         want = q_bruteforce(1, 1, y) / (y * y) if y >= 1 else 0.0
-        assert abs(block_value(tables, c) - want) < 1e-9
+        assert abs(block_value(tables, *_window(9, c, indicators._default_r_len(9, c, 1.0))) - want) < 1e-9
+    # every driver's blocks, each alone with its own window and estimate,
+    # against the expanded oracle at its argument (at base 1 where the
+    # driver's base is not natural), within the sum of both estimates
+    calls = []
+    real = indicators.weighted_blocks
+    for module in (indicators, dsums, sigma_rh):
+        monkeypatch.setattr(module, "weighted_blocks", lambda *a: calls.append(a) or real(*a))
+    for t in (0.3, 1.0, 3.0):
+        for name, cases in SHIFT_SETS.items():
+            for k, driver in cases:
+                del calls[:]
+                driver(t)
+                ((N, _, _, _, shifts, r_lens, tail),) = calls
+                r_lens = np.broadcast_to(
+                    indicators._default_r_len(N, np.asarray(shifts), t) if r_lens is None else r_lens, len(shifts)
+                )
+                assert len(shifts) > 0, name
+                for c, L in zip(np.asarray(shifts).tolist(), r_lens.tolist()):
+                    ev = real(N, k, t, [1.0], [c], L, tail)
+                    base = N if N >= 1 else 1
+                    oracle = q_shifted_analytic(k, base, N + c - base, t)
+                    allowed = ev.error_estimate + oracle.error_estimate
+                    assert abs(ev.value - oracle.value) <= allowed, (name, t, N, c)
 
 
 def test_plan_refuses_windows_it_cannot_hold():
-    # a window |r| <= L at shift c must lie inside the grids (L <= R and
-    # L + |c| <= Q) and hold the near range around J's peak r = -c
-    # (|c| + _NEAR <= L); numpy would otherwise clip or wrap its slices
-    tables = BlockTables(9, 1, 1.0, 100, 150)
-    tables.gpart(50, 100)
-    tables.evaluate(_cut_windows(9, 1, 1.0, [-50, 0], [100, 32]))
+    # a window lo <= M <= hi at argument y must lie inside the grids and
+    # hold the near range around J's peak M = -y (|M + y| <= _NEAR); numpy
+    # would otherwise clip or wrap its slices.  The windows are those of
+    # base 9 and shift c, |r| <= L with M = r - 9
+    def cut(c, L):
+        y, lo, hi = _window(9, c, L)
+        w = _cut_windows(1, 1.0, [9, y], [-41, lo], [23, hi])
+        return w, np.array([23, hi])
+
+    tables = BlockTables(1, 1.0, -109, 91, 150)
+    tables.gpart(*_window(9, 50, 100))
+    tables.evaluate(*cut(-50, 100))
     for c, L in [(0, 101), (51, 100), (-51, 100)]:
         with pytest.raises(ValueError, match="leaves the grids"):
-            tables.gpart(c, L)
+            tables.gpart(*_window(9, c, L))
         with pytest.raises(ValueError, match="leaves the grids"):
-            tables.evaluate(_cut_windows(9, 1, 1.0, [0, c], [32, L]))
-    tables = BlockTables(9, 1, 1.0, 100, 200)
+            tables.evaluate(*cut(c, L))
+    tables = BlockTables(1, 1.0, -109, 91, 200)
     for c, L in [(-120, 50), (0, 31), (69, 100)]:
         with pytest.raises(ValueError, match="near range"):
-            tables.gpart(c, L)
+            tables.gpart(*_window(9, c, L))
         with pytest.raises(ValueError, match="near range"):
-            tables.evaluate(_cut_windows(9, 1, 1.0, [0, c], [32, L]))
+            tables.evaluate(*cut(c, L))
 
 
 def test_q_general_examples():

@@ -1,6 +1,6 @@
-"""The engine's asymmetric windows: each shift's positive G-series stops at
-P_c, where a closed bound of what it drops is below one rounding of the
-block's head and exp-series.  The bound must hold against the exact
+"""The engine's asymmetric windows: each block's positive G-series stops at
+the window's upper end hi in M, where a closed bound of what it drops is
+below one rounding of the block's head and exp-series.  The bound must hold against the exact
 dropped tail, every block may move by its bound alone, and no estimate
 shrinks."""
 
@@ -63,49 +63,57 @@ CASES += [
 ]
 
 
-def _full_tables(w, N, k, t):
-    # symmetric grids that hold every window uncut
-    return BlockTables(N, k, t, int(w.L.max()), int((w.L + np.abs(w.c)).max()))
+def _windows(N, k, t, shifts, r_lens):
+    # a driver's windows |r| <= r_len at base N, in M = r - N, as
+    # weighted_blocks sets them: (the cut windows, their caps r_len - N)
+    c = np.asarray(shifts, dtype=np.int64)
+    L = np.broadcast_to(r_lens, c.shape)
+    return _cut_windows(k, t, N + c, -L - N, L - N), L - N
 
 
-def _smallest_cuts(N, k, t, w, floor):
-    # the exact smallest cut P* of each shift, by bisection over the tail
-    # bound: the least P >= max(N + 1, _NEAR - c) with coeff S_GJ(P) <= floor,
-    # or L where no P < L has it.  S_GJ falls with P, and each y = N + c > 0
+def _full_tables(w, cap, k, t):
+    # grids that hold every window uncut
+    return BlockTables(k, t, int(w.lo.min()), int(cap.max()), int(np.maximum(-w.lo - w.y, cap + w.y).max()))
+
+
+def _smallest_cuts(k, t, w, cap, floor):
+    # the exact smallest cut m* of each block, by bisection over the tail
+    # bound: the least m >= max(1, _NEAR - y) with coeff S_GJ(m) <= floor,
+    # or the cap where no m below it has it.  S_GJ falls with m, and each y > 0
     coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
-    y = (N + w.c).astype(float)
+    y = w.y.astype(float)
     assert (y > 0).all()
-    lo = np.maximum(N + 1, indicators._NEAR - w.c)
-    a, b = lo - 1, np.maximum(w.L, lo)  # P <= a fails or is refused; P = b holds or is L
+    lo = np.maximum(1, indicators._NEAR - w.y)
+    a, b = lo - 1, np.maximum(cap, lo)  # m <= a fails or is refused; m = b holds or is the cap
     while (b - a > 1).any():
         mid = np.where(b - a > 1, (a + b) // 2, b)
-        held = coeff * indicators._positive_tails(k, t, (mid - N).astype(float), y)[0] <= floor
+        held = coeff * indicators._positive_tails(k, t, mid.astype(float), y)[0] <= floor
         a, b = np.where(held | (b - a <= 1), a, mid), np.where(held, mid, b)
-    return np.minimum(b, w.L)
+    return np.minimum(b, cap)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_dropped_tail_is_within_its_bound(case):
     N, k, t, shifts, r_lens = case
-    w = _cut_windows(N, k, t, shifts, r_lens)
-    tables = _full_tables(w, N, k, t)
-    _, head, exp_part, _, bound = tables.evaluate(w)
-    g, Js, R, Q = np.abs(tables.g), np.abs(tables.Js), tables.R, tables.Q
-    best = _smallest_cuts(N, k, t, w, U * (np.abs(head) + np.abs(exp_part)))
-    for i in range(w.c.size):
-        c, L, P = int(w.c[i]), int(w.L[i]), int(w.P[i])
-        # P is past the smallest cut P*, by at most a fifth of P* - N
-        if best[i] < L:
-            assert best[i] <= P and P - N <= 1.2 * (best[i] - N), (c, L, P, best[i])
-        if P == L:
+    w, cap = _windows(*case)
+    tables = _full_tables(w, cap, k, t)
+    _, head, exp_part, _, bound = tables.evaluate(w, cap)
+    g, Js, g0, Q = np.abs(tables.g), np.abs(tables.Js), tables.lo, tables.Q
+    best = _smallest_cuts(k, t, w, cap, U * (np.abs(head) + np.abs(exp_part)))
+    for i in range(w.y.size):
+        y, top, hi = int(w.y[i]), int(cap[i]), int(w.hi[i])
+        # hi is past the smallest cut m*, by at most a fifth of m*
+        if best[i] < top:
+            assert best[i] <= hi and hi <= 1.2 * best[i], (y, top, hi, best[i])
+        if hi == top:
             assert bound[i] == 0.0
             continue
-        # the cut keeps the near range and the G peak r = N
-        assert P >= max(N + 1, indicators._NEAR - c)
-        dropped = tables.coeff * float(np.dot(g[R + P + 1 : R + L + 1], Js[Q + c + P + 1 : Q + c + L + 1]))
-        assert dropped <= bound[i] <= U * (abs(head[i]) + abs(exp_part[i])), (c, L, P)
+        # the cut keeps the near range and the G peak M = 0
+        assert hi >= max(1, indicators._NEAR - y)
+        dropped = tables.coeff * float(np.dot(g[hi + 1 - g0 : top + 1 - g0], Js[Q + y + hi + 1 : Q + y + top + 1]))
+        assert dropped <= bound[i] <= U * (abs(head[i]) + abs(exp_part[i])), (y, top, hi)
     # and the plan's products exceed those of the smallest cuts by at most 2%
-    assert np.sum(w.L + w.P + 1) <= 1.02 * np.sum(w.L + best + 1)
+    assert np.sum(w.hi - w.lo + 1) <= 1.02 * np.sum(best - w.lo + 1)
 
 
 def _log_uniform(lo, hi):
@@ -113,8 +121,8 @@ def _log_uniform(lo, hi):
 
 
 def test_every_cut_holds_its_bound(monkeypatch):
-    # over wide draws, every P < L is admissible and bounds its tail.  A
-    # closed cut whose full bound (the a4, sech and eps parts too) is over
+    # over wide draws, every cut below its cap hi = L - N is admissible and
+    # bounds its tail.  A closed cut whose full bound (the a4, sech and eps parts too) is over
     # the floor leaves its shift uncut: the second call, whose check always
     # passes, finds those shifts, and some must occur.  They occur mostly
     # at a small m and a large k, where the eps part is large
@@ -138,22 +146,33 @@ def test_every_cut_holds_its_bound(monkeypatch):
     )
     def check(N, k, t, shifts):
         y, L, floor = (np.array(v) for v in zip(*shifts))
-        c = y - N
-        P = indicators._positive_cuts(N, k, t, c, L, floor)
+        hi = L - N
+        m = indicators._positive_cuts(k, t, y, hi, floor)
         with monkeypatch.context() as mp:
             mp.setattr(indicators, "_positive_tails", lambda k, t, m, y: (np.zeros_like(m), np.zeros_like(m)))
-            closed = indicators._positive_cuts(N, k, t, c, L, floor)
-        assert (P <= L).all()
-        cut = P < L
-        assert (P[cut] == closed[cut]).all()
-        assert (P[cut] >= np.maximum(N + 1, indicators._NEAR - c[cut])).all()
+            closed = indicators._positive_cuts(k, t, y, hi, floor)
+        assert (m <= hi).all()
+        cut = m < hi
+        assert (m[cut] == closed[cut]).all()
+        assert (m[cut] >= np.maximum(1, indicators._NEAR - y[cut])).all()
         coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
-        tails = real(k, t, (P[cut] - N).astype(float), y[cut].astype(float))[0]
+        tails = real(k, t, m[cut].astype(float), y[cut].astype(float))[0]
         assert (coeff * tails <= floor[cut]).all()
-        unchecked.append(int(np.sum((closed < L) & ~cut)))
+        unchecked.append(int(np.sum((closed < hi) & ~cut)))
 
     check()
     assert sum(unchecked) > 0
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_a_cut_keeps_the_near_range_and_no_more(t):
+    # with a floor so high that every root lies below 1, the cut is the
+    # least upper end the window may have: past G's peak M = 0 and the
+    # near range of J's peak M = -y, max(1, _NEAR - y); y <= 0 is uncut
+    y = np.array([1, 10, 31, 32, 33, 100, 10**4, 0, -7])
+    hi = np.full(y.size, 10**6)
+    m = indicators._positive_cuts(1, t, y, hi, np.ones(y.size))
+    assert m.tolist() == np.where(y > 0, np.maximum(1, indicators._NEAR - y), hi).tolist()
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.0, 8.0])
@@ -170,25 +189,25 @@ def test_cuts_warn_nothing_at_large_t(t):
     # pytest turns a RuntimeWarning into an error; at large t the heads and
     # floors underflow, some to 0, and no cut may divide by them
     for N, d in ((5, 1), (97, 3)):
-        w = _cut_windows(*_dsums_set(N, d, 2, t))
-        assert (w.P == w.L).all()
-        BlockTables(N, 2, t, *w.extent).evaluate(w)
+        w, cap = _windows(*_dsums_set(N, d, 2, t))
+        assert (w.hi == cap).all()
+        BlockTables(2, t, *w.extent).evaluate(w, cap)
     assert math.isfinite(sigma_analytic(30, t).value)
 
 
 def test_the_cuts_are_real():
     # the cases above would pass with no cut at all
     for N, t in ((300, 1.0), (600, 1.0), (50, 0.3)):
-        w = _cut_windows(*_sigma_set(N, t))
-        assert (w.P < w.L).all(), (N, t)
-    w = _cut_windows(*_dsums_set(50, 1, 1, 0.1))
-    assert (w.P < w.L).all()
-    w = _cut_windows(*_eval_q_set(17, 2, 0.1))
-    assert w.P[0] < w.L[0] // 4
+        w, cap = _windows(*_sigma_set(N, t))
+        assert (w.hi < cap).all(), (N, t)
+    w, cap = _windows(*_dsums_set(50, 1, 1, 0.1))
+    assert (w.hi < cap).all()
+    w, cap = _windows(*_eval_q_set(17, 2, 0.1))
+    assert w.hi[0] + 17 < (cap[0] + 17) // 4  # r = M + N: P < L/4
     # at t >= 3 the heads are exponentially small in y, and nothing is cut
     for k in (1, 2, 3):
-        w = _cut_windows(*_dsums_set(97, 3, k, 3.0))
-        assert (w.P == w.L).all()
+        w, cap = _windows(*_dsums_set(97, 3, k, 3.0))
+        assert (w.hi == cap).all()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -198,16 +217,16 @@ def test_each_block_moves_by_at_most_its_bound(case):
     # take the dropped dots (one per dropped tile), of coeff * acc and
     # of head + exp-series + G-part: each at most u |head| + |exp| + |G|
     N, k, t, shifts, r_lens = case
-    w = _cut_windows(N, k, t, shifts, r_lens)
-    tables = _full_tables(w, N, k, t)
-    value, head, exp_part, scale, bound = tables.evaluate(w)
-    full_value, _, _, full_scale, full_bound = tables.evaluate(w._replace(P=w.L))
+    w, cap = _windows(*case)
+    tables = _full_tables(w, cap, k, t)
+    value, head, exp_part, scale, bound = tables.evaluate(w, cap)
+    full_value, _, _, full_scale, full_bound = tables.evaluate(w._replace(hi=cap), cap)
     assert not full_bound.any()
-    uncut = w.P == w.L
+    uncut = w.hi == cap
     assert np.array_equal(value[uncut], full_value[uncut])  # the same bits
     assert np.array_equal(scale[uncut], full_scale[uncut])
     assert (scale >= full_scale).all()
-    tiles = (w.L - w.P) // indicators._TILE + 2
+    tiles = (cap - w.hi) // indicators._TILE + 2
     g = np.abs(full_value - head - exp_part)
     allowance = bound + (tiles + 3) * U * (np.abs(head) + np.abs(exp_part) + g)
     assert (np.abs(value - full_value) <= allowance).all()
@@ -215,11 +234,11 @@ def test_each_block_moves_by_at_most_its_bound(case):
 
 @pytest.fixture
 def uncut(monkeypatch):
-    """Turns the cut off: every window ends at its r_len on both sides."""
+    """Turns the cut off: every window ends at its cap, r_len - N."""
 
     def evaluate(*args):
-        def no_cuts(N, k, t, c, L, floor):
-            return L.copy()
+        def no_cuts(k, t, y, hi, floor):
+            return hi.copy()
 
         with monkeypatch.context() as m:
             m.setattr(indicators, "_positive_cuts", no_cuts)
@@ -268,8 +287,8 @@ def test_no_error_estimate_shrinks(uncut):
 def test_sigma_moves_by_less_than_one_rounding_of_its_heads(uncut, N):
     ev = sigma_analytic(N, 1.0)
     ref = uncut(sigma_analytic, N, 1.0)
-    w = _cut_windows(*_sigma_set(N, 1.0))
-    M = 4.0 * N + w.c.astype(float)
+    w, _ = _windows(*_sigma_set(N, 1.0))
+    M = w.y.astype(float)
     heads = float(np.sum(M**2.5 * (np.abs(w.head) + np.abs(w.exp_part))))
     assert abs(ev.value - ref.value) <= U * heads
     assert round(ev.value) == sigma_bruteforce(N)
@@ -279,12 +298,12 @@ def test_sigma_600_tables_are_a_little_over_half_as_large(monkeypatch):
     # the grids of the uncut plan: g over |r| <= R and Js over |m| <= R + (N - 1)^2
     monkeypatch.setattr(indicators, "_HELD", {})
     N = 600
-    w = _cut_windows(*_sigma_set(N, 1.0))
-    tables = BlockTables(4 * N, 1, 1.0, *w.extent)
+    w, cap = _windows(*_sigma_set(N, 1.0))
+    tables = BlockTables(1, 1.0, *w.extent)
     R = _sigma_r_len(N, 1.0)
     assert tables.g.size <= 0.57 * (2 * R + 1)
     assert tables.Js.size <= 0.55 * (2 * (R + (N - 1) ** 2) + 1)
-    terms = float(np.sum(w.L + w.P + 1)) / float(np.sum(2 * w.L + 1))
+    terms = float(np.sum(w.hi - w.lo + 1)) / float(np.sum(cap - w.lo + 1))
     assert terms <= 0.57
 
 

@@ -102,11 +102,13 @@ def test_sigma_analytic_top_of_benchmark_range(N):
 @pytest.mark.parametrize("N", [6, 30, 97])
 def test_sigma_is_weighted_sum_of_blocks(N, t):
     # sigma(N) = q_1(N) sqrt(N) + sum_a (4N+a^2)^(5/2) block(4N, a^2)
+    # each block's window is |r| <= r_len at base 4N, M = r - 4N
     r_len = _sigma_r_len(N, t)
-    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
+    lo, hi = -r_len - 4 * N, r_len - 4 * N
+    tables = BlockTables(1, t, lo, hi, r_len + (N - 1) ** 2)
     want = math.sqrt(N) if math.isqrt(N) ** 2 == N else 0.0
     want += math.fsum(
-        (4 * N + a * a) ** 2.5 * block_value(tables, a * a, r_len) for a in range(1, N)
+        (4 * N + a * a) ** 2.5 * block_value(tables, 4 * N + a * a, lo, hi) for a in range(1, N)
     )
     assert sigma_analytic(N, t).value == pytest.approx(want, rel=1e-10)
 
@@ -125,17 +127,19 @@ def test_one_plan_builds_its_grids_once(monkeypatch):
         )
     N, t = 97, 1.0
     r_len = _sigma_r_len(N, t)
-    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
+    lo, hi = -r_len - 4 * N, r_len - 4 * N
+    tables = BlockTables(1, t, lo, hi, r_len + (N - 1) ** 2)
     for a in range(1, N):
-        block_value(tables, a * a, r_len)
+        block_value(tables, 4 * N + a * a, lo, hi)
     assert sorted(built) == ["_g_grid", "j_values"], built
     # a second plan at the same (k, t) whose grids lie inside the first's
     # builds nothing: it reads the held tables
     N = 50
     r_len = _sigma_r_len(N, t)
-    tables = BlockTables(4 * N, 1, t, r_len, r_len + (N - 1) ** 2)
+    lo, hi = -r_len - 4 * N, r_len - 4 * N
+    tables = BlockTables(1, t, lo, hi, r_len + (N - 1) ** 2)
     for a in range(1, N):
-        block_value(tables, a * a, r_len)
+        block_value(tables, 4 * N + a * a, lo, hi)
     assert sorted(built) == ["_g_grid", "j_values"], built
 
 

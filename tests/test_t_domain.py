@@ -79,7 +79,7 @@ ANALYTIC = {
     "zero_identity_residual": lambda t: zero_identity_residual(1, -1, t),
     "q_shifted_analytic": lambda t: q_shifted_analytic(1, 4, 1, t),
     "q_general_analytic": lambda t: q_general_analytic(1, 2, 16, t),
-    "BlockTables": lambda t: BlockTables(7, 1, t, 100, 200),
+    "BlockTables": lambda t: BlockTables(1, t, -107, 93, 200),
     "weighted_finite_analytic": lambda t: weighted_finite_analytic(unit_weight(), 1, 5, t),
     "weighted_infinite_analytic": lambda t: weighted_infinite_analytic(unit_weight(), 1, 5, t, a_horizon=3),
     "sum_squares_analytic": lambda t: sum_squares_analytic(unit_weight(), SQUARES, t),

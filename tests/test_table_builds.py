@@ -84,26 +84,30 @@ def test_a_new_key_drops_the_held_tables_before_it_builds(monkeypatch):
 
 def _unblocked_exp_series_sums(y, t):
     # the earlier form of integrals.exp_series_sums, kept as the reference:
-    # one (grid x y) array per term
+    # one (y x grid) array per term, each y's terms a row
     yf = np.asarray(y, dtype=float)
     r, w = _exp_series_terms(t)
-    r2 = 4.0 * t * t * r[:, None] ** 2
-    dmat = r2 + yf[None, :] ** 2
-    s1 = (w[:, None] / dmat).sum(axis=0)
-    s2 = (w[:, None] * r[:, None] / dmat).sum(axis=0)
-    s3 = (w[:, None] * (r2 - yf[None, :] ** 2) / dmat**2).sum(axis=0)
+    r2 = 4.0 * t * t * r**2
+    dmat = r2 + yf[:, None] ** 2
+    s1 = (w / dmat).sum(axis=1)
+    s2 = (w * r / dmat).sum(axis=1)
+    s3 = (w * (r2 - yf[:, None] ** 2) / dmat**2).sum(axis=1)
     return s1, s2, s3
 
 
 @pytest.mark.parametrize("t", [0.001, 0.013, 0.3, 1.0, 10.0])
 def test_exp_series_blocks_keep_the_unblocked_bits(t):
-    # at t = 0.001 the grid has 6,600 rows, so the blocks of 400 columns
-    # are 2 wide; a block of one column would be summed pairwise
+    # at t = 0.001 the grid has 6,600 terms, so the blocks of 400 y are 2
+    # rows deep.  Each y's row is summed pairwise whatever the block, so
+    # its sums also keep the bits of a call with that y alone
     rng = np.random.default_rng(3)
     for width in (1, 2, 3, 7, 400) + ((5000,) if t >= 0.3 else ()):
         y = rng.integers(-4000, 4000, width)
         for got, want in zip(exp_series_sums(y, t), _unblocked_exp_series_sums(y, t)):
             assert np.array_equal(_bits(got), _bits(want)), (t, width)
+        alone = [exp_series_sums(y[i : i + 1], t) for i in (0, width - 1)]
+        for got, one, last in zip(exp_series_sums(y, t), *alone):
+            assert _bits(got[0]) == _bits(one[0]) and _bits(got[-1]) == _bits(last[0]), (t, width)
 
 
 def test_closed_heads_at_small_t_stay_small():

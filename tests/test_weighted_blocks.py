@@ -114,8 +114,11 @@ def test_value_and_estimate_are_the_fsums_of_the_blocks():
     r_lens = [_default_r_len(N, c, t) for c in shifts]
     ev = weighted_blocks(N, k, t, weights, shifts, r_lens, dsums._block_tail)
     r_max = max(r_lens)
-    tables = BlockTables(N, k, t, r_max, r_max + max(map(abs, shifts)))
-    values, _, _, _, bounds = tables.evaluate(_cut_windows(N, k, t, shifts, r_lens))
+    # the windows |r| <= r_len at base N, M = r - N, capped at r_len - N
+    L = np.array(r_lens)
+    tables = BlockTables(k, t, -r_max - N, r_max - N, r_max + max(map(abs, shifts)))
+    w = _cut_windows(k, t, N + np.array(shifts), -L - N, L - N)
+    values, _, _, _, bounds = tables.evaluate(w, L - N)
     assert ev.value == math.fsum(w * v for w, v in zip(weights, values.tolist()))
     assert ev.error_estimate == math.fsum(
         abs(w) * (50.0 * r**-3.5 + b) for w, r, b in zip(weights, r_lens, bounds.tolist())
@@ -196,6 +199,58 @@ def test_only_the_weighted_driver_cuts_windows_and_builds_tables():
         ("indicators.py", "weighted_blocks"),
     ]
     assert _functions_that(_calls("BlockTables")) == [("indicators.py", "weighted_blocks")]
+
+
+def test_the_engine_takes_no_base():
+    # the engine is keyed on (k, t) and each block's (y, lo, hi): no base N,
+    # and so no r = M + N, enters it; weighted_blocks alone converts
+    tree = ast.parse((SRC / "indicators.py").read_text())
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    classes = {c.name: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+    init = next(f for f in classes["BlockTables"].body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    for f in (init, functions["_cut_windows"], functions["_positive_cuts"]):
+        assert "N" not in [a.arg for a in f.args.args], f.name
+    assert indicators.Windows._fields == ("y", "lo", "hi", "head", "exp_part")
+
+
+def _blocks_of(monkeypatch, call):
+    """(windows, caps, values) of the one BlockTables.evaluate inside call()."""
+    seen = []
+    real = BlockTables.evaluate
+
+    def spy(self, w, cap):
+        out = real(self, w, cap)
+        seen.append((w, cap, out[0]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(BlockTables, "evaluate", spy)
+        call()
+    ((w, cap, value),) = seen
+    return w, cap, value
+
+
+@pytest.mark.parametrize("N,t", [(60, 0.3), (200, 1.0)])
+def test_a_blocks_bits_depend_only_on_its_window(monkeypatch, N, t):
+    # the same block (k, t, y, lo, hi) in sigma(N)'s batch at base 4N,
+    # alone over tables that hold just its window, and alone in a
+    # weighted_blocks call at another base N', with the shift y - N' and an
+    # r_len that gives the same window.  At N = 200 every window reaches
+    # below M = -2^15, and so crosses a tile edge: tiles fixed in r = M + N
+    # would split it differently at each base.  At N = 60 the window lies
+    # in one tile, and the batch sums the exp-series of 59 arguments
+    w, cap, value = _blocks_of(monkeypatch, lambda: sigma_analytic(N, t))
+    assert (w.hi < cap).all()  # cut: another base's cap leaves hi where it is
+    if N == 200:
+        assert (w.lo < -(2**15)).all()
+    for i in range(0, w.y.size, 5):
+        y, lo, hi, top = int(w.y[i]), int(w.lo[i]), int(w.hi[i]), int(cap[i])
+        tables = BlockTables(1, t, lo, hi, max(-lo - y, hi + y))
+        assert indicators.block_value(tables, y, lo, top) == value[i], y
+        base = min(y - 5, (-lo - hi) // 2 - 3)  # its cap -lo - 2 N' lies past hi
+        other = _blocks_of(monkeypatch, lambda: weighted_blocks(base, 1, t, [1.0], [y - base], -lo - base, _sigma_tail))
+        assert (int(other[0].lo[0]), int(other[0].hi[0])) == (lo, hi)
+        assert other[2][0] == value[i], y
 
 
 def test_the_cut_is_closed_form():
