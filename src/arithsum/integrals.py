@@ -175,10 +175,17 @@ def p_values(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) ->
 
 def _j(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """J(q, t) = sech(pi q/(2t))/(2t) + (-1)^(q-1) (2t/pi) P(q), elementwise
-    over an array of integers q >= 0; ``weights`` as in ``p_values``."""
-    head = sech_values(math.pi * q / (2.0 * t)) / (2.0 * t)
-    sign_q = np.where(q % 2 == 0, -1.0, 1.0)  # (-1)^(q-1)
-    return head + sign_q * (2.0 * t / math.pi) * p_values(q, t, weights)
+    over consecutive integers q = q0, q0 + 1, ... >= 0; ``weights`` as in
+    ``p_values``.  The head is added only below q_s = ceil(746 * 2t/pi): exp(-x)
+    is +0 for x > 745.14, so from q_s on the head is +0, and +0 + y = y for the
+    nonzero y = +-(2t/pi) P(q), P > 0."""
+    q0 = int(q[0])
+    out = p_values(q, t, weights) * (2.0 * t / math.pi)
+    out[q0 % 2 :: 2] *= -1.0  # (-1)^(q-1)
+    m = min(max(math.ceil(746.0 * 2.0 * t / math.pi) - q0, 0), q.size)
+    if m:
+        out[:m] += sech_values(math.pi * q[:m] / (2.0 * t)) / (2.0 * t)
+    return out
 
 
 def _rounding(parts: list, exponents: list, terms: np.ndarray, term_exponents: np.ndarray) -> float:
@@ -250,7 +257,8 @@ def integral_j(q: int, t: float) -> IntegralValue:
 def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """J(q, t) for q = 0..q_max, in _j calls of TABLE_CHUNK entries or, for
     more than 15 weights, up to four times that, into ``out`` (q_max + 1
-    doubles) if given.
+    doubles) if given.  The sech head is computed only for q below
+    q_s = ceil(746 * 2t/pi); from q_s on it is +0 (``_j``).
 
     The series drivers index this table by |r +- c|, so it is built once
     per evaluation context rather than per call.

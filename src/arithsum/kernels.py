@@ -15,16 +15,18 @@ Direct sinh/cosh evaluation overflows binary64 once the argument passes
 ~709; every kernel therefore switches to an exponential rewrite when the
 argument exceeds ``GUARD_THRESHOLD``, and reports that the rewrite fired
 via ``KernelValue.overflow_guarded``.  G and T take each element's own
-branch only: direct for a <= 30, the rewrite up to a = 373, and past it
-num = 2p, den = 1, the rewrite's exact bits once e^(-2a) underflows to 0.
+branch only: direct for a <= 30; past it num = 2p, den = 1, the rewrite's
+exact bits wherever its terms in e^(-2a) < 2^(-86) round away, which is
+wherever |q| < 2^31 |p|; the rewrite itself for the rest.
 
 G and T have one implementation each, elementwise over arrays of M
 (``g_values``, ``t_values``); the scalar forms ``kernel_g``, ``kernel_t``
 and ``half_plane_root`` call it on a one-element array, so that they
 return the same bits.  (numpy's 0-d paths can round differently.)
 
-The t-domain is defined here only: the kernels and integrals take any finite
-t >= T_MIN (``check_t``), the analytic entries T_MIN <= t <= T_MAX (``check_analytic_t``).
+The t-domain is defined here only: the kernels and integrals take
+T_MIN <= t <= T_BIG (``check_t``), the analytic entries T_MIN <= t <= T_MAX
+(``check_analytic_t``).
 """
 
 from __future__ import annotations
@@ -46,15 +48,24 @@ T_MAX = math.log(np.finfo(float).max) / (2.0 * math.pi)
 # unit forms' 12000/t (``dsums._unit_value``); numpy sizes them with a C
 # long, and at t >= 2^-48 every c < 2^14 keeps c/t below 2^62
 T_MIN = 2.0**-48
+# The largest t at which no entry's intermediate overflows, for |M|, |q| <= t:
+# G forms |M + it|^5 <= (sqrt(2) t)^5, finite for t < 2^204.3; T and V form
+# t |M + it|, finite for t < 2^511.7; J forms t^2 n^2 + q^2, finite for
+# t < 2^511; I and K form (pi (4 t^2 r^2 + q^2))^2 with r <= 4 past t = 1,
+# finite for t < 2^252.  G's bound is the least; T_BIG is the power of two below it.
+T_BIG = 2.0**204
 
 
 def check_t(t: float) -> None:
     """Refuse a t that is not finite and positive, before anything is sized
-    from it, and t < T_MIN, past which grids of c/t entries overflow."""
+    from it, t < T_MIN, past which grids of c/t entries overflow, and
+    t > T_BIG, past which G's |M + it|^5 overflows."""
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")
     if t < T_MIN:
         raise ValueError(f"t must be at least 2^-48 = {T_MIN:.6g}, where grids of 2^14/t entries fit in 2^62, got {t}")
+    if t > T_BIG:
+        raise ValueError(f"t must be at most 2^204 = {T_BIG:.6g}, where G's |M + it|^5 stays finite, got {t}")
 
 
 def check_analytic_t(t: float) -> None:
@@ -98,7 +109,10 @@ def _roots(M: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     h = np.hypot(M, t)
     big = np.sqrt((h + np.abs(M)) / 2.0)
     small = t / (2.0 * big)
-    return h, np.where(M >= 0, big, small), np.where(M >= 0, small, big)
+    pos = M >= 0
+    u = np.where(pos, big, small)
+    np.copyto(big, small, where=pos)  # v: small where M >= 0, big elsewhere
+    return h, u, big
 
 
 def _direct(p, q, a, b):
@@ -115,7 +129,18 @@ def _rewrite(p, q, a, b):
     return 2.0 * p * (1.0 - x * x) + 4.0 * q * np.sin(2.0 * b) * x, (1.0 - x) ** 2 + 4.0 * sb * sb * x
 
 
-def _past_underflow(p, q, a, b):  # e^{-2a} is 0.0 from a = 372.6 on: _rewrite's exact bits
+# _collapsed gives _rewrite's exact bits wherever a > 30 and |q| < 2^31 |p|.
+# There x = e^(-2a) < e^(-60) < 0.68 * 2^(-86), so 1 - x^2 and (1 - x)^2
+# round to 1, 4 sin^2(b) x < 2^(-84) is below half an ulp of 1, and
+# |4 q sin(2b) x| < 0.68 * 2^(-53) |p| is below half the gap on either side
+# of 2p, which is at least 2^(-53) |p|; the 0.68 also covers the rounding of
+# x and of that product.  |q| / 2^31 is exact, or below 2^(-1022), where the
+# product rounds to 0.  Strict < leaves p = +-0 to _rewrite, whose
+# -0 + (+0) = +0 differs from 2p = -0, and NaN or infinite q with it.
+_COLLAPSE_RATIO = 2.0**31
+
+
+def _collapsed(p, q, a, b):
     return 2.0 * p, np.ones_like(a)
 
 
@@ -126,12 +151,17 @@ def _guarded_ratio(
     sin^2(b)), and the mask where a > GUARD_THRESHOLD and both were rewritten
     in exponentials.  The denominator is bounded below by sinh^2(a) > 0 for
     a > 0, so no special-casing is needed near sin resonances.  Each element
-    takes only its own branch: on the whole array, on a slice where the branch
-    is one run (as on monotone grids: every table chunk), else on a gather."""
+    takes only its own branch: direct for a <= 30, (2p, 1) where a > 30 and
+    |q| < 2^31 |p| (``_collapsed``: the rewrite's terms in x = e^(-2a) round
+    away there), else the rewrite.  A branch runs on the whole array, on a
+    slice where it is one run (as on monotone grids: every table chunk), else
+    on a gather; the collapse test is made only when some element is guarded."""
     guarded = a > GUARD_THRESHOLD
-    zero = a > 373.0
+    if not np.count_nonzero(guarded):
+        return (*_direct(p, q, a, b), guarded)
+    collapse = guarded & (np.abs(q) / _COLLAPSE_RATIO < np.abs(p))
     num, den = np.empty_like(a), np.empty_like(a)
-    for branch, mask in ((_direct, ~guarded), (_rewrite, guarded & ~zero), (_past_underflow, zero)):
+    for branch, mask in ((_direct, ~guarded), (_rewrite, guarded & ~collapse), (_collapsed, collapse)):
         m = np.count_nonzero(mask)
         if m == a.size:
             return (*branch(p, q, a, b), guarded)
@@ -150,8 +180,9 @@ def _g(M, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     h, u, v = _roots(M, t)
     rk = math.sqrt(k)
     mm = M * M - t * t
-    n1 = mm * u - 2.0 * M * t * v
-    n2 = 2.0 * M * t * u + mm * v
+    mt2 = 2.0 * M * t
+    n1 = mm * u - mt2 * v
+    n2 = mt2 * u + mm * v
     num, den, guarded = _guarded_ratio(n2, n1, math.pi * u / rk, math.pi * v / rk)
     return num / (den * h**5), guarded
 

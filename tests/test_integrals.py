@@ -13,8 +13,12 @@ from arithsum.integrals import (
     integral_j,
     integral_k,
     j_values,
+    p_values,
     quadrature_oracle,
+    sech_values,
 )
+from arithsum.indicators import _two_sided_j
+from arithsum.kernels import T_MAX
 
 
 @pytest.mark.parametrize("kind,f", [("I", integral_i), ("K", integral_k), ("J", integral_j)])
@@ -144,6 +148,29 @@ def test_j_values_table_matches_scalar():
             assert integral_j(-q, t).value == table[q], (q, t)
             assert integral_i(-q, t).value == -integral_i(q, t).value, (q, t)
             assert integral_k(-q, t).value == integral_k(q, t).value, (q, t)
+
+
+def _full_head_j(Q, t):
+    # J with its sech head at every q: sech(pi q/(2t))/(2t) + (-1)^(q-1) (2t/pi) P(q)
+    q = np.arange(Q + 1)
+    head = sech_values(math.pi * q / (2.0 * t)) / (2.0 * t)
+    sign_q = np.where(q % 2 == 0, -1.0, 1.0)
+    return head + sign_q * (2.0 * t / math.pi) * p_values(q, t, _p_weights(t))
+
+
+@pytest.mark.parametrize("t", [0.1, 0.37, 1.0, 6.9, 8.0, T_MAX])
+def test_j_table_skips_only_the_head_that_is_zero(t):
+    # past q_s = ceil(746 * 2t/pi) the head sech(pi q/(2t)) is +0, so the table
+    # leaves it out there; J keeps the full-head bits on both sides of q_s
+    qs = math.ceil(746.0 * 2.0 * t / math.pi)
+    for Q in (qs - 1, qs, qs + 1, 4 * qs):
+        want = _full_head_j(Q, t)
+        assert np.array_equal(j_values(Q, t).view(np.int64), want.view(np.int64)), (t, Q)
+        m = np.arange(-Q, Q + 1)
+        signed = np.where(m % 2, -1.0, 1.0) * want[np.abs(m)]
+        assert np.array_equal(_two_sided_j(Q, t)[0].view(np.int64), signed.view(np.int64)), (t, Q)
+    for q in (qs - 1, qs, qs + 1):
+        assert integral_j(q, t).value == _full_head_j(q, t)[q], (t, q)
 
 
 @pytest.mark.parametrize("t", [0.001, 0.002, 0.003])

@@ -253,16 +253,19 @@ def _bits(x):
     return np.asarray(x).view(np.int64)
 
 
-@pytest.mark.parametrize("t", [0.001, 0.1, 1.0, 8.0, 112.9])
+@pytest.mark.parametrize("t", [kernels.T_MIN, 0.001, 0.1, 1.0, 8.0, 112.9, 1e3, 1e6])
 def test_one_branch_kernels_keep_the_two_branch_bits(monkeypatch, t):
     # pi u/sqrt(k) passes 30 near M = 91 k and 373 near M = 14100 k, so the
     # ascending grid holds all three branches for every k; the monotone grids
     # take slices, the shuffled and 2-D ones masks, the one-element and empty
-    # ones the whole-array path
+    # ones the whole-array path.  The geometric grids lie past a = 373 for
+    # each k and reach |q| > 2^31 |p|, where the collapse gives way to the
+    # rewrite (near M = 5e9 t for G, 1e9 t for T)
     rng = np.random.default_rng(5)
     up = np.arange(-6.0e4, 6.0e4, 1.7)
     grids = [up, rng.permutation(up), up[::-1].copy(), np.arange(-500.0, 500.0, 0.3)]
     grids += [up[:70000].reshape(70, 1000)]
+    grids += [np.geomspace(14200.0 * k, 1e13, 3000) for k in (1, 2, 3)]
     grids += [np.array([m]) for m in (-3.0, 50.0, 2000.0, 1e6)] + [np.array([])]
     for grid in grids:
         got = [kernels._g(grid, t, k) for k in (1, 2, 3)] + [kernels._t(grid, t)]
@@ -275,3 +278,22 @@ def test_one_branch_kernels_keep_the_two_branch_bits(monkeypatch, t):
     for k in (1, 2, 3):
         assert np.array_equal(_bits(g_values(up, t, k)), _bits(kernels._g(up, t, k)[0]))
     assert np.array_equal(_bits(t_values(up, t)), _bits(kernels._t(up, t)[0]))
+
+
+def test_the_collapse_keeps_the_rewrite_bits_up_to_its_ratio():
+    # (2p, 1) in place of the rewrite is exact for a > 30 and |q| < 2^31 |p|.
+    # The bound is nearly tight: with a just past 30, sin 2b near +-1 and
+    # |q| just past 2^32 |p|, the dropped term moves the last bit of 2p
+    rng = np.random.default_rng(11)
+    n = 200_000
+    a = np.concatenate((30.0 + rng.random(n // 2) / 4.0, 30.0 + rng.random(n // 2) * 400.0))
+    b = np.pi / 4.0 + rng.normal(0.0, 0.1, n) + rng.integers(-3, 4, n) * np.pi / 2.0
+    p = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-60, 60, n)
+    q = rng.choice([-1.0, 1.0], n) * np.abs(p) * 2.0 ** rng.uniform(28.0, 34.0, n)
+    # -0 + (+0) is +0: at p = -0 the collapse would flip the sign of the zero
+    p[:4], q[:4], b[:4] = [0.0, -0.0, 1.0, np.nan], [0.0, 0.0, np.inf, 1.0], np.pi / 4.0
+    num, den, guarded = kernels._guarded_ratio(p, q, a, b)
+    want_num, want_den = kernels._rewrite(p, q, a, b)
+    assert guarded.all()
+    assert np.array_equal(_bits(num), _bits(want_num))
+    assert np.array_equal(_bits(den), _bits(want_den))

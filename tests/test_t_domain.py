@@ -1,11 +1,13 @@
-"""One t-domain: ``kernels.check_t`` (any finite t >= T_MIN) and
+"""One t-domain: ``kernels.check_t`` (T_MIN <= t <= T_BIG) and
 ``kernels.check_analytic_t`` (T_MIN <= t <= T_MAX) are the only checks of t.
 Every public entry that takes t refuses a t outside its domain by name,
 before it sizes anything, and the CLI reads the same bound."""
 
 import ast
+import dataclasses
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from arithsum.indicators import (
 )
 from arithsum.integrals import integral_i, integral_j, integral_k, j_values, quadrature_oracle
 from arithsum.kernels import (
+    T_BIG,
     T_MAX,
     T_MIN,
     check_analytic_t,
@@ -55,7 +58,7 @@ def _lemma4(t, beta=0.3, k_max=200):
     return lemma4_residual(lambda n: 1.0 / (n * n), beta, t, 20, k_max=k_max)
 
 
-# entries whose values hold at every finite t >= T_MIN
+# entries whose values hold at every t from T_MIN to T_BIG
 ANY_T = {
     "kernel_g": lambda t: kernel_g(5.0, t),
     "kernel_t": lambda t: kernel_t(5.0, t),
@@ -120,6 +123,36 @@ def test_kernels_and_integrals_serve_t_past_the_analytic_bound():
         assert math.isfinite(kernel_v(5.0, t).value)
         assert math.isfinite(integral_j(3, t).value)
         assert np.isfinite(j_values(10, t)).all()
+
+
+def _finite(x):
+    if dataclasses.is_dataclass(x):
+        return all(_finite(v) for v in dataclasses.astuple(x))
+    return bool(np.isfinite(x).all())
+
+
+@pytest.mark.parametrize("name", sorted(ANY_T))
+def test_kernels_and_integrals_end_at_t_big(name):
+    # at T_BIG = 2^204 no intermediate overflows, so no RuntimeWarning is
+    # raised; one ulp above it check_t refuses t by name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _finite(ANY_T[name](T_BIG)), name
+    with pytest.raises(ValueError, match=r"^t must be at most 2\^204"):
+        ANY_T[name](float(np.nextafter(T_BIG, math.inf)))
+
+
+def test_kernels_at_t_big_stay_finite_for_m_up_to_t():
+    # G's |M + it|^5 is the first intermediate to overflow as t grows
+    M = np.array([-1.4, -1.0, -1e-3, 0.0, 1e-3, 1.0, 1.4]) * T_BIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 2, 3):
+            assert np.isfinite(g_values(M, T_BIG, k)).all(), k
+        assert np.isfinite(t_values(M, T_BIG)).all()
+        for q in (0, 1, 10**6):
+            for f in (integral_i, integral_k, integral_j):
+                assert _finite(f(q, T_BIG)), (f, q)
 
 
 def test_the_library_and_the_cli_share_the_bound():
