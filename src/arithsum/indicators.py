@@ -65,9 +65,6 @@ _NEAR = 32
 _NEAR_RANGE = np.arange(-_NEAR, _NEAR + 1)
 # unit roundoff, the scale of one rounding
 _U = 2.0**-53
-# points and terms per block of power_series_evaluator: 32k doubles
-_R_CHUNK = 256
-_M_CHUNK = 128
 
 __all__ = [
     "BlockTables",
@@ -521,36 +518,36 @@ def power_series_evaluator(k: int, s: int) -> SeriesEvaluator:
     the generating series of q_{k,s}(n)/n^2.
 
     ``evaluate(x, t)`` returns Im F(x + it) over a 1-D array of real points
-    x.  Points are taken in chunks of _R_CHUNK and terms in chunks of
-    _M_CHUNK, so no (m x point) temporary grows with the input.  A chunk
-    with |x| <= X keeps the terms m <= M, with M past the resonance,
-    k M^(2s) >= 2X, and M^(8s) >= 4e18 ((k+X)^2 + t^2)/k^2.  Past the
+    x.  A point keeps the terms m <= M, with M past the resonance,
+    k M^(2s) >= 2|x|, and M^(8s) >= 4e18 ((k+|x|)^2 + t^2)/k^2.  Past the
     resonance |k m^(2s) + z| >= k m^(2s)/2, so each omitted term of Im F is
-    below 1e-18 of the m = 1 term, whose sign all terms of Im F share.
+    below 1e-18 of the m = 1 term, whose sign all terms of Im F share.  One
+    pass per term, m = max M down to 1, adds it to the points that keep it,
+    so each point sums its own terms from its smallest, m = M, down, and its
+    value depends on (k, s, t, x) alone, not on the batch, its order or its
+    blocking.
+    Points go in blocks of TABLE_CHUNK, so the temporaries stay at 64 KiB.
     """
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive integers")
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        y2 = t * t
-        out = np.empty(x.size)
-        for lo in range(0, x.size, _R_CHUNK):
-            xc = x[lo : lo + _R_CHUNK]
-            X = float(np.abs(xc).max())
-            m_max = math.ceil(
-                max(
-                    (2.0 * X / k) ** (1.0 / (2 * s)),
-                    (4e18 * ((k + X) ** 2 + y2) / (k * k)) ** (1.0 / (8 * s)),
-                )
-            )
-            im = np.zeros(xc.size)
-            for m0 in range(1, m_max + 1, _M_CHUNK):
-                m = np.arange(m0, min(m0 + _M_CHUNK, m_max + 1), dtype=float)
-                u = k * m[:, None] ** (2 * s) + xc
-                w = 1.0 / (k * k * m ** (4 * s))
-                im += np.einsum("m,mr->r", w, 1.0 / (u * u + y2))
-            out[lo : lo + _R_CHUNK] = -t * im
+        y2, ax = t * t, np.abs(x)
+        resonance = (2.0 * ax / k) ** (1.0 / (2 * s))
+        cut = np.ceil(np.maximum(resonance, (4e18 * ((k + ax) ** 2 + y2) / (k * k)) ** (1.0 / (8 * s))))
+        out = np.zeros(x.size)
+        for lo in range(0, x.size, TABLE_CHUNK):
+            xb, cb, acc = (a[lo : lo + TABLE_CHUNK] for a in (x, cut, out))
+            u, keep = np.empty(xb.size), np.empty(xb.size, dtype=bool)
+            for m in range(int(cb.max()), 0, -1):
+                np.add(xb, float(k * m ** (2 * s)), out=u)
+                np.multiply(u, u, out=u)
+                np.add(u, y2, out=u)
+                np.divide(1.0 / (k * k * m ** (4 * s)), u, out=u)
+                np.greater_equal(cb, m, out=keep)
+                np.add(acc, u, out=acc, where=keep)
+        out *= -t
         return out
 
     def coefficient(n: int) -> float:

@@ -14,10 +14,11 @@ bracket F(z conj) - F(z) is -2i Im F(z) (no cancellation between two
 nearly equal values), so an evaluator returns Im F alone:
 ``evaluate(x, t)`` maps an array of real points x to the real array
 Im F(x + it).  ``invert_series_many`` samples it once, on the union of
-the 2L+1 points of every N it inverts, and sums each folded r-series
-pairwise; ``invert_series`` is its one-N case.  The length L is the one
-inversion rule; there is no stopping rule to tune.  It serves T_MIN <= t <=
-T_MAX, and ``lemma4_residual``, which is even in t, T_MIN <= |t| <= T_MAX.
+the 2L+1 points of every N it inverts, in ascending order, and sums each
+folded r-series pairwise; ``invert_series`` is its one-N case, and no N
+gives [].  The length L is the one inversion rule; there is no stopping
+rule to tune.  It serves T_MIN <= t <= T_MAX, and ``lemma4_residual``,
+which is even in t, T_MIN <= |t| <= T_MAX.
 
 ``lemma4_residual`` checks the phase-weighted form of the identity.  At
 beta in {-1, 0, 1} it sums the shifts term by term to n_terms + 32 and
@@ -103,25 +104,25 @@ def invert_series(F: SeriesEvaluator, N: int, t: float) -> Evaluation:
 
 
 def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
-    """Recover the coefficients f(N) for each N of ``Ns``; ~0 for N <= 0.
+    """Recover the coefficients f(N) for each N of ``Ns``; ~0 for N <= 0,
+    and [] for no N.
 
     Each N reads its 2L+1 points -N +- r + it, r = 0..L, with
     L = |N| + max(2500, 1200/t), from one call of F over the union of the
-    points, laid out as p, p+1, .., hi, p-1, .., lo with p = -Ns[0] (so a
-    single N is sampled in the order -N, -N + r, -N - r), and its J(r)
-    from one table.  The two sides are folded before the products with
-    J(r) are summed pairwise.  The estimate is the tail model 20/L^2 plus
-    the sinh(pi t)/pi-amplified rounding of that sum,
+    points, x = lo..hi in ascending order, and its J(r) from one table.
+    The two sides are folded before the products with J(r) are summed
+    pairwise.  The estimate is the tail model 20/L^2 plus the
+    sinh(pi t)/pi-amplified rounding of that sum,
     eps (ceil(log2 L) + 2) sum |terms|.
     """
     check_analytic_t(t)
     Ns = [int(N) for N in Ns]
+    if not Ns:
+        return []
     Ls = [abs(N) + max(2500, int(1200 / t)) for N in Ns]
-    p = -Ns[0]
     hi = max(L - N for N, L in zip(Ns, Ls))
     lo = min(-L - N for N, L in zip(Ns, Ls))
-    im = F.evaluate(np.concatenate(([p], np.arange(p + 1, hi + 1), np.arange(p - 1, lo - 1, -1))).astype(float), t)
-    im = np.concatenate((im[hi - p + 1 :][::-1], im[: hi - p + 1]))  # x = lo..hi in order
+    im = F.evaluate(np.arange(lo, hi + 1, dtype=float), t)
     J = j_values(max(Ls), t)
     scale = math.sinh(math.pi * t) / math.pi
     out = []

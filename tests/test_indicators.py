@@ -565,6 +565,56 @@ def test_power_evaluator_matches_closed_form(k):
                 assert abs(gi - closed) <= 1e-13 * abs(closed), (xi, t)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_evaluator_depends_on_each_point_alone(k, s):
+    # each point sums its own terms, so its bits do not depend on the batch
+    # around it: its order, its neighbours or a far point beside it.  A
+    # term past a point's own cut moves its sum in about one point of 2000
+    # at s >= 2, so there the batch holds every integer of [-3000, 3000];
+    # at s = 1, where such terms move far more sums, every 7th
+    x = np.append(np.arange(-3000.0, 3001.0, 1 if s > 1 else 7), 0.5)
+    perm = np.random.default_rng(k * 10 + s).permutation(x.size)
+    F = power_series_evaluator(k, s)
+    for t in (0.1, 1.0, 10.0):
+        got = F.evaluate(x, t)
+        assert np.array_equal(F.evaluate(x[perm], t), got[perm]), t
+        assert np.array_equal(F.evaluate(np.append(x, 1e6), t)[:-1], got), t
+        for i in range(0, x.size, 37):
+            assert np.array_equal(F.evaluate(x[i : i + 1], t), got[i : i + 1]), (t, x[i])
+
+
+def test_power_evaluator_of_no_points():
+    got = power_series_evaluator(2, 2).evaluate(np.array([]), 1.0)
+    assert got.dtype == np.float64 and got.shape == (0,)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_evaluator_matches_mpmath_sum(k, s):
+    # Im F(x + it) = -t sum_m 1/(k^2 m^(4s) ((k m^(2s) + x)^2 + t^2)) at 30
+    # digits, to a term past the resonance below 1e-25 of the partial sum;
+    # the terms then fall as m^(-8s), so the rest is far below 1e-25.  The
+    # points: every 37th x on [-3000, 3000], the resonances in it and 0.5
+    resonances = [-k * m ** (2 * s) for m in range(1, 55) if k * m ** (2 * s) <= 3000]
+    x = np.concatenate((np.arange(-3000, 3001, 37), resonances, [0.5])).astype(float)
+    F = power_series_evaluator(k, s)
+    for t in (0.1, 1.0, 10.0):
+        got = F.evaluate(x, t)
+        with mpmath.workdps(30):
+            for xi, gi in zip(x, got):
+                total, m = mpmath.mpf(0), 0
+                while True:
+                    m += 1
+                    km = k * m ** (2 * s)
+                    term = 1 / (k * k * m ** (4 * s) * ((km + mpmath.mpf(xi)) ** 2 + mpmath.mpf(t) ** 2))
+                    total += term
+                    if km >= 2 * abs(xi) and term < 1e-25 * total:
+                        break
+                want = -t * total
+                assert abs(gi - want) <= 1e-15 * abs(want), (xi, t)
+
+
 def test_q_general_does_not_use_the_block_engine(monkeypatch):
     # q_general_analytic is an oracle for q_analytic: it must evaluate with
     # the block engine unavailable

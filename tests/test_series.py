@@ -12,6 +12,7 @@ from arithsum.series import (
     geometric_series_evaluator,
     indicator_series_evaluator,
     invert_series,
+    invert_series_many,
     lemma4_residual,
     self_consistency_residual,
 )
@@ -52,6 +53,32 @@ def test_invert_series_within_estimate(t):
             want = F.coefficient(N) if N >= 1 else 0.0
             ev = invert_series(F, N, t)
             assert abs(ev.value - want) <= ev.error_estimate, (F.label, N)
+
+
+def test_invert_no_n():
+    assert invert_series_many(geometric_series_evaluator(), [], 1.0) == []
+    with pytest.raises(ValueError):
+        invert_series_many(geometric_series_evaluator(), [], 0.0)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        power_series_evaluator(2, 2),
+        power_series_evaluator(1, 3),
+        indicator_series_evaluator(2),
+        geometric_series_evaluator(),
+    ],
+    ids=lambda F: F.label,
+)
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_invert_one_n_is_its_entry_of_many(F, t):
+    # each evaluator's value at a point is a function of the point alone, so
+    # an N inverted with others keeps the bits it has alone, wherever it sits
+    Ns = [-3, 7, 32, 162, 5]
+    for ev_many, N in zip(invert_series_many(F, Ns, t), Ns):
+        ev = invert_series(F, N, t)
+        assert (ev.value, ev.error_estimate) == (ev_many.value, ev_many.error_estimate), N
 
 
 def test_invert_determinism():
