@@ -193,6 +193,7 @@ def sum_diff_bruteforce(
 
 
 _BLOCK_TAIL_MODEL = 50.0  # empirical prefactor for the r^-3.5 block tail
+_A_GRID_LEN = 1600  # the a-terms of the unit forms' closed heads
 
 
 def _block_tail(tables, w, scale, r_len) -> np.ndarray:
@@ -320,7 +321,7 @@ def _divisor_pair_bruteforce(g: WeightSpec, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> Evaluation:
+def _unit_value(inst: DiophantineInstance, t: float) -> Evaluation:
     check_analytic_t(t)
     N, d, k = inst.N, inst.d, inst.k
     sech_coeff = math.sinh(pi * t) / (8.0 * math.sqrt(k) * t)
@@ -340,7 +341,7 @@ def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> 
         r_p = N + max(3000, int(12000 / t))
         tail = sech_coeff * 4.0 * 1.27 / (d * d * a_cut**3)
         tail += 5e-4 / (t * math.sqrt(d) * (r_p + 40.0 * N))
-    a = np.arange(1, a_grid_len + 1, dtype=np.int64)
+    a = np.arange(1, _A_GRID_LEN + 1, dtype=np.int64)
     head, exp_part = _closed_heads(N - s * d * a * a, k, t)
     R = max(d * a_cut * a_cut + _sech_half_width(t) + 1, r_p)
     g, guarded = _g_grid(-R - N, R - N, t, k)
@@ -359,8 +360,8 @@ def _unit_value(inst: DiophantineInstance, t: float, a_grid_len: int = 1600) -> 
         p_sum += float(np.dot(g[R + lo : R + lo + len(r)], acc))
     p_val = -t * math.sinh(pi * t) / (2.0 * math.sqrt(k) * pi) * p_sum
     value = float(np.sum(head)) + float(np.sum(exp_part)) + sech_val + p_val
-    est = tail + 1.0 / (2.0 * d * d * a_grid_len**3) + 1e-12  # + the head's a-tail
-    return Evaluation(value, est, {"a_terms": a_grid_len}, bool(guarded.any()))
+    est = tail + 1.0 / (2.0 * d * d * _A_GRID_LEN**3) + 1e-12  # + the head's a-tail
+    return Evaluation(value, est, {"a_terms": _A_GRID_LEN}, bool(guarded.any()))
 
 
 def unit_sum_squares(inst: DiophantineInstance, t: float = 1.0) -> Evaluation:

@@ -20,14 +20,15 @@ The whole expression equals q_k(y)/y^2 for y >= 1 and 0 for y <= 0, for
 every t > 0.
 
 ``BlockTables`` is the one block engine, a fixed contraction plan keyed on
-(k, t).  It sets up the grid g[M - lo] = G(M), M = lo..hi, and
-Js[Q + q] = (-1)^q J(|q|), which carries the (-1)^(M+y), once (views of the
-held tables where those cover them), and contracts them into the G-parts of
-many blocks (the products next to each J peak M = -y summed by
-``math.fsum``, the rest tile by tile).  A block's window is lo <= M <= hi:
-the driver sets lo and a cap on hi, and the engine cuts hi lower where a
-closed bound of the rest is below one rounding of the block's head and
-exp-series (``_cut_windows``), and reports that bound.  ``evaluate``
+(k, t).  It sets up the grid g[M - lo] = G(M), M = lo..hi, and Js[Q + q] =
+S(|q|), the signed ``j_values`` table S(q) = (-1)^q J(q) and its mirror,
+which carry the (-1)^(M+y), once (views of the held tables where those
+cover them), and contracts them into the G-parts of many blocks (the
+products next to each J peak M = -y summed by ``math.fsum``, the rest tile
+by tile).  A block's window is lo <= M <= hi: the driver sets lo and a cap
+on hi, and the engine cuts hi lower where a closed bound of the rest is
+below one rounding of the block's head and exp-series (``_cut_windows``);
+the window carries that bound.  ``evaluate``
 assembles head + exp-series + G-part for an array of blocks; no other code
 assembles a block.  ``weighted_blocks`` is the one function that forms a
 weighted sum of blocks, sum_i w_i block(N + c_i), and its estimate; it alone
@@ -179,10 +180,9 @@ def _held(name: str, key, lo: int, hi: int, build) -> list:
 
 
 def _two_sided_j(Q: int, t: float) -> tuple[np.ndarray]:
-    """(Js,): the signed J table Js[Q + m] = (-1)^m J(|m|), m = -Q..Q."""
+    """(Js,): Js[Q + m] = (-1)^m J(|m|), m = -Q..Q, the signed ``j_values`` table and its mirror."""
     Js = np.empty(2 * Q + 1)
     j_values(Q, t, out=Js[Q:])
-    Js[Q + 1 :: 2] *= -1.0
     Js[:Q] = Js[:Q:-1]
     return (Js,)
 
@@ -210,8 +210,8 @@ def _sech_parts(g: np.ndarray, R: int, centres, t: float) -> tuple[np.ndarray, n
 
 @functools.lru_cache(maxsize=8)
 def _j_far_coeffs(t: float) -> tuple[float, float]:
-    """(a2, a4) with |J(q)| <= a2/q^2 + a4/q^4 + e^(-pi q/(2t))/t for q >= 1,
-    J as ``j_values`` computes it.  J's series P(q) = sum_n c_n/(q^2 + t^2 n^2)
+    """(a2, a4) with |S(q)| = |J(q)| <= a2/q^2 + a4/q^4 + e^(-pi q/(2t))/t for q >= 1,
+    S as ``j_values`` computes it.  J's series P(q) = sum_n c_n/(q^2 + t^2 n^2)
     is mu0/q^2 minus sum_n c_n t^2 n^2/(q^2 (q^2 + t^2 n^2)), mu0 = sum_n c_n,
     and its sum of n terms rounds by at most (n + 4) u sum_n |c_n|/q^2."""
     n, c = (w.tolist() for w in _p_weights(t))
@@ -254,12 +254,13 @@ def _positive_tails(k: int, t: float, m: np.ndarray, y: np.ndarray) -> tuple[np.
     return s_gj, 0.4 * g + g_eps
 
 
-def _positive_cuts(k: int, t: float, y: np.ndarray, hi: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """The last M of each block's window: m >= max(1, _NEAR - y), past G's
-    peak M = 0 and J's near range, solved in closed form so that
-    coeff * S_GJ(m) (``_positive_tails``) is at most ``floor``; hi where
-    that m is not below hi, where y <= 0, or where a check of the whole
-    bound at m fails.
+def _positive_cuts(k: int, t: float, y: np.ndarray, hi: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(m, coeff * S_GJ(m), S_G(m)) of each cut block (``_positive_tails``),
+    (hi, 0, 0) of the others.  m, the last M of its window, is at least
+    max(1, _NEAR - y), past G's peak M = 0 and J's near range, solved in
+    closed form so that coeff * S_GJ(m) is at most ``floor``; a block is
+    uncut where that m is not below hi, where y <= 0, or where a check of
+    the whole bound at m fails.
 
     For y > 0 the main part of coeff S_GJ, its g j_far/(5/2 + 2 theta) part
     with a4 = 0, is K floor/(m^(5/2) (m + y) (9m/2 + 5y/2)), K = coeff 5t
@@ -277,21 +278,27 @@ def _positive_cuts(k: int, t: float, y: np.ndarray, hi: np.ndarray, floor: np.nd
     # raised to the near range and M = 1, then clipped to hi
     m = np.minimum(np.maximum(np.where(yf > 0, m, np.inf), np.maximum(1, _NEAR - y)), hi)
     m = np.ceil(m).astype(np.int64)
+    bound, g_tail = np.zeros(y.size), np.zeros(y.size)
     i = np.flatnonzero(m < hi)
-    if i.size:
-        held = coeff * _positive_tails(k, t, m[i].astype(float), yf[i])[0] <= floor[i]
-        m[i[~held]] = hi[i[~held]]
-    return m
+    s_gj, s_g = _positive_tails(k, t, m[i].astype(float), yf[i])
+    s_gj *= coeff
+    held = s_gj <= floor[i]
+    m[i[~held]] = hi[i[~held]]
+    bound[i[held]], g_tail[i[held]] = s_gj[held], s_g[held]
+    return m, bound, g_tail
 
 
 class Windows(NamedTuple):
     """The window lo <= M <= hi of each block's G-series, y its argument and
-    hi the engine's closed-form cut (``_positive_cuts``), and the closed
-    parts of each block, from ``_cut_windows``."""
+    hi the engine's closed-form cut (``_positive_cuts``) with the bounds of
+    what it drops, coeff * sum_{M > hi} |G(M) J(M + y)| and sum_{M > hi} |G(M)|
+    (0 where uncut), and the closed parts of each block, from ``_cut_windows``."""
 
     y: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    bound: np.ndarray
+    g_tail: np.ndarray
     head: np.ndarray
     exp_part: np.ndarray
 
@@ -308,7 +315,7 @@ def _cut_windows(k: int, t: float, y, lo, hi) -> Windows:
     one rounding of the block's head and exp-series, u (|head| + |exp-series|)."""
     y, lo, hi = (np.asarray(a, dtype=np.int64) for a in (y, lo, hi))
     head, exp_part = _closed_heads(y, k, t)
-    return Windows(y, lo, _positive_cuts(k, t, y, hi, _U * (np.abs(head) + np.abs(exp_part))), head, exp_part)
+    return Windows(y, lo, *_positive_cuts(k, t, y, hi, _U * (np.abs(head) + np.abs(exp_part))), head, exp_part)
 
 
 class BlockTables:
@@ -318,7 +325,7 @@ class BlockTables:
     A fixed contraction plan: g[M - lo] = G(M), M = lo..hi, and
     Js[Q + q] = (-1)^q J(|q|), q = -Q..Q, Q = q_len, are set up once and
     serve every block; ``weighted_blocks`` sizes them to its windows,
-    ``BlockTables(k, t, *w.extent).evaluate(w, cap)``.  They are read-only
+    ``BlockTables(k, t, *w.extent).evaluate(w)``.  They are read-only
     views of the held tables (``_held``) where those cover them: the last G
     grid per (k, t) and the last J table per t.  Otherwise they are built,
     bit for bit the same, and become the held ones.
@@ -367,33 +374,23 @@ class BlockTables:
                         acc[i] += np.dot(g[u - g0 : v - g0], Js[Q + yi + u : Q + yi + v])
         return self.coeff * np.array(acc)
 
-    def evaluate(self, w: Windows, cap) -> tuple[np.ndarray, ...]:
-        """(value, head, exp-series, scale, bound) of each block of ``w``, its
-        G-part contracted by ``_gparts`` over the window lo <= M <= hi.
+    def evaluate(self, w: Windows) -> tuple[np.ndarray, np.ndarray]:
+        """(value, scale) of each block of ``w``, its G-part contracted by
+        ``_gparts`` over the window lo <= M <= hi.
 
         value = head + exp-series + G-part; head is the closed head U(y).
-        cap is each window's end before the cut: where hi < cap,
-        bound >= coeff * sum_{M > hi} |G(M) J(M + y)| bounds what the cut
-        drops, and elsewhere bound is 0; a driver adds |w| * bound to its
-        estimate.  scale = |head| + |exp-series| + coeff * ||g window||_1 *
+        scale = |head| + |exp-series| + coeff * (||g window||_1 + g_tail) *
         J(0), the window's norm plus, where it was cut, the bound of the
         rest, bounds the magnitude of every term summed, so eps * scale
         bounds the block's rounding.
         """
-        y, lo, hi, head, exp_part = w
-        g = self._gparts(y, lo, hi)
-        a, b = int(lo.min()), int(hi.max())
+        g = self._gparts(w.y, w.lo, w.hi)
+        a, b = int(w.lo.min()), int(w.hi.max())
         cum = np.zeros(b - a + 2)  # one array: at sigma(600) a window takes 3 MB
         np.cumsum(np.abs(self.g[a - self.lo : b - self.lo + 1], out=cum[1:]), out=cum[1:])
-        g_norm = cum[hi - a + 1] - cum[lo - a]
-        bound = np.zeros(y.size)
-        cut = np.flatnonzero(hi < cap)
-        if cut.size:
-            bound[cut], g_tail = _positive_tails(self.k, self.t, hi[cut].astype(float), y[cut].astype(float))
-            bound *= self.coeff
-            g_norm[cut] += g_tail
-        scale = np.abs(head) + np.abs(exp_part) + self.coeff * g_norm * self.Js[self.Q]
-        return head + exp_part + g, head, exp_part, scale, bound
+        g_norm = cum[w.hi - a + 1] - cum[w.lo - a] + w.g_tail
+        scale = np.abs(w.head) + np.abs(w.exp_part) + self.coeff * g_norm * self.Js[self.Q]
+        return w.head + w.exp_part + g, scale
 
 
 def _default_r_len(N: int, c, t: float):
@@ -421,13 +418,12 @@ def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> 
         return Evaluation(0.0, 0.0, {"blocks": 0}, False)
     r_len = np.empty_like(c)
     r_len[:] = _default_r_len(N, c, t) if r_lens is None else r_lens
-    cap = r_len - N
-    w = _cut_windows(k, t, N + c, -r_len - N, cap)
+    w = _cut_windows(k, t, N + c, -r_len - N, r_len - N)
     tables = BlockTables(k, t, *w.extent)
-    value, _, _, scale, bound = tables.evaluate(w, cap)
+    value, scale = tables.evaluate(w)
     return Evaluation(
         math.fsum(map(operator.mul, weights, value.tolist())),
-        math.fsum(map(operator.mul, map(abs, weights), (tail(tables, w, scale, r_len) + bound).tolist())),
+        math.fsum(map(operator.mul, map(abs, weights), (tail(tables, w, scale, r_len) + w.bound).tolist())),
         {"blocks": c.size, "r_terms": -tables.lo - N},
         bool(tables.guarded[-tables.lo - w.y].any()),
     )
@@ -436,7 +432,7 @@ def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> 
 def block_value(tables: BlockTables, y: int, lo: int, hi: int) -> float:
     """The block at argument y over ``tables``, its window lo <= M <= hi cut
     by the engine: q_k(y)/y^2 for y >= 1, and 0 for y <= 0."""
-    return float(tables.evaluate(_cut_windows(tables.k, tables.t, [y], [lo], [hi]), hi)[0][0])
+    return float(tables.evaluate(_cut_windows(tables.k, tables.t, [y], [lo], [hi]))[0][0])
 
 
 def _q_tail(tables: BlockTables, w: Windows, scale, r_len) -> float:

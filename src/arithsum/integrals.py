@@ -11,7 +11,7 @@ for I and K and (-1)^m n e^(-pi t n), n = 2m+1, for J.  Each grid omits
 only weights below WEIGHT_TOL = 1e-18 of its leading one, with no cap.
 ``exp_series_sums`` (I and K) and ``p_values`` (J) are the one elementwise
 implementation of each series; ``integral_i``, ``integral_k`` and
-``integral_j`` are one-element calls of them.
+``integral_j`` are one-element calls of them; ``j_values`` is signed, (-1)^q J.
 ``quadrature_oracle`` integrates the defining integrands directly with
 adaptive Gauss-Legendre quadrature so the closed forms are
 machine-checkable.  Every entry takes any finite t >= T_MIN (``kernels.check_t``).
@@ -62,11 +62,8 @@ def cosh_over_sinh2(x: float) -> float:
 
 
 def coth(x: float) -> float:
-    """coth(x) for x != 0."""
-    ax = abs(x)
-    if ax <= GUARD_THRESHOLD:
-        return 1.0 / math.tanh(x)
-    return math.copysign(1.0, x)
+    """coth(x) for x != 0; tanh rounds to +-1 from |x| ~ 19.1, so it needs no guard."""
+    return 1.0 / math.tanh(x)
 
 
 def csch_values(x: np.ndarray) -> np.ndarray:
@@ -174,17 +171,18 @@ def p_values(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) ->
 
 
 def _j(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """J(q, t) = sech(pi q/(2t))/(2t) + (-1)^(q-1) (2t/pi) P(q), elementwise
-    over consecutive integers q = q0, q0 + 1, ... >= 0; ``weights`` as in
-    ``p_values``.  The head is added only below q_s = ceil(746 * 2t/pi): exp(-x)
-    is +0 for x > 745.14, so from q_s on the head is +0, and +0 + y = y for the
-    nonzero y = +-(2t/pi) P(q), P > 0."""
+    """S(q) = (-1)^q J(q, t) = (-1)^q sech(pi q/(2t))/(2t) - (2t/pi) P(q),
+    elementwise over consecutive integers q = q0, q0 + 1, ... >= 0; ``weights``
+    as in ``p_values``.  Only the sech head alternates, and it is added only
+    below q_s = ceil(746 * 2t/pi): exp(-x) is +0 for x > 745.14, so from q_s on
+    the head is +-0, and +-0 + y = y for the nonzero y = -(2t/pi) P(q), P > 0."""
     q0 = int(q[0])
-    out = p_values(q, t, weights) * (2.0 * t / math.pi)
-    out[q0 % 2 :: 2] *= -1.0  # (-1)^(q-1)
+    out = p_values(q, t, weights) * (-2.0 * t / math.pi)
     m = min(max(math.ceil(746.0 * 2.0 * t / math.pi) - q0, 0), q.size)
     if m:
-        out[:m] += sech_values(math.pi * q[:m] / (2.0 * t)) / (2.0 * t)
+        head = sech_values(math.pi * q[:m] / (2.0 * t)) / (2.0 * t)
+        head[1 - q0 % 2 :: 2] *= -1.0  # (-1)^q
+        out[:m] += head
     return out
 
 
@@ -241,24 +239,24 @@ def integral_k(q: int, t: float) -> IntegralValue:
 
 
 def integral_j(q: int, t: float) -> IntegralValue:
-    """Closed form of int_0^1 cos(pi q b)/cosh(pi b t) db; even in q: the
-    entry |q| of ``j_values``."""
+    """Closed form of int_0^1 cos(pi q b)/cosh(pi b t) db; even in q:
+    (-1)^q times the entry |q| of ``j_values``."""
     check_t(t)
     q = abs(int(q))
     n, c = _p_weights(t)
-    n1 = n[-1] + 2.0
+    n1 = float(n[-1]) + 2.0
     est = 2.0 * t / math.pi * n1 * math.exp(-math.pi * t * n1) / (t * t * n1 * n1 + float(q) * q)
     x = math.pi * q / (2.0 * t)
     terms = 2.0 * t / math.pi * c / (t * t * n * n + float(q) * q)
     est += _rounding([sech(x) / (2.0 * t)], [x], terms, math.pi * t * n)
-    return IntegralValue(float(_j(np.array([q]), t, (n, c))[0]), n.size, est)
+    return IntegralValue((-1) ** q * float(_j(np.array([q]), t, (n, c))[0]), n.size, est)
 
 
 def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarray:
-    """J(q, t) for q = 0..q_max, in _j calls of TABLE_CHUNK entries or, for
-    more than 15 weights, up to four times that, into ``out`` (q_max + 1
-    doubles) if given.  The sech head is computed only for q below
-    q_s = ceil(746 * 2t/pi); from q_s on it is +0 (``_j``).
+    """S(q) = (-1)^q J(q, t), the form in which every series reads J, for q = 0..q_max,
+    in _j calls of TABLE_CHUNK entries or, for more than 15 weights, up to four
+    times that, into ``out`` (q_max + 1 doubles) if given.  The sech head is
+    computed only for q below q_s = ceil(746 * 2t/pi); from q_s on it is +0.
 
     The series drivers index this table by |r +- c|, so it is built once
     per evaluation context rather than per call.

@@ -15,9 +15,9 @@ nearly equal values), so an evaluator returns Im F alone:
 ``evaluate(x, t)`` maps an array of real points x to the real array
 Im F(x + it).  ``invert_series_many`` samples it once, on the union of
 the 2L+1 points of every N it inverts, in ascending order, and sums each
-folded r-series pairwise; ``invert_series`` is its one-N case, and no N
-gives [].  The length L is the one inversion rule; there is no stopping
-rule to tune.  It serves T_MIN <= t <= T_MAX, and ``lemma4_residual``,
+folded r-series, weighted by the signed table (-1)^r J(r) of ``j_values``,
+pairwise; ``invert_series`` is its one-N case, and no N gives [].  The
+length L is the one inversion rule; there is no stopping rule to tune.  It serves T_MIN <= t <= T_MAX, and ``lemma4_residual``,
 which is even in t, T_MIN <= |t| <= T_MAX.
 
 ``lemma4_residual`` checks the phase-weighted form of the identity.  At
@@ -109,10 +109,10 @@ def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
 
     Each N reads its 2L+1 points -N +- r + it, r = 0..L, with
     L = |N| + max(2500, 1200/t), from one call of F over the union of the
-    points, x = lo..hi in ascending order, and its J(r) from one table.
-    The two sides are folded before the products with J(r) are summed
-    pairwise.  The estimate is the tail model 20/L^2 plus the
-    sinh(pi t)/pi-amplified rounding of that sum,
+    points, x = lo..hi in ascending order, and its (-1)^r J(r) from one
+    signed table.  The two sides are folded before the products with
+    (-1)^r J(r) are summed pairwise.  The estimate is the tail model 20/L^2
+    plus the sinh(pi t)/pi-amplified rounding of that sum,
     eps (ceil(log2 L) + 2) sum |terms|.
     """
     check_analytic_t(t)
@@ -123,14 +123,13 @@ def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
     hi = max(L - N for N, L in zip(Ns, Ls))
     lo = min(-L - N for N, L in zip(Ns, Ls))
     im = F.evaluate(np.arange(lo, hi + 1, dtype=float), t)
-    J = j_values(max(Ls), t)
+    S = j_values(max(Ls), t)
     scale = math.sinh(math.pi * t) / math.pi
     out = []
     for N, L in zip(Ns, Ls):
         x0 = -N - lo  # the index of x = -N
-        terms = (im[x0 + 1 : x0 + L + 1] + im[x0 - L : x0][::-1]) * J[1 : L + 1]
-        terms[::2] *= -1.0  # (-1)^r
-        head = float(im[x0] * J[0])
+        terms = (im[x0 + 1 : x0 + L + 1] + im[x0 - L : x0][::-1]) * S[1 : L + 1]
+        head = float(im[x0] * S[0])
         rounding = np.finfo(float).eps * (math.ceil(math.log2(L)) + 2) * scale
         est = 20.0 / L**2 + rounding * (abs(head) + float(np.sum(np.abs(terms))))
         out.append(Evaluation(-scale * (head + float(np.sum(terms))), float(est), {"r_terms": L}))
@@ -187,9 +186,11 @@ def lemma4_residual(
     k_max = max(20000, 4 n_terms) by default and ends with a two-point
     average to damp the alternating error term.
 
-    Raises ValueError for |beta| > 1, for |t| outside [T_MIN, T_MAX] and for a
-    k_max below n_terms + 32 at beta in {-1, 0, 1}; it is even in t.
+    Raises ValueError for n_terms < 1, |beta| > 1, |t| outside [T_MIN, T_MAX]
+    and a k_max below n_terms + 32 at beta in {-1, 0, 1}; it is even in t.
     """
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     if abs(beta) > 1.0:
         raise ValueError(f"|beta| must not exceed 1, got {beta}")
     check_analytic_t(abs(t))

@@ -139,13 +139,15 @@ def test_partial_fraction_identities():
 
 
 def test_j_values_table_matches_scalar():
-    # integral_j is the table's code on one element, so the two agree bit
-    # for bit; I is exactly odd in q, and K and J exactly even
+    # integral_j is the signed table's code on one element with its sign
+    # (-1)^q restored, so the two agree bit for bit; I is exactly odd in q,
+    # and K and J exactly even
     for t in (0.003, 0.1, 0.5, 1.0, 2.0, 4.6, 8.0):
         table = j_values(80, t)
         for q in range(81):
-            assert integral_j(q, t).value == table[q], (q, t)
-            assert integral_j(-q, t).value == table[q], (q, t)
+            sign = -1.0 if q % 2 else 1.0
+            assert integral_j(q, t).value == sign * table[q], (q, t)
+            assert integral_j(-q, t).value == sign * table[q], (q, t)
             assert integral_i(-q, t).value == -integral_i(q, t).value, (q, t)
             assert integral_k(-q, t).value == integral_k(q, t).value, (q, t)
 
@@ -161,11 +163,13 @@ def _full_head_j(Q, t):
 @pytest.mark.parametrize("t", [0.1, 0.37, 1.0, 6.9, 8.0, T_MAX])
 def test_j_table_skips_only_the_head_that_is_zero(t):
     # past q_s = ceil(746 * 2t/pi) the head sech(pi q/(2t)) is +0, so the table
-    # leaves it out there; J keeps the full-head bits on both sides of q_s
+    # leaves it out there; the signed table (-1)^q J keeps the full-head bits
+    # on both sides of q_s
     qs = math.ceil(746.0 * 2.0 * t / math.pi)
     for Q in (qs - 1, qs, qs + 1, 4 * qs):
         want = _full_head_j(Q, t)
-        assert np.array_equal(j_values(Q, t).view(np.int64), want.view(np.int64)), (t, Q)
+        sign = np.where(np.arange(Q + 1) % 2, -1.0, 1.0)
+        assert np.array_equal((sign * j_values(Q, t)).view(np.int64), want.view(np.int64)), (t, Q)
         m = np.arange(-Q, Q + 1)
         signed = np.where(m % 2, -1.0, 1.0) * want[np.abs(m)]
         assert np.array_equal(_two_sided_j(Q, t)[0].view(np.int64), signed.view(np.int64)), (t, Q)
@@ -175,10 +179,11 @@ def test_j_table_skips_only_the_head_that_is_zero(t):
 
 @pytest.mark.parametrize("t", [0.001, 0.002, 0.003])
 def test_j_values_at_small_t_match_quadrature(t):
-    # P's grid holds about 8,100 weights at t = 0.001, with no cap
+    # P's grid holds about 8,100 weights at t = 0.001, with no cap; the
+    # table is signed, (-1)^q J(q)
     table = j_values(40, t)
     for q in range(41):
-        assert abs(table[q] - quadrature_oracle("J", q, t, 1e-12)) <= 1e-12, q
+        assert abs((-1) ** q * table[q] - quadrature_oracle("J", q, t, 1e-12)) <= 1e-12, q
 
 
 def _mp_integral(f, q):
@@ -198,7 +203,7 @@ def test_j_at_large_t_matches_mpmath(t):
     T = mpmath.mpf(t)
     for q in (50, 200):
         want = _mp_integral(lambda b: mpmath.cos(mpmath.pi * q * b) / mpmath.cosh(mpmath.pi * b * T), q)
-        assert abs(j_values(q, t)[q] - want) <= 1e-14 * abs(want), q
+        assert abs((-1) ** q * j_values(q, t)[q] - want) <= 1e-14 * abs(want), q
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 3.0, 8.0])
@@ -240,6 +245,12 @@ def test_series_lengths_reported():
     assert ev.series_terms_used >= 1
     ev = integral_i(0, 1.0)
     assert ev.series_terms_used == 0
+    # Python floats, not numpy scalars, from all three closed forms
+    for f in (integral_i, integral_k, integral_j):
+        for q in (0, 3, 8):
+            ev = f(q, 1.0)
+            assert type(ev.value) is float and type(ev.error_estimate) is float, (f.__name__, q)
+            assert type(ev.series_terms_used) is int, (f.__name__, q)
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 3.0, 8.0])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from arithsum.integrals import (
     cosh_over_sinh2,
     cosh_over_sinh2_values,
+    coth,
     csch,
     csch_values,
     sech,
@@ -190,6 +191,18 @@ def test_hyperbolic_heads_match_mpmath():
         for x, got_v, w in zip(xs, vector(np.array(xs)), want):
             assert abs(got_v - w) <= 1e-14 * abs(w), (vector.__name__, x)
             assert abs(scalar(x) - w) <= 1e-14 * abs(w), (scalar.__name__, x)
+    with mpmath.workdps(30):
+        for x in xs:
+            w = float(mpmath.coth(mpmath.mpf(x)))
+            assert abs(coth(x) - w) <= 1e-14 * abs(w), x
+    # coth has no guard: tanh rounds to +-1 from |x| ~ 19.1 on, so 1/tanh(x)
+    # has the bits of the guarded form, +-1 past GUARD_THRESHOLD, everywhere
+    big = np.logspace(-300.0, 300.0, 20000)
+    grid = np.concatenate((np.linspace(-40.0, 40.0, 200001), big, -big, [math.inf, -math.inf]))
+    grid = grid[grid != 0.0].tolist()
+    guarded = [1.0 / math.tanh(x) if abs(x) <= GUARD_THRESHOLD else math.copysign(1.0, x) for x in grid]
+    assert [coth(x) for x in grid] == guarded
+    assert math.isnan(coth(math.nan))
 
 
 def test_scalar_forms_return_the_elementwise_bits():

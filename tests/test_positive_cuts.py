@@ -97,7 +97,7 @@ def test_dropped_tail_is_within_its_bound(case):
     N, k, t, shifts, r_lens = case
     w, cap = _windows(*case)
     tables = _full_tables(w, cap, k, t)
-    _, head, exp_part, _, bound = tables.evaluate(w, cap)
+    head, exp_part, bound = w.head, w.exp_part, w.bound
     g, Js, g0, Q = np.abs(tables.g), np.abs(tables.Js), tables.lo, tables.Q
     best = _smallest_cuts(k, t, w, cap, U * (np.abs(head) + np.abs(exp_part)))
     for i in range(w.y.size):
@@ -147,17 +147,20 @@ def test_every_cut_holds_its_bound(monkeypatch):
     def check(N, k, t, shifts):
         y, L, floor = (np.array(v) for v in zip(*shifts))
         hi = L - N
-        m = indicators._positive_cuts(k, t, y, hi, floor)
+        m, bound, g_tail = indicators._positive_cuts(k, t, y, hi, floor)
         with monkeypatch.context() as mp:
             mp.setattr(indicators, "_positive_tails", lambda k, t, m, y: (np.zeros_like(m), np.zeros_like(m)))
-            closed = indicators._positive_cuts(k, t, y, hi, floor)
+            closed = indicators._positive_cuts(k, t, y, hi, floor)[0]
         assert (m <= hi).all()
         cut = m < hi
         assert (m[cut] == closed[cut]).all()
         assert (m[cut] >= np.maximum(1, indicators._NEAR - y[cut])).all()
         coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
-        tails = real(k, t, m[cut].astype(float), y[cut].astype(float))[0]
+        tails, g_tails = real(k, t, m[cut].astype(float), y[cut].astype(float))
         assert (coeff * tails <= floor[cut]).all()
+        # each cut carries the bound it was decided by, and an uncut block none
+        assert np.array_equal(bound[cut], coeff * tails) and np.array_equal(g_tail[cut], g_tails)
+        assert not bound[~cut].any() and not g_tail[~cut].any()
         unchecked.append(int(np.sum((closed < hi) & ~cut)))
 
     check()
@@ -171,7 +174,7 @@ def test_a_cut_keeps_the_near_range_and_no_more(t):
     # near range of J's peak M = -y, max(1, _NEAR - y); y <= 0 is uncut
     y = np.array([1, 10, 31, 32, 33, 100, 10**4, 0, -7])
     hi = np.full(y.size, 10**6)
-    m = indicators._positive_cuts(1, t, y, hi, np.ones(y.size))
+    m = indicators._positive_cuts(1, t, y, hi, np.ones(y.size))[0]
     assert m.tolist() == np.where(y > 0, np.maximum(1, indicators._NEAR - y), hi).tolist()
 
 
@@ -191,7 +194,7 @@ def test_cuts_warn_nothing_at_large_t(t):
     for N, d in ((5, 1), (97, 3)):
         w, cap = _windows(*_dsums_set(N, d, 2, t))
         assert (w.hi == cap).all()
-        BlockTables(2, t, *w.extent).evaluate(w, cap)
+        BlockTables(2, t, *w.extent).evaluate(w)
     assert math.isfinite(sigma_analytic(30, t).value)
 
 
@@ -219,10 +222,12 @@ def test_each_block_moves_by_at_most_its_bound(case):
     N, k, t, shifts, r_lens = case
     w, cap = _windows(*case)
     tables = _full_tables(w, cap, k, t)
-    value, head, exp_part, scale, bound = tables.evaluate(w, cap)
-    full_value, _, _, full_scale, full_bound = tables.evaluate(w._replace(hi=cap), cap)
-    assert not full_bound.any()
+    value, scale = tables.evaluate(w)
+    head, exp_part, bound = w.head, w.exp_part, w.bound
+    none = np.zeros(w.y.size)
+    full_value, full_scale = tables.evaluate(w._replace(hi=cap, bound=none, g_tail=none))
     uncut = w.hi == cap
+    assert not w.bound[uncut].any() and not w.g_tail[uncut].any()
     assert np.array_equal(value[uncut], full_value[uncut])  # the same bits
     assert np.array_equal(scale[uncut], full_scale[uncut])
     assert (scale >= full_scale).all()
@@ -238,7 +243,7 @@ def uncut(monkeypatch):
 
     def evaluate(*args):
         def no_cuts(k, t, y, hi, floor):
-            return hi.copy()
+            return hi.copy(), np.zeros(hi.size), np.zeros(hi.size)
 
         with monkeypatch.context() as m:
             m.setattr(indicators, "_positive_cuts", no_cuts)

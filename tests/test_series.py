@@ -211,6 +211,11 @@ def test_lemma4_domain():
         lemma4_residual(lambda n: 0.0, 1.5, 1.0, 10)
     with pytest.raises(ValueError):
         lemma4_residual(lambda n: 0.0, 0.0, 0.0, 10)
+    # no coefficient at all: -3 reached numpy's window_shape error, and 0 gave 0.0
+    for n_terms in (-3, 0):
+        for beta in (0.0, 0.5):
+            with pytest.raises(ValueError, match="n_terms"):
+                lemma4_residual(lambda n: 1.0, beta, 1.0, n_terms)
 
 
 def test_self_consistency_examples():

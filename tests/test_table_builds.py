@@ -21,8 +21,9 @@ def _bits(x):
 @pytest.mark.parametrize("size", ["below", "exact", "several"])
 def test_chunked_builds_equal_one_unchunked_call(monkeypatch, chunk, size):
     # an odd chunk moves the parity of M from chunk to chunk, and only an
-    # odd chunk can hold the odd grid g exactly.  The two-sided J table
-    # carries (-1)^m, whatever the parity of Q
+    # odd chunk can hold the odd grid g exactly.  The J table is signed,
+    # (-1)^q J(q), and the two-sided one carries (-1)^m, whatever the parity
+    # of Q
     monkeypatch.setattr(indicators, "TABLE_CHUNK", chunk)
     monkeypatch.setattr(integrals, "TABLE_CHUNK", chunk)
     n = {"below": chunk - 2, "exact": chunk, "several": 3 * chunk + chunk // 3}[size]
@@ -33,8 +34,9 @@ def test_chunked_builds_equal_one_unchunked_call(monkeypatch, chunk, size):
     assert np.array_equal(guarded, want_guarded)
     js = _j(np.arange(n), t, _p_weights(t))
     assert np.array_equal(_bits(j_values(n - 1, t)), _bits(js))
+    j = np.where(np.arange(n) % 2, -1.0, 1.0) * js  # J(q) = (-1)^q S(q)
     m = np.arange(-R, R + 1)
-    assert np.array_equal(_bits(_two_sided_j(R, t)[0]), _bits(np.where(m % 2, -1.0, 1.0) * js[np.abs(m)]))
+    assert np.array_equal(_bits(_two_sided_j(R, t)[0]), _bits(np.where(m % 2, -1.0, 1.0) * j[np.abs(m)]))
 
 
 def _peak_bytes(f):

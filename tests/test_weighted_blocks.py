@@ -118,7 +118,8 @@ def test_value_and_estimate_are_the_fsums_of_the_blocks():
     L = np.array(r_lens)
     tables = BlockTables(k, t, -r_max - N, r_max - N, r_max + max(map(abs, shifts)))
     w = _cut_windows(k, t, N + np.array(shifts), -L - N, L - N)
-    values, _, _, _, bounds = tables.evaluate(w, L - N)
+    values, _ = tables.evaluate(w)
+    bounds = w.bound
     assert ev.value == math.fsum(w * v for w, v in zip(weights, values.tolist()))
     assert ev.error_estimate == math.fsum(
         abs(w) * (50.0 * r**-3.5 + b) for w, r, b in zip(weights, r_lens, bounds.tolist())
@@ -210,23 +211,74 @@ def test_the_engine_takes_no_base():
     init = next(f for f in classes["BlockTables"].body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
     for f in (init, functions["_cut_windows"], functions["_positive_cuts"]):
         assert "N" not in [a.arg for a in f.args.args], f.name
-    assert indicators.Windows._fields == ("y", "lo", "hi", "head", "exp_part")
+    assert indicators.Windows._fields == ("y", "lo", "hi", "bound", "g_tail", "head", "exp_part")
+
+
+def test_each_cut_is_decided_once(monkeypatch):
+    # _positive_cuts decides each cut and its bound; the window carries both,
+    # so the engine takes no cap and evaluates no tail again
+    assert _functions_that(_calls("_positive_tails")) == [("indicators.py", "_positive_cuts")]
+    calls = []
+    real = indicators._positive_tails
+    monkeypatch.setattr(indicators, "_positive_tails", lambda *args: calls.append(args) or real(*args))
+    sigma_analytic(300, 1.0)  # every one of its blocks is cut
+    assert len(calls) == 1
+    tree = ast.parse((SRC / "indicators.py").read_text())
+    (tables,) = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "BlockTables"]
+    (evaluate,) = [f for f in tables.body if isinstance(f, ast.FunctionDef) and f.name == "evaluate"]
+    assert [a.arg for a in evaluate.args.args] == ["self", "w"]
+    assert not evaluate.args.vararg and not evaluate.args.kwonlyargs and not evaluate.args.kwarg
+
+
+def _strided_negations(path):
+    """The functions of path with an x[a:b:c] *= -1.0."""
+    found = []
+    for f in ast.walk(ast.parse(path.read_text())):
+        if isinstance(f, ast.FunctionDef):
+            for n in ast.walk(f):
+                if (
+                    isinstance(n, ast.AugAssign)
+                    and isinstance(n.op, ast.Mult)
+                    and isinstance(n.target, ast.Subscript)
+                    and isinstance(n.target.slice, ast.Slice)
+                    and n.target.slice.step is not None
+                    and isinstance(n.value, ast.UnaryOp)
+                    and isinstance(n.value.op, ast.USub)
+                    and isinstance(n.value.operand, ast.Constant)
+                    and n.value.operand.value == 1.0
+                ):
+                    found.append(f.name)
+    return found
+
+
+def test_the_j_sign_is_applied_once():
+    # j_values builds the signed table (-1)^q J(q); its readers only index
+    # or mirror it.  integrals._j's own pass is the one that signs J
+    assert not _strided_negations(SRC / "series.py")
+    assert not _strided_negations(SRC / "indicators.py")
+    assert "_j" in _strided_negations(SRC / "integrals.py")
 
 
 def _blocks_of(monkeypatch, call):
-    """(windows, caps, values) of the one BlockTables.evaluate inside call()."""
-    seen = []
-    real = BlockTables.evaluate
+    """(windows, caps, values) of the one weighted_blocks plan inside call():
+    the caps are the upper ends it asks _cut_windows for."""
+    caps, seen = [], []
+    real_cut, real_evaluate = indicators._cut_windows, BlockTables.evaluate
 
-    def spy(self, w, cap):
-        out = real(self, w, cap)
-        seen.append((w, cap, out[0]))
+    def cut(k, t, y, lo, hi):
+        caps.append(np.asarray(hi))
+        return real_cut(k, t, y, lo, hi)
+
+    def spy(self, w):
+        out = real_evaluate(self, w)
+        seen.append((w, out[0]))
         return out
 
     with monkeypatch.context() as m:
+        m.setattr(indicators, "_cut_windows", cut)
         m.setattr(BlockTables, "evaluate", spy)
         call()
-    ((w, cap, value),) = seen
+    (cap,), ((w, value),) = caps, seen
     return w, cap, value
 
 
