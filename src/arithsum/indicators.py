@@ -58,8 +58,9 @@ from .integrals import _p_weights, j_values, p_values, sech_values
 from .kernels import TABLE_CHUNK, _g, check_analytic_t
 from .series import Evaluation, SeriesEvaluator, invert_series
 
-# doubles of g per tile of the G-part contraction (512 KiB); a tile and
-# the Js range it meets, ~3 MB at sigma(600), fit a 4 MiB L2 cache
+# doubles of g per tile of the G-part contraction (512 KiB): a tile fits a
+# core's 2 MiB L2 cache, but with the Js range it meets, ~3 MB at
+# sigma(600), it does not
 _TILE = 1 << 16
 # the near products of a G-part, |r + c| <= _NEAR next to J's peak
 _NEAR = 32
@@ -523,6 +524,9 @@ def power_series_evaluator(k: int, s: int) -> SeriesEvaluator:
     value depends on (k, s, t, x) alone, not on the batch, its order or its
     blocking.
     Points go in blocks of TABLE_CHUNK, so the temporaries stay at 64 KiB.
+    The mask sits only on the passes above the block's smallest M: every
+    point keeps the terms up to it, which a plain add sums with the bits
+    that an all-true mask gives.
     """
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive integers")
@@ -536,13 +540,17 @@ def power_series_evaluator(k: int, s: int) -> SeriesEvaluator:
         for lo in range(0, x.size, TABLE_CHUNK):
             xb, cb, acc = (a[lo : lo + TABLE_CHUNK] for a in (x, cut, out))
             u, keep = np.empty(xb.size), np.empty(xb.size, dtype=bool)
+            every = int(cb.min())
             for m in range(int(cb.max()), 0, -1):
                 np.add(xb, float(k * m ** (2 * s)), out=u)
                 np.multiply(u, u, out=u)
                 np.add(u, y2, out=u)
                 np.divide(1.0 / (k * k * m ** (4 * s)), u, out=u)
-                np.greater_equal(cb, m, out=keep)
-                np.add(acc, u, out=acc, where=keep)
+                if m <= every:
+                    np.add(acc, u, out=acc)
+                else:
+                    np.greater_equal(cb, m, out=keep)
+                    np.add(acc, u, out=acc, where=keep)
         out *= -t
         return out
 

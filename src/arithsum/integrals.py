@@ -16,6 +16,22 @@ implementation of each series; ``integral_i``, ``integral_k`` and
 adaptive Gauss-Legendre quadrature so the closed forms are
 machine-checkable.  Every entry takes any finite t >= T_MIN (``kernels.check_t``).
 
+J has two forms, and ``_j`` is the one place that picks between them.
+Below q0 = max(32, ceil(2t n_max)), n_max the last n of P's grid, J reads
+the weight sum ``p_values``.  From q0 on it reads the moment expansion
+(Bender & Orszag 1978, ch. 6)
+
+    S(q) = (-1)^q J(q) = (-1)^q sech(pi q/(2t))/(2t)
+                         - (2t/pi) sum_j (-t^2)^j mu_j / q^(2j+2),
+
+with mu_j = -(d/dx)^(2j+1) [sech(x)/2] at x = pi t in closed form, summed
+by Horner's rule in 1/q^2 over as many moments as a derived remainder
+bound asks for each dyadic segment of q (``_j_far``).  A t whose first
+segment would need as many moments as P has weights (t above about 0.55)
+keeps the weight sum everywhere.  ``p_values`` itself stays the weight
+sum, so the oracles that read it (``indicators.q_shifted_analytic`` and
+the unit forms of ``dsums``) stay independent of the moment form.
+
 The hyperbolic heads csch, sech and cosh/sinh^2 each have one guarded
 implementation, elementwise over arrays (``csch_values``, ``sech_values``,
 ``cosh_over_sinh2_values``); the scalar forms call it on a one-element
@@ -27,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +51,10 @@ from .kernels import GUARD_THRESHOLD, TABLE_CHUNK, check_t
 
 WEIGHT_TOL = 1e-18
 _EPS = float(np.finfo(float).eps)
+# J's moment form starts at q0 = max(_FAR_Q0, ceil(2t n_max))
+_FAR_Q0 = 32
+# each segment's moments leave at most this much of its leading term
+_FAR_TOL = 2.0**-56
 
 
 @dataclass(frozen=True)
@@ -114,7 +135,10 @@ def _exp_series_terms(t: float) -> tuple[np.ndarray, np.ndarray]:
 def _p_weights(t: float) -> tuple[np.ndarray, np.ndarray]:
     """(n, c_n) with n = 2m+1 and c_n = (-1)^m n e^(-pi t n), the weights of P,
     read-only and kept for the last few t: the engine's tail bound and the J
-    table of one evaluation read the same weights.
+    table of one evaluation read the same weights.  J's table sums them only
+    below q0 = max(32, ceil(2t n_max)), or everywhere at a t whose moment
+    form would need as many terms as there are weights (``_j_far``); the
+    oracles' ``p_values`` sums them at every q.
 
     The omitted weights are below WEIGHT_TOL of the leading one, e^(-pi t):
     n e^(-pi t (n-1)) < WEIGHT_TOL.  With L = -ln WEIGHT_TOL, a = pi t and
@@ -170,18 +194,155 @@ def p_values(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) ->
     return out
 
 
+class _FarForm(NamedTuple):
+    """J's moment form at one t (``_j_far``).  From q0 on, the entries of
+    segment i (q in [q0, 2^b) for i = 0, then [2^(b+i-1), 2^(b+i)), b the
+    bit length of q0) sum the first m = counts[min(i, last)] coefficients
+    c_j = -(2t/pi) (-t^2)^j mu_j, each within errs[j] of its exact value,
+    and leave out at most |c_0| x ks[m - 1] x^m + e^(-pi q/(2t))/t, x = 1/q^2."""
+
+    q0: int
+    coeffs: tuple
+    errs: tuple
+    counts: tuple
+    ks: tuple
+
+
+@functools.cache
+def _sech_poly(p: int) -> tuple:
+    """R_p, with sech^(p)(x) = sech(x) R_p(tanh x), as its integer
+    coefficients, lowest power first: R_0 = 1 and
+    R_(p+1)(s) = -s R_p(s) + (1 - s^2) R_p'(s)."""
+    if p == 0:
+        return (1,)
+    r = _sech_poly(p - 1)
+    out = [0] * (len(r) + 1)
+    for k, c in enumerate(r):
+        out[k + 1] -= (k + 1) * c
+        if k:
+            out[k - 1] += k * c
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _j_far(t: float) -> _FarForm | None:
+    """J's moment form at t, or None where the weight sum stays.
+
+    The remainder.  J's integrand f(b) = sech(pi t b) is even, so
+    integration by parts gives the moment terms with the remainder
+    (-1)^m (pi q)^(-2m) int_0^1 cos(pi q b) f^(2m)(b) db, and two more steps
+    bound it by (pi q)^(-2m-2) (|f^(2m+1)(1)| + int_0^1 |f^(2m+2)|).  The
+    first part is the next term, (2t/pi) t^(2m) |mu_m|/q^(2m+2).  Cauchy's
+    estimate on a circle of radius (pi/2) p/(p+1), p = 2m + 2, inside sech's
+    strip |Im x| < pi/2, where |sech| <= 1/cos(Im x), bounds the second by
+    e (p+1)! (2t/(pi q))^p.  Over the leading term (2t/pi) mu_0/q^2 the two
+    are K_m/q^(2m).  The head, added or left out, is below e^(-pi q/(2t))/t,
+    whose share of the leading term falls with q from q0 on.
+
+    The counts.  A segment takes the least m whose remainder at its first
+    q is at most _FAR_TOL of the leading term there.  The remainder's share
+    falls with q, so the counts fall from segment to segment, and the last,
+    1, holds for every later one.  Where the first segment needs as many
+    moments as P has weights, None.
+
+    The moments.  Each mu_j = -(1/2) sech(x) R_(2j+1)(tanh x) at x = pi t is
+    an fsum of its polynomial's terms, which cancel as tanh x nears 1.  Its
+    rounding, below (p + 6) u (sech/2) sum_k |r_k s^k| with p = 2j + 1, plus
+    x's own rounding, u x |mu_j'| <= u x (sech/2) sum_k |r'_k| s^k over
+    R_(p+1), goes into errs, as does the rounding of c_j's 2j + 3 products."""
+    n = _p_weights(t)[0]
+    if n.size < 2:
+        return None
+    q0 = max(_FAR_Q0, math.ceil(2.0 * t * float(n[-1])))
+    x0 = 1.0 / (q0 * q0)
+    x = math.pi * t
+    s, e = math.tanh(x), math.exp(-x)
+    h = 2.0 * e / (1.0 + e * e)
+    a = 2.0 * t / math.pi
+    mu, absums, powers = [], [], [1.0]
+
+    def moment(j: int) -> float:
+        while len(mu) <= j:
+            p = 2 * len(mu) + 1
+            powers.extend(s**k for k in range(len(powers), p + 2))
+            terms = [c * powers[k] for k, c in enumerate(_sech_poly(p)) if c]
+            mu.append(-0.5 * h * math.fsum(terms))
+            absums.append(math.fsum(map(abs, terms)))
+        return mu[j]
+
+    mu0 = moment(0)
+
+    def cauchy(m: int) -> float:
+        return math.e * math.factorial(2 * m + 3) * a ** (2 * m + 1) / mu0
+
+    def share(m: int) -> float:  # K_m
+        return t ** (2 * m) * abs(moment(m)) / mu0 + cauchy(m)
+
+    tol = _FAR_TOL - math.exp(-math.pi * q0 / (2.0 * t)) / (t * a * mu0 * x0)
+    # the Cauchy part, which needs no moment past mu_0, sets the least m
+    m = 1
+    for part in (cauchy, share):
+        while part(m) * x0**m > tol:
+            m += 1
+            if m >= n.size:
+                return None
+    ks = [share(j) for j in range(1, m + 1)]
+    counts, lo = [m], q0
+    while m > 1:
+        lo = 1 << lo.bit_length()
+        while m > 1 and ks[m - 2] * (1.0 / lo) ** (2 * m - 2) <= tol:
+            m -= 1
+        counts.append(m)
+    coeffs, errs = [], []
+    for j in range(counts[0]):
+        p = 2 * j + 1
+        coeffs.append(-a * (-t * t) ** j * mu[j])
+        dx = x * math.fsum(abs(c) * powers[k] for k, c in enumerate(_sech_poly(p + 1)))
+        dmu = _EPS / 4.0 * h * ((p + 6) * absums[j] + dx)
+        errs.append(a * t ** (2 * j) * dmu + (2 * j + 3) * _EPS / 2.0 * abs(coeffs[-1]))
+    return _FarForm(q0, tuple(coeffs), tuple(errs), tuple(counts), tuple(ks))
+
+
+def _far_count(far: _FarForm, q: int) -> int:
+    """The number of moments of q's segment, q >= far.q0."""
+    i = q.bit_length() - far.q0.bit_length()
+    return far.counts[min(i, len(far.counts) - 1)]
+
+
+def _p_part(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """-(2t/pi) P(q), S(q) without its sech head, elementwise over consecutive
+    integers q >= 0: the weight sum ``p_values`` below q0 and the moment form
+    from q0 on, Horner's rule in x = 1/q^2 over each segment's moments."""
+    far, q_first = _j_far(t), int(q[0])
+    k = q.size if far is None else min(max(far.q0 - q_first, 0), q.size)
+    out = np.empty(q.size)
+    if k:
+        np.multiply(p_values(q[:k], t, weights), -2.0 * t / math.pi, out=out[:k])
+    while k < q.size:
+        qk = q_first + k
+        end = min(q.size, (1 << qk.bit_length()) - q_first)
+        m = _far_count(far, qk)
+        xs, acc = 1.0 / np.square(q[k:end].astype(float)), out[k:end]
+        np.multiply(xs, far.coeffs[m - 1], out=acc)
+        for c in reversed(far.coeffs[: m - 1]):
+            acc += c
+            acc *= xs
+        k = end
+    return out
+
+
 def _j(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """S(q) = (-1)^q J(q, t) = (-1)^q sech(pi q/(2t))/(2t) - (2t/pi) P(q),
-    elementwise over consecutive integers q = q0, q0 + 1, ... >= 0; ``weights``
-    as in ``p_values``.  Only the sech head alternates, and it is added only
-    below q_s = ceil(746 * 2t/pi): exp(-x) is +0 for x > 745.14, so from q_s on
-    the head is +-0, and +-0 + y = y for the nonzero y = -(2t/pi) P(q), P > 0."""
-    q0 = int(q[0])
-    out = p_values(q, t, weights) * (-2.0 * t / math.pi)
-    m = min(max(math.ceil(746.0 * 2.0 * t / math.pi) - q0, 0), q.size)
+    elementwise over consecutive integers q = a, a + 1, ... >= 0; ``weights``
+    as in ``p_values``, P as in ``_p_part``.  Only the sech head alternates, and
+    it is added only below q_s = ceil(746 * 2t/pi): exp(-x) is +0 for x > 745.14,
+    so from q_s on the head is +-0, and +-0 + y = y for the nonzero y = -(2t/pi) P(q), P > 0."""
+    a = int(q[0])
+    out = _p_part(q, t, weights)
+    m = min(max(math.ceil(746.0 * 2.0 * t / math.pi) - a, 0), q.size)
     if m:
         head = sech_values(math.pi * q[:m] / (2.0 * t)) / (2.0 * t)
-        head[1 - q0 % 2 :: 2] *= -1.0  # (-1)^q
+        head[1 - a % 2 :: 2] *= -1.0  # (-1)^q
         out[:m] += head
     return out
 
@@ -240,23 +401,43 @@ def integral_k(q: int, t: float) -> IntegralValue:
 
 def integral_j(q: int, t: float) -> IntegralValue:
     """Closed form of int_0^1 cos(pi q b)/cosh(pi b t) db; even in q:
-    (-1)^q times the entry |q| of ``j_values``."""
+    (-1)^q times the entry |q| of ``j_values``, read from the same form.
+    The estimate adds the rounding to what the form leaves out: below q0
+    the first omitted weight's term, from q0 on the moment remainder and
+    the rounding of the moments (``_j_far``)."""
     check_t(t)
     q = abs(int(q))
-    n, c = _p_weights(t)
-    n1 = float(n[-1]) + 2.0
-    est = 2.0 * t / math.pi * n1 * math.exp(-math.pi * t * n1) / (t * t * n1 * n1 + float(q) * q)
+    weights = n, c = _p_weights(t)
     x = math.pi * q / (2.0 * t)
-    terms = 2.0 * t / math.pi * c / (t * t * n * n + float(q) * q)
-    est += _rounding([sech(x) / (2.0 * t)], [x], terms, math.pi * t * n)
-    return IntegralValue((-1) ** q * float(_j(np.array([q]), t, (n, c))[0]), n.size, est)
+    head = sech(x) / (2.0 * t)
+    far = _j_far(t)
+    if far is None or q < far.q0:
+        n1 = float(n[-1]) + 2.0
+        est = 2.0 * t / math.pi * n1 * math.exp(-math.pi * t * n1) / (t * t * n1 * n1 + float(q) * q)
+        terms = 2.0 * t / math.pi * c / (t * t * n * n + float(q) * q)
+        used, exponents = n.size, math.pi * t * n
+    else:
+        used, xq = _far_count(far, q), 1.0 / (float(q) * q)
+        powers = xq ** np.arange(1, used + 1)
+        terms = np.array(far.coeffs[:used]) * powers
+        est = abs(far.coeffs[0]) * xq * far.ks[used - 1] * xq**used + math.exp(-x) / t
+        est += float(np.dot(far.errs[:used], powers))
+        # Horner's rule rounds each term at most 3 used + 1 times
+        exponents = np.full(used, 3.0 * used + 1.0)
+    est += _rounding([head], [x], terms, exponents)
+    # head + (-1)^q S's P-part is (-1)^q S(q) with S's bits: negation is exact
+    return IntegralValue(head + (-1) ** q * float(_p_part(np.array([q]), t, weights)[0]), used, est)
 
 
 def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """S(q) = (-1)^q J(q, t), the form in which every series reads J, for q = 0..q_max,
-    in _j calls of TABLE_CHUNK entries or, for more than 15 weights, up to four
-    times that, into ``out`` (q_max + 1 doubles) if given.  The sech head is
-    computed only for q below q_s = ceil(746 * 2t/pi); from q_s on it is +0.
+    in _j calls of TABLE_CHUNK entries, into ``out`` (q_max + 1 doubles) if
+    given.  Entries below q0
+    sum P's weights and entries from q0 on sum J's moments, a few per entry
+    (``_j_far``), so at small t the cost is O(q_max), not O(q_max/t).  Each
+    entry depends on (q, t) alone, whatever q_max, ``out`` or the chunks.
+    The sech head is computed only for q below q_s = ceil(746 * 2t/pi); from
+    q_s on it is +0.
 
     The series drivers index this table by |r +- c|, so it is built once
     per evaluation context rather than per call.
@@ -264,12 +445,8 @@ def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarr
     check_t(t)
     out = np.empty(q_max + 1) if out is None else out
     weights = _p_weights(t)
-    # p_values makes three numpy calls per weight and chunk, so the chunks
-    # grow with the weight count, to at most 4 TABLE_CHUNK entries: then
-    # its three buffers take 768 KiB
-    chunk = TABLE_CHUNK * min(4, max(1, weights[0].size // 8))
-    for i in range(0, q_max + 1, chunk):
-        out[i : i + chunk] = _j(np.arange(i, min(i + chunk, q_max + 1)), t, weights)
+    for i in range(0, q_max + 1, TABLE_CHUNK):
+        out[i : i + TABLE_CHUNK] = _j(np.arange(i, min(i + TABLE_CHUNK, q_max + 1)), t, weights)
     return out
 
 

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from arithsum import integrals
 from arithsum.integrals import (
+    _FAR_TOL,
     WEIGHT_TOL,
     QuadratureError,
     _exp_series_terms,
     _gauss_legendre_rules,
+    _j,
+    _j_far,
+    _p_part,
     _p_weights,
     integral_i,
     integral_j,
@@ -153,7 +158,17 @@ def test_j_values_table_matches_scalar():
 
 
 def _full_head_j(Q, t):
-    # J with its sech head at every q: sech(pi q/(2t))/(2t) + (-1)^(q-1) (2t/pi) P(q)
+    # J with its sech head at every q: sech(pi q/(2t))/(2t) + (-1)^q (-(2t/pi) P(q)),
+    # the P-part in the table's own form, the weight sum below q0 and the
+    # moment form from q0 on
+    q = np.arange(Q + 1)
+    head = sech_values(math.pi * q / (2.0 * t)) / (2.0 * t)
+    sign_q = np.where(q % 2 == 0, 1.0, -1.0)
+    return head + sign_q * _p_part(q, t, _p_weights(t))
+
+
+def _weight_sum_j(Q, t):
+    # J from the weight sum alone at every q: sech(pi q/(2t))/(2t) + (-1)^(q-1) (2t/pi) P(q)
     q = np.arange(Q + 1)
     head = sech_values(math.pi * q / (2.0 * t)) / (2.0 * t)
     sign_q = np.where(q % 2 == 0, -1.0, 1.0)
@@ -272,3 +287,135 @@ def test_estimates_bound_the_error(t):
             ev = f(q, t)
             assert abs(ev.value - _mp_integral(integrand(q), q)) <= ev.error_estimate, (f.__name__, q)
             assert ev.error_estimate <= 1e-12, (f.__name__, q)
+
+
+# t log-spaced on [1e-3, 20], and the top of the moment form's range
+_T_GRID = sorted(np.geomspace(1e-3, 20.0, 13).tolist() + [0.45, 0.55])
+
+
+def _q0(t):
+    """Where J's moment form starts: max(32, ceil(2t n_max))."""
+    return max(32, math.ceil(2.0 * t * float(_p_weights(t)[0][-1])))
+
+
+def _mp_s(q, t):
+    """S(q) = (-1)^q J(q, t) at 40 digits, from J's weight series summed by mpmath."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        Q, T = mpmath.mpf(q), mpmath.mpf(t)
+        P = mpmath.nsum(
+            lambda m: (-1) ** m * (2 * m + 1) * mpmath.exp(-mpmath.pi * T * (2 * m + 1)) / (T * T * (2 * m + 1) ** 2 + Q * Q),
+            [0, mpmath.inf],
+        )
+        return (-1) ** q * mpmath.sech(mpmath.pi * Q / (2 * T)) / (2 * T) - 2 * T / mpmath.pi * P
+
+
+def _mp_coeffs(t, m):
+    """c_j = -(2t/pi) (-t^2)^j mu_j, j < m, at 40 digits, with mu_j = -(d/dx)^(2j+1) [sech(x)/2]
+    at x = pi t from mpmath's Taylor coefficients of sech."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        T = mpmath.mpf(t)
+        tay = mpmath.taylor(mpmath.sech, mpmath.pi * T, 2 * m)
+        return [2 * T / mpmath.pi * (-T * T) ** j * mpmath.factorial(2 * j + 1) * tay[2 * j + 1] / 2 for j in range(m)]
+
+
+@pytest.mark.parametrize("t", _T_GRID)
+def test_far_entries_match_mpmath(t):
+    # the moment form holds 1e-15 relative and within integral_j's estimate;
+    # where it is not read (t above about 0.55) the table is the weight sum,
+    # bit for bit, so no entry is worse than the weight sum's
+    q0, far = _q0(t), _j_far(t)
+    assert far is not None or t > 0.45
+    table = j_values(10**4, t)
+    if far is None:
+        sign = np.where(np.arange(10**4 + 1) % 2, -1.0, 1.0)
+        assert np.array_equal((sign * table).view(np.int64), _weight_sum_j(10**4, t).view(np.int64))
+    for q in (q0, q0 + 1, 100, 10**4):
+        want = _mp_s(q, t)
+        if far is not None:
+            assert abs(table[q] - want) <= 1e-15 * abs(want), q
+        ev = integral_j(q, t)
+        assert abs((-1) ** q * ev.value - want) <= ev.error_estimate, q
+
+
+@pytest.mark.parametrize("t", _T_GRID)
+def test_j_below_q0_is_the_weight_sum(t):
+    # the moment form starts at q0 = max(32, ceil(2t n_max)); below it J is
+    # the weight sum that p_values and the oracles read
+    q0, far = _q0(t), _j_far(t)
+    assert far is None or far.q0 == q0
+    sign = np.where(np.arange(q0) % 2, -1.0, 1.0)
+    got = sign * j_values(q0 + 1, t)[:q0]
+    assert np.array_equal(got.view(np.int64), _weight_sum_j(q0 - 1, t).view(np.int64))
+
+
+@pytest.mark.parametrize("t", [0.001, 0.01, 0.1, 0.45, 1.0])
+def test_j_entries_do_not_depend_on_the_build(monkeypatch, t):
+    # an entry depends on (q, t) alone, whatever the table's length, its
+    # out= window or its chunks; the held tables' join relies on this
+    Q = 5000
+    want = j_values(Q, t).view(np.int64)
+    for q_max in (31, 32, 33, 63, 64, 65, 1000):
+        assert np.array_equal(j_values(q_max, t).view(np.int64), want[: q_max + 1]), q_max
+    buf = np.full(Q + 11, np.nan)
+    j_values(Q, t, out=buf[7 : Q + 8])
+    assert np.array_equal(buf[7 : Q + 8].view(np.int64), want)
+    for start in (1, 31, 32, 33, 63, 64, 100, 4095):
+        got = _j(np.arange(start, Q + 1), t, _p_weights(t))
+        assert np.array_equal(got.view(np.int64), want[start:]), start
+    monkeypatch.setattr(integrals, "TABLE_CHUNK", 1001)
+    assert np.array_equal(j_values(Q, t).view(np.int64), want)
+
+
+@pytest.mark.parametrize("t", [0.001, 0.1, 0.3, 0.45, 0.55, 1.0])
+def test_integral_j_is_its_table_entry_at_the_seams(t):
+    # at the edges of the two forms, of the sech head and of the segments
+    q0, qs = _q0(t), math.ceil(746.0 * 2.0 * t / math.pi)
+    seams = sorted({q0 - 1, q0, q0 + 1, qs - 1, qs, qs + 1, 63, 64, 65, 127, 128} - {-1})
+    table = j_values(max(seams), t)
+    for q in seams:
+        sign = -1.0 if q % 2 else 1.0
+        assert integral_j(q, t).value == sign * table[q], q
+        assert integral_j(-q, t).value == sign * table[q], q
+
+
+@pytest.mark.parametrize("t", [0.001, 0.01, 0.1, 0.3, 0.45, 0.55])
+def test_each_segment_takes_enough_moments(t):
+    # at the first q of every segment, with exact moments in 40-digit
+    # arithmetic, the moments the segment takes leave at most _FAR_TOL of
+    # the leading term, and no more than the bound that chose their number
+    import mpmath
+
+    far = _j_far(t)
+    c = _mp_coeffs(t, far.counts[0])
+    qs = math.ceil(746.0 * 2.0 * t / math.pi)
+    lo = far.q0
+    for i, m in enumerate(far.counts):
+        if i:
+            lo = 1 << lo.bit_length()
+        with mpmath.workdps(40):
+            T, L = mpmath.mpf(t), mpmath.mpf(lo)
+            head = (-1) ** lo * mpmath.sech(mpmath.pi * L / (2 * T)) / (2 * T) if lo < qs else 0
+            rem = abs(_mp_s(lo, t) - head - sum(c[j] / L ** (2 * j + 2) for j in range(m)))
+            lead = abs(c[0]) / L**2
+        assert rem <= _FAR_TOL * lead, (i, lo, m)
+        assert rem <= lead * far.ks[m - 1] / float(lo) ** (2 * m) + math.exp(-math.pi * lo / (2.0 * t)) / t, (i, lo)
+    assert far.counts[-1] == 1
+
+
+@pytest.mark.parametrize("t", [0.001, 0.1, 0.3, 0.45, 0.55])
+def test_moments_round_within_their_bound(t):
+    # each mu_j is an fsum of its tanh polynomial's terms, which cancel as
+    # tanh(pi t) nears 1: at t = 0.45 the high moments keep about 10 digits.
+    # errs bounds every coefficient's rounding, and the part of it past the
+    # first two moments lies below 1e-20 of J from q0 on
+    far = _j_far(t)
+    for j, (got, want) in enumerate(zip(far.coeffs, _mp_coeffs(t, far.counts[0]))):
+        assert abs(got - want) <= far.errs[j], j
+    q0 = far.q0
+    s = abs(j_values(q0, t)[q0])
+    assert sum(e / float(q0) ** (2 * j + 2) for j, e in enumerate(far.errs) if j >= 1) <= 1e-17 * s
+    assert sum(e / float(q0) ** (2 * j + 2) for j, e in enumerate(far.errs) if j >= 3) <= 1e-20 * s

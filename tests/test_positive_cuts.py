@@ -25,6 +25,7 @@ from arithsum.dsums import (
     weighted_infinite_analytic,
 )
 from arithsum.indicators import BlockTables, _cut_windows, _default_r_len, q_analytic
+from arithsum.integrals import j_values
 from arithsum.kernels import g_values
 from arithsum.sigma_rh import _sigma_r_len, sigma_analytic, sigma_bruteforce
 
@@ -185,6 +186,17 @@ def test_g_bound_holds_past_the_peak(t, k):
     # q_analytic's edge model reads it where the cut leaves the edge off the grid
     M = np.unique(np.geomspace(1.0, 1e6, 400).round())
     assert (np.abs(g_values(M, t, k)) <= indicators._g_bound(M, t, k)).all()
+
+
+@pytest.mark.parametrize("t", np.geomspace(1e-3, 20.0, 13).tolist() + [0.45, 0.55])
+def test_j_bound_holds_on_the_table(t):
+    # the bound behind the cuts, |S(q)| <= a2/q^2 + a4/q^4 + e^(-pi q/(2t))/t,
+    # holds on every entry of the table the engine reads, whose far
+    # entries come from J's moments, not from the weights a2 and a4 do
+    q = np.arange(1, 10**4 + 1, dtype=float)
+    a2, a4 = indicators._j_far_coeffs(t)
+    bound = a2 / q**2 + a4 / q**4 + np.exp(-math.pi * q / (2.0 * t)) / t
+    assert (np.abs(j_values(10**4, t)[1:]) <= bound).all()
 
 
 @pytest.mark.parametrize("t", [20.0, 112.96])

@@ -119,11 +119,11 @@ def test_closed_heads_at_small_t_stay_small():
 
 
 @pytest.mark.parametrize("t", [0.01, 0.1])
-def test_j_chunks_grow_with_the_weight_count_and_keep_the_bits(t):
-    # 777 and 74 weights: chunks of 4 TABLE_CHUNK entries, whose last one
-    # is partial here; J is elementwise, so the bits are one call's
+def test_j_chunks_keep_the_bits_and_stay_small(t):
+    # 777 and 74 weights, read below q0 only: ten chunks, the last one
+    # partial here; J is elementwise, so the bits are one call's
     n = 9 * TABLE_CHUNK + 5
     js, peak = _peak_bytes(lambda: j_values(n - 1, t))
     assert np.array_equal(_bits(js), _bits(_j(np.arange(n), t, _p_weights(t))))
-    # p_values' three buffers and _j's temporaries at 4 TABLE_CHUNK entries
+    # _j's temporaries at TABLE_CHUNK entries
     assert peak <= js.nbytes + 2e6
