@@ -36,7 +36,7 @@ import numpy as np
 
 from .indicators import _closed_heads, _g_grid, _sech_half_width, _sech_parts, weighted_blocks
 from .integrals import _p_weights, p_values
-from .kernels import TABLE_CHUNK, check_analytic_t, t_values
+from .kernels import TABLE_CHUNK, check_analytic_t, kernel_g, t_values
 from .series import Evaluation
 
 __all__ = [
@@ -196,7 +196,7 @@ _BLOCK_TAIL_MODEL = 50.0  # empirical prefactor for the r^-3.5 block tail
 _A_GRID_LEN = 1600  # the a-terms of the unit forms' closed heads
 
 
-def _block_tail(tables, w, scale, r_len) -> np.ndarray:
+def _block_tail(tables, w, r_len) -> np.ndarray:
     return _BLOCK_TAIL_MODEL * r_len**-3.5
 
 
@@ -344,7 +344,7 @@ def _unit_value(inst: DiophantineInstance, t: float) -> Evaluation:
     a = np.arange(1, _A_GRID_LEN + 1, dtype=np.int64)
     head, exp_part = _closed_heads(N - s * d * a * a, k, t)
     R = max(d * a_cut * a_cut + _sech_half_width(t) + 1, r_p)
-    g, guarded = _g_grid(-R - N, R - N, t, k)
+    g = _g_grid(-R - N, R - N, t, k)
     sech_val = sech_coeff * float(np.sum(_sech_parts(g, R, s * d * a[:a_cut] ** 2, t)[0]))
     # sum_a 1/(z^2 + (r - s d a^2)^2) = (pi/(4 d^2)) T(-s r/d, z/d) - 1/(2 (r^2 + z^2))
     # closes the a-sums, r = 0 included, one T call per weight and chunk of
@@ -354,14 +354,14 @@ def _unit_value(inst: DiophantineInstance, t: float) -> Evaluation:
     p_sum = 0.0
     for lo in range(-r_p, r_p + 1, TABLE_CHUNK):
         r = np.arange(lo, min(lo + TABLE_CHUNK, r_p + 1), dtype=float)
-        M, acc = -s * r / d, -0.5 * p_values(r, t, (n, cm))
+        M, acc = -s * r / d, -0.5 * p_values(r, t)
         for zi, ci in zip(t * n, cm):
             acc += ci * pi / (4.0 * d * d) * t_values(M, zi / d)
         p_sum += float(np.dot(g[R + lo : R + lo + len(r)], acc))
     p_val = -t * math.sinh(pi * t) / (2.0 * math.sqrt(k) * pi) * p_sum
     value = float(np.sum(head)) + float(np.sum(exp_part)) + sech_val + p_val
     est = tail + 1.0 / (2.0 * d * d * _A_GRID_LEN**3) + 1e-12  # + the head's a-tail
-    return Evaluation(value, est, {"a_terms": _A_GRID_LEN}, bool(guarded.any()))
+    return Evaluation(value, est, {"a_terms": _A_GRID_LEN}, kernel_g(R - N, t, k).overflow_guarded)
 
 
 def unit_sum_squares(inst: DiophantineInstance, t: float = 1.0) -> Evaluation:

@@ -28,12 +28,12 @@ products next to each J peak M = -y summed by ``math.fsum``, the rest tile
 by tile).  A block's window is lo <= M <= hi: the driver sets lo and a cap
 on hi, and the engine cuts hi lower where a closed bound of the rest is
 below one rounding of the block's head and exp-series (``_cut_windows``);
-the window carries that bound.  ``evaluate``
-assembles head + exp-series + G-part for an array of blocks; no other code
-assembles a block.  ``weighted_blocks`` is the one function that forms a
-weighted sum of blocks, sum_i w_i block(N + c_i), and its estimate; it alone
-turns a driver's (N, c, r_len) into (y, lo, hi), cuts windows and sizes
-tables.  Every analytic driver is one call of it: ``q_analytic`` and the
+the window carries that bound.  ``evaluate`` returns head + exp-series +
+G-part for an array of blocks, and no other code assembles a block; only
+sigma's tail reads ``rounding_scale``.  ``weighted_blocks`` is the one
+function that forms a weighted sum of blocks, sum_i w_i block(N + c_i), and
+its estimate; it alone turns a driver's (N, c, r_len) into (y, lo, hi),
+cuts windows and sizes tables.  Every analytic driver is one call of it: ``q_analytic`` and the
 vanishing identities are its one block at shift 0.  Only the oracles keep
 organizations of their own, with symmetric grids:
 ``q_shifted_analytic``, and the general-s form ``q_general_analytic``,
@@ -55,7 +55,7 @@ import numpy as np
 
 from .integrals import cosh_over_sinh2_values, coth, csch_values, exp_series_sums
 from .integrals import _p_weights, j_values, p_values, sech_values
-from .kernels import TABLE_CHUNK, _g, check_analytic_t
+from .kernels import TABLE_CHUNK, _g, check_analytic_t, kernel_g
 from .series import Evaluation, SeriesEvaluator, invert_series
 
 # doubles of g per tile of the G-part contraction (512 KiB): a tile fits a
@@ -140,52 +140,50 @@ def _closed_heads(y: np.ndarray, k: int, t: float) -> tuple[np.ndarray, np.ndarr
     return head, -yf * pi * pi * cth / (3.0 * k) * s1 - 2.0 * pi * t * cth * s2 - cth * s3
 
 
-def _g_grid(lo: int, hi: int, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(g, guarded): the grid g[i] = G(lo + i) for M = lo..hi, and the
-    overflow-guard mask of each entry, filled TABLE_CHUNK entries at a time
-    so that _g's temporaries stay in cache."""
+def _g_grid(lo: int, hi: int, t: float, k: int) -> np.ndarray:
+    """The grid g[i] = G(lo + i) for M = lo..hi, filled TABLE_CHUNK entries
+    at a time so that _g's temporaries stay in cache.  G's guard is set on a
+    suffix M >= M*(k, t) > 0 of any grid, so its flag is ``kernel_g``'s at hi."""
     g = np.empty(hi - lo + 1)
-    guarded = np.empty(g.size, dtype=bool)
     for i in range(0, g.size, TABLE_CHUNK):
         M = np.arange(lo + i, min(lo + i + TABLE_CHUNK, hi + 1), dtype=float)
-        g[i : i + TABLE_CHUNK], guarded[i : i + TABLE_CHUNK] = _g(M, t, k)
-    return g, guarded
+        g[i : i + TABLE_CHUNK] = _g(M, t, k)[0]
+    return g
 
 
-# the held tables: "g", the last (G grid, guard mask) built, keyed by (k, t),
-# over M = lo..hi; "j", the last (Js,), keyed by t, over m = -Q..Q
+# the held tables: "g", the last G grid built, keyed by (k, t), over
+# M = lo..hi; "j", the last Js, keyed by t, over m = -Q..Q
 _HELD: dict = {}
 
 
-def _held(name: str, key, lo: int, hi: int, build) -> list:
-    """Read-only arrays over the coordinates lo..hi: views of the held entry
-    if it has this key and covers lo..hi, else views of build(lo', hi')'s,
-    which replace it; lo'..hi' is lo..hi joined with the held range if the
-    key is the same, so that requests whose ends move both ways are built
-    once.  Each entry depends only on its coordinate and the key, so a
-    view has the bits of a build."""
+def _held(name: str, key, lo: int, hi: int, build) -> np.ndarray:
+    """A read-only array over the coordinates lo..hi: a view of the held
+    entry if it has this key and covers lo..hi, else a view of
+    build(lo', hi'), which replaces it; lo'..hi' is lo..hi joined with the
+    held range if the key is the same, so that requests whose ends move
+    both ways are built once.  Each entry depends only on its coordinate
+    and the key, so a view has the bits of a build."""
     e = _HELD.get(name)
     if e is not None and e[0] == key:
         if e[1] <= lo and hi <= e[2]:
-            return [a[lo - e[1] : hi - e[1] + 1] for a in e[3]]
+            return e[3][lo - e[1] : hi - e[1] + 1]
         lo_b, hi_b = min(lo, e[1]), max(hi, e[2])
     else:
         lo_b, hi_b = lo, hi
     del e  # drop the old entry before the build: the two are never resident at once
     _HELD.pop(name, None)
-    arrays = build(lo_b, hi_b)
-    for a in arrays:
-        a.flags.writeable = False
-    _HELD[name] = (key, lo_b, hi_b, arrays)
-    return [a[lo - lo_b : hi - lo_b + 1] for a in arrays]
+    a = build(lo_b, hi_b)
+    a.flags.writeable = False
+    _HELD[name] = (key, lo_b, hi_b, a)
+    return a[lo - lo_b : hi - lo_b + 1]
 
 
-def _two_sided_j(Q: int, t: float) -> tuple[np.ndarray]:
-    """(Js,): Js[Q + m] = (-1)^m J(|m|), m = -Q..Q, the signed ``j_values`` table and its mirror."""
+def _two_sided_j(Q: int, t: float) -> np.ndarray:
+    """Js[Q + m] = (-1)^m J(|m|), m = -Q..Q, the signed ``j_values`` table and its mirror."""
     Js = np.empty(2 * Q + 1)
     j_values(Q, t, out=Js[Q:])
     Js[:Q] = Js[:Q:-1]
-    return (Js,)
+    return Js
 
 
 def _sech_half_width(t: float) -> int:
@@ -327,9 +325,9 @@ class BlockTables:
     Js[Q + q] = (-1)^q J(|q|), q = -Q..Q, Q = q_len, are set up once and
     serve every block; ``weighted_blocks`` sizes them to its windows,
     ``BlockTables(k, t, *w.extent).evaluate(w)``.  They are read-only
-    views of the held tables (``_held``) where those cover them: the last G
-    grid per (k, t) and the last J table per t.  Otherwise they are built,
-    bit for bit the same, and become the held ones.
+    views of the held tables (``_held``, one array each, no guard mask) where
+    those cover them: the last G grid per (k, t) and the last J table per t.
+    Otherwise they are built, bit for bit the same, and become the held ones.
 
     The block at argument y sums G(M) Js(M + y) over its window
     lo <= M <= hi from ``_cut_windows``, which must lie inside the grids
@@ -341,8 +339,8 @@ class BlockTables:
         check_analytic_t(t)
         self.k, self.t = k, t = int(k), float(t)
         self.lo, self.hi, self.Q = lo, hi, Q = int(lo), int(hi), int(q_len)
-        self.g, self.guarded = _held("g", (k, t), lo, hi, lambda a, b: _g_grid(a, b, t, k))
-        (self.Js,) = _held("j", t, -Q, Q, lambda a, b: _two_sided_j(b, t))
+        self.g = _held("g", (k, t), lo, hi, lambda a, b: _g_grid(a, b, t, k))
+        self.Js = _held("j", t, -Q, Q, lambda a, b: _two_sided_j(b, t))
         self.coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
 
     def gpart(self, y: int, lo: int, hi: int) -> float:
@@ -375,23 +373,21 @@ class BlockTables:
                         acc[i] += np.dot(g[u - g0 : v - g0], Js[Q + yi + u : Q + yi + v])
         return self.coeff * np.array(acc)
 
-    def evaluate(self, w: Windows) -> tuple[np.ndarray, np.ndarray]:
-        """(value, scale) of each block of ``w``, its G-part contracted by
-        ``_gparts`` over the window lo <= M <= hi.
+    def evaluate(self, w: Windows) -> np.ndarray:
+        """The value of each block of ``w``: its closed head U(y) + exp-series +
+        G-part, contracted by ``_gparts`` over the window lo <= M <= hi."""
+        return w.head + w.exp_part + self._gparts(w.y, w.lo, w.hi)
 
-        value = head + exp-series + G-part; head is the closed head U(y).
-        scale = |head| + |exp-series| + coeff * (||g window||_1 + g_tail) *
-        J(0), the window's norm plus, where it was cut, the bound of the
-        rest, bounds the magnitude of every term summed, so eps * scale
-        bounds the block's rounding.
-        """
-        g = self._gparts(w.y, w.lo, w.hi)
+    def rounding_scale(self, w: Windows) -> np.ndarray:
+        """|head| + |exp-series| + coeff * (||g window||_1 + g_tail) * J(0) of each
+        block of ``w``, the window's norm plus the cut rest's bound: it bounds every
+        term the block sums, so eps * scale bounds its rounding.  It takes a prefix
+        sum of |g| over the union of the windows, and only sigma's tail reads it."""
         a, b = int(w.lo.min()), int(w.hi.max())
         cum = np.zeros(b - a + 2)  # one array: at sigma(600) a window takes 3 MB
         np.cumsum(np.abs(self.g[a - self.lo : b - self.lo + 1], out=cum[1:]), out=cum[1:])
         g_norm = cum[w.hi - a + 1] - cum[w.lo - a] + w.g_tail
-        scale = np.abs(w.head) + np.abs(w.exp_part) + self.coeff * g_norm * self.Js[self.Q]
-        return w.head + w.exp_part + g, scale
+        return np.abs(w.head) + np.abs(w.exp_part) + self.coeff * g_norm * self.Js[self.Q]
 
 
 def _default_r_len(N: int, c, t: float):
@@ -403,40 +399,44 @@ def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> 
 
     It alone turns a driver's (N, c, r_len) into the engine's (y, lo, hi):
     y = N + c, lo = -r_len - N and hi at most r_len - N.  r_lens are one for
-    all or one per shift (None: ``_default_r_len``).  tail(tables, w, scale,
-    r_len) is the driver's model of each block's truncation and rounding
-    per unit weight.  The value is math.fsum of the w_i block_i, the
-    estimate math.fsum of the |w_i| (tail_i + bound_i), bound_i that of the
-    cut tail: neither depends on the order of the pairs.  guards_engaged is
-    G's guard at any block's J peak, M = -y.
+    all or one per shift (None: ``_default_r_len``, below 2^61 + 900/T_MIN).  An N, c
+    or r_len past 2^60, 2^60 or 2^62, where y, lo, hi or q_len could wrap int64, is refused.
+    tail(tables, w, r_len) is the driver's model of each block's truncation
+    and rounding per unit weight.  The value is math.fsum of the w_i
+    block_i, the estimate math.fsum of the |w_i| (tail_i + bound_i), bound_i
+    that of the cut tail: neither depends on the order of the pairs.
+    guards_engaged is False, G's guard at every J peak M = -y, y >= 1:
+    Re sqrt(-y + it) <= t/sqrt(2(t + 1)) <= 7.49 up to T_MAX keeps pi Re sqrt/sqrt(k)
+    below GUARD_THRESHOLD.  The vanishing identity, at y <= 0, returns no flag.
     """
-    # before any window or table is sized from k and t
+    # before any window or table is sized from k, t, N and the shifts
     if not k >= 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     check_analytic_t(t)
-    c = np.asarray(shifts, dtype=np.int64)
+    c = np.asarray(shifts)
     if not c.size:
-        return Evaluation(0.0, 0.0, {"blocks": 0}, False)
+        return Evaluation(0.0, 0.0, {"blocks": 0})
+    if max(abs(N), abs(int(c.min())), int(c.max())) > 2**60 or (r_lens is not None and np.asarray(r_lens).max() > 2**62):
+        raise ValueError(f"|N| and every |shift| must be at most 2^60 and r_len at most 2^62 in int64, got N = {N}")
+    c = c.astype(np.int64, copy=False)
     r_len = np.empty_like(c)
     r_len[:] = _default_r_len(N, c, t) if r_lens is None else r_lens
     w = _cut_windows(k, t, N + c, -r_len - N, r_len - N)
     tables = BlockTables(k, t, *w.extent)
-    value, scale = tables.evaluate(w)
     return Evaluation(
-        math.fsum(map(operator.mul, weights, value.tolist())),
-        math.fsum(map(operator.mul, map(abs, weights), (tail(tables, w, scale, r_len) + w.bound).tolist())),
+        math.fsum(map(operator.mul, weights, tables.evaluate(w).tolist())),
+        math.fsum(map(operator.mul, map(abs, weights), (tail(tables, w, r_len) + w.bound).tolist())),
         {"blocks": c.size, "r_terms": -tables.lo - N},
-        bool(tables.guarded[-tables.lo - w.y].any()),
     )
 
 
 def block_value(tables: BlockTables, y: int, lo: int, hi: int) -> float:
     """The block at argument y over ``tables``, its window lo <= M <= hi cut
     by the engine: q_k(y)/y^2 for y >= 1, and 0 for y <= 0."""
-    return float(tables.evaluate(_cut_windows(tables.k, tables.t, [y], [lo], [hi]))[0][0])
+    return float(tables.evaluate(_cut_windows(tables.k, tables.t, [y], [lo], [hi]))[0])
 
 
-def _q_tail(tables: BlockTables, w: Windows, scale, r_len) -> float:
+def _q_tail(tables: BlockTables, w: Windows, r_len) -> float:
     # past the window the summand decays at least like |M|^(-7/2) on the
     # positive side and |M + y|^(-4) through the J factor on the negative.
     # The edge is the 64 points at distance d - 63..d on either side of J's
@@ -462,7 +462,7 @@ def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
     ev = weighted_blocks(N, k, t, [1.0], [0], None, _q_tail)
-    return Evaluation(ev.value, ev.error_estimate, {"r_terms": ev.terms_used["r_terms"]}, ev.guards_engaged)
+    return Evaluation(ev.value, ev.error_estimate, {"r_terms": ev.terms_used["r_terms"]})
 
 
 def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
@@ -495,9 +495,9 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     head = float(heads[0] + exp_part[0])
     W = _sech_half_width(t)
     r_len = abs(c) + max(N + max(1200, int(700 / t)), W)
-    g, guarded = _g_grid(-r_len - N, r_len - N, t, k)
+    g = _g_grid(-r_len - N, r_len - N, t, k)
     r = np.arange(-r_len, r_len + 1)
-    p_terms = g * p_values(r + c, t, _p_weights(t))
+    p_terms = g * p_values(r + c, t)
     sh = math.sinh(pi * t)
     sech_coeff = sh / (8.0 * math.sqrt(k) * t)
     p_coeff = t * sh / (2.0 * math.sqrt(k) * pi)
@@ -507,7 +507,7 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     est = 1e-12 + (abs(head) + abs(gpart)) * 1e-14 + 3.0 / r_len**2.5
     # n = r.size is odd, so ceil(log2 n) = n.bit_length()
     est += np.finfo(float).eps * ((2 * W + 1) * sech_abs + (r.size.bit_length() + 1) * p_abs)
-    return Evaluation(head + gpart, est, {"r_terms": r_len}, bool(guarded.any()))
+    return Evaluation(head + gpart, est, {"r_terms": r_len}, kernel_g(r_len - N, t, k).overflow_guarded)
 
 
 def power_series_evaluator(k: int, s: int) -> SeriesEvaluator:

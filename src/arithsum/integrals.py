@@ -178,15 +178,15 @@ def exp_series_sums(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     return s[0], s[1], s[2]
 
 
-def p_values(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """P(q) = sum_n c_n / (t^2 n^2 + q^2) elementwise over q, with (n, c_n) the
-    ``weights`` from ``_p_weights(t)``, one weight at a time into one buffer.
+def p_values(q: np.ndarray, t: float) -> np.ndarray:
+    """P(q) = sum_n c_n / (t^2 n^2 + q^2) elementwise over q, with (n, c_n)
+    from ``_p_weights(t)``, one weight at a time into one buffer.
     The smallest terms come first: in the other order the partial sums at t = 0.001
     stay near P(0) ~ 1/t^2 and put 3e-12 of rounding into J(0), not 1.3e-13."""
     q2 = np.square(np.asarray(q, dtype=float))
     out = np.zeros_like(q2)
     buf = np.empty_like(q2)
-    n, c = weights
+    n, c = _p_weights(t)
     for nm, cm in zip(n[::-1], c[::-1]):
         np.add(q2, t * t * nm * nm, out=buf)
         np.divide(cm, buf, out=buf)
@@ -309,7 +309,7 @@ def _far_count(far: _FarForm, q: int) -> int:
     return far.counts[min(i, len(far.counts) - 1)]
 
 
-def _p_part(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _p_part(q: np.ndarray, t: float) -> np.ndarray:
     """-(2t/pi) P(q), S(q) without its sech head, elementwise over consecutive
     integers q >= 0: the weight sum ``p_values`` below q0 and the moment form
     from q0 on, Horner's rule in x = 1/q^2 over each segment's moments."""
@@ -317,7 +317,7 @@ def _p_part(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> 
     k = q.size if far is None else min(max(far.q0 - q_first, 0), q.size)
     out = np.empty(q.size)
     if k:
-        np.multiply(p_values(q[:k], t, weights), -2.0 * t / math.pi, out=out[:k])
+        np.multiply(p_values(q[:k], t), -2.0 * t / math.pi, out=out[:k])
     while k < q.size:
         qk = q_first + k
         end = min(q.size, (1 << qk.bit_length()) - q_first)
@@ -331,14 +331,14 @@ def _p_part(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> 
     return out
 
 
-def _j(q: np.ndarray, t: float, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _j(q: np.ndarray, t: float) -> np.ndarray:
     """S(q) = (-1)^q J(q, t) = (-1)^q sech(pi q/(2t))/(2t) - (2t/pi) P(q),
-    elementwise over consecutive integers q = a, a + 1, ... >= 0; ``weights``
-    as in ``p_values``, P as in ``_p_part``.  Only the sech head alternates, and
+    elementwise over consecutive integers q = a, a + 1, ... >= 0, P as in
+    ``_p_part``.  Only the sech head alternates, and
     it is added only below q_s = ceil(746 * 2t/pi): exp(-x) is +0 for x > 745.14,
     so from q_s on the head is +-0, and +-0 + y = y for the nonzero y = -(2t/pi) P(q), P > 0."""
     a = int(q[0])
-    out = _p_part(q, t, weights)
+    out = _p_part(q, t)
     m = min(max(math.ceil(746.0 * 2.0 * t / math.pi) - a, 0), q.size)
     if m:
         head = sech_values(math.pi * q[:m] / (2.0 * t)) / (2.0 * t)
@@ -407,7 +407,7 @@ def integral_j(q: int, t: float) -> IntegralValue:
     the rounding of the moments (``_j_far``)."""
     check_t(t)
     q = abs(int(q))
-    weights = n, c = _p_weights(t)
+    n, c = _p_weights(t)
     x = math.pi * q / (2.0 * t)
     head = sech(x) / (2.0 * t)
     far = _j_far(t)
@@ -426,7 +426,7 @@ def integral_j(q: int, t: float) -> IntegralValue:
         exponents = np.full(used, 3.0 * used + 1.0)
     est += _rounding([head], [x], terms, exponents)
     # head + (-1)^q S's P-part is (-1)^q S(q) with S's bits: negation is exact
-    return IntegralValue(head + (-1) ** q * float(_p_part(np.array([q]), t, weights)[0]), used, est)
+    return IntegralValue(head + (-1) ** q * float(_p_part(np.array([q]), t)[0]), used, est)
 
 
 def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -444,9 +444,8 @@ def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarr
     """
     check_t(t)
     out = np.empty(q_max + 1) if out is None else out
-    weights = _p_weights(t)
     for i in range(0, q_max + 1, TABLE_CHUNK):
-        out[i : i + TABLE_CHUNK] = _j(np.arange(i, min(i + TABLE_CHUNK, q_max + 1)), t, weights)
+        out[i : i + TABLE_CHUNK] = _j(np.arange(i, min(i + TABLE_CHUNK, q_max + 1)), t)
     return out
 
 

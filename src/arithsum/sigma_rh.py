@@ -124,10 +124,10 @@ def _sigma_r_len(N: int, t: float) -> int:
     return (N - 1) * (N - 1) + max(4000, 40 * N, int(3000 / t))
 
 
-def _sigma_tail(tables, w, scale, r_len) -> np.ndarray:
-    # guarded hyperbolics underflow to true zeros; the rounding of each
-    # block, eps * scale, carries the sinh(pi t) of the G-part
-    return 1e-12 * np.abs(w.head) + _EPS * scale
+def _sigma_tail(tables, w, r_len) -> np.ndarray:
+    # guarded hyperbolics underflow to true zeros; the rounding scale bounds every
+    # term a block sums, its cut rest and the G-part's sinh(pi t) included
+    return 1e-12 * np.abs(w.head) + _EPS * tables.rounding_scale(w)
 
 
 def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:

@@ -550,3 +550,12 @@ def test_verify_decomposition_report_is_unchanged(capsys, fast, n_max):
     assert code == 0
     want = _DECOMPOSITION_REPORT.replace("FAST", "true" if fast else "false").replace("N_MAX", str(n_max))
     assert out == want
+
+
+@pytest.mark.parametrize("N", ["100000000000000000000", "4611686018427387904"])
+def test_a_huge_n_exits_2_naming_the_int64_bound(N, capsys):
+    # 10^20 overflowed int64 in the window's length, and 2^62 wrapped it
+    assert main(["eval-q", "--k", "1", "--N", N]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: |N| and every |shift| must be at most 2^60"), lines
+    assert lines[0].endswith(f"got N = {N}"), lines

@@ -73,7 +73,7 @@ def test_a_base_of_the_other_parity_reads_a_view_of_the_held_grid(builds):
     del builds[:]
     g = BlockTables(2, 0.7, -631, 569, 700).g
     assert builds == []
-    assert np.shares_memory(g, indicators._HELD["g"][3][0])
+    assert np.shares_memory(g, indicators._HELD["g"][3])
     assert g.tobytes() == cold
 
 
@@ -104,7 +104,7 @@ def test_a_grid_that_ends_past_the_held_one_is_built(builds):
     BlockTables(1, 1.0, -1040, 960, 1000)
     g = BlockTables(1, 1.0, -1035, 975, 1000).g
     assert builds == ["_g_grid", "j_values", "_g_grid"]
-    assert g.tobytes() == indicators._g_grid(-1035, 975, 1.0, 1)[0].tobytes()
+    assert g.tobytes() == indicators._g_grid(-1035, 975, 1.0, 1).tobytes()
 
 
 def test_held_arrays_are_read_only(builds):
@@ -114,7 +114,7 @@ def test_held_arrays_are_read_only(builds):
     windows = [(r_len + 10 - 5 * d, 4 * N + d) for d in (0, 1, 2)]
     plans = [BlockTables(1, t, -L - B, L - B, r_len + 900) for L, B in windows]
     assert len(builds) == 2  # the second and third plans read the first's tables
-    arrays = [*indicators._HELD["g"][3], *indicators._HELD["j"][3]]
+    arrays = [indicators._HELD["g"][3], indicators._HELD["j"][3]]
     arrays += [a for p in plans for a in (p.g, p.Js)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -135,12 +135,12 @@ def test_the_oracles_do_not_read_the_held_grid(builds):
             lambda: q_shifted_analytic(3, N, c, t),
         )
     ]
-    key, lo, hi, (held, guarded) = indicators._HELD["g"]
+    key, lo, hi, held = indicators._HELD["g"]
     assert key == (3, t) and lo < -N < hi  # r = 0 at base N
     bent = held * (1.0 + 1e-6)
     bent.flags.writeable = False
-    indicators._HELD["g"] = (key, lo, hi, (bent, guarded))
+    indicators._HELD["g"] = (key, lo, hi, bent)
     assert _bits(sum_diff_analytic(g, inst, t)) != before[0]
     assert _bits(unit_sum_diff(inst, t)) == before[1]
     assert _bits(q_shifted_analytic(3, N, c, t)) == before[2]
-    assert indicators._HELD["g"][3][0] is bent
+    assert indicators._HELD["g"][3] is bent

@@ -388,7 +388,7 @@ def test_sech_parts_match_unwindowed_sum(t):
     # is that of the |terms|
     N, k, R = 7, 2, 400
     W = indicators._sech_half_width(t)
-    grid, _ = indicators._g_grid(-R - N, R - N, t, k)
+    grid = indicators._g_grid(-R - N, R - N, t, k)
     r = np.arange(-R, R + 1)
     g = g_values(r - N, t, k)
     centres = [W - R, W - R + 1, -N, 0, 5, 33, R - W - 1, R - W]
@@ -404,7 +404,7 @@ def test_sech_parts_reject_windows_off_the_grid():
     # numpy would wrap a negative start silently
     t, R = 1.0, 100
     W = indicators._sech_half_width(t)
-    g, _ = indicators._g_grid(-R - 3, R - 3, t, 1)
+    g = indicators._g_grid(-R - 3, R - 3, t, 1)
     indicators._sech_parts(g, R, [W - R, R - W], t)
     for c in (W - R - 1, R - W + 1):
         with pytest.raises(ValueError):

@@ -234,10 +234,11 @@ def test_each_block_moves_by_at_most_its_bound(case):
     N, k, t, shifts, r_lens = case
     w, cap = _windows(*case)
     tables = _full_tables(w, cap, k, t)
-    value, scale = tables.evaluate(w)
+    value, scale = tables.evaluate(w), tables.rounding_scale(w)
     head, exp_part, bound = w.head, w.exp_part, w.bound
     none = np.zeros(w.y.size)
-    full_value, full_scale = tables.evaluate(w._replace(hi=cap, bound=none, g_tail=none))
+    full = w._replace(hi=cap, bound=none, g_tail=none)
+    full_value, full_scale = tables.evaluate(full), tables.rounding_scale(full)
     uncut = w.hi == cap
     assert not w.bound[uncut].any() and not w.g_tail[uncut].any()
     assert np.array_equal(value[uncut], full_value[uncut])  # the same bits

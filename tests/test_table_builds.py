@@ -8,8 +8,8 @@ import pytest
 
 from arithsum import indicators, integrals
 from arithsum.indicators import _closed_heads, _g_grid, _two_sided_j
-from arithsum.integrals import _exp_series_terms, _j, _p_weights, exp_series_sums, j_values
-from arithsum.kernels import TABLE_CHUNK, _g
+from arithsum.integrals import _exp_series_terms, _j, exp_series_sums, j_values
+from arithsum.kernels import TABLE_CHUNK, _g, kernel_g
 from arithsum.sigma_rh import _sigma_r_len, sigma_analytic
 
 
@@ -28,15 +28,15 @@ def test_chunked_builds_equal_one_unchunked_call(monkeypatch, chunk, size):
     monkeypatch.setattr(integrals, "TABLE_CHUNK", chunk)
     n = {"below": chunk - 2, "exact": chunk, "several": 3 * chunk + chunk // 3}[size]
     R, N, t, k = n // 2, 37, 0.7, 2
-    g, guarded = _g_grid(-R - N, R - N, t, k)
+    g = _g_grid(-R - N, R - N, t, k)
     want, want_guarded = _g(np.arange(-R, R + 1, dtype=float) - N, t, k)
     assert np.array_equal(_bits(g), _bits(want))
-    assert np.array_equal(guarded, want_guarded)
-    js = _j(np.arange(n), t, _p_weights(t))
+    assert kernel_g(R - N, t, k).overflow_guarded == want_guarded.any()
+    js = _j(np.arange(n), t)
     assert np.array_equal(_bits(j_values(n - 1, t)), _bits(js))
     j = np.where(np.arange(n) % 2, -1.0, 1.0) * js  # J(q) = (-1)^q S(q)
     m = np.arange(-R, R + 1)
-    assert np.array_equal(_bits(_two_sided_j(R, t)[0]), _bits(np.where(m % 2, -1.0, 1.0) * j[np.abs(m)]))
+    assert np.array_equal(_bits(_two_sided_j(R, t)), _bits(np.where(m % 2, -1.0, 1.0) * j[np.abs(m)]))
 
 
 def _peak_bytes(f):
@@ -52,8 +52,8 @@ def _peak_bytes(f):
 def test_table_builds_peak_at_their_outputs_plus_4_mb():
     # numpy reports its buffers to tracemalloc; unchunked, the temporaries
     # took 32 MB (G) and 19 MB (J) beyond the outputs
-    (g, guarded), peak = _peak_bytes(lambda: _g_grid(-200400, 199600, 1.0, 1))
-    assert peak <= g.nbytes + guarded.nbytes + 4e6
+    g, peak = _peak_bytes(lambda: _g_grid(-200400, 199600, 1.0, 1))
+    assert peak <= g.nbytes + 4e6
     js, peak = _peak_bytes(lambda: j_values(400000, 1.0))
     assert peak <= js.nbytes + 4e6
 
@@ -61,7 +61,7 @@ def test_table_builds_peak_at_their_outputs_plus_4_mb():
 def test_two_sided_j_peaks_at_its_output_plus_1_mb():
     # j_values fills the right half of Js in place; a half built apart
     # and then copied in took 3.7 MB more
-    (js,), peak = _peak_bytes(lambda: _two_sided_j(400000, 1.0))
+    js, peak = _peak_bytes(lambda: _two_sided_j(400000, 1.0))
     assert peak <= js.nbytes + 1e6
 
 
@@ -71,7 +71,7 @@ def test_a_new_key_drops_the_held_tables_before_it_builds(monkeypatch):
     monkeypatch.setattr(indicators, "_HELD", {})
     R = _sigma_r_len(300, 1.5)
     Q = R + 299**2
-    own = (2 * R + 1) * 9 + (2 * Q + 1) * 8  # g, its guard mask and Js
+    own = (2 * R + 1) * 8 + (2 * Q + 1) * 8  # g and Js
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -124,6 +124,6 @@ def test_j_chunks_keep_the_bits_and_stay_small(t):
     # partial here; J is elementwise, so the bits are one call's
     n = 9 * TABLE_CHUNK + 5
     js, peak = _peak_bytes(lambda: j_values(n - 1, t))
-    assert np.array_equal(_bits(js), _bits(_j(np.arange(n), t, _p_weights(t))))
+    assert np.array_equal(_bits(js), _bits(_j(np.arange(n), t)))
     # _j's temporaries at TABLE_CHUNK entries
     assert peak <= js.nbytes + 2e6

@@ -118,7 +118,7 @@ def test_value_and_estimate_are_the_fsums_of_the_blocks():
     L = np.array(r_lens)
     tables = BlockTables(k, t, -r_max - N, r_max - N, r_max + max(map(abs, shifts)))
     w = _cut_windows(k, t, N + np.array(shifts), -L - N, L - N)
-    values, _ = tables.evaluate(w)
+    values = tables.evaluate(w)
     bounds = w.bound
     assert ev.value == math.fsum(w * v for w, v in zip(weights, values.tolist()))
     assert ev.error_estimate == math.fsum(
@@ -271,7 +271,7 @@ def _blocks_of(monkeypatch, call):
 
     def spy(self, w):
         out = real_evaluate(self, w)
-        seen.append((w, out[0]))
+        seen.append((w, out))
         return out
 
     with monkeypatch.context() as m:
@@ -312,3 +312,72 @@ def test_the_cut_is_closed_form():
     (cuts,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_positive_cuts"]
     loops = [n for n in ast.walk(cuts) if isinstance(n, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
     assert not loops, [type(n).__name__ for n in loops]
+
+
+def _function(path, qualname):
+    tree = ast.parse(path.read_text())
+    *owners, name = qualname.split(".")
+    body = tree.body
+    for owner in owners:
+        body = next(c for c in body if isinstance(c, ast.ClassDef) and c.name == owner).body
+    return next(f for f in body if isinstance(f, ast.FunctionDef) and f.name == name)
+
+
+def test_evaluate_returns_the_block_values_alone():
+    evaluate = _function(SRC / "indicators.py", "BlockTables.evaluate")
+    returns = [n for n in ast.walk(evaluate) if isinstance(n, ast.Return)]
+    assert returns and not any(isinstance(r.value, ast.Tuple) for r in returns)
+    N, k, t = 20, 1, 0.5
+    w = _cut_windows(k, t, [N - 3, N + 4], [-1600 - N] * 2, [1600 - N] * 2)
+    value = BlockTables(k, t, *w.extent).evaluate(w)
+    assert isinstance(value, np.ndarray) and value.shape == (2,)
+
+
+def test_only_sigmas_tail_takes_a_prefix_sum_of_g(monkeypatch):
+    # the rounding scale's prefix sum of |g| runs over the union window; no
+    # other tail reads it, and no tail is handed it
+    assert _functions_that(_calls("rounding_scale")) == [("sigma_rh.py", "_sigma_tail")]
+    assert [f for f in _functions_that(_calls("cumsum")) if f[0] == "indicators.py"] == [
+        ("indicators.py", "BlockTables.rounding_scale")
+    ]
+    tails = [(SRC / "indicators.py", "_q_tail"), (SRC / "dsums.py", "_block_tail"), (SRC / "sigma_rh.py", "_sigma_tail")]
+    for path, name in tails:
+        assert [a.arg for a in _function(path, name).args.args] == ["tables", "w", "r_len"], name
+    calls = []
+    real = BlockTables.rounding_scale
+    monkeypatch.setattr(BlockTables, "rounding_scale", lambda self, w: calls.append(w.y.size) or real(self, w))
+    for driver in sorted(CALLS):
+        del calls[:]
+        CALLS[driver]()
+        assert calls == ([39] if driver == "sigma" else []), driver
+
+
+def test_the_held_tables_hold_one_array_each(monkeypatch):
+    monkeypatch.setattr(indicators, "_HELD", {})
+    sigma_analytic(30, 1.0)
+    q_analytic(2, 9, 0.7)  # a new G key beside sigma's J
+    assert sorted(indicators._HELD) == ["g", "j"]
+    for key, lo, hi, a in indicators._HELD.values():
+        assert isinstance(a, np.ndarray) and a.shape == (hi - lo + 1,) and not a.flags.writeable
+    w = _cut_windows(1, 1.0, [40], [-1600], [1560])
+    tables = BlockTables(1, 1.0, *w.extent)
+    assert sorted(k for k, v in vars(tables).items() if isinstance(v, np.ndarray)) == ["Js", "g"]
+    assert not weighted_blocks(40, 1, 1.0, [1.0], [0], None, dsums._block_tail).guards_engaged
+
+
+@pytest.mark.parametrize("N,shifts,r_lens", [(10**20, [0], None), (2**62, [0], None), (2**60 + 1, [0], None),
+                                             (5, [2**61], None), (5, [10**20], None), (5, [1], 2**62 + 1),
+                                             (5, [1], 10**20)])
+def test_coordinates_that_could_wrap_int64_are_refused(monkeypatch, N, shifts, r_lens):
+    # before anything is sized: N, c and r_len past 2^60, 2^60 and 2^62
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a window was cut")
+
+    monkeypatch.setattr(indicators, "_cut_windows", unavailable)
+    with pytest.raises(ValueError, match=r"at most 2\^60 and r_len at most 2\^62"):
+        weighted_blocks(N, 1, 1.0, [1.0], shifts, r_lens, dsums._block_tail)
+
+
+def test_q_refuses_a_huge_n():
+    with pytest.raises(ValueError, match=r"2\^60"):
+        q_analytic(1, 10**20)
