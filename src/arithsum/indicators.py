@@ -22,13 +22,14 @@ every t > 0.
 ``BlockTables`` is the one block engine, a fixed contraction plan keyed on
 (k, t).  It sets up the grid g[M - lo] = G(M), M = lo..hi, and Js[Q + q] =
 S(|q|), the signed ``j_values`` table S(q) = (-1)^q J(q) and its mirror,
-which carry the (-1)^(M+y), once (views of the held tables where those
-cover them), and contracts them into the G-parts of many blocks (the
-products next to each J peak M = -y summed by ``math.fsum``, the rest tile
-by tile).  A block's window is lo <= M <= hi: the driver sets lo and a cap
-on hi, and the engine cuts hi lower where a closed bound of the rest is
-below one rounding of the block's head and exp-series (``_cut_windows``);
-the window carries that bound.  ``evaluate`` returns head + exp-series +
+which carry the (-1)^(M+y), once (views of the held plan, the last
+tables built, where it has this (k, t) and covers them), and contracts
+them into the G-parts of many blocks (the products next to each J peak
+M = -y summed by ``math.fsum``, the rest tile by tile).  A block's window
+is lo <= M <= hi: the driver sets lo and a cap on hi, and the engine cuts
+hi lower where a closed bound of the rest is below one rounding of the
+block's head and exp-series (``_cut_windows``); the window carries that
+bound.  ``evaluate`` returns head + exp-series +
 G-part for an array of blocks, and no other code assembles a block; only
 sigma's tail reads ``rounding_scale``.  ``weighted_blocks`` is the one
 function that forms a weighted sum of blocks, sum_i w_i block(N + c_i), and
@@ -53,10 +54,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integrals import cosh_over_sinh2_values, coth, csch_values, exp_series_sums
+from .integrals import _EPS, cosh_over_sinh2_values, coth, csch_values, exp_series_sums
 from .integrals import _p_weights, j_values, p_values, sech_values
 from .kernels import TABLE_CHUNK, _g, check_analytic_t, kernel_g
-from .series import Evaluation, SeriesEvaluator, invert_series
+from .series import _COORD_MAX, Evaluation, SeriesEvaluator, invert_series
 
 # doubles of g per tile of the G-part contraction (512 KiB): a tile fits a
 # core's 2 MiB L2 cache, but with the Js range it meets, ~3 MB at
@@ -65,8 +66,6 @@ _TILE = 1 << 16
 # the near products of a G-part, |r + c| <= _NEAR next to J's peak
 _NEAR = 32
 _NEAR_RANGE = np.arange(-_NEAR, _NEAR + 1)
-# unit roundoff, the scale of one rounding
-_U = 2.0**-53
 
 __all__ = [
     "BlockTables",
@@ -151,31 +150,9 @@ def _g_grid(lo: int, hi: int, t: float, k: int) -> np.ndarray:
     return g
 
 
-# the held tables: "g", the last G grid built, keyed by (k, t), over
-# M = lo..hi; "j", the last Js, keyed by t, over m = -Q..Q
+# the held plan, (k, t) -> (lo, hi, Q, g, Js): the last tables built, g over
+# M = lo..hi and Js over q = -Q..Q, both read-only; it holds at most one plan
 _HELD: dict = {}
-
-
-def _held(name: str, key, lo: int, hi: int, build) -> np.ndarray:
-    """A read-only array over the coordinates lo..hi: a view of the held
-    entry if it has this key and covers lo..hi, else a view of
-    build(lo', hi'), which replaces it; lo'..hi' is lo..hi joined with the
-    held range if the key is the same, so that requests whose ends move
-    both ways are built once.  Each entry depends only on its coordinate
-    and the key, so a view has the bits of a build."""
-    e = _HELD.get(name)
-    if e is not None and e[0] == key:
-        if e[1] <= lo and hi <= e[2]:
-            return e[3][lo - e[1] : hi - e[1] + 1]
-        lo_b, hi_b = min(lo, e[1]), max(hi, e[2])
-    else:
-        lo_b, hi_b = lo, hi
-    del e  # drop the old entry before the build: the two are never resident at once
-    _HELD.pop(name, None)
-    a = build(lo_b, hi_b)
-    a.flags.writeable = False
-    _HELD[name] = (key, lo_b, hi_b, a)
-    return a[lo - lo_b : hi - lo_b + 1]
 
 
 def _two_sided_j(Q: int, t: float) -> np.ndarray:
@@ -215,7 +192,7 @@ def _j_far_coeffs(t: float) -> tuple[float, float]:
     and its sum of n terms rounds by at most (n + 4) u sum_n |c_n|/q^2."""
     n, c = (w.tolist() for w in _p_weights(t))
     a = 2.0 * t / pi
-    mu0 = abs(math.fsum(c)) + (len(n) + 4) * _U * math.fsum(map(abs, c))
+    mu0 = abs(math.fsum(c)) + (len(n) + 4) * (_EPS / 2.0) * math.fsum(map(abs, c))
     return a * mu0, a * t * t * math.fsum(abs(cm) * nm * nm for nm, cm in zip(n, c))
 
 
@@ -314,7 +291,7 @@ def _cut_windows(k: int, t: float, y, lo, hi) -> Windows:
     one rounding of the block's head and exp-series, u (|head| + |exp-series|)."""
     y, lo, hi = (np.asarray(a, dtype=np.int64) for a in (y, lo, hi))
     head, exp_part = _closed_heads(y, k, t)
-    return Windows(y, lo, *_positive_cuts(k, t, y, hi, _U * (np.abs(head) + np.abs(exp_part))), head, exp_part)
+    return Windows(y, lo, *_positive_cuts(k, t, y, hi, _EPS / 2.0 * (np.abs(head) + np.abs(exp_part))), head, exp_part)
 
 
 class BlockTables:
@@ -325,9 +302,10 @@ class BlockTables:
     Js[Q + q] = (-1)^q J(|q|), q = -Q..Q, Q = q_len, are set up once and
     serve every block; ``weighted_blocks`` sizes them to its windows,
     ``BlockTables(k, t, *w.extent).evaluate(w)``.  They are read-only
-    views of the held tables (``_held``, one array each, no guard mask) where
-    those cover them: the last G grid per (k, t) and the last J table per t.
-    Otherwise they are built, bit for bit the same, and become the held ones.
+    views of the held plan (``_HELD``, the last g and Js built, one array
+    each, no guard mask) where it has this (k, t) and covers lo..hi and
+    -Q..Q.  Otherwise the held plan is dropped, and exactly these two
+    tables are built, bit for bit the same, and become the held plan.
 
     The block at argument y sums G(M) Js(M + y) over its window
     lo <= M <= hi from ``_cut_windows``, which must lie inside the grids
@@ -339,8 +317,15 @@ class BlockTables:
         check_analytic_t(t)
         self.k, self.t = k, t = int(k), float(t)
         self.lo, self.hi, self.Q = lo, hi, Q = int(lo), int(hi), int(q_len)
-        self.g = _held("g", (k, t), lo, hi, lambda a, b: _g_grid(a, b, t, k))
-        self.Js = _held("j", t, -Q, Q, lambda a, b: _two_sided_j(b, t))
+        plan = _HELD.get((k, t))
+        if plan is None or lo < plan[0] or hi > plan[1] or Q > plan[2]:
+            del plan  # drop the held plan before the build: two plans are never resident at once
+            _HELD.clear()
+            g, Js = _g_grid(lo, hi, t, k), _two_sided_j(Q, t)
+            g.flags.writeable = Js.flags.writeable = False
+            plan = _HELD[k, t] = (lo, hi, Q, g, Js)
+        a, _, P, g, Js = plan
+        self.g, self.Js = g[lo - a : hi - a + 1], Js[P - Q : P + Q + 1]
         self.coeff = math.sinh(pi * t) / (4.0 * math.sqrt(k))
 
     def gpart(self, y: int, lo: int, hi: int) -> float:
@@ -416,7 +401,7 @@ def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> 
     c = np.asarray(shifts)
     if not c.size:
         return Evaluation(0.0, 0.0, {"blocks": 0})
-    if max(abs(N), abs(int(c.min())), int(c.max())) > 2**60 or (r_lens is not None and np.asarray(r_lens).max() > 2**62):
+    if max(abs(N), abs(int(c.min())), int(c.max())) > _COORD_MAX or (r_lens is not None and np.asarray(r_lens).max() > 2**62):
         raise ValueError(f"|N| and every |shift| must be at most 2^60 and r_len at most 2^62 in int64, got N = {N}")
     c = c.astype(np.int64, copy=False)
     r_len = np.empty_like(c)
@@ -440,15 +425,17 @@ def _q_tail(tables: BlockTables, w: Windows, r_len) -> float:
     # past the window the summand decays at least like |M|^(-7/2) on the
     # positive side and |M + y|^(-4) through the J factor on the negative.
     # The edge is the 64 points at distance d - 63..d on either side of J's
-    # peak M = -y, d = -y - lo, paired about it, where J is even.  Where the
-    # cut leaves the positive edge off the grid, its closed bound stands in,
-    # which is no smaller; the cut's own tail is the engine's bound
+    # peak M = -y, d = -y - lo, paired about it, where J is even; the
+    # positive edge ends at the window's cap M = d - y.  Where the cut left
+    # it out of the window, its closed bound stands in, which is no smaller,
+    # whatever the plan holds past the window; the cut's own tail is the
+    # engine's bound
     k, t, Q, g, Js = tables.k, tables.t, tables.Q, tables.g, tables.Js
     y, d = int(w.y[0]), -int(w.y[0] + w.lo[0])
     p = -y - tables.lo  # J's peak in g
     face = float(w.head[0] + w.exp_part[0]) + tables.coeff * float(g[p] * Js[Q])
     neg = g[p - d : p - d + 64][::-1]
-    if d - y <= tables.hi:
+    if d - y <= w.hi[0]:
         edge = np.abs(g[p + d - 63 : p + d + 1] + neg)
     else:
         edge = _g_bound(np.arange(d - 63 - y, d - y + 1, dtype=float), t, k) + np.abs(neg)
@@ -506,7 +493,7 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     p_abs = p_coeff * float(np.sum(np.abs(p_terms)))
     est = 1e-12 + (abs(head) + abs(gpart)) * 1e-14 + 3.0 / r_len**2.5
     # n = r.size is odd, so ceil(log2 n) = n.bit_length()
-    est += np.finfo(float).eps * ((2 * W + 1) * sech_abs + (r.size.bit_length() + 1) * p_abs)
+    est += _EPS * ((2 * W + 1) * sech_abs + (r.size.bit_length() + 1) * p_abs)
     return Evaluation(head + gpart, est, {"r_terms": r_len}, kernel_g(r_len - N, t, k).overflow_guarded)
 
 

@@ -50,6 +50,7 @@ import numpy as np
 from .kernels import GUARD_THRESHOLD, TABLE_CHUNK, check_t
 
 WEIGHT_TOL = 1e-18
+# machine epsilon, 2^-52; the unit roundoff u, the scale of one rounding, is _EPS / 2
 _EPS = float(np.finfo(float).eps)
 # J's moment form starts at q0 = max(_FAR_Q0, ceil(2t n_max))
 _FAR_Q0 = 32

@@ -40,8 +40,12 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .integrals import j_values
+from .integrals import _EPS, j_values
 from .kernels import check_analytic_t
+
+# the largest |N| or |shift| a driver takes: the points and windows it
+# sizes from a few such coordinates stay inside int64
+_COORD_MAX = 2**60
 
 _LEMMA4_ROWS = 64  # rows per block of lemma4_residual: 64 x 2000 doubles ~ 1 MB
 # lemma4_residual's closed tails start at shift n_terms + _PSI_MARGIN, where
@@ -113,10 +117,14 @@ def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
     signed table.  The two sides are folded before the products with
     (-1)^r J(r) are summed pairwise.  The estimate is the tail model 20/L^2
     plus the sinh(pi t)/pi-amplified rounding of that sum,
-    eps (ceil(log2 L) + 2) sum |terms|.
+    eps (ceil(log2 L) + 2) sum |terms|.  An |N| past 2^60, where the points
+    could wrap int64, is refused before anything is sized.
     """
     check_analytic_t(t)
     Ns = [int(N) for N in Ns]
+    for N in Ns:
+        if abs(N) > _COORD_MAX:
+            raise ValueError(f"|N| must be at most 2^60 in int64, got N = {N}")
     if not Ns:
         return []
     Ls = [abs(N) + max(2500, int(1200 / t)) for N in Ns]
@@ -130,7 +138,7 @@ def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
         x0 = -N - lo  # the index of x = -N
         terms = (im[x0 + 1 : x0 + L + 1] + im[x0 - L : x0][::-1]) * S[1 : L + 1]
         head = float(im[x0] * S[0])
-        rounding = np.finfo(float).eps * (math.ceil(math.log2(L)) + 2) * scale
+        rounding = _EPS * (math.ceil(math.log2(L)) + 2) * scale
         est = 20.0 / L**2 + rounding * (abs(head) + float(np.sum(np.abs(terms))))
         out.append(Evaluation(-scale * (head + float(np.sum(terms))), float(est), {"r_terms": L}))
     return out

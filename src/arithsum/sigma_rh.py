@@ -26,6 +26,7 @@ from math import isqrt
 import numpy as np
 
 from .indicators import weighted_blocks
+from .integrals import _EPS
 from .kernels import check_analytic_t
 from .series import Evaluation
 
@@ -43,8 +44,6 @@ __all__ = [
 
 # Euler's constant, fixed to 17 digits; the Robin bound only needs the value.
 EULER_GAMMA = 0.5772156649015329
-
-_EPS = np.finfo(float).eps
 
 
 def sigma_bruteforce(N: int) -> int:

@@ -559,3 +559,12 @@ def test_a_huge_n_exits_2_naming_the_int64_bound(N, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: |N| and every |shift| must be at most 2^60"), lines
     assert lines[0].endswith(f"got N = {N}"), lines
+
+
+@pytest.mark.parametrize("N", ["100000000000000000000", str(2**60 + 1)])
+def test_a_huge_n_at_general_s_exits_2_naming_the_int64_bound(N, capsys):
+    # the inversion's sample grid failed in numpy, with "Maximum allowed size
+    # exceeded" and "array is too big", naming no bound
+    assert main(["eval-q", "--k", "1", "--s", "2", "--N", N]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: |N| must be at most 2^60 in int64, got N = {N}"]

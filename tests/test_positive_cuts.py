@@ -24,7 +24,7 @@ from arithsum.dsums import (
     weighted_finite_analytic,
     weighted_infinite_analytic,
 )
-from arithsum.indicators import BlockTables, _cut_windows, _default_r_len, q_analytic
+from arithsum.indicators import BlockTables, _cut_windows, _default_r_len, _q_tail, q_analytic
 from arithsum.integrals import j_values
 from arithsum.kernels import g_values
 from arithsum.sigma_rh import _sigma_r_len, sigma_analytic, sigma_bruteforce
@@ -346,9 +346,16 @@ def test_a_sigma_sweep_builds_each_table_once(builds, t):
     assert sorted(builds) == ["_g_grid", "j_values"]
 
 
-def test_ends_that_move_both_ways_are_joined(builds):
-    # at t = 0.3 the grid of sigma(116) starts below sigma(115)'s and ends
-    # one entry short of it; held apart, each call would rebuild the other's
-    for N in (115, 116, 115, 116):
-        sigma_analytic(N, 0.3)
-    assert builds.count("_g_grid") == 2
+@pytest.mark.parametrize("k,N,t,cut", [(3, 12, 0.3, True), (1, 97, 0.1, True), (1, 7, 1.0, False), (2, 50, 3.0, False)])
+def test_q_tail_reads_its_window_not_the_plan(monkeypatch, k, N, t, cut):
+    # a plan that reaches past q's cap holds G where the cut window stops;
+    # the tail's estimate is that of the window, whatever the plan holds
+    monkeypatch.setattr(indicators, "_HELD", {})
+    r_len = _default_r_len(N, 0, t)
+    w, cap = _windows(*_eval_q_set(N, k, t))
+    lo, hi, Q = w.extent
+    assert (hi < cap[0]) == cut
+    exact = _q_tail(BlockTables(k, t, lo, hi, Q), w, r_len)
+    indicators._HELD.clear()
+    wide = _q_tail(BlockTables(k, t, lo - 50, int(cap[0]) + 100, Q + 150), w, r_len)
+    assert wide.hex() == exact.hex()

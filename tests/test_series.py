@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from arithsum.indicators import power_series_evaluator
+from arithsum.indicators import power_series_evaluator, q_general_analytic
 from arithsum.series import (
     _closed_tail,
     _digamma,
@@ -59,6 +59,20 @@ def test_invert_no_n():
     assert invert_series_many(geometric_series_evaluator(), [], 1.0) == []
     with pytest.raises(ValueError):
         invert_series_many(geometric_series_evaluator(), [], 0.0)
+
+
+@pytest.mark.parametrize("N", [10**20, -(10**20), 2**60 + 1])
+def test_an_n_past_2_60_is_refused_before_any_point_is_sized(N):
+    # numpy refused these sample grids, by size alone, with lines that name no bound
+    def unavailable(x, t):
+        raise AssertionError("the evaluator was sampled")
+
+    F = power_series_evaluator(1, 2)
+    with pytest.raises(ValueError, match=rf"^\|N\| must be at most 2\^60 in int64, got N = {N}$"):
+        invert_series_many(type(F)(unavailable, F.label, F.coefficient), [5, N], 1.0)
+    if N > 0:
+        with pytest.raises(ValueError, match=r"2\^60"):
+            q_general_analytic(1, 2, N)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from arithsum import indicators, integrals
-from arithsum.indicators import _closed_heads, _g_grid, _two_sided_j
+from arithsum.indicators import BlockTables, _closed_heads, _g_grid, _two_sided_j
 from arithsum.integrals import _exp_series_terms, _j, exp_series_sums, j_values
 from arithsum.kernels import TABLE_CHUNK, _g, kernel_g
 from arithsum.sigma_rh import _sigma_r_len, sigma_analytic
@@ -82,6 +82,30 @@ def test_a_new_key_drops_the_held_tables_before_it_builds(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= own + 4e6
+
+
+def test_a_new_k_drops_the_whole_plan_before_it_builds(monkeypatch):
+    # sigma(600, t=1) leaves a plan of about 9.4 MB held, 6 MB of it its J
+    # table.  The plan below, at k = 2 and the same t, needs a larger G grid
+    # and a small J table; a J table kept for its t would rise on top of
+    # the build, and so would the old plan if it went after the build
+    monkeypatch.setattr(indicators, "_HELD", {})
+    request = (-701200, 698800, 3000)
+    own = (request[1] - request[0] + 1) * 8 + (2 * request[2] + 1) * 8  # g and Js
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sigma_analytic(600, 1.0)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        BlockTables(2, 1.0, *request)
+        now, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert held >= 9e6 and own >= held
+    assert peak <= own + 3e6
+    assert now <= own + 1e6  # the held plan is the new one alone
+    assert list(indicators._HELD) == [(2, 1.0)]
 
 
 def _unblocked_exp_series_sums(y, t):

@@ -355,10 +355,11 @@ def test_only_sigmas_tail_takes_a_prefix_sum_of_g(monkeypatch):
 def test_the_held_tables_hold_one_array_each(monkeypatch):
     monkeypatch.setattr(indicators, "_HELD", {})
     sigma_analytic(30, 1.0)
-    q_analytic(2, 9, 0.7)  # a new G key beside sigma's J
-    assert sorted(indicators._HELD) == ["g", "j"]
-    for key, lo, hi, a in indicators._HELD.values():
-        assert isinstance(a, np.ndarray) and a.shape == (hi - lo + 1,) and not a.flags.writeable
+    q_analytic(2, 9, 0.7)  # a new key: sigma's plan goes whole
+    ((key, (lo, hi, Q, g, Js)),) = indicators._HELD.items()
+    assert key == (2, 0.7)
+    for a, n in (g, hi - lo + 1), (Js, 2 * Q + 1):
+        assert isinstance(a, np.ndarray) and a.shape == (n,) and not a.flags.writeable
     w = _cut_windows(1, 1.0, [40], [-1600], [1560])
     tables = BlockTables(1, 1.0, *w.extent)
     assert sorted(k for k, v in vars(tables).items() if isinstance(v, np.ndarray)) == ["Js", "g"]
