@@ -201,9 +201,8 @@ def _block_tail(tables, w, r_len) -> np.ndarray:
 
 
 def _record(ev: Evaluation, horizon: float = 0.0) -> Evaluation:
-    """A driver's record: its ``weighted_blocks`` sum plus the horizon tail,
-    with guards set for every sum of blocks."""
-    return Evaluation(ev.value, ev.error_estimate + horizon, ev.terms_used, ev.terms_used["blocks"] > 0)
+    """A driver's record: its ``weighted_blocks`` sum plus the horizon tail."""
+    return Evaluation(ev.value, ev.error_estimate + horizon, ev.terms_used, ev.guards_engaged)
 
 
 def weighted_finite_analytic(

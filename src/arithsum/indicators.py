@@ -390,9 +390,9 @@ def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> 
     and rounding per unit weight.  The value is math.fsum of the w_i
     block_i, the estimate math.fsum of the |w_i| (tail_i + bound_i), bound_i
     that of the cut tail: neither depends on the order of the pairs.
-    guards_engaged is False, G's guard at every J peak M = -y, y >= 1:
-    Re sqrt(-y + it) <= t/sqrt(2(t + 1)) <= 7.49 up to T_MAX keeps pi Re sqrt/sqrt(k)
-    below GUARD_THRESHOLD.  The vanishing identity, at y <= 0, returns no flag.
+    guards_engaged is G's guard anywhere in the windows, by the oracles' rule:
+    the guarded entries of any grid are a suffix M >= M*(k, t) > 0, so it is
+    ``kernel_g``'s flag at the top M of the windows, the grid's hi.
     """
     # before any window or table is sized from k, t, N and the shifts
     if not k >= 1:
@@ -412,6 +412,7 @@ def weighted_blocks(N: int, k: int, t: float, weights, shifts, r_lens, tail) -> 
         math.fsum(map(operator.mul, weights, tables.evaluate(w).tolist())),
         math.fsum(map(operator.mul, map(abs, weights), (tail(tables, w, r_len) + w.bound).tolist())),
         {"blocks": c.size, "r_terms": -tables.lo - N},
+        kernel_g(tables.hi, t, k).overflow_guarded,
     )
 
 
@@ -449,7 +450,7 @@ def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
     ev = weighted_blocks(N, k, t, [1.0], [0], None, _q_tail)
-    return Evaluation(ev.value, ev.error_estimate, {"r_terms": ev.terms_used["r_terms"]})
+    return Evaluation(ev.value, ev.error_estimate, {"r_terms": ev.terms_used["r_terms"]}, ev.guards_engaged)
 
 
 def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:

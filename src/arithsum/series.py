@@ -20,11 +20,11 @@ pairwise; ``invert_series`` is its one-N case, and no N gives [].  The
 length L is the one inversion rule; there is no stopping rule to tune.  It serves T_MIN <= t <= T_MAX, and ``lemma4_residual``,
 which is even in t, T_MIN <= |t| <= T_MAX.
 
-``lemma4_residual`` checks the phase-weighted form of the identity.  At
-beta in {-1, 0, 1} it sums the shifts term by term to n_terms + 32 and
-closes the rest in digamma form (Stirling's series, DLMF 5.11.2); at other
-beta, whose tail has no elementary form, it sums to a fixed k_max and
-averages the last two partial sums.
+``lemma4_residual`` checks the phase-weighted form of the identity at
+beta in {-1, 0, 1}, where its phases are real signs: it sums the shifts
+term by term to n_terms + 32 and closes the rest in digamma form
+(Stirling's series, DLMF 5.11.2).  Any other beta, whose tail is a Lerch
+transcendent with no elementary form, is refused.
 
 Callers must guarantee that their evaluator's shifted series converge
 absolutely and uniformly; that hypothesis cannot be checked mechanically
@@ -53,6 +53,7 @@ _LEMMA4_ROWS = 64  # rows per block of lemma4_residual: 64 x 2000 doubles ~ 1 MB
 _PSI_MARGIN = 32
 # B_2k/(2k), k = 1..8, of Stirling's series for the digamma function
 _PSI_STIRLING = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160)
+_GEOMETRIC_RATIO, _GEOMETRIC_TERMS = 0.5, 160  # geometric_series_evaluator's ratio^n, n = 1..160
 
 __all__ = [
     "SeriesEvaluator",
@@ -173,51 +174,29 @@ def _closed_tail(fn: np.ndarray, beta: float, t: float, k_max: int) -> float:
     return math.copysign(1.0, t) * float(np.dot(fn, im[: fn.size] + im[fn.size :]))
 
 
-def lemma4_residual(
-    f: Callable[[int], float],
-    beta: float,
-    t: float,
-    n_terms: int,
-    k_max: int | None = None,
-) -> float:
+def lemma4_residual(f: Callable[[int], float], beta: float, t: float, n_terms: int) -> float:
     """Defect of the phase-weighted coefficient identity for a truncated
-    coefficient sequence.
+    coefficient sequence at beta in {-1, 0, 1}, where the phase
+    (-1)^k e^(i pi k beta) is the real s^k, s = -1 at beta = 0 and +1 at +-1.
 
-    Both sides use f(1..n_terms) only, for which the identity is exact;
-    the residual therefore measures the convergence of the shifted-sample
-    series, which is summed term by term to the shift ``k_max``.  At beta
-    in {-1, 0, 1} its tail past k_max is closed in digamma form
-    (``_closed_tail``), taken from the summand itself and never from the
-    left-hand side; k_max defaults to n_terms + 32, the least it may be,
-    where every digamma argument has real part >= 16.5.  At other beta the
-    tail is a Lerch transcendent with no elementary form: the sum runs to
-    k_max = max(20000, 4 n_terms) by default and ends with a two-point
-    average to damp the alternating error term.
-
-    Raises ValueError for n_terms < 1, |beta| > 1, |t| outside [T_MIN, T_MAX]
-    and a k_max below n_terms + 32 at beta in {-1, 0, 1}; it is even in t.
+    Both sides use f(1..n_terms) only, for which the identity is exact, so
+    the residual measures the shifted-sample series: summed term by term to
+    k_max = n_terms + 32, where every digamma argument has real part >= 16.5,
+    and closed past it in digamma form (``_closed_tail``), from the summand
+    itself and never from the left-hand side.  Raises ValueError for
+    n_terms < 1, for any other beta, whose tail is a Lerch transcendent
+    (DLMF 25.14), before f is called, and for |t| outside [T_MIN, T_MAX];
+    it is even in t.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
-    if abs(beta) > 1.0:
-        raise ValueError(f"|beta| must not exceed 1, got {beta}")
+    if beta not in (-1.0, 0.0, 1.0):
+        raise ValueError(f"beta must be -1, 0 or 1, where the shift series' tail closes, got {beta}")
     check_analytic_t(abs(t))
-    closed = beta in (-1.0, 0.0, 1.0)
-    if k_max is None:
-        k_max = n_terms + _PSI_MARGIN if closed else max(20_000, 4 * n_terms)
-    elif closed and k_max < n_terms + _PSI_MARGIN:
-        raise ValueError(
-            f"k_max must be at least n_terms + {_PSI_MARGIN} = {n_terms + _PSI_MARGIN} at beta = {beta}, got {k_max}"
-        )
-    n = np.arange(1, n_terms + 1, dtype=float)
-    fn = np.array([f(int(j)) for j in range(1, n_terms + 1)], dtype=float)
-    sgn_n = np.where(np.arange(1, n_terms + 1) % 2 == 0, 1.0, -1.0)
-    lhs = (
-        math.pi
-        * math.cosh(math.pi * beta * t)
-        / math.sinh(math.pi * t)
-        * np.sum(sgn_n * np.exp(-1j * math.pi * n * beta) * fn)
-    )
+    k_max = n_terms + _PSI_MARGIN
+    fn = np.array([f(j) for j in range(1, n_terms + 1)], dtype=float)
+    sk = (-1.0 if beta == 0.0 else 1.0) ** np.arange(1, k_max + 1)  # s^k, k = 1..k_max
+    lhs = math.pi * math.cosh(math.pi * beta * t) / math.sinh(math.pi * t) * float(np.sum(sk[:n_terms] * fn))
 
     # (F(s - it) - F(s + it))/2i = t sum_n f(n)/((n+s)^2+t^2) for every shift
     # s in [-k_max, k_max], into brackets[k_max + s].  Shift s reads the
@@ -235,28 +214,8 @@ def lemma4_residual(
         np.sum(quot, axis=1, out=brackets[i : i + len(den)])
     brackets *= t
 
-    total = brackets[k_max]
-    last_contrib = 0j
-    block = 2048
-    k0 = 0
-    while k0 < k_max:
-        hi = min(k0 + block, k_max)
-        ks = np.arange(k0 + 1, hi + 1, dtype=float)
-        sgn = np.where(np.arange(k0 + 1, hi + 1) % 2 == 0, 1.0, -1.0)
-        bp = brackets[k_max + k0 + 1 : k_max + hi + 1]
-        bm = brackets[k_max - hi : k_max - k0][::-1]
-        phase_p = np.exp(1j * math.pi * ks * beta)
-        phase_m = np.exp(-1j * math.pi * ks * beta)
-        contrib = sgn * (phase_p * bp + phase_m * bm)
-        total = total + contrib.sum()
-        last_contrib = contrib[-1]
-        k0 = hi
-    if closed:
-        rhs = total + _closed_tail(fn, beta, t, k_max)
-    else:
-        # averaging the last two partial sums damps the leading alternating error term
-        rhs = total - 0.5 * last_contrib
-    return abs(lhs - rhs)
+    shifts = float(np.sum(sk * (brackets[k_max + 1 :] + brackets[k_max - 1 :: -1])))  # k = 1..k_max, both signs
+    return abs(lhs - (float(brackets[k_max]) + shifts + _closed_tail(fn, beta, t, k_max)))
 
 
 def self_consistency_residual(F: SeriesEvaluator, t: float) -> float:
@@ -300,17 +259,15 @@ def indicator_series_evaluator(k: int = 1) -> SeriesEvaluator:
     return SeriesEvaluator(evaluate, f"square-indicator k={k}", coefficient)
 
 
-def geometric_series_evaluator(ratio: float = 0.5, terms: int = 160) -> SeriesEvaluator:
-    """Direct-summation evaluator of sum_n ratio^n/(n+z); coefficients are
-    known by construction, making it the simplest inversion test bed."""
-    if not 0 < ratio < 1:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+def geometric_series_evaluator() -> SeriesEvaluator:
+    """Direct-summation evaluator of sum_{n <= 160} 2^-n/(n+z); coefficients
+    are known by construction, making it the simplest inversion test bed."""
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
         z = np.asarray(x, dtype=float) + 1j * t
         total = np.zeros_like(z)
-        for n in range(1, terms + 1):
-            total += ratio**n / (n + z)
+        for n in range(1, _GEOMETRIC_TERMS + 1):
+            total += _GEOMETRIC_RATIO**n / (n + z)
         return total.imag
 
-    return SeriesEvaluator(evaluate, f"geometric ratio={ratio}", lambda n: ratio**n)
+    return SeriesEvaluator(evaluate, f"geometric ratio={_GEOMETRIC_RATIO}", lambda n: _GEOMETRIC_RATIO**n)

@@ -147,7 +147,7 @@ def sigma_analytic(N: int, t: float = 1.0) -> Evaluation:
     # the r truncation sits past the last resonance with a polynomial margin
     margin = r_len - (N - 1) ** 2
     est = ev.error_estimate + 0.05 * N * N / margin**1.5 + 1e-9
-    return Evaluation(lead + ev.value, est, {"a_terms": N - 1, "r_terms": r_len}, True)
+    return Evaluation(lead + ev.value, est, {"a_terms": N - 1, "r_terms": r_len}, ev.guards_engaged)
 
 
 def harmonic(N: int) -> float:

@@ -1,7 +1,7 @@
 """Where G's overflow guard can be set.  The block engine keeps no guard
 mask: no block's J peak M = -y, y >= 1, is guarded, and on any grid the
-guarded entries form a suffix M >= M*(k, t) > 0, so an oracle's flag is
-``kernel_g``'s at its grid's top M."""
+guarded entries form a suffix M >= M*(k, t) > 0, so the flag of an oracle,
+or of a driver of the engine, is ``kernel_g``'s at its grid's top M."""
 
 import math
 
@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from arithsum import dsums, indicators
-from arithsum.dsums import DiophantineInstance, unit_sum_diff, unit_sum_squares
-from arithsum.indicators import q_shifted_analytic
+from arithsum.dsums import DiophantineInstance, sum_squares_analytic, unit_sum_diff, unit_sum_squares, unit_weight
+from arithsum.indicators import q_analytic, q_shifted_analytic
 from arithsum.kernels import GUARD_THRESHOLD, T_MAX, _g, _roots, kernel_g
+from arithsum.sigma_rh import sigma_analytic
 
 _T_GRID = [*np.geomspace(1e-3, T_MAX, 40).tolist(), T_MAX]
 
@@ -48,7 +49,9 @@ def test_g_guard_is_a_suffix_past_zero(k):
 
 @pytest.fixture
 def grids(monkeypatch):
-    """The (lo, hi, t, k) of each ``_g_grid`` an oracle builds."""
+    """The (lo, hi, t, k) of each ``_g_grid`` an oracle or driver builds,
+    from no held plan."""
+    monkeypatch.setattr(indicators, "_HELD", {})
     built = []
     real = indicators._g_grid
     for module in (indicators, dsums):
@@ -64,6 +67,11 @@ def grids(monkeypatch):
         lambda: q_shifted_analytic(2, 12, -4, 0.3),
         lambda: unit_sum_squares(DiophantineInstance(25, 1, 1, "sum"), 1.0),
         lambda: unit_sum_diff(DiophantineInstance(7, 2, 3, "difference"), 2.0),
+        # the block engine's drivers, from the grid sized to their windows
+        lambda: q_analytic(1, 5, 1.0),
+        lambda: q_analytic(50, 5, 1.0),  # its cut windows end below M*(50, 1)
+        lambda: sum_squares_analytic(unit_weight(), DiophantineInstance(25, 1, 1, "sum"), 1.0),
+        lambda: sigma_analytic(30, 1.0),
     ],
 )
 def test_an_oracles_flag_is_its_grids_any(grids, oracle):

@@ -106,7 +106,8 @@ def test_lemma4_examples():
     # the closed tails leave rounding alone at beta = 0 and 1
     assert lemma4_residual(lambda n: 0.5**n, 0.0, 1.0, 200) < 1e-12
     assert lemma4_residual(lambda n: 1.0 / n**2, 1.0, 0.5, 2000) < 1e-12
-    assert lemma4_residual(lambda n: 0.0, 0.3, 1.0, 50) == 0.0
+    with pytest.raises(ValueError, match="beta must be -1, 0 or 1"):
+        lemma4_residual(lambda n: 0.0, 0.3, 1.0, 50)
 
 
 def test_digamma_matches_mpmath():
@@ -149,48 +150,29 @@ def test_closed_tails_match_mpmath(beta, t, k_max):
 
 @pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0])
 def test_lemma4_refuses_a_k_max_short_of_the_closed_tail(beta):
-    with pytest.raises(ValueError, match="k_max.*51"):
+    # k_max is always n_terms + 32, the least the closed tail takes: no
+    # caller can ask for another
+    with pytest.raises(TypeError, match="k_max"):
         lemma4_residual(lambda n: 1.0 / (n * n), beta, 1.0, 20, k_max=51)
-    assert lemma4_residual(lambda n: 1.0 / (n * n), beta, 1.0, 20, k_max=52) < 1e-14
+    assert lemma4_residual(lambda n: 1.0 / (n * n), beta, 1.0, 20) < 1e-14
 
 
-def _lemma4_broadcast(f, beta, t, n_terms, k_max=None):
-    """lemma4_residual as it was first written: each block of 2048 shifts
-    builds its (shifts x n_terms) denominators by broadcasting.  At beta in
-    {-1, 0, 1} it adds the library's closed tail in place of the average."""
-    closed = beta in (-1.0, 0.0, 1.0)
-    if k_max is None:
-        k_max = n_terms + 32 if closed else max(20_000, 4 * n_terms)
+def _lemma4_broadcast(f, beta, t, n_terms):
+    """lemma4_residual with the (shifts x n_terms) denominators of all
+    shifts built at once by broadcasting, in place of windows of one table."""
+    k_max = n_terms + 32
     n = np.arange(1, n_terms + 1, dtype=float)
     fn = np.array([f(int(j)) for j in range(1, n_terms + 1)], dtype=float)
-    sgn_n = np.where(np.arange(1, n_terms + 1) % 2 == 0, 1.0, -1.0)
-    lhs = (
-        math.pi
-        * math.cosh(math.pi * beta * t)
-        / math.sinh(math.pi * t)
-        * np.sum(sgn_n * np.exp(-1j * math.pi * n * beta) * fn)
-    )
+    sk = (-1.0 if beta == 0.0 else 1.0) ** np.arange(1, k_max + 1)
+    lhs = math.pi * math.cosh(math.pi * beta * t) / math.sinh(math.pi * t) * float(np.sum(sk[:n_terms] * fn))
 
     def bracket(shift):
         den = (n[None, :] + shift[:, None]) ** 2 + t * t
         return t * (fn[None, :] / den).sum(axis=1)
 
-    total = bracket(np.array([0.0]))[0]
-    last_contrib = 0j
-    k0 = 0
-    while k0 < k_max:
-        hi = min(k0 + 2048, k_max)
-        ks = np.arange(k0 + 1, hi + 1, dtype=float)
-        sgn = np.where(np.arange(k0 + 1, hi + 1) % 2 == 0, 1.0, -1.0)
-        phase_p = np.exp(1j * math.pi * ks * beta)
-        phase_m = np.exp(-1j * math.pi * ks * beta)
-        contrib = sgn * (phase_p * bracket(ks) + phase_m * bracket(-ks))
-        total = total + contrib.sum()
-        last_contrib = contrib[-1]
-        k0 = hi
-    if closed:
-        return abs(lhs - (total + _closed_tail(fn, beta, t, k_max)))
-    return abs(lhs - (total - 0.5 * last_contrib))
+    ks = np.arange(1, k_max + 1, dtype=float)
+    total = float(bracket(np.array([0.0]))[0]) + float(np.sum(sk * (bracket(ks) + bracket(-ks))))
+    return abs(lhs - (total + _closed_tail(fn, beta, t, k_max)))
 
 
 @pytest.mark.parametrize(
@@ -198,15 +180,21 @@ def _lemma4_broadcast(f, beta, t, n_terms, k_max=None):
     [
         (lambda n: 0.5**n, 0.0, 1.0, 200, None),  # the verify suite's two cases
         (lambda n: 1.0 / (n * n), 1.0, 0.5, 2000, None),
+        # beta whose tail the removed averaging path summed to k_max (None:
+        # its default): refused
         (lambda n: 1.0 / (n * n), 0.3, 2.0, 500, None),
-        (lambda n: 1.0 / (n * n), 0.7, 1.0, 300, 5000),  # k_max not a multiple of 2048
+        (lambda n: 1.0 / (n * n), 0.7, 1.0, 300, 5000),
         (lambda n: n**-1.5, -0.4, -0.2, 70, 3001),
     ],
 )
 def test_lemma4_keeps_the_broadcast_bits(f, beta, t, n_terms, k_max):
     # the shifts read windows of one denominator table, in blocks of rows:
     # the same divisions and the same pairwise row sums as the broadcast
-    assert lemma4_residual(f, beta, t, n_terms, k_max) == _lemma4_broadcast(f, beta, t, n_terms, k_max)
+    if beta in (-1.0, 0.0, 1.0):
+        assert lemma4_residual(f, beta, t, n_terms) == _lemma4_broadcast(f, beta, t, n_terms)
+    else:
+        with pytest.raises(ValueError, match="beta must be -1, 0 or 1"):
+            lemma4_residual(f, beta, t, n_terms)
 
 
 def test_lemma4_memory_is_bounded():
@@ -230,6 +218,16 @@ def test_lemma4_domain():
         for beta in (0.0, 0.5):
             with pytest.raises(ValueError, match="n_terms"):
                 lemma4_residual(lambda n: 1.0, beta, 1.0, n_terms)
+
+
+@pytest.mark.parametrize("beta", [0.3, -0.5, 0.999, math.nextafter(-1.0, 0.0), 1.5, math.nan, math.inf])
+def test_lemma4_refuses_an_open_beta_by_name_before_f_is_called(beta):
+    # away from {-1, 0, 1} the shift series' tail is a Lerch transcendent
+    def f(n):
+        raise AssertionError("f was called")
+
+    with pytest.raises(ValueError, match=r"^beta must be -1, 0 or 1.*got"):
+        lemma4_residual(f, beta, 1.0, 10)
 
 
 def test_self_consistency_examples():

@@ -54,8 +54,8 @@ SQUARES = DiophantineInstance(10, 1, 1, "sum")
 DIFF = DiophantineInstance(3, 1, 1, "difference")
 
 
-def _lemma4(t, beta=0.3, k_max=200):
-    return lemma4_residual(lambda n: 1.0 / (n * n), beta, t, 20, k_max=k_max)
+def _lemma4(t, beta=0.0):
+    return lemma4_residual(lambda n: 1.0 / (n * n), beta, t, 20)
 
 
 # entries whose values hold at every t from T_MIN to T_BIG
@@ -111,10 +111,10 @@ def test_every_entry_refuses_a_bad_t_by_name(name, t):
 
 
 def test_lemma4_residual_is_even_in_t():
-    # beta = 0.3 ends with the average; beta = 0 and 1 with the two closed tails
-    for beta, k_max in ((0.3, 200), (0.0, None), (1.0, None)):
-        assert _lemma4(-1.0, beta, k_max) == _lemma4(1.0, beta, k_max), beta
-        assert _lemma4(-0.4, beta, k_max) == _lemma4(0.4, beta, k_max), beta
+    # beta = 0 ends with the alternating closed tail, beta = +-1 with the plain one
+    for beta in (-1.0, 0.0, 1.0):
+        assert _lemma4(-1.0, beta) == _lemma4(1.0, beta), beta
+        assert _lemma4(-0.4, beta) == _lemma4(0.4, beta), beta
 
 
 def test_kernels_and_integrals_serve_t_past_the_analytic_bound():

@@ -33,6 +33,7 @@ from arithsum.indicators import (
     weighted_blocks,
     zero_identity_residual,
 )
+from arithsum.kernels import kernel_g
 from arithsum.sigma_rh import _sigma_r_len, _sigma_tail, sigma_analytic
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "arithsum"
@@ -363,7 +364,11 @@ def test_the_held_tables_hold_one_array_each(monkeypatch):
     w = _cut_windows(1, 1.0, [40], [-1600], [1560])
     tables = BlockTables(1, 1.0, *w.extent)
     assert sorted(k for k, v in vars(tables).items() if isinstance(v, np.ndarray)) == ["Js", "g"]
-    assert not weighted_blocks(40, 1, 1.0, [1.0], [0], None, dsums._block_tail).guards_engaged
+    # the flag is G's at the top of the windows weighted_blocks cuts for q(40)
+    r = _default_r_len(40, 0, 1.0)
+    w = _cut_windows(1, 1.0, [40], [-r - 40], [r - 40])
+    ev = weighted_blocks(40, 1, 1.0, [1.0], [0], None, dsums._block_tail)
+    assert ev.guards_engaged == kernel_g(int(w.hi.max()), 1.0, 1).overflow_guarded
 
 
 @pytest.mark.parametrize("N,shifts,r_lens", [(10**20, [0], None), (2**62, [0], None), (2**60 + 1, [0], None),
