@@ -57,7 +57,7 @@ import numpy as np
 from .integrals import _EPS, cosh_over_sinh2_values, coth, csch_values, exp_series_sums
 from .integrals import _p_weights, j_values, p_values, sech_values
 from .kernels import TABLE_CHUNK, _g, check_analytic_t, kernel_g
-from .series import _COORD_MAX, Evaluation, SeriesEvaluator, invert_series
+from .series import _COORD_MAX, Evaluation, SeriesEvaluator, _power_poles, invert_series
 
 # doubles of g per tile of the G-part contraction (512 KiB): a tile fits a
 # core's 2 MiB L2 cache, but with the Js range it meets, ~3 MB at
@@ -545,7 +545,7 @@ def power_series_evaluator(k: int, s: int) -> SeriesEvaluator:
     def coefficient(n: int) -> float:
         return q_bruteforce(k, s, n) / (n * n) if n >= 1 else 0.0
 
-    return SeriesEvaluator(evaluate, f"power k={k} s={s}", coefficient)
+    return SeriesEvaluator(evaluate, f"power k={k} s={s}", _power_poles(k, s), coefficient)
 
 
 def q_general_analytic(k: int, s: int, N: int, t: float = 1.0) -> Evaluation:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +57,10 @@ _EPS = float(np.finfo(float).eps)
 _FAR_Q0 = 32
 # each segment's moments leave at most this much of its leading term
 _FAR_TOL = 2.0**-56
+# the inversion's closed tail (``_s_tail_form``) takes at most _TAIL_MOMENTS
+# moments and leaves at most _TAIL_TOL of S's leading term: the tail itself
+# is below 2^-16 of the value it closes, so that is below 2^-56 of the value
+_TAIL_MOMENTS, _TAIL_TOL = 12, 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -225,6 +230,92 @@ def _sech_poly(p: int) -> tuple:
     return tuple(out)
 
 
+@functools.cache
+def _sech_terms(p: int) -> tuple:
+    """The nonzero (k, r_k) of R_p (``_sech_poly``), r_k as a float: the
+    product of an int and a float rounds the int to a float first."""
+    return tuple((k, float(c)) for k, c in enumerate(_sech_poly(p)) if c)
+
+
+@functools.lru_cache(maxsize=128)
+def _moments(t: float, m: int) -> tuple[tuple, tuple, tuple]:
+    """(mu, coeffs, errs) for j < m: J's moments mu_j = -(d/dx)^(2j+1) [sech(x)/2]
+    at x = pi t, the coefficients c_j = -(2t/pi) (-t^2)^j mu_j of S's moment
+    form, and bounds of the rounding of each c_j; one moment at a time, on
+    the cached first m - 1.  Both J's far form (``_j_far``) and the
+    inversion's closed tail (``_s_tail_form``) read them.
+
+    Each mu_j = -(1/2) sech(x) R_(2j+1)(tanh x) is an fsum of its
+    polynomial's terms, which cancel as tanh x nears 1.  Its rounding,
+    below (p + 6) u (sech/2) sum_k |r_k s^k| with p = 2j + 1, plus x's own
+    rounding, u x |mu_j'| <= u x (sech/2) sum_k |r'_k| s^k over R_(p+1),
+    goes into errs, as does the rounding of c_j's 2j + 3 products."""
+    if m == 0:
+        return (), (), ()
+    mu, coeffs, errs = _moments(t, m - 1)
+    j = m - 1
+    p = 2 * j + 1
+    x = math.pi * t
+    s, e = math.tanh(x), math.exp(-x)
+    h = 2.0 * e / (1.0 + e * e)
+    a = 2.0 * t / math.pi
+    powers = [s**k for k in range(p + 2)]
+    poly, poly_abs = _sech_terms(p), _sech_terms(p + 1)
+    terms = [c * powers[k] for k, c in poly]
+    mu_j = -0.5 * h * math.fsum(terms)
+    c_j = -a * (-t * t) ** j * mu_j
+    dx = x * math.fsum([abs(c) * powers[k] for k, c in poly_abs])
+    dmu = _EPS / 4.0 * h * ((p + 6) * math.fsum(map(abs, terms)) + dx)
+    err = a * t ** (2 * j) * dmu + (2 * j + 3) * _EPS / 2.0 * abs(c_j)
+    return mu + (mu_j,), coeffs + (c_j,), errs + (err,)
+
+
+def _log_weight_moment(t: float, m: int) -> float:
+    """log of a bound of A_m = sum_{n odd} n^p e^(-b n), p = 2m + 1, b = pi t.
+    For b > p each term is at most e^(-b) e^(-(b - p)(n - 1)), since
+    n^p <= e^(p (n - 1)), a geometric series; otherwise the terms are
+    unimodal in n, and a sum at spacing 2 is at most half the integral,
+    p!/b^(p+1), plus the largest term, (p/(e b))^p."""
+    b, p = math.pi * t, 2 * m + 1
+    if b > p:
+        return -b - math.log1p(-math.exp(-2.0 * (b - p)))
+    half_integral = math.lgamma(p + 1) - (p + 1) * math.log(b) - math.log(2.0)
+    peak = p * (math.log(p / b) - 1.0)
+    return max(half_integral, peak) + math.log1p(math.exp(-abs(half_integral - peak)))
+
+
+@functools.lru_cache(maxsize=8)
+def _s_tail_form(t: float, q_min: int) -> tuple[np.ndarray, float]:
+    """(coeffs, E): S(q) = sum_{j<m} c_j/q^(2j+2) + R(q) for every q >= q_min,
+    at any t, with |R(q)| <= E/q^2 + e^(-pi q/(2t))/t and c_j from ``_moments``.
+
+    Two bounds hold for the remainder after m moments; the smaller is taken.
+    - Cauchy's, as in ``_j_far``: (|c_m| + e (2m+3)! (2t/pi)^(2m+2))/q^(2m+2),
+      the sech head included.  It is tight at small t.
+    - The weights': with P(q) = sum_n c_n/(q^2 + t^2 n^2) over all odd n,
+      expanding 1/(q^2 + t^2 n^2) to m terms leaves (-t^2/q^2)^m sum_n
+      c_n n^(2m)/(q^2 + t^2 n^2), so the P-part's remainder is at most
+      (2t/pi) t^(2m) A_m/q^(2m+2) (``_log_weight_moment``), to which the
+      sech head adds at most e^(-pi q/(2t))/t.  At large t, where mu_j
+      carries sech(pi t) and Cauchy's bound does not, it is the tight one.
+    m is the least at which the bound at q_min is at most _TAIL_TOL |c_0|/q_min^2,
+    or _TAIL_MOMENTS at most.  E is that bound times q_min^2 plus the moments'
+    own rounding, sum_j errs_j/q_min^(2j); both fall with q faster than 1/q^2."""
+    a = 2.0 * t / math.pi
+    log_tol = math.log(_TAIL_TOL * abs(_moments(t, 1)[1][0]))
+    for m in range(1, _TAIL_MOMENTS + 1):
+        log_d = math.log(a) + 2 * m * math.log(t) + _log_weight_moment(t, m)
+        log_cauchy = 1.0 + math.lgamma(2 * m + 4) + (2 * m + 2) * math.log(a)
+        if log_cauchy < log_d:  # only then can Cauchy's bound, which needs c_m, be the smaller
+            log_d = min(log_d, math.log(abs(_moments(t, m + 1)[1][m]) + math.exp(log_cauchy)))
+        log_rest = log_d - 2 * m * math.log(q_min)
+        if log_rest <= log_tol:
+            break
+    _, coeffs, errs = _moments(t, m)
+    rounding = math.fsum(err / float(q_min) ** (2 * j) for j, err in enumerate(errs))
+    return np.array(coeffs), math.exp(min(log_rest, 700.0)) + rounding
+
+
 @functools.lru_cache(maxsize=8)
 def _j_far(t: float) -> _FarForm | None:
     """J's moment form at t, or None where the weight sum stays.
@@ -244,32 +335,16 @@ def _j_far(t: float) -> _FarForm | None:
     q is at most _FAR_TOL of the leading term there.  The remainder's share
     falls with q, so the counts fall from segment to segment, and the last,
     1, holds for every later one.  Where the first segment needs as many
-    moments as P has weights, None.
-
-    The moments.  Each mu_j = -(1/2) sech(x) R_(2j+1)(tanh x) at x = pi t is
-    an fsum of its polynomial's terms, which cancel as tanh x nears 1.  Its
-    rounding, below (p + 6) u (sech/2) sum_k |r_k s^k| with p = 2j + 1, plus
-    x's own rounding, u x |mu_j'| <= u x (sech/2) sum_k |r'_k| s^k over
-    R_(p+1), goes into errs, as does the rounding of c_j's 2j + 3 products."""
+    moments as P has weights, None.  The moments are ``_moments``'."""
     n = _p_weights(t)[0]
     if n.size < 2:
         return None
     q0 = max(_FAR_Q0, math.ceil(2.0 * t * float(n[-1])))
     x0 = 1.0 / (q0 * q0)
-    x = math.pi * t
-    s, e = math.tanh(x), math.exp(-x)
-    h = 2.0 * e / (1.0 + e * e)
     a = 2.0 * t / math.pi
-    mu, absums, powers = [], [], [1.0]
 
     def moment(j: int) -> float:
-        while len(mu) <= j:
-            p = 2 * len(mu) + 1
-            powers.extend(s**k for k in range(len(powers), p + 2))
-            terms = [c * powers[k] for k, c in enumerate(_sech_poly(p)) if c]
-            mu.append(-0.5 * h * math.fsum(terms))
-            absums.append(math.fsum(map(abs, terms)))
-        return mu[j]
+        return _moments(t, j + 1)[0][j]
 
     mu0 = moment(0)
 
@@ -294,13 +369,7 @@ def _j_far(t: float) -> _FarForm | None:
         while m > 1 and ks[m - 2] * (1.0 / lo) ** (2 * m - 2) <= tol:
             m -= 1
         counts.append(m)
-    coeffs, errs = [], []
-    for j in range(counts[0]):
-        p = 2 * j + 1
-        coeffs.append(-a * (-t * t) ** j * mu[j])
-        dx = x * math.fsum(abs(c) * powers[k] for k, c in enumerate(_sech_poly(p + 1)))
-        dmu = _EPS / 4.0 * h * ((p + 6) * absums[j] + dx)
-        errs.append(a * t ** (2 * j) * dmu + (2 * j + 3) * _EPS / 2.0 * abs(coeffs[-1]))
+    _, coeffs, errs = _moments(t, counts[0])
     return _FarForm(q0, tuple(coeffs), tuple(errs), tuple(counts), tuple(ks))
 
 
@@ -428,6 +497,32 @@ def integral_j(q: int, t: float) -> IntegralValue:
     est += _rounding([head], [x], terms, exponents)
     # head + (-1)^q S's P-part is (-1)^q S(q) with S's bits: negation is exact
     return IntegralValue(head + (-1) ** q * float(_p_part(np.array([q]), t)[0]), used, est)
+
+
+@functools.lru_cache(maxsize=8)
+def _j_table_error(t: float) -> tuple[int, float, float]:
+    """(q_w, delta, kappa): each entry q < q_w of ``j_values`` is within delta
+    of S(q), and each entry from q_w on within kappa eps |S(q)|, q_w = q0
+    where the moment form is read (``_j_far``) and no bound otherwise.
+
+    Below q_w an entry is the weight sum, with the rounding convention of
+    ``integral_j``, eps sum |x| (1 + a), whose terms fall with q; its head
+    sech(x)/(2t) with x's rounding, (1 + x) sech x <= 1.35, is at most
+    1.35 eps/(2t); and the first omitted weight's term at q = 0 bounds the
+    rest.  From q_w on, Horner's rule rounds each term at most 3m + 1 times
+    over m moments, the moments' own rounding is errs_0/|c_0| relative, and
+    their remainder is below _FAR_TOL of the leading term."""
+    n, c = _p_weights(t)
+    a = 2.0 * t / math.pi
+    n1 = float(n[-1]) + 2.0
+    terms = a * np.abs(c) / (t * t * n * n)
+    delta = _EPS * (1.35 / (2.0 * t) + float(np.dot(terms, 1.0 + math.pi * t * n)))
+    delta += a * math.exp(-math.pi * t * n1) / (t * t * n1)
+    far = _j_far(t)
+    if far is None:
+        return sys.maxsize, delta, 0.0
+    kappa = 3 * far.counts[0] + 2 + far.errs[0] / (_EPS * abs(far.coeffs[0]))
+    return far.q0, delta, kappa
 
 
 def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarray:

@@ -5,13 +5,15 @@ and exactly one ``error:`` line to stderr.
 Each flag is drawn from valid, boundary and junk values; half the calls
 draw valid values only, so that most of those run to a report.  The draws
 keep to inputs that finish fast: t in (T_MIN, 1e-3) and large N are left
-out, since such plans still allocate before they are refused."""
+out, since such plans still allocate before they are refused.  eval-q
+with s >= 2 at t = 1e-4, which samples |N| + 128 points a side, is one
+example among the draws."""
 
 import contextlib
 import io
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithsum.cli import main
@@ -65,6 +67,7 @@ def argvs(draw) -> list[str]:
 
 
 @given(argvs())
+@example(["eval-q", "--k=1", "--s=2", "--N=5", "--t=1e-4"])
 @settings(max_examples=300, deadline=None)
 def test_every_call_exits_0_1_or_2_and_explains_a_2(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -14,6 +14,7 @@ from arithsum.integrals import (
     _j_far,
     _p_part,
     _p_weights,
+    _s_tail_form,
     integral_i,
     integral_j,
     integral_k,
@@ -339,6 +340,29 @@ def test_far_entries_match_mpmath(t):
             assert abs(table[q] - want) <= 1e-15 * abs(want), q
         ev = integral_j(q, t)
         assert abs((-1) ** q * ev.value - want) <= ev.error_estimate, q
+
+
+@pytest.mark.parametrize("t", [0.01, 0.3, 1.0, 10.0, 100.0])
+def test_tail_form_holds_its_bound(t):
+    # the inversion's tail reads S past q_min = L - |N| + 1 as its moments, at
+    # every t: within E/q^2 + e^(-pi q/(2t))/t, the weights' bound taking over
+    # from Cauchy's where mu_j carries sech(pi t).  The moments are checked
+    # against mu_j = sum_m (-1)^m n^(2j+1) e^(-pi t n), n = 2m + 1, in mpmath
+    import mpmath
+
+    q_min = max(128, math.ceil(24 * t)) + 1
+    coeffs, rest = _s_tail_form(t, q_min)
+    errs = integrals._moments(t, coeffs.size)[2]
+    with mpmath.workdps(40):
+        T = mpmath.mpf(t)
+        for j, (c, err) in enumerate(zip(coeffs, errs)):
+            mu = mpmath.nsum(lambda m: (-1) ** m * (2 * m + 1) ** (2 * j + 1) * mpmath.exp(-mpmath.pi * T * (2 * m + 1)), [0, mpmath.inf])
+            assert abs(c - float(-2 * T / mpmath.pi * (-T * T) ** j * mu)) <= err, j
+    for q in (q_min, 3 * q_min, 50 * q_min):
+        got = math.fsum(c / float(q) ** (2 * j + 2) for j, c in enumerate(coeffs))
+        want = float(_mp_s(q, t))
+        bound = rest / q**2 + math.exp(-math.pi * q / (2.0 * t)) / t + 8 * 2.0**-52 * abs(want)
+        assert abs(got - want) <= bound, q
 
 
 @pytest.mark.parametrize("t", _T_GRID)

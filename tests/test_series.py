@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,9 +7,14 @@ import numpy as np
 import pytest
 
 from arithsum.indicators import power_series_evaluator, q_general_analytic
+from arithsum.integrals import _j_table_error, j_values
 from arithsum.series import (
+    _EPS,
     _closed_tail,
+    _closed_tails,
     _digamma,
+    _tail_span,
+    _zeta_scaled,
     geometric_series_evaluator,
     indicator_series_evaluator,
     invert_series,
@@ -69,7 +75,7 @@ def test_an_n_past_2_60_is_refused_before_any_point_is_sized(N):
 
     F = power_series_evaluator(1, 2)
     with pytest.raises(ValueError, match=rf"^\|N\| must be at most 2\^60 in int64, got N = {N}$"):
-        invert_series_many(type(F)(unavailable, F.label, F.coefficient), [5, N], 1.0)
+        invert_series_many(dataclasses.replace(F, evaluate=unavailable), [5, N], 1.0)
     if N > 0:
         with pytest.raises(ValueError, match=r"2\^60"):
             q_general_analytic(1, 2, N)
@@ -249,3 +255,137 @@ def test_evaluator_odd_in_t():
             got = F.evaluate(x, t)
             assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == x.shape
             assert F.evaluate(x, -t) == pytest.approx(-got, rel=1e-12)
+
+
+def _sampled_tail(F, N, t, L, R):
+    """sum_{r=L+1}^{R} S(r) (Im F(r - N + it) + Im F(-r - N + it)) by sampling F,
+    and a bound of its rounding and of the J table's error."""
+    r = np.arange(L + 1, R + 1)
+    im = F.evaluate(np.concatenate((r - N, -r - N)).astype(float), t)
+    folds = im[: r.size] + im[r.size :]
+    terms = j_values(R, t)[L + 1 :] * folds
+    q_w, delta, kappa = _j_table_error(t)
+    weight_sum = max(0, min(q_w, R + 1) - (L + 1))
+    err = _EPS * math.log2(r.size) * float(np.sum(np.abs(terms))) + delta * float(np.sum(np.abs(folds[:weight_sum])))
+    return math.fsum(terms), err + kappa * _EPS * float(np.sum(np.abs(terms[weight_sum:])))
+
+
+def _closed_tail_of(F, N, t, L):
+    """The whole tail past L, -(tail + f(N) t K_L(0)), and its bound."""
+    (tail, tk0, err, err_f), = _closed_tails(F, [N], [L], t)
+    f_n = F.coefficient(N) if N >= 1 else 0.0
+    return -(tail + f_n * tk0), err + abs(f_n) * err_f
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize(
+    "F",
+    [power_series_evaluator(k, s) for k in (1, 2, 3) for s in (1, 2, 3)]
+    + [geometric_series_evaluator(), indicator_series_evaluator(2)],
+    ids=lambda F: F.label,
+)
+def test_closed_tail_matches_the_sampled_tail(F, t):
+    # the tails past L and past 64L differ by the sampled sum over (L, 64L],
+    # each within its own bound
+    N = 3
+    L = N + _tail_span(t)
+    near, near_err = _closed_tail_of(F, N, t, L)
+    far, far_err = _closed_tail_of(F, N, t, 64 * L)
+    sampled, sampled_err = _sampled_tail(F, N, t, L, 64 * L)
+    assert abs(near - far - sampled) <= near_err + far_err + sampled_err, (near, far, sampled)
+    assert abs(far) < 1e-3 * abs(near)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
+def test_the_value_never_reads_f_of_n(t):
+    F, N, n0 = power_series_evaluator(1, 2), 16, 1
+
+    def with_residue(n_at, factor):
+        def poles(n_max):
+            n, f, rest = F.poles(n_max)
+            return n, np.where(n == n_at, factor * f, f), rest
+
+        return dataclasses.replace(F, poles=poles)
+
+    base = invert_series(F, N, t)
+    # the residue at n = N never enters: the value keeps its bits
+    same = invert_series(with_residue(N, 3.0), N, t)
+    assert (same.value, same.error_estimate) == (base.value, base.error_estimate)
+    # one residue at n0 != N moves the value by scale delta t K_L(c)/(1 - scale t K_L(0)),
+    # K_L summed here to 1024 L; the rest of each sum is below 1e-6 of it
+    L = base.terms_used["r_terms"]
+    r = np.arange(L + 1, 1024 * L + 1, dtype=float)
+    S = j_values(1024 * L, t)[L + 1 :]
+
+    def t_k(c):
+        return t * float(np.sum(S * (1.0 / ((r + c) ** 2 + t * t) + 1.0 / ((r - c) ** 2 + t * t))))
+
+    scale = math.sinh(math.pi * t) / math.pi
+    want = scale * F.coefficient(n0) * t_k(n0 - N) / (1.0 - scale * t_k(0))
+    moved = invert_series(with_residue(n0, 2.0), N, t)
+    assert abs(moved.value - base.value - want) <= moved.error_estimate + base.error_estimate + 1e-6 * abs(want)
+    assert abs(want) > 1e3 * (moved.error_estimate + base.error_estimate)
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.1, 1.0, 10.0])
+def test_r_terms_do_not_grow_as_t_falls(t):
+    # a count, not a timing: L = |N| + max(128, ceil(24 t)), not |N| + 1200/t
+    F = power_series_evaluator(1, 2)
+    for N, ev in zip((1, 16, 100), invert_series_many(F, [1, 16, 100], t)):
+        assert ev.terms_used["r_terms"] == N + max(128, math.ceil(24 * t))
+        assert abs(ev.value - F.coefficient(N)) <= ev.error_estimate
+
+
+def test_digamma_recurs_and_reflects():
+    # below Re z = 10 by the recurrence, below 1/2 by the reflection; the
+    # tail's arguments n - it, n an integer of any sign, among them
+    re = np.concatenate((np.arange(-60.0, 10.0), np.linspace(-7.3, 9.9, 23)))
+    im = np.array([1e-4, 0.1, 1.0, 7.0, -0.3])
+    z = (re[:, None] + 1j * im[None, :]).ravel()
+    got = _digamma(z)
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.digamma(mpmath.mpc(w.real, w.imag))) for w in z])
+    # psi has a zero near 1.46, so the scale is max(|psi|, 1)
+    assert (np.abs(got - want) <= 64 * _EPS * np.maximum(np.abs(want), 1.0)).all()
+
+
+def _zeta_scaled_reference(s, a):
+    """a^(s-1) zeta(s, a) in 50 digits: 2000 terms, then Euler-Maclaurin from
+    a + 2000 with six Bernoulli terms (mpmath's own Hurwitz zeta loses tens
+    of digits at these arguments)."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(a) + 2000
+        head = mpmath.fsum((a / (n + a)) ** (s - 1) / (n + a) for n in range(2000))
+        tail = b ** (1 - s) / (s - 1) + b**-s / 2
+        tail += mpmath.fsum(
+            mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.rf(s, 2 * k - 1) * b ** (-s - 2 * k + 1) for k in range(1, 7)
+        )
+        return float(head + a ** (s - 1) * tail)
+
+
+@pytest.mark.parametrize("a", [129.0, 257.0, 4097.0, 2.0**40])
+def test_zeta_scaled_matches_mpmath(a):
+    # s = 2..81, the most the tail asks for
+    got = _zeta_scaled(80, a)
+    qs = range(0, 80, 3)
+    assert got[list(qs)] == pytest.approx([_zeta_scaled_reference(q + 2, a) for q in qs], rel=4 * _EPS, abs=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_indicator_evaluator_matches_mpmath(k):
+    # its closed form in 40 digits at small |z|, where the z^-3 terms cancel
+    # in binary64, and beside the poles -k m^2, where coth's argument would
+    # lose pi m eps: the binary64 form was off by up to 1.2e-10 relative
+    x = np.concatenate((np.linspace(-5.0 * k, 5.0 * k, 41), -k * np.arange(1, 41) ** 2 + 0.5, -k * np.arange(1, 41) ** 2 - 1.0))
+    F = indicator_series_evaluator(k)
+    for t in (0.1, 1.0):
+        got = F.evaluate(x, t)
+        with mpmath.workdps(40):
+            pi, rk = mpmath.pi, mpmath.sqrt(k)
+            want = []
+            for xi in x:
+                z = mpmath.mpc(xi, t)
+                w = mpmath.sqrt(z)
+                closed = pi**4 / (90 * k * k * z) - pi**2 / (6 * k * z * z) - 0.5 / z**3
+                want.append(float((closed + pi * mpmath.coth(pi * w / rk) / (2 * rk * z * z * w)).imag))
+        assert got == pytest.approx(want, rel=8 * _EPS, abs=0), t

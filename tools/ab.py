@@ -14,7 +14,10 @@ runs first alternates from item to item, so the host's drift reaches both
 sides alike.  For each seed the script prints, per side, the raw
 ``items_per_s`` (items / summed item time), ``item_ms_p50`` and
 ``item_ms_p90``, B's gain in ``items_per_s``, and whether the two sides'
-concatenated reports are byte-identical.  Times are wall-clock and not
+concatenated reports are byte-identical.  Under each side's totals one
+line per kind of item (its command, and ``s`` for ``eval-q``: on
+scalar-verify ``eval-q s=2``, ``eval-q s=3`` and ``verify``) gives that
+kind's ``items_per_s`` and p50, so the A/B shows where a gain sits.  Times are wall-clock and not
 scaled to a reference host, so they compare the two sides of one run
 only.
 """
@@ -77,6 +80,23 @@ def metrics(item_s: list[float]) -> str:
     )
 
 
+def kind(argv: list[str]) -> str:
+    """An item's command, with its ``--s`` for ``eval-q`` (1 by default)."""
+    if argv[0] != "eval-q":
+        return argv[0]
+    return f"eval-q s={argv[argv.index('--s') + 1] if '--s' in argv else 1}"
+
+
+def kind_lines(kinds: list[str], item_s: list[float]) -> list[str]:
+    """items_per_s and p50 of each kind of item, in order of first appearance."""
+    lines = []
+    for name in dict.fromkeys(kinds):
+        ms = [1e3 * s for k, s in zip(kinds, item_s) if k == name]
+        lines.append(f"     {name:12s} {len(ms):4d} items  items_per_s {1e3 * len(ms) / sum(ms):7.1f}"
+                     f"  p50 {statistics.median(ms):6.3f} ms")
+    return lines
+
+
 def main(args: list[str]) -> int:
     if len(args) < 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -88,15 +108,17 @@ def main(args: list[str]) -> int:
         for seed in range(int(first), int(last or first) + 1):
             item_s = [[], []]
             digests = [hashlib.sha256(), hashlib.sha256()]
-            for i, argv in enumerate(workloads.plan(workload, seed, 30)):
+            plan = workloads.plan(workload, seed, 30)
+            for i, argv in enumerate(plan):
                 for side in (i % 2, 1 - i % 2):
                     dt, out = run(sides[side], argv)
                     item_s[side].append(dt)
                     digests[side].update(out.encode())
             gain = sum(item_s[0]) / sum(item_s[1]) - 1.0
+            kinds = [kind(argv) for argv in plan]
             print(f"{workload} {seed} ({len(item_s[0])} items)")
-            print(f"  A  {metrics(item_s[0])}")
-            print(f"  B  {metrics(item_s[1])}  items_per_s {gain:+.1%}")
+            print(f"  A  {metrics(item_s[0])}", *kind_lines(kinds, item_s[0]), sep="\n")
+            print(f"  B  {metrics(item_s[1])}  items_per_s {gain:+.1%}", *kind_lines(kinds, item_s[1]), sep="\n")
             print(f"  digests equal: {digests[0].digest() == digests[1].digest()}", flush=True)
     return 0
 
