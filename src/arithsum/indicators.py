@@ -476,8 +476,10 @@ def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
     centre -c.  The estimate adds the sinh(pi t)-amplified rounding of both
     sums: eps sum |terms| times the dot's length or ceil(log2 n) + 1.
     """
-    if N < 1:
-        raise ValueError(f"N must be a natural number, got {N}")
+    if k < 1 or N < 1:
+        raise ValueError(f"k and N must be positive integers, got k = {k}, N = {N}")
+    if max(abs(N), abs(c)) > _COORD_MAX:
+        raise ValueError(f"|N| and |c| must be at most 2^60 in int64, got N = {N}, c = {c}")
     check_analytic_t(t)
     heads, exp_part = _closed_heads(np.array([N + c]), k, t)
     head = float(heads[0] + exp_part[0])

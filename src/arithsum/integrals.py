@@ -24,13 +24,16 @@ the weight sum ``p_values``.  From q0 on it reads the moment expansion
     S(q) = (-1)^q J(q) = (-1)^q sech(pi q/(2t))/(2t)
                          - (2t/pi) sum_j (-t^2)^j mu_j / q^(2j+2),
 
-with mu_j = -(d/dx)^(2j+1) [sech(x)/2] at x = pi t in closed form, summed
-by Horner's rule in 1/q^2 over as many moments as a derived remainder
-bound asks for each dyadic segment of q (``_j_far``).  A t whose first
-segment would need as many moments as P has weights (t above about 0.55)
-keeps the weight sum everywhere.  ``p_values`` itself stays the weight
-sum, so the oracles that read it (``indicators.q_shifted_analytic`` and
-the unit forms of ``dsums``) stay independent of the moment form.
+with mu_j = -(d/dx)^(2j+1) [sech(x)/2] at x = pi t in closed form
+(``_moments``), summed by Horner's rule in 1/q^2.  One remainder bound
+(``_log_rest``) and one count rule (``_moment_count``) serve every reader:
+J's table, which leaves 2^-56 of the leading term per dyadic segment from q0
+on, or sums the weights everywhere at a t whose count at q0 is not below
+P's weight count (above about 0.885, ``_table_q0``); ``integral_j`` and the
+table's error bound; and the inversion's closed tail, which leaves 2^-40
+(``_s_tail_form``).  ``p_values`` itself stays the weight sum, so the
+oracles that read it (``indicators.q_shifted_analytic`` and the unit forms
+of ``dsums``) stay independent of the moment form.
 
 The hyperbolic heads csch, sech and cosh/sinh^2 each have one guarded
 implementation, elementwise over arrays (``csch_values``, ``sech_values``,
@@ -44,7 +47,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +55,9 @@ from .kernels import GUARD_THRESHOLD, TABLE_CHUNK, check_t
 WEIGHT_TOL = 1e-18
 # machine epsilon, 2^-52; the unit roundoff u, the scale of one rounding, is _EPS / 2
 _EPS = float(np.finfo(float).eps)
-# J's moment form starts at q0 = max(_FAR_Q0, ceil(2t n_max))
-_FAR_Q0 = 32
-# each segment's moments leave at most this much of its leading term
-_FAR_TOL = 2.0**-56
-# the inversion's closed tail (``_s_tail_form``) takes at most _TAIL_MOMENTS
-# moments and leaves at most _TAIL_TOL of S's leading term: the tail itself
-# is below 2^-16 of the value it closes, so that is below 2^-56 of the value
-_TAIL_MOMENTS, _TAIL_TOL = 12, 2.0**-40
+# J's table reads moments from q0 = max(_FAR_Q0, ceil(2t n_max)) on, and
+# each of its segments leaves out at most _TABLE_TOL of its leading term
+_FAR_Q0, _TABLE_TOL = 32, 2.0**-56
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ def _p_weights(t: float) -> tuple[np.ndarray, np.ndarray]:
     read-only and kept for the last few t: the engine's tail bound and the J
     table of one evaluation read the same weights.  J's table sums them only
     below q0 = max(32, ceil(2t n_max)), or everywhere at a t whose moment
-    form would need as many terms as there are weights (``_j_far``); the
+    form would need as many terms as there are weights (``_table_q0``); the
     oracles' ``p_values`` sums them at every q.
 
     The omitted weights are below WEIGHT_TOL of the leading one, e^(-pi t):
@@ -200,20 +197,6 @@ def p_values(q: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-class _FarForm(NamedTuple):
-    """J's moment form at one t (``_j_far``).  From q0 on, the entries of
-    segment i (q in [q0, 2^b) for i = 0, then [2^(b+i-1), 2^(b+i)), b the
-    bit length of q0) sum the first m = counts[min(i, last)] coefficients
-    c_j = -(2t/pi) (-t^2)^j mu_j, each within errs[j] of its exact value,
-    and leave out at most |c_0| x ks[m - 1] x^m + e^(-pi q/(2t))/t, x = 1/q^2."""
-
-    q0: int
-    coeffs: tuple
-    errs: tuple
-    counts: tuple
-    ks: tuple
-
-
 @functools.cache
 def _sech_poly(p: int) -> tuple:
     """R_p, with sech^(p)(x) = sech(x) R_p(tanh x), as its integer
@@ -242,8 +225,8 @@ def _moments(t: float, m: int) -> tuple[tuple, tuple, tuple]:
     """(mu, coeffs, errs) for j < m: J's moments mu_j = -(d/dx)^(2j+1) [sech(x)/2]
     at x = pi t, the coefficients c_j = -(2t/pi) (-t^2)^j mu_j of S's moment
     form, and bounds of the rounding of each c_j; one moment at a time, on
-    the cached first m - 1.  Both J's far form (``_j_far``) and the
-    inversion's closed tail (``_s_tail_form``) read them.
+    the cached first m - 1.  J's table, ``integral_j`` and the inversion's
+    closed tail (``_s_tail_form``) read them.
 
     Each mu_j = -(1/2) sech(x) R_(2j+1)(tanh x) is an fsum of its
     polynomial's terms, which cancel as tanh x nears 1.  Its rounding,
@@ -284,117 +267,94 @@ def _log_weight_moment(t: float, m: int) -> float:
     return max(half_integral, peak) + math.log1p(math.exp(-abs(half_integral - peak)))
 
 
-@functools.lru_cache(maxsize=8)
-def _s_tail_form(t: float, q_min: int) -> tuple[np.ndarray, float]:
-    """(coeffs, E): S(q) = sum_{j<m} c_j/q^(2j+2) + R(q) for every q >= q_min,
-    at any t, with |R(q)| <= E/q^2 + e^(-pi q/(2t))/t and c_j from ``_moments``.
-
-    Two bounds hold for the remainder after m moments; the smaller is taken.
-    - Cauchy's, as in ``_j_far``: (|c_m| + e (2m+3)! (2t/pi)^(2m+2))/q^(2m+2),
-      the sech head included.  It is tight at small t.
-    - The weights': with P(q) = sum_n c_n/(q^2 + t^2 n^2) over all odd n,
+@functools.lru_cache(maxsize=1024)
+def _log_rest(t: float, m: int) -> float:
+    """log(|c_0| K_m): past m moments, S's P-part -(2t/pi) P(q) differs from
+    sum_{j<m} c_j/q^(2j+2) by at most |c_0| K_m/q^(2m+2) plus the sech head,
+    e^(-pi q/(2t))/t, at every q >= 1.  |c_0| K_m is the smaller of two bounds.
+    - Cauchy's.  J's integrand f(b) = sech(pi t b) is even, so integration
+      by parts gives the moment terms with the remainder (-1)^m (pi q)^(-2m)
+      int_0^1 cos(pi q b) f^(2m)(b) db, and two more steps bound it by
+      (pi q)^(-2m-2) (|f^(2m+1)(1)| + int_0^1 |f^(2m+2)|).  The first part
+      is the next term, |c_m|/q^(2m+2).  Cauchy's estimate on a circle of
+      radius (pi/2) p/(p+1), p = 2m + 2, inside sech's strip |Im x| < pi/2,
+      where |sech| <= 1/cos(Im x), bounds the second by e (p+1)! (2t/(pi q))^p.
+      This bounds S less its moments, so the P-part adds the head.  It is
+      tight at small t.
+    - The weights'.  With P(q) = sum_n c_n/(q^2 + t^2 n^2) over all odd n,
       expanding 1/(q^2 + t^2 n^2) to m terms leaves (-t^2/q^2)^m sum_n
       c_n n^(2m)/(q^2 + t^2 n^2), so the P-part's remainder is at most
-      (2t/pi) t^(2m) A_m/q^(2m+2) (``_log_weight_moment``), to which the
-      sech head adds at most e^(-pi q/(2t))/t.  At large t, where mu_j
-      carries sech(pi t) and Cauchy's bound does not, it is the tight one.
-    m is the least at which the bound at q_min is at most _TAIL_TOL |c_0|/q_min^2,
-    or _TAIL_MOMENTS at most.  E is that bound times q_min^2 plus the moments'
-    own rounding, sum_j errs_j/q_min^(2j); both fall with q faster than 1/q^2."""
+      (2t/pi) t^(2m) A_m/q^(2m+2) (``_log_weight_moment``).  At large t,
+      where mu_j carries sech(pi t) and Cauchy's bound does not, it is the
+      tight one.
+    c_m is computed only where Cauchy's bound, which needs it, can be the smaller."""
     a = 2.0 * t / math.pi
-    log_tol = math.log(_TAIL_TOL * abs(_moments(t, 1)[1][0]))
-    for m in range(1, _TAIL_MOMENTS + 1):
-        log_d = math.log(a) + 2 * m * math.log(t) + _log_weight_moment(t, m)
-        log_cauchy = 1.0 + math.lgamma(2 * m + 4) + (2 * m + 2) * math.log(a)
-        if log_cauchy < log_d:  # only then can Cauchy's bound, which needs c_m, be the smaller
-            log_d = min(log_d, math.log(abs(_moments(t, m + 1)[1][m]) + math.exp(log_cauchy)))
-        log_rest = log_d - 2 * m * math.log(q_min)
-        if log_rest <= log_tol:
-            break
-    _, coeffs, errs = _moments(t, m)
-    rounding = math.fsum(err / float(q_min) ** (2 * j) for j, err in enumerate(errs))
-    return np.array(coeffs), math.exp(min(log_rest, 700.0)) + rounding
+    log_rest = math.log(a) + 2 * m * math.log(t) + _log_weight_moment(t, m)
+    log_cauchy = 1.0 + math.lgamma(2 * m + 4) + (2 * m + 2) * math.log(a)
+    if log_cauchy < log_rest:
+        log_rest = min(log_rest, math.log(abs(_moments(t, m + 1)[1][m]) + math.exp(log_cauchy)))
+    return log_rest
+
+
+@functools.lru_cache(maxsize=256)
+def _moment_count(t: float, q: int, tol: float, limit: int = sys.maxsize) -> int:
+    """The count at q: the least m < limit with K_m/q^(2m) <= tol, or limit.
+    K_m/q^(2m) (``_log_rest``) is the share of S's leading term |c_0|/q^2
+    that m moments leave out, the sech head aside; it falls with q, so the
+    count at q holds at every larger q."""
+    log_q, log_tol = math.log(q), math.log(tol * abs(_moments(t, 1)[1][0]))
+    return next((m for m in range(1, limit) if _log_rest(t, m) - 2 * m * log_q <= log_tol), limit)
 
 
 @functools.lru_cache(maxsize=8)
-def _j_far(t: float) -> _FarForm | None:
-    """J's moment form at t, or None where the weight sum stays.
-
-    The remainder.  J's integrand f(b) = sech(pi t b) is even, so
-    integration by parts gives the moment terms with the remainder
-    (-1)^m (pi q)^(-2m) int_0^1 cos(pi q b) f^(2m)(b) db, and two more steps
-    bound it by (pi q)^(-2m-2) (|f^(2m+1)(1)| + int_0^1 |f^(2m+2)|).  The
-    first part is the next term, (2t/pi) t^(2m) |mu_m|/q^(2m+2).  Cauchy's
-    estimate on a circle of radius (pi/2) p/(p+1), p = 2m + 2, inside sech's
-    strip |Im x| < pi/2, where |sech| <= 1/cos(Im x), bounds the second by
-    e (p+1)! (2t/(pi q))^p.  Over the leading term (2t/pi) mu_0/q^2 the two
-    are K_m/q^(2m).  The head, added or left out, is below e^(-pi q/(2t))/t,
-    whose share of the leading term falls with q from q0 on.
-
-    The counts.  A segment takes the least m whose remainder at its first
-    q is at most _FAR_TOL of the leading term there.  The remainder's share
-    falls with q, so the counts fall from segment to segment, and the last,
-    1, holds for every later one.  Where the first segment needs as many
-    moments as P has weights, None.  The moments are ``_moments``'."""
+def _table_q0(t: float) -> int:
+    """Where J's table starts reading moments: q0 = max(32, ceil(2t n_max)),
+    n_max the last n of P's grid, at a t whose count at q0 is below P's
+    weight count, else sys.maxsize.  Wherever the table reads moments, the
+    sech head at q0 is below 2^-66 of the leading term."""
     n = _p_weights(t)[0]
     if n.size < 2:
-        return None
+        return sys.maxsize
     q0 = max(_FAR_Q0, math.ceil(2.0 * t * float(n[-1])))
-    x0 = 1.0 / (q0 * q0)
-    a = 2.0 * t / math.pi
-
-    def moment(j: int) -> float:
-        return _moments(t, j + 1)[0][j]
-
-    mu0 = moment(0)
-
-    def cauchy(m: int) -> float:
-        return math.e * math.factorial(2 * m + 3) * a ** (2 * m + 1) / mu0
-
-    def share(m: int) -> float:  # K_m
-        return t ** (2 * m) * abs(moment(m)) / mu0 + cauchy(m)
-
-    tol = _FAR_TOL - math.exp(-math.pi * q0 / (2.0 * t)) / (t * a * mu0 * x0)
-    # the Cauchy part, which needs no moment past mu_0, sets the least m
-    m = 1
-    for part in (cauchy, share):
-        while part(m) * x0**m > tol:
-            m += 1
-            if m >= n.size:
-                return None
-    ks = [share(j) for j in range(1, m + 1)]
-    counts, lo = [m], q0
-    while m > 1:
-        lo = 1 << lo.bit_length()
-        while m > 1 and ks[m - 2] * (1.0 / lo) ** (2 * m - 2) <= tol:
-            m -= 1
-        counts.append(m)
-    _, coeffs, errs = _moments(t, counts[0])
-    return _FarForm(q0, tuple(coeffs), tuple(errs), tuple(counts), tuple(ks))
+    return q0 if _moment_count(t, q0, _TABLE_TOL, n.size) < n.size else sys.maxsize
 
 
-def _far_count(far: _FarForm, q: int) -> int:
-    """The number of moments of q's segment, q >= far.q0."""
-    i = q.bit_length() - far.q0.bit_length()
-    return far.counts[min(i, len(far.counts) - 1)]
+@functools.lru_cache(maxsize=8)
+def _s_tail_form(t: float, q_min: int, tol: float) -> tuple[np.ndarray, float]:
+    """(coeffs, E): S(q) = sum_{j<m} c_j/q^(2j+2) + R(q) for every q >= q_min,
+    at any t, with |R(q)| <= E/q^2 + e^(-pi q/(2t))/t, c_j from ``_moments``
+    and m the count at q_min (``_moment_count``).  E is the remainder's bound
+    (``_log_rest``) times q_min^2, at most tol |c_0|, plus the moments' own
+    rounding, sum_j errs_j/q_min^(2j); both fall with q faster than 1/q^2."""
+    m = _moment_count(t, q_min, tol)
+    _, coeffs, errs = _moments(t, m)
+    rounding = math.fsum(err / float(q_min) ** (2 * j) for j, err in enumerate(errs))
+    return np.array(coeffs), math.exp(min(_log_rest(t, m) - 2 * m * math.log(q_min), 700.0)) + rounding
+
+
+def _segment_start(q0: int, q: int) -> int:
+    """The first q of q's dyadic segment of J's table, [q0, 2^b) or
+    [2^(b-1), 2^b), b the bit length of q >= q0, whose count it reads."""
+    return max(q0, 1 << (q.bit_length() - 1))
 
 
 def _p_part(q: np.ndarray, t: float) -> np.ndarray:
     """-(2t/pi) P(q), S(q) without its sech head, elementwise over consecutive
-    integers q >= 0: the weight sum ``p_values`` below q0 and the moment form
-    from q0 on, Horner's rule in x = 1/q^2 over each segment's moments."""
-    far, q_first = _j_far(t), int(q[0])
-    k = q.size if far is None else min(max(far.q0 - q_first, 0), q.size)
+    integers q >= 0: the weight sum ``p_values`` below q0 (``_table_q0``) and
+    the moment form from q0 on, Horner's rule in x = 1/q^2 over each
+    segment's moments (``_segment_start``)."""
+    q0, q_first = _table_q0(t), int(q[0])
+    k = min(max(q0 - q_first, 0), q.size)
     out = np.empty(q.size)
     if k:
         np.multiply(p_values(q[:k], t), -2.0 * t / math.pi, out=out[:k])
     while k < q.size:
         qk = q_first + k
         end = min(q.size, (1 << qk.bit_length()) - q_first)
-        m = _far_count(far, qk)
+        coeffs = _moments(t, _moment_count(t, _segment_start(q0, qk), _TABLE_TOL))[1]
         xs, acc = 1.0 / np.square(q[k:end].astype(float)), out[k:end]
-        np.multiply(xs, far.coeffs[m - 1], out=acc)
-        for c in reversed(far.coeffs[: m - 1]):
+        np.multiply(xs, coeffs[-1], out=acc)
+        for c in reversed(coeffs[:-1]):
             acc += c
             acc *= xs
         k = end
@@ -473,25 +433,24 @@ def integral_j(q: int, t: float) -> IntegralValue:
     """Closed form of int_0^1 cos(pi q b)/cosh(pi b t) db; even in q:
     (-1)^q times the entry |q| of ``j_values``, read from the same form.
     The estimate adds the rounding to what the form leaves out: below q0
-    the first omitted weight's term, from q0 on the moment remainder and
-    the rounding of the moments (``_j_far``)."""
+    the first omitted weight's term, from q0 on the moments' remainder and
+    rounding (``_s_tail_form`` at q's ``_segment_start``) and the head."""
     check_t(t)
     q = abs(int(q))
     n, c = _p_weights(t)
     x = math.pi * q / (2.0 * t)
     head = sech(x) / (2.0 * t)
-    far = _j_far(t)
-    if far is None or q < far.q0:
+    q0 = _table_q0(t)
+    if q < q0:
         n1 = float(n[-1]) + 2.0
         est = 2.0 * t / math.pi * n1 * math.exp(-math.pi * t * n1) / (t * t * n1 * n1 + float(q) * q)
         terms = 2.0 * t / math.pi * c / (t * t * n * n + float(q) * q)
         used, exponents = n.size, math.pi * t * n
     else:
-        used, xq = _far_count(far, q), 1.0 / (float(q) * q)
-        powers = xq ** np.arange(1, used + 1)
-        terms = np.array(far.coeffs[:used]) * powers
-        est = abs(far.coeffs[0]) * xq * far.ks[used - 1] * xq**used + math.exp(-x) / t
-        est += float(np.dot(far.errs[:used], powers))
+        coeffs, rest = _s_tail_form(t, _segment_start(q0, q), _TABLE_TOL)
+        used, xq = coeffs.size, 1.0 / (float(q) * q)
+        terms = coeffs * xq ** np.arange(1, used + 1)
+        est = rest * xq + math.exp(-x) / t
         # Horner's rule rounds each term at most 3 used + 1 times
         exponents = np.full(used, 3.0 * used + 1.0)
     est += _rounding([head], [x], terms, exponents)
@@ -503,35 +462,36 @@ def integral_j(q: int, t: float) -> IntegralValue:
 def _j_table_error(t: float) -> tuple[int, float, float]:
     """(q_w, delta, kappa): each entry q < q_w of ``j_values`` is within delta
     of S(q), and each entry from q_w on within kappa eps |S(q)|, q_w = q0
-    where the moment form is read (``_j_far``) and no bound otherwise.
+    where the moment form is read (``_table_q0``) and no bound otherwise.
 
     Below q_w an entry is the weight sum, with the rounding convention of
     ``integral_j``, eps sum |x| (1 + a), whose terms fall with q; its head
     sech(x)/(2t) with x's rounding, (1 + x) sech x <= 1.35, is at most
     1.35 eps/(2t); and the first omitted weight's term at q = 0 bounds the
     rest.  From q_w on, Horner's rule rounds each term at most 3m + 1 times
-    over m moments, the moments' own rounding is errs_0/|c_0| relative, and
-    their remainder is below _FAR_TOL of the leading term."""
+    over the m moments of q0's count; the moments' remainder and rounding
+    are E/|c_0| of the leading term (``_s_tail_form`` at q0), and the head
+    is below 2^-66 of it (``_table_q0``)."""
     n, c = _p_weights(t)
     a = 2.0 * t / math.pi
     n1 = float(n[-1]) + 2.0
     terms = a * np.abs(c) / (t * t * n * n)
     delta = _EPS * (1.35 / (2.0 * t) + float(np.dot(terms, 1.0 + math.pi * t * n)))
     delta += a * math.exp(-math.pi * t * n1) / (t * t * n1)
-    far = _j_far(t)
-    if far is None:
-        return sys.maxsize, delta, 0.0
-    kappa = 3 * far.counts[0] + 2 + far.errs[0] / (_EPS * abs(far.coeffs[0]))
-    return far.q0, delta, kappa
+    q0 = _table_q0(t)
+    if q0 == sys.maxsize:
+        return q0, delta, 0.0
+    coeffs, rest = _s_tail_form(t, q0, _TABLE_TOL)
+    return q0, delta, 3 * coeffs.size + 2 + rest / (_EPS * abs(float(coeffs[0])))
 
 
 def j_values(q_max: int, t: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """S(q) = (-1)^q J(q, t), the form in which every series reads J, for q = 0..q_max,
     in _j calls of TABLE_CHUNK entries, into ``out`` (q_max + 1 doubles) if
-    given.  Entries below q0
-    sum P's weights and entries from q0 on sum J's moments, a few per entry
-    (``_j_far``), so at small t the cost is O(q_max), not O(q_max/t).  Each
-    entry depends on (q, t) alone, whatever q_max, ``out`` or the chunks.
+    given.  Entries below q0 sum P's weights and entries from q0 on sum J's
+    moments, a few per entry (``_p_part``), so at small t the cost is O(q_max),
+    not O(q_max/t).  Each entry depends on (q, t) alone, whatever q_max,
+    ``out`` or the chunks.
     The sech head is computed only for q below q_s = ceil(746 * 2t/pi); from
     q_s on it is +0.
 

@@ -77,6 +77,7 @@ _PSI_STIRLING = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 /
 _GEOMETRIC_RATIO, _GEOMETRIC_TERMS = 0.5, 160  # geometric_series_evaluator's ratio^n, n = 1..160
 # the sampled half-width L = |N| + max(_TAIL_SPAN, ceil(_SECH_SPAN t)): e^(-pi 24/2) < 2^-54
 _TAIL_SPAN, _SECH_SPAN = 128, 24.0
+_TAIL_TOL = 2.0**-40  # of S's lead past L; the tail is 2^-16 of the value, so 2^-56 of it
 # terms of a near pole's Hurwitz-zeta series, whose ratio is at most 1/4:
 # the rest is below 2^-55 of its bound
 _NEAR_TERMS = 28
@@ -194,7 +195,7 @@ def invert_series_many(F: SeriesEvaluator, Ns, t: float) -> list[Evaluation]:
         est += j_delta * (abs(float(im[x0])) + float(np.sum(np.abs(folds[: q_w - 1]))))
         est += j_kappa * _EPS * float(np.sum(abs_terms[q_w - 1 :]))
         est = scale * (est + tail_err + abs(value) * err_per_f) / abs(denominator) + 3.0 * _EPS * abs(value)
-        out.append(Evaluation(value, est, {"r_terms": L}))
+        out.append(Evaluation(float(value), float(est), {"r_terms": L}))
     return out
 
 
@@ -275,7 +276,7 @@ def _closed_tails(F: SeriesEvaluator, Ns: list, Ls: list, t: float) -> list:
     err_f takes the rounding of K_L(0)'s element and R's share.
     """
     a = np.array(Ls, dtype=float) + 1.0
-    coeffs, rest_s = _s_tail_form(t, _tail_span(t) + 1)
+    coeffs, rest_s = _s_tail_form(t, _tail_span(t) + 1, _TAIL_TOL)
     m, K, nN = coeffs.size, _NEAR_TERMS, a.size
     n_cut = _POLE_SPAN * a
     reads = {x: F.poles(x) for x in n_cut.tolist()}

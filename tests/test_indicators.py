@@ -644,3 +644,13 @@ def test_domain_errors():
         q_bruteforce(0, 1, 5)
     with pytest.raises(ValueError):
         q_general_analytic(1, 0, 5, 1.0)
+
+
+@pytest.mark.parametrize("k,N,c", [(0, 5, 3), (-1, 5, 3), (1, 5, 10**20), (1, 5, -(10**20)), (1, 2**60 + 1, 0)])
+def test_q_shifted_refuses_bad_input_by_name(k, N, c):
+    # k = 0 divided by zero in the closed heads before k was checked, and
+    # c = 10^20 reached numpy's "Maximum allowed dimension exceeded"; each is
+    # refused by name before any grid is sized
+    name = f"k = {k}" if k < 1 else (f"N = {N}" if N > 2**60 else f"c = {c}")
+    with pytest.raises(ValueError, match=name):
+        q_shifted_analytic(k, N, c, 1.0)

@@ -1,20 +1,25 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from arithsum import integrals
 from arithsum.integrals import (
-    _FAR_TOL,
+    _TABLE_TOL,
     WEIGHT_TOL,
     QuadratureError,
     _exp_series_terms,
     _gauss_legendre_rules,
     _j,
-    _j_far,
+    _log_rest,
+    _moment_count,
+    _moments,
     _p_part,
     _p_weights,
     _s_tail_form,
+    _segment_start,
+    _table_q0,
     integral_i,
     integral_j,
     integral_k,
@@ -25,6 +30,7 @@ from arithsum.integrals import (
 )
 from arithsum.indicators import _two_sided_j
 from arithsum.kernels import T_MAX
+from arithsum.series import _TAIL_TOL
 
 
 @pytest.mark.parametrize("kind,f", [("I", integral_i), ("K", integral_k), ("J", integral_j)])
@@ -290,8 +296,8 @@ def test_estimates_bound_the_error(t):
             assert ev.error_estimate <= 1e-12, (f.__name__, q)
 
 
-# t log-spaced on [1e-3, 20], and the top of the moment form's range
-_T_GRID = sorted(np.geomspace(1e-3, 20.0, 13).tolist() + [0.45, 0.55])
+# t log-spaced on [1e-3, 20], and both sides of the gate near 0.885
+_T_GRID = sorted(np.geomspace(1e-3, 20.0, 13).tolist() + [0.45, 0.55, 0.6, 0.8, 0.85, 1.0, 1.5, 2.0])
 
 
 def _q0(t):
@@ -299,8 +305,8 @@ def _q0(t):
     return max(32, math.ceil(2.0 * t * float(_p_weights(t)[0][-1])))
 
 
-def _mp_s(q, t):
-    """S(q) = (-1)^q J(q, t) at 40 digits, from J's weight series summed by mpmath."""
+def _mp_p_part(q, t):
+    """S(q) without its sech head, -(2t/pi) P(q), at 40 digits, from J's weight series summed by mpmath."""
     import mpmath
 
     with mpmath.workdps(40):
@@ -309,68 +315,54 @@ def _mp_s(q, t):
             lambda m: (-1) ** m * (2 * m + 1) * mpmath.exp(-mpmath.pi * T * (2 * m + 1)) / (T * T * (2 * m + 1) ** 2 + Q * Q),
             [0, mpmath.inf],
         )
-        return (-1) ** q * mpmath.sech(mpmath.pi * Q / (2 * T)) / (2 * T) - 2 * T / mpmath.pi * P
+        return -2 * T / mpmath.pi * P
+
+
+def _mp_s(q, t):
+    """S(q) = (-1)^q J(q, t) at 40 digits: its sech head plus ``_mp_p_part``."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        Q, T = mpmath.mpf(q), mpmath.mpf(t)
+        return (-1) ** q * mpmath.sech(mpmath.pi * Q / (2 * T)) / (2 * T) + _mp_p_part(q, t)
 
 
 def _mp_coeffs(t, m):
     """c_j = -(2t/pi) (-t^2)^j mu_j, j < m, at 40 digits, with mu_j = -(d/dx)^(2j+1) [sech(x)/2]
-    at x = pi t from mpmath's Taylor coefficients of sech."""
+    at x = pi t from mpmath's derivatives of sech."""
     import mpmath
 
     with mpmath.workdps(40):
         T = mpmath.mpf(t)
-        tay = mpmath.taylor(mpmath.sech, mpmath.pi * T, 2 * m)
-        return [2 * T / mpmath.pi * (-T * T) ** j * mpmath.factorial(2 * j + 1) * tay[2 * j + 1] / 2 for j in range(m)]
+        ders = list(mpmath.diffs(mpmath.sech, mpmath.pi * T, 2 * m))
+        return [2 * T / mpmath.pi * (-T * T) ** j * ders[2 * j + 1] / 2 for j in range(m)]
 
 
 @pytest.mark.parametrize("t", _T_GRID)
 def test_far_entries_match_mpmath(t):
-    # the moment form holds 1e-15 relative and within integral_j's estimate;
-    # where it is not read (t above about 0.55) the table is the weight sum,
-    # bit for bit, so no entry is worse than the weight sum's
-    q0, far = _q0(t), _j_far(t)
-    assert far is not None or t > 0.45
+    # the moment form holds 1e-15 relative and within integral_j's estimate,
+    # and serves every t up to 0.85; above the gate, near 0.885, the table is
+    # the weight sum, bit for bit, so no entry is worse than the weight sum's
+    q0, moments = _q0(t), _table_q0(t) < sys.maxsize
+    assert moments or t > 0.85
     table = j_values(10**4, t)
-    if far is None:
+    if not moments:
         sign = np.where(np.arange(10**4 + 1) % 2, -1.0, 1.0)
         assert np.array_equal((sign * table).view(np.int64), _weight_sum_j(10**4, t).view(np.int64))
     for q in (q0, q0 + 1, 100, 10**4):
         want = _mp_s(q, t)
-        if far is not None:
+        if moments:
             assert abs(table[q] - want) <= 1e-15 * abs(want), q
         ev = integral_j(q, t)
         assert abs((-1) ** q * ev.value - want) <= ev.error_estimate, q
-
-
-@pytest.mark.parametrize("t", [0.01, 0.3, 1.0, 10.0, 100.0])
-def test_tail_form_holds_its_bound(t):
-    # the inversion's tail reads S past q_min = L - |N| + 1 as its moments, at
-    # every t: within E/q^2 + e^(-pi q/(2t))/t, the weights' bound taking over
-    # from Cauchy's where mu_j carries sech(pi t).  The moments are checked
-    # against mu_j = sum_m (-1)^m n^(2j+1) e^(-pi t n), n = 2m + 1, in mpmath
-    import mpmath
-
-    q_min = max(128, math.ceil(24 * t)) + 1
-    coeffs, rest = _s_tail_form(t, q_min)
-    errs = integrals._moments(t, coeffs.size)[2]
-    with mpmath.workdps(40):
-        T = mpmath.mpf(t)
-        for j, (c, err) in enumerate(zip(coeffs, errs)):
-            mu = mpmath.nsum(lambda m: (-1) ** m * (2 * m + 1) ** (2 * j + 1) * mpmath.exp(-mpmath.pi * T * (2 * m + 1)), [0, mpmath.inf])
-            assert abs(c - float(-2 * T / mpmath.pi * (-T * T) ** j * mu)) <= err, j
-    for q in (q_min, 3 * q_min, 50 * q_min):
-        got = math.fsum(c / float(q) ** (2 * j + 2) for j, c in enumerate(coeffs))
-        want = float(_mp_s(q, t))
-        bound = rest / q**2 + math.exp(-math.pi * q / (2.0 * t)) / t + 8 * 2.0**-52 * abs(want)
-        assert abs(got - want) <= bound, q
 
 
 @pytest.mark.parametrize("t", _T_GRID)
 def test_j_below_q0_is_the_weight_sum(t):
     # the moment form starts at q0 = max(32, ceil(2t n_max)); below it J is
     # the weight sum that p_values and the oracles read
-    q0, far = _q0(t), _j_far(t)
-    assert far is None or far.q0 == q0
+    q0 = _q0(t)
+    assert _table_q0(t) in (q0, sys.maxsize)
     sign = np.where(np.arange(q0) % 2, -1.0, 1.0)
     got = sign * j_values(q0 + 1, t)[:q0]
     assert np.array_equal(got.view(np.int64), _weight_sum_j(q0 - 1, t).view(np.int64))
@@ -394,7 +386,7 @@ def test_j_entries_do_not_depend_on_the_build(monkeypatch, t):
     assert np.array_equal(j_values(Q, t).view(np.int64), want)
 
 
-@pytest.mark.parametrize("t", [0.001, 0.1, 0.3, 0.45, 0.55, 1.0])
+@pytest.mark.parametrize("t", [0.001, 0.1, 0.3, 0.45, 0.55, 0.85, 1.0])
 def test_integral_j_is_its_table_entry_at_the_seams(t):
     # at the edges of the two forms, of the sech head and of the segments
     q0, qs = _q0(t), math.ceil(746.0 * 2.0 * t / math.pi)
@@ -406,28 +398,67 @@ def test_integral_j_is_its_table_entry_at_the_seams(t):
         assert integral_j(-q, t).value == sign * table[q], q
 
 
-@pytest.mark.parametrize("t", [0.001, 0.01, 0.1, 0.3, 0.45, 0.55])
-def test_each_segment_takes_enough_moments(t):
-    # at the first q of every segment, with exact moments in 40-digit
-    # arithmetic, the moments the segment takes leave at most _FAR_TOL of
-    # the leading term, and no more than the bound that chose their number
+def _segment_starts(t):
+    """(q, m): the first q of each segment of J's table and its count, down
+    to the first count of 1, which holds for every later segment."""
+    q0 = _table_q0(t)
+    out = [(q0, _moment_count(t, q0, _TABLE_TOL))]
+    while out[-1][1] > 1:
+        q = 1 << out[-1][0].bit_length()
+        out.append((q, _moment_count(t, _segment_start(q0, q), _TABLE_TOL)))
+    return out
+
+
+def _check_the_one_bound(t, qm, tol):
+    # with exact moments in 40-digit arithmetic, the m moments read at q
+    # leave out of S's P-part at most |c_0| K_m/q^(2m+2) plus the sech head
+    # (_log_rest), and at most tol of the leading term |c_0|/q^2
     import mpmath
 
-    far = _j_far(t)
-    c = _mp_coeffs(t, far.counts[0])
-    qs = math.ceil(746.0 * 2.0 * t / math.pi)
-    lo = far.q0
-    for i, m in enumerate(far.counts):
-        if i:
-            lo = 1 << lo.bit_length()
+    c = _mp_coeffs(t, max(m for _, m in qm))
+    for q, m in qm:
         with mpmath.workdps(40):
-            T, L = mpmath.mpf(t), mpmath.mpf(lo)
-            head = (-1) ** lo * mpmath.sech(mpmath.pi * L / (2 * T)) / (2 * T) if lo < qs else 0
-            rem = abs(_mp_s(lo, t) - head - sum(c[j] / L ** (2 * j + 2) for j in range(m)))
-            lead = abs(c[0]) / L**2
-        assert rem <= _FAR_TOL * lead, (i, lo, m)
-        assert rem <= lead * far.ks[m - 1] / float(lo) ** (2 * m) + math.exp(-math.pi * lo / (2.0 * t)) / t, (i, lo)
-    assert far.counts[-1] == 1
+            Q = mpmath.mpf(q)
+            rem = abs(_mp_p_part(q, t) - sum(c[j] / Q ** (2 * j + 2) for j in range(m)))
+            lead = abs(c[0]) / Q**2
+        assert rem <= tol * lead, (q, m)
+        assert rem <= math.exp(_log_rest(t, m)) / float(q) ** (2 * m + 2) + math.exp(-math.pi * q / (2.0 * t)) / t, (q, m)
+
+
+@pytest.mark.parametrize("t", [0.001, 0.01, 0.1, 0.3, 0.45, 0.55, 0.7, 0.85])
+def test_each_segment_takes_enough_moments(t):
+    # at the first q of every segment of J's table, the count's moments hold
+    # the one bound with tol = 2^-56, and the last count, 1, holds after it
+    qm = _segment_starts(t)
+    _check_the_one_bound(t, qm, _TABLE_TOL)
+    assert qm[-1][1] == 1
+
+
+@pytest.mark.parametrize("t", [0.01, 0.3, 1.0, 10.0, 100.0])
+def test_tail_form_holds_its_bound(t):
+    # the inversion's tail reads S past q_min = L - |N| + 1 as the count's
+    # moments at q_min with tol = 2^-40, at every t, the weights' bound taking
+    # over from Cauchy's where mu_j carries sech(pi t); they hold the one
+    # bound from q_min on.  The moments are checked against
+    # mu_j = sum_m (-1)^m n^(2j+1) e^(-pi t n), n = 2m + 1, in mpmath, and
+    # the float sum against E/q^2 + e^(-pi q/(2t))/t
+    import mpmath
+
+    q_min = max(128, math.ceil(24 * t)) + 1
+    coeffs, rest = _s_tail_form(t, q_min, _TAIL_TOL)
+    m, qs = coeffs.size, (q_min, 3 * q_min, 50 * q_min)
+    assert m == _moment_count(t, q_min, _TAIL_TOL)
+    _check_the_one_bound(t, [(q, m) for q in qs], _TAIL_TOL)
+    with mpmath.workdps(40):
+        T = mpmath.mpf(t)
+        for j, (cj, err) in enumerate(zip(coeffs, _moments(t, m)[2])):
+            mu = mpmath.nsum(lambda n: (-1) ** n * (2 * n + 1) ** (2 * j + 1) * mpmath.exp(-mpmath.pi * T * (2 * n + 1)), [0, mpmath.inf])
+            assert abs(cj - float(-2 * T / mpmath.pi * (-T * T) ** j * mu)) <= err, j
+    for q in qs:
+        got = math.fsum(cj / float(q) ** (2 * j + 2) for j, cj in enumerate(coeffs))
+        want = float(_mp_s(q, t))
+        bound = rest / q**2 + math.exp(-math.pi * q / (2.0 * t)) / t + 8 * 2.0**-52 * abs(want)
+        assert abs(got - want) <= bound, q
 
 
 @pytest.mark.parametrize("t", [0.001, 0.1, 0.3, 0.45, 0.55])
@@ -436,10 +467,10 @@ def test_moments_round_within_their_bound(t):
     # tanh(pi t) nears 1: at t = 0.45 the high moments keep about 10 digits.
     # errs bounds every coefficient's rounding, and the part of it past the
     # first two moments lies below 1e-20 of J from q0 on
-    far = _j_far(t)
-    for j, (got, want) in enumerate(zip(far.coeffs, _mp_coeffs(t, far.counts[0]))):
-        assert abs(got - want) <= far.errs[j], j
-    q0 = far.q0
+    q0 = _table_q0(t)
+    _, coeffs, errs = _moments(t, _moment_count(t, q0, _TABLE_TOL))
+    for j, (got, want) in enumerate(zip(coeffs, _mp_coeffs(t, len(coeffs)))):
+        assert abs(got - want) <= errs[j], j
     s = abs(j_values(q0, t)[q0])
-    assert sum(e / float(q0) ** (2 * j + 2) for j, e in enumerate(far.errs) if j >= 1) <= 1e-17 * s
-    assert sum(e / float(q0) ** (2 * j + 2) for j, e in enumerate(far.errs) if j >= 3) <= 1e-20 * s
+    assert sum(e / float(q0) ** (2 * j + 2) for j, e in enumerate(errs) if j >= 1) <= 1e-17 * s
+    assert sum(e / float(q0) ** (2 * j + 2) for j, e in enumerate(errs) if j >= 3) <= 1e-20 * s

@@ -67,6 +67,13 @@ def test_invert_no_n():
         invert_series_many(geometric_series_evaluator(), [], 0.0)
 
 
+def test_inversion_returns_python_floats():
+    # value and error_estimate were numpy float64s, through t K_L(0); every
+    # other driver returns Python floats
+    for ev in (q_general_analytic(1, 2, 5), *invert_series_many(geometric_series_evaluator(), [1, 3], 0.5)):
+        assert type(ev.value) is float and type(ev.error_estimate) is float
+
+
 @pytest.mark.parametrize("N", [10**20, -(10**20), 2**60 + 1])
 def test_an_n_past_2_60_is_refused_before_any_point_is_sized(N):
     # numpy refused these sample grids, by size alone, with lines that name no bound
