@@ -2,10 +2,12 @@
 
 q_{k,s}(N) is 1 when N = k m^(2s) for some natural m and 0 otherwise;
 q_k abbreviates s = 1.  Alongside the integer-exact definition this
-module carries the convergent-series representation of q_k(N)/N^2
-obtained by inverting the generating series sum q_k(n)/(n^2 (n+z)),
-its vanishing counterpart for N <= 0, the integer-shifted variants, and
-the general-s form.
+module carries the convergent-series value of q_k(N)/N^2, ``q_analytic``,
+and its vanishing counterpart for N <= 0, ``zero_identity_residual``:
+both are ``series.invert_series`` of ``indicator_series_evaluator(k)``,
+the closed form of the generating series sum q_k(n)/(n^2 (n+z)).  The
+module also carries the integer-shifted blocks that weighted sums of q
+are made of, and the general-s form.
 
 A driver's block at base N and shift c is a function of its argument
 y = N + c alone, assembled as
@@ -34,11 +36,12 @@ G-part for an array of blocks, and no other code assembles a block; only
 sigma's tail reads ``rounding_scale``.  ``weighted_blocks`` is the one
 function that forms a weighted sum of blocks, sum_i w_i block(N + c_i), and
 its estimate; it alone turns a driver's (N, c, r_len) into (y, lo, hi),
-cuts windows and sizes tables.  Every analytic driver is one call of it: ``q_analytic`` and the
-vanishing identities are its one block at shift 0.  Only the oracles keep
-organizations of their own, with symmetric grids:
-``q_shifted_analytic``, and the general-s form ``q_general_analytic``,
-which is ``series.invert_series`` of ``power_series_evaluator``.
+cuts windows and sizes tables.  Every driver that sums many blocks, the
+Diophantine and divisor-pair sums and sigma, is one call of it.  Only the
+oracles keep organizations of their own, with symmetric grids:
+``q_shifted_analytic``, q's independent oracle, and the general-s form
+``q_general_analytic``, which is ``series.invert_series`` of
+``power_series_evaluator``.
 ``q_shifted_analytic`` and the unit-weight forms of ``dsums`` build the
 same plain grid (``_g_grid``) and take their sech sums from one windowed
 contraction (``_sech_parts``), whose sech weights carry the (-1)^j.
@@ -57,7 +60,7 @@ import numpy as np
 from .integrals import _EPS, cosh_over_sinh2_values, coth, csch_values, exp_series_sums
 from .integrals import _p_weights, j_values, p_values, sech_values
 from .kernels import TABLE_CHUNK, _g, check_analytic_t, kernel_g
-from .series import _COORD_MAX, Evaluation, SeriesEvaluator, _power_poles, invert_series
+from .series import _COORD_MAX, Evaluation, SeriesEvaluator, _power_poles, indicator_series_evaluator, invert_series
 
 # doubles of g per tile of the G-part contraction (512 KiB): a tile fits a
 # core's 2 MiB L2 cache, but with the Js range it meets, ~3 MB at
@@ -194,12 +197,6 @@ def _j_far_coeffs(t: float) -> tuple[float, float]:
     a = 2.0 * t / pi
     mu0 = abs(math.fsum(c)) + (len(n) + 4) * (_EPS / 2.0) * math.fsum(map(abs, c))
     return a * mu0, a * t * t * math.fsum(abs(cm) * nm * nm for nm, cm in zip(n, c))
-
-
-def _g_bound(M: np.ndarray, t: float, k: int) -> np.ndarray:
-    """|G(M)| <= 5t M^(-7/2) + 2 eps(M) M^(-5/2) for M > 0, eps as in
-    ``_positive_tails``; 2 pi sqrt(M/k) is capped where expm1 would overflow."""
-    return 5.0 * t * M**-3.5 + 4.0 * M**-2.5 / np.expm1(np.minimum(2.0 * pi * np.sqrt(M / k), 700.0))
 
 
 def _positive_tails(k: int, t: float, m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,44 +419,20 @@ def block_value(tables: BlockTables, y: int, lo: int, hi: int) -> float:
     return float(tables.evaluate(_cut_windows(tables.k, tables.t, [y], [lo], [hi]))[0])
 
 
-def _q_tail(tables: BlockTables, w: Windows, r_len) -> float:
-    # past the window the summand decays at least like |M|^(-7/2) on the
-    # positive side and |M + y|^(-4) through the J factor on the negative.
-    # The edge is the 64 points at distance d - 63..d on either side of J's
-    # peak M = -y, d = -y - lo, paired about it, where J is even; the
-    # positive edge ends at the window's cap M = d - y.  Where the cut left
-    # it out of the window, its closed bound stands in, which is no smaller,
-    # whatever the plan holds past the window; the cut's own tail is the
-    # engine's bound
-    k, t, Q, g, Js = tables.k, tables.t, tables.Q, tables.g, tables.Js
-    y, d = int(w.y[0]), -int(w.y[0] + w.lo[0])
-    p = -y - tables.lo  # J's peak in g
-    face = float(w.head[0] + w.exp_part[0]) + tables.coeff * float(g[p] * Js[Q])
-    neg = g[p - d : p - d + 64][::-1]
-    if d - y <= w.hi[0]:
-        edge = np.abs(g[p + d - 63 : p + d + 1] + neg)
-    else:
-        edge = _g_bound(np.arange(d - 63 - y, d - y + 1, dtype=float), t, k) + np.abs(neg)
-    edge_max = float(np.max(edge * np.abs(Js[Q + d - 63 : Q + d + 1])))
-    return tables.coeff * edge_max * d / 2.5 + 1e-12 + abs(face) * 1e-15
-
-
 def q_analytic(k: int, N: int, t: float = 1.0) -> Evaluation:
-    """Convergent-series value of q_k(N)/N^2 for N >= 1: the shift-0
-    block at base N, ``weighted_blocks`` of one unit weight."""
+    """Convergent-series value of q_k(N)/N^2 for N >= 1: the coefficient
+    inversion of ``indicator_series_evaluator(k)`` at N."""
     if N < 1:
         raise ValueError(f"N must be a natural number, got {N}")
-    ev = weighted_blocks(N, k, t, [1.0], [0], None, _q_tail)
-    return Evaluation(ev.value, ev.error_estimate, {"r_terms": ev.terms_used["r_terms"]}, ev.guards_engaged)
+    return invert_series(indicator_series_evaluator(k), N, t)
 
 
 def zero_identity_residual(k: int, N: int, t: float = 1.0) -> float:
     """|series representation at a nonpositive argument|, which the
-    vanishing identity says is 0: q's one-block ``weighted_blocks`` call.
-    Requires N <= 0."""
+    vanishing identity says is 0: q's inversion at N.  Requires N <= 0."""
     if N > 0:
         raise ValueError(f"N must be <= 0, got {N}")
-    return abs(weighted_blocks(N, k, t, [1.0], [0], None, lambda *_: 0.0).value)
+    return abs(invert_series(indicator_series_evaluator(k), N, t).value)
 
 
 def q_shifted_analytic(k: int, N: int, c: int, t: float = 1.0) -> Evaluation:
@@ -552,8 +525,9 @@ def power_series_evaluator(k: int, s: int) -> SeriesEvaluator:
 
 def q_general_analytic(k: int, s: int, N: int, t: float = 1.0) -> Evaluation:
     """Series value of q_{k,s}(N)/N^2 for N >= 1, s >= 1: the inversion of
-    ``power_series_evaluator(k, s)`` at N.  It shares no code with the block
-    engine, so at s = 1 it is an oracle for ``q_analytic``."""
+    ``power_series_evaluator(k, s)`` at N.  At s = 1 it and ``q_analytic``
+    run one shared inversion, so there it checks the closed-form evaluator
+    against direct summation; ``q_shifted_analytic`` is q's independent oracle."""
     if N < 1 or s < 1 or k < 1:
         raise ValueError("need N >= 1, s >= 1, k >= 1")
     return invert_series(power_series_evaluator(k, s), N, t)

@@ -492,6 +492,7 @@ def self_consistency_residual(F: SeriesEvaluator, t: float) -> float:
     return math.pi / math.sinh(math.pi * t) * abs(f0)
 
 
+@functools.lru_cache(maxsize=16)
 def indicator_series_evaluator(k: int = 1) -> SeriesEvaluator:
     """Closed-form evaluator of F(z) = sum_n q_k(n)/(n^2 (n+z)), whose
     coefficients are q_k(N)/N^2 (1/N^2 at N = k m^2, else 0):
@@ -508,6 +509,8 @@ def indicator_series_evaluator(k: int = 1) -> SeriesEvaluator:
       has period i, and u - i m = (z/k + m^2)/(u + i m), m = round(Im u),
       whose numerator (x + k m^2 + it)/k carries no cancellation.
     The poles are k m^2 with residues 1/(k^2 m^4), as ``power_series_evaluator(k, 1)``'s.
+    Points go in blocks of TABLE_CHUNK, each point's value depends on
+    (k, t, x) alone, and one evaluator serves every call with this k.
 
     Absolute and uniform convergence of the shifted sample series holds
     for this evaluator (the jump kernel decays polynomially).
@@ -523,8 +526,13 @@ def indicator_series_evaluator(k: int = 1) -> SeriesEvaluator:
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        z = x + 1j * t
         out = np.empty(x.size)
+        for lo in range(0, x.size, TABLE_CHUNK):
+            block(x[lo : lo + TABLE_CHUNK], t, out[lo : lo + TABLE_CHUNK])
+        return out
+
+    def block(x: np.ndarray, t: float, out: np.ndarray) -> None:
+        z = x + 1j * t
         near = np.abs(z) < 4.5 * k
         zn = z[near]
         poles = 1.0 / (k * k * (k + zn)) + 1.0 / (16.0 * k * k * (4.0 * k + zn))
@@ -540,7 +548,6 @@ def indicator_series_evaluator(k: int = 1) -> SeriesEvaluator:
             - 0.5 / zf**3
             + math.pi * cth / (2.0 * k * zf * zf * u)
         ).imag
-        return out
 
     def coefficient(n: int) -> float:
         if n < 1 or n % k:

@@ -554,11 +554,22 @@ def test_verify_decomposition_report_is_unchanged(capsys, fast, n_max):
 
 @pytest.mark.parametrize("N", ["100000000000000000000", "4611686018427387904"])
 def test_a_huge_n_exits_2_naming_the_int64_bound(N, capsys):
-    # 10^20 overflowed int64 in the window's length, and 2^62 wrapped it
+    # 10^20 overflowed int64 in the engine's window length, and 2^62 wrapped
+    # it; the inversion refuses both before it sizes its sample grid
     assert main(["eval-q", "--k", "1", "--N", N]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: |N| and every |shift| must be at most 2^60"), lines
+    assert len(lines) == 1 and lines[0].startswith("error: |N| must be at most 2^60"), lines
     assert lines[0].endswith(f"got N = {N}"), lines
+
+
+def test_eval_q_passes_at_a_small_t(capsys):
+    # the engine's shift-0 block sized a G window of 900/t and failed its
+    # estimate here; the inversion samples |N| + 128 points each side
+    code, out = run_cli(["eval-q", "--k", "1", "--N", "5", "--t", "1e-4", "--format", "json"], capsys)
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert not record["failed"] and record["diff"] <= record["error_estimate"]
+    assert record["terms"] == {"r_terms": 133} and record["guards"] is False
 
 
 @pytest.mark.parametrize("N", ["100000000000000000000", str(2**60 + 1)])

@@ -59,6 +59,10 @@ def grids(monkeypatch):
     return built
 
 
+# q inverts its closed-form evaluator: it builds no grid and runs no guarded kernel
+_Q = [lambda: q_analytic(1, 5, 1.0), lambda: q_analytic(50, 5, 1.0)]
+
+
 @pytest.mark.parametrize(
     "oracle",
     [
@@ -67,14 +71,13 @@ def grids(monkeypatch):
         lambda: q_shifted_analytic(2, 12, -4, 0.3),
         lambda: unit_sum_squares(DiophantineInstance(25, 1, 1, "sum"), 1.0),
         lambda: unit_sum_diff(DiophantineInstance(7, 2, 3, "difference"), 2.0),
+        *_Q,
         # the block engine's drivers, from the grid sized to their windows
-        lambda: q_analytic(1, 5, 1.0),
-        lambda: q_analytic(50, 5, 1.0),  # its cut windows end below M*(50, 1)
         lambda: sum_squares_analytic(unit_weight(), DiophantineInstance(25, 1, 1, "sum"), 1.0),
         lambda: sigma_analytic(30, 1.0),
     ],
 )
 def test_an_oracles_flag_is_its_grids_any(grids, oracle):
     ev = oracle()
-    ((lo, hi, t, k),) = grids
-    assert ev.guards_engaged == bool(_g(np.arange(lo, hi + 1, dtype=float), t, k)[1].any())
+    assert len(grids) == (0 if oracle in _Q else 1)
+    assert ev.guards_engaged == any(bool(_g(np.arange(lo, hi + 1, dtype=float), t, k)[1].any()) for lo, hi, t, k in grids)

@@ -12,8 +12,8 @@ import pytest
 
 from arithsum import indicators
 from arithsum.dsums import DiophantineInstance, alternating_weight, sum_diff_analytic
-from arithsum.dsums import unit_sum_diff, unit_weight
-from arithsum.indicators import BlockTables, q_analytic, q_shifted_analytic
+from arithsum.dsums import _block_tail, unit_sum_diff, unit_weight
+from arithsum.indicators import BlockTables, q_shifted_analytic, weighted_blocks
 from arithsum.sigma_rh import _sigma_r_len, sigma_analytic
 
 
@@ -87,20 +87,25 @@ def test_a_base_of_the_other_parity_reads_a_view_of_the_held_grid(builds):
     assert g.tobytes() == cold
 
 
+def _one_block(k, N, t):
+    """The engine's one block at shift 0, q_k(N)/N^2."""
+    return weighted_blocks(N, k, t, [1.0], [0], None, _block_tail)
+
+
 def test_a_range_miss_or_a_new_key_builds_and_keeps_the_cold_bits(builds):
     cold = {
         "sigma(97, 1)": _cold(sigma_analytic, 97, 1.0),
         "sigma(97, 1.5)": _cold(sigma_analytic, 97, 1.5),
-        "q_1(50)": _cold(q_analytic, 1, 50, 1.5),
-        "q_2(50)": _cold(q_analytic, 2, 50, 1.5),
+        "q_1(50)": _cold(_one_block, 1, 50, 1.5),
+        "q_2(50)": _cold(_one_block, 2, 50, 1.5),
     }
     indicators._HELD.clear()
     sigma_analytic(40, 1.0)
     steps = [
         ("sigma(97, 1)", lambda: sigma_analytic(97, 1.0), ["_g_grid", "j_values"]),  # range
         ("sigma(97, 1.5)", lambda: sigma_analytic(97, 1.5), ["_g_grid", "j_values"]),  # t
-        ("q_1(50)", lambda: q_analytic(1, 50, 1.5), []),  # inside sigma(97, 1.5)'s tables
-        ("q_2(50)", lambda: q_analytic(2, 50, 1.5), ["_g_grid", "j_values"]),  # k: the plan is keyed by (k, t)
+        ("q_1(50)", lambda: _one_block(1, 50, 1.5), []),  # inside sigma(97, 1.5)'s tables
+        ("q_2(50)", lambda: _one_block(2, 50, 1.5), ["_g_grid", "j_values"]),  # k: the plan is keyed by (k, t)
     ]
     for label, f, want in steps:
         del builds[:]
@@ -192,8 +197,8 @@ def test_indicators_holds_one_plan(builds):
     assert uses(tree) == uses(init) + 1
     calls = [
         lambda: sigma_analytic(40, 1.0),
-        lambda: q_analytic(2, 50, 1.0),
-        lambda: q_analytic(2, 50, 0.7),
+        lambda: _one_block(2, 50, 1.0),
+        lambda: _one_block(2, 50, 0.7),
         lambda: sum_diff_analytic(alternating_weight(), DiophantineInstance(50, 2, 3, "difference"), 0.7),
         lambda: q_shifted_analytic(3, 50, 8, 0.7),
         lambda: sigma_analytic(96, 1.0),

@@ -24,7 +24,7 @@ from arithsum.indicators import (
 )
 from arithsum.integrals import _p_weights, integral_i, integral_j, integral_k, sech, sech_values
 from arithsum.kernels import g_values, kernel_g
-from arithsum.series import verdict
+from arithsum.series import indicator_series_evaluator, invert_series_many, verdict
 from arithsum.sigma_rh import sigma_analytic
 
 # the quarter rule: a classification stands only within a quarter of its bit
@@ -91,6 +91,21 @@ def test_indicator_matches_definition_grid():
             diff, failed = verdict(N * N * q_analytic(k, N, 1.0).value, q_bruteforce(k, 1, N), QUARTER, integer=True)
             assert not failed, (k, N)
             assert diff < 1e-4, (k, N)
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 3e-3, 0.01, 1.0, 3.0, 7.0, 8.0, 9.0, 10.0])
+def test_q_holds_its_estimate_from_small_to_large_t(t):
+    # |N^2 q_analytic - q_bruteforce| <= N^2 estimate for k <= 3, N <= 40,
+    # where the engine's shift-0 block failed its estimate at t <= 3e-3 and
+    # at t >= 7.  Each k inverts its N in one batch, whose entries keep the
+    # bits each N has alone (test_invert_one_n_is_its_entry_of_many), as
+    # q_analytic's own call shows at N = 4k
+    for k in (1, 2, 3):
+        batch = invert_series_many(indicator_series_evaluator(k), range(1, 41), t)
+        ev = q_analytic(k, 4 * k, t)
+        assert (ev.value, ev.error_estimate) == (batch[4 * k - 1].value, batch[4 * k - 1].error_estimate)
+        for N, ev in enumerate(batch, 1):
+            assert abs(N * N * ev.value - q_bruteforce(k, 1, N)) <= N * N * ev.error_estimate, (k, N)
 
 
 def test_zero_identity_examples():
@@ -308,7 +323,7 @@ def test_window_of_one_tile_is_near_sum_then_dots(N, k, t):
 
 
 def test_shift0_block_is_as_accurate_as_the_fold():
-    # q_analytic's shift-0 block once summed its two sides folded,
+    # the engine's shift-0 block once summed its two sides folded,
     # (G(r - N) + G(-r - N)) (-1)^r J(r), in one pairwise sum; that contraction
     # is kept here as the reference.  At t in [7, 10] the engine, with its
     # near products summed by math.fsum, must be at least as accurate, as a
@@ -334,44 +349,17 @@ def test_shift0_block_is_as_accurate_as_the_fold():
     assert np.mean(err_engine) <= np.mean(err_fold), (np.mean(err_engine), np.mean(err_fold))
 
 
+def _one_block(k, N, t):
+    """The engine's one block at shift 0, q_k(N)/N^2, as a dsums driver weighs it."""
+    return indicators.weighted_blocks(N, k, t, [1.0], [0], None, dsums._block_tail)
+
+
 @pytest.mark.parametrize("k,N,t", [(1, 1, 1.0), (2, 8, 0.3), (3, 27, 8.5), (1, 97, 9.9)])
-def test_q_analytic_is_the_engines_shift0_block(k, N, t):
-    ev = q_analytic(k, N, t)
+def test_a_one_block_call_is_the_engines_shift0_block(k, N, t):
+    ev = _one_block(k, N, t)
     r_len = ev.terms_used["r_terms"]
     lo, hi = -r_len - N, r_len - N  # |r| <= r_len, M = r - N
     assert ev.value == block_value(BlockTables(k, t, lo, hi, r_len), N, lo, hi)
-
-
-@pytest.mark.parametrize("k,N,t", [(1, 9, 1.0), (2, 40, 0.3), (3, 27, 4.0), (1, 97, 9.9)])
-def test_q_tail_pairs_its_edge_about_js_peak(monkeypatch, k, N, t):
-    # q's tail model reads the 64 points at distance d - 63..d from J's peak
-    # M = -N on either side, d = r_len, paired, G(d' - N) + G(-d' - N),
-    # against J(d'); where the cut leaves the positive side off the grid,
-    # its bound |G(M)| <= _g_bound(M) stands in.  Recomputed here from the
-    # kernels, the estimate is that model plus the engine's bound
-    seen = []
-    real = BlockTables.evaluate
-
-    def spy(self, w):
-        seen.append(w)
-        return real(self, w)
-
-    monkeypatch.setattr(BlockTables, "evaluate", spy)
-    ev = q_analytic(k, N, t)
-    (w,) = seen
-    head, exp_part, bound = w.head, w.exp_part, w.bound
-    d = ev.terms_used["r_terms"]
-    r = np.arange(d - 63, d + 1)
-    neg = g_values(-r - N, t, k)
-    if d - N <= w.hi[0]:
-        edge = np.abs(g_values(r - N, t, k) + neg)
-    else:
-        edge = indicators._g_bound((r - N).astype(float), t, k) + np.abs(neg)
-    coeff = math.sinh(math.pi * t) / (4.0 * math.sqrt(k))
-    j = np.array([integral_j(int(q), t).value for q in r])
-    face = head[0] + exp_part[0] + coeff * kernel_g(-N, t, k).value * integral_j(0, t).value
-    tail = coeff * float(np.max(edge * np.abs(j))) * d / 2.5 + 1e-12 + abs(face) * 1e-15
-    assert ev.error_estimate == pytest.approx(tail + bound[0], rel=1e-9, abs=0.0)
 
 
 def test_closed_heads_do_not_overflow_near_the_top_of_t():
@@ -420,8 +408,8 @@ def _window(N, c, L):
 # one weighted_blocks call
 UNIT = dsums.unit_weight()
 SHIFT_SETS = {
-    "q": [(1, lambda t: q_analytic(1, 4, t)), (2, lambda t: q_analytic(2, 8, t))],
-    "vanishing": [(1, lambda t: zero_identity_residual(1, 0, t)), (2, lambda t: zero_identity_residual(2, -3, t))],
+    "one block": [(1, lambda t: _one_block(1, 4, t)), (2, lambda t: _one_block(2, 8, t))],
+    "vanishing": [(1, lambda t: _one_block(1, 0, t)), (2, lambda t: _one_block(2, -3, t))],
     "finite": [(2, lambda t: dsums.weighted_finite_analytic(UNIT, 2, 6, t))],
     "infinite": [(1, lambda t: dsums.weighted_infinite_analytic(UNIT, 1, 5, t, a_horizon=4))],
     "squares": [(2, lambda t: dsums.sum_squares_analytic(UNIT, dsums.DiophantineInstance(10, 1, 2, "sum"), t))],
@@ -616,14 +604,15 @@ def test_power_evaluator_matches_mpmath_sum(k, s):
 
 
 def test_q_general_does_not_use_the_block_engine(monkeypatch):
-    # q_general_analytic is an oracle for q_analytic: it must evaluate with
-    # the block engine unavailable
+    # q_general_analytic inverts a direct sum and needs no G: it must
+    # evaluate with the block engine unavailable, where the engine's own
+    # one-block call fails
     def unavailable(*args, **kwargs):
         raise AssertionError("the block engine was called")
 
     monkeypatch.setattr(indicators, "BlockTables", unavailable)
     with pytest.raises(AssertionError):
-        q_analytic(1, 16, 1.0)
+        _one_block(1, 16, 1.0)
     assert q_general_analytic(1, 2, 16, 1.0).value == pytest.approx(1.0 / 256.0, abs=1e-7)
     assert q_general_analytic(1, 1, 9, 1.0).value == pytest.approx(1.0 / 81.0, abs=1e-7)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithsum import indicators
+from arithsum import dsums, indicators
 from arithsum.dsums import (
     DiophantineInstance,
     alternating_weight,
@@ -24,7 +24,7 @@ from arithsum.dsums import (
     weighted_finite_analytic,
     weighted_infinite_analytic,
 )
-from arithsum.indicators import BlockTables, _cut_windows, _default_r_len, _q_tail, q_analytic
+from arithsum.indicators import BlockTables, _cut_windows, _default_r_len, weighted_blocks
 from arithsum.integrals import j_values
 from arithsum.kernels import g_values
 from arithsum.sigma_rh import _sigma_r_len, sigma_analytic, sigma_bruteforce
@@ -46,6 +46,7 @@ def _dsums_set(N, d, k, t):
 
 
 def _eval_q_set(N, k, t):
+    # the engine's one block at shift 0, q_k(N)/N^2 (eval-q now inverts the series instead)
     return N, k, t, [0], _default_r_len(N, 0, t)
 
 
@@ -182,10 +183,11 @@ def test_a_cut_keeps_the_near_range_and_no_more(t):
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.0, 8.0])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_g_bound_holds_past_the_peak(t, k):
-    # the pointwise bound behind the tails, against the kernel itself;
-    # q_analytic's edge model reads it where the cut leaves the edge off the grid
+    # the pointwise bound behind the tails, against the kernel itself:
+    # |G(M)| <= 5t M^(-7/2) + 2 eps(M) M^(-5/2), eps(M) = 2/expm1(2 pi sqrt(M/k))
     M = np.unique(np.geomspace(1.0, 1e6, 400).round())
-    assert (np.abs(g_values(M, t, k)) <= indicators._g_bound(M, t, k)).all()
+    bound = 5.0 * t * M**-3.5 + 4.0 * M**-2.5 / np.expm1(np.minimum(2.0 * math.pi * np.sqrt(M / k), 700.0))
+    assert (np.abs(g_values(M, t, k)) <= bound).all()
 
 
 @pytest.mark.parametrize("t", np.geomspace(1e-3, 20.0, 13).tolist() + [0.45, 0.55])
@@ -265,15 +267,20 @@ def uncut(monkeypatch):
     return evaluate
 
 
+def _one_block(k, N, t):
+    """The engine's one block at shift 0, q_k(N)/N^2, as a dsums driver weighs it."""
+    return weighted_blocks(N, k, t, [1.0], [0], None, dsums._block_tail)
+
+
 def _driver_points():
-    # sigma for N <= 200, q and the Diophantine, divisor-pair and weighted
+    # sigma for N <= 200, the one-block call and the Diophantine, divisor-pair and weighted
     # sums, at t in {0.3, 1, 2.5}
     g = [unit_weight(), alternating_weight(), reciprocal_weight()]
     for t in (0.3, 1.0, 2.5):
         for N in (2, 7, 36, 97, 150, 200):
             yield sigma_analytic, N, t
         for N in (1, 9, 50, 100):
-            yield q_analytic, 2, N, t
+            yield _one_block, 2, N, t
         for i, N in enumerate((25, 50, 97)):
             yield sum_squares_analytic, g[i], DiophantineInstance(N, 1 + i, 1, "sum"), t
             yield sum_diff_analytic, g[i], DiophantineInstance(N, 2, 1 + i, "difference"), t
@@ -283,12 +290,12 @@ def _driver_points():
 
 
 def _eval_q_points():
-    # eval-q draws: t log-uniform, k in {1, 2, 3}, N in [1, 100]
+    # eval-q's draws for the one-block call: t log-uniform, k in {1, 2, 3}, N in [1, 100]
     for seed, lo, hi in ((7, 7.0, 10.0), (8, 7.0, 10.0), (9, 0.1, 7.0)):
         rng = random.Random(seed)
         for _ in range(30):
             t = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-            yield q_analytic, rng.choice([1, 2, 3]), rng.randint(1, 100), t
+            yield _one_block, rng.choice([1, 2, 3]), rng.randint(1, 100), t
 
 
 def test_no_error_estimate_shrinks(uncut):
@@ -344,18 +351,3 @@ def test_a_sigma_sweep_builds_each_table_once(builds, t):
     for N in (117, 300, 5, 116, 450, 229, 40, 599, 158):
         sigma_analytic(N, t)
     assert sorted(builds) == ["_g_grid", "j_values"]
-
-
-@pytest.mark.parametrize("k,N,t,cut", [(3, 12, 0.3, True), (1, 97, 0.1, True), (1, 7, 1.0, False), (2, 50, 3.0, False)])
-def test_q_tail_reads_its_window_not_the_plan(monkeypatch, k, N, t, cut):
-    # a plan that reaches past q's cap holds G where the cut window stops;
-    # the tail's estimate is that of the window, whatever the plan holds
-    monkeypatch.setattr(indicators, "_HELD", {})
-    r_len = _default_r_len(N, 0, t)
-    w, cap = _windows(*_eval_q_set(N, k, t))
-    lo, hi, Q = w.extent
-    assert (hi < cap[0]) == cut
-    exact = _q_tail(BlockTables(k, t, lo, hi, Q), w, r_len)
-    indicators._HELD.clear()
-    wide = _q_tail(BlockTables(k, t, lo - 50, int(cap[0]) + 100, Q + 150), w, r_len)
-    assert wide.hex() == exact.hex()

@@ -8,6 +8,7 @@ import pytest
 
 from arithsum.indicators import power_series_evaluator, q_general_analytic
 from arithsum.integrals import _j_table_error, j_values
+from arithsum.kernels import TABLE_CHUNK
 from arithsum.series import (
     _EPS,
     _closed_tail,
@@ -396,3 +397,35 @@ def test_indicator_evaluator_matches_mpmath(k):
                 closed = pi**4 / (90 * k * k * z) - pi**2 / (6 * k * z * z) - 0.5 / z**3
                 want.append(float((closed + pi * mpmath.coth(pi * w / rk) / (2 * rk * z * z * w)).imag))
         assert got == pytest.approx(want, rel=8 * _EPS, abs=0), t
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_indicator_evaluator_keeps_its_bits_in_blocks(k):
+    # points go in blocks of TABLE_CHUNK: a long batch, near points (|z| <
+    # 4.5k) and far ones mixed across the block edges, has the bits of its
+    # pieces evaluated apart, of any length and alignment
+    rng = np.random.default_rng(k)
+    x = np.concatenate((np.linspace(-5.0 * k, 5.0 * k, 9000), rng.uniform(-1e5, 1e5, 9000)))[rng.permutation(18000)]
+    F = indicator_series_evaluator(k)
+    for t in (1e-3, 1.0, 9.0):
+        got = F.evaluate(x, t)
+        for piece in (999, TABLE_CHUNK - 1, TABLE_CHUNK + 5):
+            parts = [F.evaluate(x[i : i + piece], t) for i in range(0, x.size, piece)]
+            assert np.array_equal(np.concatenate(parts), got), (t, piece)
+        for i in range(0, x.size, 97):
+            assert F.evaluate(x[i : i + 1], t)[0] == got[i], (t, x[i])
+
+
+def test_indicator_evaluator_is_built_once_per_k_and_bounds_its_memory():
+    # an evaluation of 2 10^5 points near the origin held ~260 MB of Taylor
+    # powers at once; in blocks it holds one block's
+    assert indicator_series_evaluator(2) is indicator_series_evaluator(2)
+    x = np.tile(np.linspace(-4.0, 4.0, 100), 2000)
+    F = indicator_series_evaluator(1)
+    tracemalloc.start()
+    try:
+        F.evaluate(x, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak

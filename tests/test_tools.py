@@ -26,7 +26,9 @@ def test_digests_reports_one_plan():
     )
     assert m, out
     assert m[2] == "0"
-    assert all(int(n) > 0 for n in m.groups()[2:])
+    # q_shifted_analytic builds G grids; the engine, which builds the J tables, has no item here
+    assert int(m[3]) > 0 and int(m[4]) > 0
+    assert (m[5], m[6]) == ("0", "0")
 
 
 def test_ab_of_a_tree_with_itself_has_equal_digests():

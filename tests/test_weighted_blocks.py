@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arithsum import dsums, indicators, sigma_rh
+from arithsum import dsums, indicators, series, sigma_rh
 from arithsum.dsums import (
     DiophantineInstance,
     alternating_weight,
@@ -130,8 +130,6 @@ def test_value_and_estimate_are_the_fsums_of_the_blocks():
 
 CALLS = {
     "sigma": lambda: sigma_analytic(40, 1.0),
-    "q": lambda: q_analytic(1, 49, 2.0),
-    "zero": lambda: zero_identity_residual(2, -5, 1.0),
     "finite": lambda: weighted_finite_analytic(alternating_weight(), 1, 20, 1.0),
     "infinite": lambda: weighted_infinite_analytic(reciprocal_weight(), 2, 20, 1.0, a_horizon=30),
     "squares": lambda: sum_squares_analytic(unit_weight(), DiophantineInstance(50, 1, 1, "sum"), 1.0),
@@ -152,6 +150,25 @@ def test_each_driver_is_one_weighted_blocks_call(monkeypatch, driver):
         monkeypatch.setattr(module, "weighted_blocks", counted)
     CALLS[driver]()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("driver", ["q", "zero"])
+def test_q_and_the_vanishing_identities_are_one_inversion(monkeypatch, driver):
+    # they reach no engine: each is one invert_series_many call of q's evaluator
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the block engine was called")
+
+    calls = []
+    real = series.invert_series_many
+    monkeypatch.setattr(series, "invert_series_many", lambda F, Ns, t: calls.append((F.label, list(Ns))) or real(F, Ns, t))
+    for name in ("weighted_blocks", "BlockTables", "_cut_windows"):
+        monkeypatch.setattr(indicators, name, unavailable)
+    if driver == "q":
+        assert q_analytic(1, 49, 2.0).value == pytest.approx(1.0 / 49**2, abs=1e-12)
+        assert calls == [("square-indicator k=1", [49])]
+    else:
+        assert zero_identity_residual(2, -5, 1.0) < 1e-12
+        assert calls == [("square-indicator k=2", [-5])]
 
 
 def test_an_empty_shift_set_is_its_horizon_tail():
@@ -341,7 +358,7 @@ def test_only_sigmas_tail_takes_a_prefix_sum_of_g(monkeypatch):
     assert [f for f in _functions_that(_calls("cumsum")) if f[0] == "indicators.py"] == [
         ("indicators.py", "BlockTables.rounding_scale")
     ]
-    tails = [(SRC / "indicators.py", "_q_tail"), (SRC / "dsums.py", "_block_tail"), (SRC / "sigma_rh.py", "_sigma_tail")]
+    tails = [(SRC / "dsums.py", "_block_tail"), (SRC / "sigma_rh.py", "_sigma_tail")]
     for path, name in tails:
         assert [a.arg for a in _function(path, name).args.args] == ["tables", "w", "r_len"], name
     calls = []
@@ -356,7 +373,7 @@ def test_only_sigmas_tail_takes_a_prefix_sum_of_g(monkeypatch):
 def test_the_held_tables_hold_one_array_each(monkeypatch):
     monkeypatch.setattr(indicators, "_HELD", {})
     sigma_analytic(30, 1.0)
-    q_analytic(2, 9, 0.7)  # a new key: sigma's plan goes whole
+    weighted_blocks(9, 2, 0.7, [1.0], [0], None, dsums._block_tail)  # a new key: sigma's plan goes whole
     ((key, (lo, hi, Q, g, Js)),) = indicators._HELD.items()
     assert key == (2, 0.7)
     for a, n in (g, hi - lo + 1), (Js, 2 * Q + 1):

@@ -14,10 +14,13 @@ concatenated stdout, the count of records whose ``failed`` is set, and
 the table builds: the calls of ``indicators._g_grid`` and
 ``indicators._two_sided_j`` and the entries they built, as
 ``g_builds``/``g_entries`` and ``j_builds``/``j_entries``.  The two are
-wrapped in this process only.  ``q_shifted_analytic``, an oracle, builds
-its grid through ``indicators._g_grid`` too, so its grids are counted
-beside the block engine's; the unit-weight oracles of ``dsums`` bind
-their own name and are not.  ``readme`` runs each ``arithsum ...`` line
+wrapped in this process only.  The block engine builds both, for the
+``sum``, ``sigma`` and ``rh --mode analytic`` items; ``eval-q`` inverts
+its series at every s and builds neither.  ``q_shifted_analytic``, an
+oracle that ``verify`` runs, builds its grid through
+``indicators._g_grid`` too, so its grids are counted beside the block
+engine's; the unit-weight oracles of ``dsums`` bind their own name and
+are not.  ``readme`` runs each ``arithsum ...`` line
 of the README's code blocks with ``--format json --jobs 1`` and prints
 the same numbers for each.
 
